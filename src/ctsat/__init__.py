@@ -46,7 +46,6 @@ from .integrate import (
     TIMEOUT,
     IntegratorConfig,
     RunRecord,
-    detect_convergence_to_zero,
     init_analog,
     init_mem,
     run,
@@ -59,7 +58,7 @@ from .netlist import (
     emit_subcircuit,
     serialize,
 )
-from .network import SolverNode, SquareWave, Wiring, eval_drive, simulate_network
+from .network import SolverNode, SquareWave, Wiring, simulate_network
 from .oracle import OracleResult, solve_dpll, solve_exhaustive
 from .harness import ExperimentPlan, SolverSpec, SummaryTable, emit_plot_data, run_experiment
 

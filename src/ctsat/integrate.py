@@ -7,10 +7,14 @@ Accepted steps are followed by a projection onto the variable bounds to
 absorb integrator overshoot (the right-hand sides already mask outward
 derivatives at the boundaries).
 
-A run terminates at the first of:
+One sample-grid loop drives every integration.  A single run() is a
+network (see network.py) of one node with no edges and no drives, so the
+two share the initial state, the outcome windows, the stats and the
+record.  The loop ends at the first of:
 
 * Solved: the digital control signal contrd is 0 and stays 0 for a
-  confirmation window (t_solve is the entry into the window),
+  confirmation window (t_solve is the entry into the window); a network
+  needs every node solved at the same sample,
 * ConvergedToZero (analog solver only): max_i |s_i| stays below eps_zero
   for a sustained window,
 * Timeout: t reached t_ev.
@@ -63,7 +67,6 @@ __all__ = [
     "init_analog",
     "init_mem",
     "run",
-    "detect_convergence_to_zero",
     "run_to_json_dict",
     "run_to_csv",
     "save_run",
@@ -283,7 +286,7 @@ def _sample_times(config: IntegratorConfig):
 
 
 class _OutcomeDetector:
-    """Tracks the solved / converged-to-zero windows on the sample grid."""
+    """Tracks one node's solved / converged-to-zero windows on the sample grid."""
 
     def __init__(self, problem: Problem, solver: str, config: IntegratorConfig):
         self.problem = problem
@@ -293,16 +296,15 @@ class _OutcomeDetector:
         self.solved_assignment: Optional[Assignment] = None
         self.zero_enter: Optional[float] = None
 
-    def observe(self, t: float, y: np.ndarray, contrd: int):
-        """Returns (outcome, t_event, assignment) or None to continue."""
+    def observe(self, t: float, y: np.ndarray, contrd: int) -> Optional[str]:
+        """Updates both windows; returns the outcome whose window is complete
+        (SOLVED before CONVERGED_TO_ZERO) or None."""
         cfg = self.config
         n = self.problem.num_vars
         if contrd == 0:
             if self.solved_enter is None:
                 self.solved_enter = t
                 self.solved_assignment = readout(y[:n]).copy()
-            if t - self.solved_enter >= cfg.window_confirm - 1e-9:
-                return SOLVED, self.solved_enter, self.solved_assignment
         else:
             self.solved_enter = None
             self.solved_assignment = None
@@ -310,11 +312,170 @@ class _OutcomeDetector:
             if float(np.max(np.abs(y[:n]))) < cfg.eps_zero:
                 if self.zero_enter is None:
                     self.zero_enter = t
-                elif t - self.zero_enter >= cfg.window_zero - 1e-9:
-                    return CONVERGED_TO_ZERO, t, None
             else:
                 self.zero_enter = None
+        if self.solved_enter is not None and t - self.solved_enter >= cfg.window_confirm - 1e-9:
+            return SOLVED
+        if self.zero_enter is not None and t - self.zero_enter >= cfg.window_zero - 1e-9:
+            return CONVERGED_TO_ZERO
         return None
+
+
+class _NodeRun:
+    """One node's state, integrator, detector and recorded samples.
+
+    pins are 1-based variable indices held fixed by the caller (network
+    inputs); their derivatives are forced to zero.  Without pins the bare
+    RHS is used.
+    """
+
+    def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
+                 analog_options: AnalogOptions, mem_options: MemOptions,
+                 mem_params: MemParams, pins: tuple[int, ...] = ()):
+        rhs, project, self.columns = make_system(
+            problem, solver, analog_options, mem_options, mem_params
+        )
+        if solver == ANALOG:
+            state0 = init_analog(problem, seed)
+            self.y = np.concatenate((state0.s, state0.a))
+            self.options = {"analog": asdict(analog_options)}
+        else:
+            state0 = init_mem(problem, seed)
+            self.y = np.concatenate((state0.v, state0.x_s, state0.x_l))
+            self.options = {"mem": asdict(mem_options), "params": asdict(mem_params)}
+        if pins:
+            fixed = np.array(sorted(v - 1 for v in pins), dtype=int)
+            bare_rhs = rhs
+
+            def rhs(t, y):
+                d = bare_rhs(t, y)
+                d[fixed] = 0.0
+                return d
+
+        self.problem = problem
+        self.solver = solver
+        self.seed = seed
+        self.integrator = SegmentIntegrator(rhs, project, config)
+        self.detector = _OutcomeDetector(problem, solver, config)
+        self.times, self.states, self.contra, self.contrd = [], [], [], []
+        self.wall = 0.0
+
+    def advance(self, t0: float, t1: float):
+        start = time.perf_counter()
+        try:
+            self.y = self.integrator.advance(t0, self.y, t1)
+        finally:
+            self.wall += time.perf_counter() - start
+
+    def record(self, t: float) -> Optional[str]:
+        start = time.perf_counter()
+        contra, contrd = control_signals(self.problem, self.y[:self.problem.num_vars])
+        self.times.append(t)
+        self.states.append(self.y.copy())
+        self.contra.append(contra)
+        self.contrd.append(contrd)
+        hit = self.detector.observe(t, self.y, contrd)
+        self.wall += time.perf_counter() - start
+        return hit
+
+
+def _simulate(nodes: list[_NodeRun], config: IntegratorConfig, fed: Optional[dict] = None,
+              drives=(), stop_on_solve: bool = True) -> tuple[list[RunRecord], Optional[float]]:
+    """The sample-grid driver behind run() and simulate_network().
+
+    fed maps (node index, 1-based input variable) to its source,
+    ("drive", k) or ("node", i, 1-based output variable); drives[k] has
+    value(t) and next_transition(t).  Partner values are copied at every
+    sample; drive values at every sample and drive transition, which also
+    split the macro step.  The network solves jointly at the first sample
+    where every node's detector reports SOLVED; the loop stops there (with
+    stop_on_solve) or at the first sample where some node converges to
+    zero.  Returns the per-node records and the joint solve time.
+    """
+    fed = fed or {}
+    from_nodes = [(target, source) for target, source in fed.items() if source[0] == "node"]
+    from_drives = [(target, source) for target, source in fed.items() if source[0] == "drive"]
+
+    def pin_drives(t):
+        for (i, var), source in from_drives:
+            nodes[i].y[var - 1] = drives[source[1]].value(t)
+
+    joint_at: Optional[float] = None
+    joint: list = []
+    zero: list[int] = []
+
+    def sample(t) -> bool:
+        """Pins and records every node; True when the loop should stop."""
+        nonlocal joint_at, joint, zero
+        values = [nodes[source[1]].y[source[2] - 1] for _, source in from_nodes]
+        for ((i, var), _), value in zip(from_nodes, values):
+            nodes[i].y[var - 1] = value
+        pin_drives(t)
+        hits = [node.record(t) for node in nodes]
+        if joint_at is None and all(hit == SOLVED for hit in hits):
+            joint_at = t
+            joint = [(node.detector.solved_enter, node.detector.solved_assignment)
+                     for node in nodes]
+        zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
+        return bool(zero) or (joint_at is not None and stop_on_solve)
+
+    aborted = None
+    if not sample(0.0):
+        grid = _sample_times(config)
+        for t_prev, t_next in zip(grid[:-1], grid[1:]):
+            cuts = [t_prev]
+            for drive in drives:
+                t_cut = drive.next_transition(t_prev)
+                while t_cut < t_next - 1e-12:
+                    cuts.append(t_cut)
+                    t_cut = drive.next_transition(t_cut)
+            cuts = sorted(set(cuts)) + [t_next]
+            try:
+                for c_prev, c_next in zip(cuts[:-1], cuts[1:]):
+                    pin_drives(c_prev)
+                    for node in nodes:
+                        node.advance(c_prev, c_next)
+            except StepSizeUnderflow as exc:
+                aborted = str(exc)
+                break
+            if sample(t_next):
+                break
+
+    records = []
+    for i, node in enumerate(nodes):
+        outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
+        if i in zero:
+            outcome, t_detect = CONVERGED_TO_ZERO, node.times[-1]
+        elif joint_at is not None:
+            outcome, (t_solve, assignment) = SOLVED, joint[i]
+            if count_unsatisfied(node.problem, assignment) != 0:
+                raise RuntimeError(
+                    f"node {i}: readout at t={t_solve:g} does not satisfy the formula"
+                )
+        stats = dict(node.integrator.stats)
+        if stats["dt_smallest"] is np.inf:
+            stats["dt_smallest"] = None
+        stats["wall_time"] = node.wall
+        stats["dt_underflow"] = aborted is not None
+        if aborted:
+            stats["abort_message"] = aborted
+        records.append(RunRecord(
+            solver=node.solver,
+            seed=node.seed,
+            outcome=outcome,
+            t_solve=t_solve,
+            t_detect=t_detect,
+            assignment=assignment,
+            times=np.asarray(node.times),
+            states=np.asarray(node.states),
+            contra=np.asarray(node.contra),
+            contrd=np.asarray(node.contrd, dtype=int),
+            state_columns=node.columns,
+            config=config,
+            options=node.options,
+            stats=stats,
+        ))
+    return records, joint_at
 
 
 def run(problem: Problem, solver: str, *, seed: int = 0,
@@ -322,97 +483,15 @@ def run(problem: Problem, solver: str, *, seed: int = 0,
         analog_options: AnalogOptions = AnalogOptions(),
         mem_options: MemOptions = MemOptions(),
         mem_params: MemParams = MemParams()) -> RunRecord:
-    """Integrate one solver on one problem from seeded initial conditions.
+    """Integrate one solver on one problem from seeded initial conditions:
+    a network of one node with no edges and no drives.
 
     Deterministic: (problem, solver, options, config, seed) fully determine
     the returned record.  A step-size underflow aborts the run; it is
     reported as a Timeout with stats["dt_underflow"] set.
     """
-    rhs, project, columns = make_system(
-        problem, solver, analog_options, mem_options, mem_params
-    )
-    if solver == ANALOG:
-        state0 = init_analog(problem, seed)
-        y = np.concatenate((state0.s, state0.a))
-        options = {"analog": asdict(analog_options)}
-    else:
-        state0 = init_mem(problem, seed)
-        y = np.concatenate((state0.v, state0.x_s, state0.x_l))
-        options = {"mem": asdict(mem_options), "params": asdict(mem_params)}
-
-    n = problem.num_vars
-    integrator = SegmentIntegrator(rhs, project, config)
-    detector = _OutcomeDetector(problem, solver, config)
-    times, states, contra_rows, contrd_rows = [], [], [], []
-
-    outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
-    wall_start = time.perf_counter()
-    aborted = None
-
-    def record(t, y):
-        contra, contrd = control_signals(problem, y[:n])
-        times.append(t)
-        states.append(y.copy())
-        contra_rows.append(contra)
-        contrd_rows.append(contrd)
-        return detector.observe(t, y, contrd)
-
-    hit = record(0.0, y)
-    if hit is None:
-        grid = _sample_times(config)
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            try:
-                y = integrator.advance(t_prev, y, t_next)
-            except StepSizeUnderflow as exc:
-                aborted = str(exc)
-                break
-            hit = record(t_next, y)
-            if hit is not None:
-                break
-    if hit is not None:
-        outcome, t_event, assignment = hit
-        if outcome == SOLVED:
-            t_solve = t_event
-            assert count_unsatisfied(problem, assignment) == 0
-        else:
-            t_detect = t_event
-
-    stats = dict(integrator.stats)
-    if stats["dt_smallest"] is np.inf:
-        stats["dt_smallest"] = None
-    stats["wall_time"] = time.perf_counter() - wall_start
-    stats["dt_underflow"] = aborted is not None
-    if aborted:
-        stats["abort_message"] = aborted
-
-    return RunRecord(
-        solver=solver,
-        seed=seed,
-        outcome=outcome,
-        t_solve=t_solve,
-        t_detect=t_detect,
-        assignment=assignment,
-        times=np.asarray(times),
-        states=np.asarray(states),
-        contra=np.asarray(contra_rows),
-        contrd=np.asarray(contrd_rows, dtype=int),
-        state_columns=columns,
-        config=config,
-        options=options,
-        stats=stats,
-    )
-
-
-def detect_convergence_to_zero(times, s_samples, eps_zero: float = 0.01,
-                               window: float = 5.0) -> bool:
-    """True iff max_i |s_i(t)| < eps_zero on every sample in the trailing
-    window of the given length (False when the trajectory is shorter)."""
-    times = np.asarray(times, dtype=float)
-    s = np.atleast_2d(np.asarray(s_samples, dtype=float))
-    if times[-1] - times[0] < window:
-        return False
-    tail = times >= times[-1] - window - 1e-9
-    return bool(np.all(np.abs(s[tail]) < eps_zero))
+    node = _NodeRun(problem, solver, seed, config, analog_options, mem_options, mem_params)
+    return _simulate([node], config)[0][0]
 
 
 # ---------------------------------------------------------------------------

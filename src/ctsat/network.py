@@ -5,50 +5,38 @@ each macro step every node's input variables are overwritten with their
 source's current value and their own derivatives are forced to zero;
 outputs are read after the step and feed the partners' inputs of the next
 step (a one-macro-step delay, which resolves cyclic wirings
-deterministically).  Within a macro step each node runs the same adaptive
-micro-stepper as a stand-alone run, so a network without inter-node edges
-reproduces independent runs exactly.
+deterministically).  simulate_network() validates the wiring and hands the
+nodes to the sample-grid loop of integrate.py, the same loop that runs a
+single run() as a one-node network; a network without inter-node edges
+therefore reproduces independent runs exactly.
 
 External square-wave drives are piecewise constant; micro-steps never
 straddle a transition, so a driven variable tracks its source exactly.
 
-The network counts as solved when every node's contrd is simultaneously 0
-and stays so for the confirmation window; per-node records then carry the
-node's own entry time into that window.
+Per-node outcomes: the network counts as solved when every node's contrd
+is simultaneously 0 and stays so for the confirmation window; per-node
+records then carry the node's own entry time into that window and its
+own readout.  An analog node whose spins converge to zero stops the
+network: that node reports converged_to_zero, the others timeout (or
+solved, if the network had already solved jointly).  stats["wall_time"]
+is the time spent advancing and recording that node.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-import numpy as np
-
-from .cnf import Problem, count_unsatisfied, parse_dimacs
-from .dynamics import AnalogOptions, MemOptions, MemParams, control_signals, readout
-from .integrate import (
-    ANALOG,
-    MEM,
-    SOLVED,
-    TIMEOUT,
-    IntegratorConfig,
-    RunRecord,
-    SegmentIntegrator,
-    StepSizeUnderflow,
-    _sample_times,
-    init_analog,
-    init_mem,
-    make_system,
-)
+from .cnf import Problem, parse_dimacs
+from .dynamics import AnalogOptions, MemOptions, MemParams
+from .integrate import MEM, IntegratorConfig, RunRecord, _NodeRun, _simulate
 
 __all__ = [
     "SquareWave",
     "SolverNode",
     "Wiring",
-    "eval_drive",
     "simulate_network",
     "load_network_config",
 ]
@@ -84,11 +72,6 @@ class SquareWave:
         return base + self.period
 
 
-def eval_drive(drive, t: float) -> float:
-    """Drive value at time t (value-at-transition = new level)."""
-    return drive.value(t)
-
-
 @dataclass(frozen=True)
 class SolverNode:
     """One solver instance in a network.
@@ -102,7 +85,6 @@ class SolverNode:
     solver: str = MEM
     input_vars: tuple[int, ...] = ()
     output_vars: tuple[int, ...] = ()
-    expose_contrd: bool = True
     analog_options: AnalogOptions = AnalogOptions()
     mem_options: MemOptions = MemOptions()
     mem_params: MemParams = MemParams()
@@ -178,161 +160,34 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
     if len(seeds) != len(nodes):
         raise ValueError("need exactly one seed per node")
     fed = _validate(nodes, wiring)
-
-    systems = []
-    for node, seed in zip(nodes, seeds):
-        rhs, project, columns = make_system(
-            node.problem, node.solver, node.analog_options, node.mem_options,
-            node.mem_params,
-        )
-        if node.solver == ANALOG:
-            st = init_analog(node.problem, seed)
-            y = np.concatenate((st.s, st.a))
-        else:
-            st = init_mem(node.problem, seed)
-            y = np.concatenate((st.v, st.x_s, st.x_l))
-        pins = np.array(sorted(v - 1 for v in node.input_vars), dtype=int)
-
-        def pinned_rhs(t, yy, _rhs=rhs, _pins=pins):
-            d = _rhs(t, yy)
-            d[_pins] = 0.0
-            return d
-
-        systems.append({
-            "node": node,
-            "y": y,
-            "pins": pins,
-            "project": project,
-            "columns": columns,
-            "integrator": SegmentIntegrator(pinned_rhs, project, config),
-            "times": [], "states": [], "contra": [], "contrd": [],
-        })
-
-    def apply_node_pins():
-        """Overwrite inputs fed by other nodes with the partner's value."""
-        values = {}
-        for (t_node, t_var), source in fed.items():
-            if source[0] == "node":
-                values[(t_node, t_var)] = systems[source[1]]["y"][source[2] - 1]
-        for (t_node, t_var), val in values.items():
-            systems[t_node]["y"][t_var - 1] = val
-
-    def apply_drive_pins(t):
-        for (t_node, t_var), source in fed.items():
-            if source[0] == "drive":
-                systems[t_node]["y"][t_var - 1] = wiring.drives[source[1]].value(t)
-
-    joint_enter: Optional[float] = None
-    per_node_enter: list[Optional[float]] = [None] * len(nodes)
-    per_node_assign: list = [None] * len(nodes)
-    solved_at: Optional[float] = None
-    solve_times: list[Optional[float]] = [None] * len(nodes)
-    solutions: list = [None] * len(nodes)
-    aborted = None
-    wall_start = time.perf_counter()
-
-    def record(t) -> bool:
-        nonlocal joint_enter, solved_at
-        all_zero = True
-        for i, sys_i in enumerate(systems):
-            n = sys_i["node"].problem.num_vars
-            contra, contrd = control_signals(sys_i["node"].problem, sys_i["y"][:n])
-            sys_i["times"].append(t)
-            sys_i["states"].append(sys_i["y"].copy())
-            sys_i["contra"].append(contra)
-            sys_i["contrd"].append(contrd)
-            if contrd == 0:
-                if per_node_enter[i] is None:
-                    per_node_enter[i] = t
-                    per_node_assign[i] = readout(sys_i["y"][:n]).copy()
-            else:
-                per_node_enter[i] = None
-                per_node_assign[i] = None
-                all_zero = False
-        if all_zero:
-            if joint_enter is None:
-                joint_enter = t
-            if t - joint_enter >= config.window_confirm - 1e-9 and solved_at is None:
-                solved_at = t
-                solve_times[:] = per_node_enter
-                solutions[:] = per_node_assign
-                return True
-        else:
-            joint_enter = None
-        return False
-
-    apply_node_pins()
-    apply_drive_pins(0.0)
-    confirmed = record(0.0)
-    grid = _sample_times(config)
-    if not confirmed:
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            # split the macro step at drive transitions so drives stay
-            # piecewise constant within every micro step
-            cuts = [t_prev]
-            for drive in wiring.drives:
-                t_cut = drive.next_transition(t_prev)
-                while t_cut < t_next - 1e-12:
-                    cuts.append(t_cut)
-                    t_cut = drive.next_transition(t_cut)
-            cuts = sorted(set(cuts)) + [t_next]
-            try:
-                for c_prev, c_next in zip(cuts[:-1], cuts[1:]):
-                    apply_drive_pins(c_prev)
-                    for sys_i in systems:
-                        sys_i["y"] = sys_i["integrator"].advance(c_prev, sys_i["y"], c_next)
-            except StepSizeUnderflow as exc:
-                aborted = str(exc)
-                break
-            apply_node_pins()
-            apply_drive_pins(t_next)
-            confirmed = record(t_next)
-            if confirmed and stop_on_solve:
-                break
-
-    wall = time.perf_counter() - wall_start
-    records = []
-    for i, sys_i in enumerate(systems):
-        node = sys_i["node"]
-        solved = solved_at is not None
-        assignment = solutions[i] if solved else None
-        if solved:
-            assert assignment is not None
-            assert count_unsatisfied(node.problem, assignment) == 0
-        stats = dict(sys_i["integrator"].stats)
-        if stats["dt_smallest"] is np.inf:
-            stats["dt_smallest"] = None
-        stats["wall_time"] = wall
-        stats["dt_underflow"] = aborted is not None
-        if aborted:
-            stats["abort_message"] = aborted
-        if node.solver == ANALOG:
-            options = {"analog": asdict(node.analog_options)}
-        else:
-            options = {"mem": asdict(node.mem_options), "params": asdict(node.mem_params)}
-        options["network"] = {
+    runs = [
+        _NodeRun(node.problem, node.solver, int(seed), config, node.analog_options,
+                 node.mem_options, node.mem_params, pins=node.input_vars)
+        for node, seed in zip(nodes, seeds)
+    ]
+    records, joint_at = _simulate(runs, config, fed, wiring.drives, stop_on_solve)
+    for i, (node, record) in enumerate(zip(nodes, records)):
+        record.options["network"] = {
             "inputs": list(node.input_vars),
             "outputs": list(node.output_vars),
-            "joint_solve_time": solved_at,
+            "joint_solve_time": joint_at,
         }
-        records.append(RunRecord(
-            solver=node.solver,
-            seed=int(seeds[i]),
-            outcome=SOLVED if solved else TIMEOUT,
-            t_solve=solve_times[i] if solved else None,
-            t_detect=None,
-            assignment=assignment,
-            times=np.asarray(sys_i["times"]),
-            states=np.asarray(sys_i["states"]),
-            contra=np.asarray(sys_i["contra"]),
-            contrd=np.asarray(sys_i["contrd"], dtype=int),
-            state_columns=sys_i["columns"],
-            config=config,
-            options=options,
-            stats=stats,
-            instance=node.label or f"node{i}",
-        ))
+        record.instance = node.label or f"node{i}"
     return records
+
+
+_CONFIG_KEYS = {f.name for f in fields(IntegratorConfig)}
+_TOP_KEYS = _CONFIG_KEYS | {"seed", "stop_on_solve", "nodes", "edges", "drives"}
+_NODE_KEYS = {"cnf", "solver", "inputs", "outputs", "mem_params", "mem_options",
+              "analog_options", "label", "seed"}
+_DRIVE_KEYS = {"kind"} | {f.name for f in fields(SquareWave)}
+_EDGE_KEYS = {"from", "to"}
+
+
+def _check_keys(spec: dict, allowed: set, where: str):
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfig,
@@ -340,52 +195,40 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     """Parse the JSON network description (see README for the schema).
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
-    resolved relative to the config file.
+    resolved relative to the config file.  Unknown keys and drive kinds
+    raise ValueError.
     """
     path = Path(path)
     spec = json.loads(path.read_text())
     base = path.parent
-
-    cfg_kwargs = {
-        key: spec[key]
-        for key in ("t_ev", "sample_interval", "error_tol", "method", "dt_init",
-                    "dt_min", "dt_max", "eps_zero", "window_zero", "window_confirm")
-        if key in spec
-    }
-    config = IntegratorConfig(**cfg_kwargs)
+    _check_keys(spec, _TOP_KEYS, "network config")
+    config = IntegratorConfig(**{key: spec[key] for key in _CONFIG_KEYS if key in spec})
 
     nodes = []
     seeds = []
     for i, node_spec in enumerate(spec["nodes"]):
+        _check_keys(node_spec, _NODE_KEYS, f"node {i}")
         problem = parse_dimacs((base / node_spec["cnf"]).read_text())
-        solver = node_spec.get("solver", MEM)
-        mem_params = MemParams(**node_spec.get("mem_params", {}))
-        mem_options = MemOptions(**node_spec.get("mem_options", {}))
-        analog_options = AnalogOptions(**node_spec.get("analog_options", {}))
         nodes.append(SolverNode(
             problem=problem,
-            solver=solver,
+            solver=node_spec.get("solver", MEM),
             input_vars=tuple(node_spec.get("inputs", ())),
             output_vars=tuple(node_spec.get("outputs", ())),
-            expose_contrd=node_spec.get("expose_contrd", True),
-            analog_options=analog_options,
-            mem_options=mem_options,
-            mem_params=mem_params,
+            analog_options=AnalogOptions(**node_spec.get("analog_options", {})),
+            mem_options=MemOptions(**node_spec.get("mem_options", {})),
+            mem_params=MemParams(**node_spec.get("mem_params", {})),
             label=node_spec.get("label", node_spec["cnf"]),
         ))
         seeds.append(int(node_spec.get("seed", spec.get("seed", 0) + i)))
 
-    drives = tuple(
-        SquareWave(
-            period=d["period"],
-            duty=d.get("duty", 0.5),
-            phase=d.get("phase", 0.0),
-            low=d.get("low", -1.0),
-            high=d.get("high", 1.0),
-        )
-        for d in spec.get("drives", ())
-        if d.get("kind", "square") == "square"
-    )
+    drives = []
+    for k, drive_spec in enumerate(spec.get("drives", ())):
+        _check_keys(drive_spec, _DRIVE_KEYS, f"drive {k}")
+        kind = drive_spec.get("kind", "square")
+        if kind != "square":
+            raise ValueError(f"unknown kind {kind!r} of drive {k}")
+        drives.append(SquareWave(**{key: value for key, value in drive_spec.items()
+                                    if key != "kind"}))
 
     def parse_ref(ref: str):
         parts = ref.split(":")
@@ -396,13 +239,14 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         raise ValueError(f"bad signal reference {ref!r}")
 
     edges = []
-    for edge in spec.get("edges", ()):
+    for k, edge in enumerate(spec.get("edges", ())):
+        _check_keys(edge, _EDGE_KEYS, f"edge {k}")
         source = parse_ref(edge["from"])
         target = parse_ref(edge["to"])
         if target[0] != "node":
             raise ValueError("edge targets must be node inputs")
         edges.append((source, (target[1], target[2])))
-    wiring = Wiring(tuple(edges), drives)
+    wiring = Wiring(tuple(edges), tuple(drives))
 
     stop_on_solve = bool(spec.get("stop_on_solve", True))
     return nodes, wiring, config, seeds, stop_on_solve

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +7,19 @@ import pytest
 from ctsat.cnf import Problem, write_dimacs
 from ctsat.dynamics import MemParams
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
-from ctsat.integrate import ANALOG, MEM, SOLVED, TIMEOUT, IntegratorConfig, run
+from ctsat.integrate import (
+    ANALOG,
+    CONVERGED_TO_ZERO,
+    MEM,
+    SOLVED,
+    TIMEOUT,
+    IntegratorConfig,
+    run,
+)
 from ctsat.network import (
     SolverNode,
     SquareWave,
     Wiring,
-    eval_drive,
     load_network_config,
     simulate_network,
 )
@@ -37,19 +45,19 @@ def forced_instance(forced_var, value, seed=9, num_vars=10):
 
 def test_square_wave_value_convention():
     wave = SquareWave(period=10, duty=0.5, phase=0)
-    assert eval_drive(wave, 2.0) == 1.0     # high on [0, 5)
-    assert eval_drive(wave, 5.0) == -1.0    # transition carries the new level
-    assert eval_drive(wave, 17.0) == -1.0   # second period, second half
-    assert eval_drive(wave, 10.0) == 1.0
+    assert wave.value(2.0) == 1.0     # high on [0, 5)
+    assert wave.value(5.0) == -1.0    # transition carries the new level
+    assert wave.value(17.0) == -1.0   # second period, second half
+    assert wave.value(10.0) == 1.0
 
 
 def test_square_wave_phase_and_duty():
     wave = SquareWave(period=8, duty=0.25, phase=1.0)
-    assert eval_drive(wave, 1.0) == 1.0
-    assert eval_drive(wave, 2.99) == 1.0
-    assert eval_drive(wave, 3.0) == -1.0
-    assert eval_drive(wave, 8.99) == -1.0
-    assert eval_drive(wave, 9.0) == 1.0
+    assert wave.value(1.0) == 1.0
+    assert wave.value(2.99) == 1.0
+    assert wave.value(3.0) == -1.0
+    assert wave.value(8.99) == -1.0
+    assert wave.value(9.0) == 1.0
 
 
 def test_square_wave_next_transition():
@@ -115,13 +123,54 @@ def test_disconnected_network_equals_independent_runs_bitwise():
         assert np.array_equal(net_rec.contra, solo_rec.contra)
 
 
+def assert_same_trajectory(net_rec, solo_rec):
+    for field in ("times", "states", "contra", "contrd"):
+        assert np.array_equal(getattr(net_rec, field), getattr(solo_rec, field)), field
+
+
 def test_disconnected_analog_node_matches_independent():
-    inst = gen_xorsat_3r(10, seed=1)
-    config = IntegratorConfig(t_ev=5.0)
-    records = simulate_network([SolverNode(inst.problem, ANALOG)], Wiring(),
-                               config, seeds=[3])
-    solo = run(inst.problem, ANALOG, seed=3, config=config)
-    assert np.array_equal(records[0].states, solo.states)
+    # run() is a one-node network, converged-to-zero detection included
+    inst = gen_xorsat_3r(20, seed=3)
+    config = IntegratorConfig(t_ev=150.0)
+    net = simulate_network([SolverNode(inst.problem, ANALOG)], Wiring(), config, seeds=[5])[0]
+    solo = run(inst.problem, ANALOG, seed=5, config=config)
+    assert net.outcome == solo.outcome == CONVERGED_TO_ZERO
+    assert net.t_detect == solo.t_detect
+    assert net.t_solve is None and net.assignment is None
+    assert_same_trajectory(net, solo)
+
+
+def test_node_converging_to_zero_stops_the_network():
+    # the analog node converges to zero at t = 75.4; the mem node solves on
+    # its own at t = 7.7, but the network never solved jointly
+    spins = gen_xorsat_3r(20, seed=3).problem
+    other = gen_xorsat_3r(16, seed=9).problem
+    config = IntegratorConfig(t_ev=150.0)
+    records = simulate_network([SolverNode(spins, ANALOG), SolverNode(other, MEM)],
+                               Wiring(), config, seeds=[5, 0])
+    solo = run(spins, ANALOG, seed=5, config=config)
+    assert records[0].outcome == CONVERGED_TO_ZERO
+    assert records[0].t_detect == solo.t_detect
+    assert_same_trajectory(records[0], solo)
+    assert records[1].outcome == TIMEOUT
+    assert records[1].t_solve is None and records[1].t_detect is None
+    assert records[1].times[-1] == solo.t_detect
+    alone = run(other, MEM, seed=0, config=config)
+    assert alone.outcome == SOLVED
+    assert np.array_equal(records[1].states[:len(alone.times)], alone.states)
+    assert records[0].options["network"]["joint_solve_time"] is None
+
+
+def test_wall_time_is_per_node():
+    small = gen_xorsat_3r(12, seed=40).problem
+    large = gen_xorsat_3r(40, seed=41).problem
+    start = time.perf_counter()
+    records = simulate_network([SolverNode(small, MEM), SolverNode(large, MEM)],
+                               Wiring(), IntegratorConfig(t_ev=8.0), seeds=[7, 8])
+    elapsed = time.perf_counter() - start
+    walls = [r.stats["wall_time"] for r in records]
+    assert walls[0] != walls[1]
+    assert sum(walls) <= elapsed
 
 
 # -------------------------------------------------------------------- coupling
@@ -261,3 +310,39 @@ def test_load_network_config_with_drive(tmp_path):
     wave = wiring.drives[0]
     r = records[0]
     assert np.array_equal(r.states[:, 0], [wave.value(t) for t in r.times])
+
+
+def write_config(tmp_path, **changes):
+    inst = gen_barthel(BarthelParams(num_vars=8, ratio=7.0, seed=3))
+    (tmp_path / "a.cnf").write_text(write_dimacs(inst.problem))
+    config = {
+        "t_ev": 5.0,
+        "nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "seed": 1}],
+        "drives": [{"kind": "square", "period": 4.0, "duty": 0.5}],
+        "edges": [{"from": "drive:0", "to": "node:0:1"}],
+    }
+    config.update(changes)
+    (tmp_path / "net.json").write_text(json.dumps(config))
+    return tmp_path / "net.json"
+
+
+def test_load_network_config_rejects_unknown_drive_kind(tmp_path):
+    # a dropped sine drive would silently rewire drive:0 to the square wave
+    path = write_config(tmp_path, drives=[{"kind": "sine"},
+                                          {"kind": "square", "period": 7}])
+    with pytest.raises(ValueError, match="unknown kind 'sine' of drive 0"):
+        load_network_config(path)
+
+
+@pytest.mark.parametrize("changes, where", [
+    ({"sampl_interval": 0.1}, "network config: sampl_interval"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "sede": 1}]},
+     "node 0: sede"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
+                 "expose_contrd": True}]}, "node 0: expose_contrd"),
+    ({"drives": [{"kind": "square", "period": 4.0, "dutty": 0.5}]}, "drive 0: dutty"),
+    ({"edges": [{"from": "drive:0", "too": "node:0:1"}]}, "edge 0: too"),
+])
+def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
+    with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}"):
+        load_network_config(write_config(tmp_path, **changes))
