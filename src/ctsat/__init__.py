@@ -22,11 +22,8 @@ from .dynamics import (
     MemParams,
     MemState,
     analog_rhs,
-    clamp_mask,
-    clause_value,
     control_signals,
     energy,
-    k_m,
     mem_rhs,
     readout,
 )

@@ -24,6 +24,10 @@ gradient-like term G_nm = (1/2) q_nm min of the other two literals' terms,
 and the rigidity term R_nm = (1/2)(q_nm - v_n) for every literal achieving
 the clause minimum (zero otherwise).
 
+make_system() builds one flat-vector kernel per solver; analog_rhs() and
+mem_rhs() are views of it on the state structs.  The variable bounds are
+decided once, in _bounds(): the kernel's outward-push mask, the
+integrator's projection and the netlist's source masks all read them.
 All functions are pure; derivative outputs already include the boundary
 masks that keep bounded variables from being pushed outward.
 """
@@ -31,34 +35,44 @@ masks that keep bounded variables from being pushed outward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cnf import Assignment, Problem, count_unsatisfied
 
 __all__ = [
+    "ANALOG",
+    "MEM",
     "AUX_MODES",
     "AnalogOptions",
     "MemOptions",
     "MemParams",
     "AnalogState",
     "MemState",
-    "k_m",
     "clause_products",
     "analog_rhs",
     "energy",
-    "clause_value",
     "clause_values",
     "mem_clause_quantities",
     "mem_rhs",
-    "clamp_mask",
+    "System",
+    "make_system",
     "control_signals",
     "readout",
-    "x_long_upper_bound",
 ]
 
-# Auxiliary-variable growth laws for the analog solver.
-AUX_MODES = ("aK2", "aK", "K", "K2")
+ANALOG = "analog"
+MEM = "mem"
+
+# Auxiliary-variable growth laws da/dt of the analog solver.
+_AUX_GROWTH = {
+    "aK2": lambda a, km: a * km * km,
+    "aK": lambda a, km: a * km,
+    "K": lambda a, km: km,
+    "K2": lambda a, km: km * km,
+}
+AUX_MODES = tuple(_AUX_GROWTH)
 
 
 @dataclass(frozen=True)
@@ -99,25 +113,6 @@ class MemState:
     x_l: np.ndarray  # (M,) long memory in [1, 1e4*M]
 
 
-def x_long_upper_bound(problem: Problem) -> float:
-    return 1e4 * problem.num_clauses
-
-
-def clamp_mask(value, lower, upper, derivative):
-    """Zero the derivative where it would push value past [lower, upper].
-
-    Scalar or elementwise on arrays.  Inward pushes at the boundary pass
-    through unchanged.
-    """
-    value = np.asarray(value, dtype=float)
-    derivative = np.asarray(derivative, dtype=float)
-    blocked = ((value >= upper) & (derivative > 0)) | ((value <= lower) & (derivative < 0))
-    masked = np.where(blocked, 0.0, derivative)
-    if masked.ndim == 0:
-        return float(masked)
-    return masked
-
-
 def _literal_factors(problem: Problem, s: np.ndarray) -> np.ndarray:
     """(M, 3) array of the per-literal factors 1 - c s."""
     return 1.0 - problem.sign * np.asarray(s, dtype=float)[problem.var_index]
@@ -139,38 +134,6 @@ def clause_products(problem: Problem, s, options: AnalogOptions = AnalogOptions(
     return km, kmi
 
 
-def k_m(problem: Problem, m: int, s, options: AnalogOptions = AnalogOptions()) -> float:
-    """Violation measure of clause m: 0 when some literal is fully
-    satisfied, 1 (with the 1/2^3 factor) at maximal violation."""
-    f = 1.0 - problem.sign[m] * np.asarray(s, dtype=float)[problem.var_index[m]]
-    k = f[0] * f[1] * f[2]
-    return float(0.125 * k if options.one_eighth_factor else k)
-
-
-def analog_rhs(problem: Problem, state: AnalogState,
-               options: AnalogOptions = AnalogOptions()):
-    """Time derivatives (ds, da) of the analog SAT system, with the spin
-    derivatives boundary-masked at s = +-1."""
-    s = np.asarray(state.s, dtype=float)
-    a = np.asarray(state.a, dtype=float)
-    km, kmi = clause_products(problem, s, options)
-    contrib = (2.0 * a * km)[:, None] * problem.sign * kmi
-    ds = np.bincount(
-        problem.var_index.ravel(), weights=contrib.ravel(), minlength=problem.num_vars
-    )
-    mode = options.aux_mode
-    if mode == "aK2":
-        da = a * km * km
-    elif mode == "aK":
-        da = a * km
-    elif mode == "K":
-        da = km.copy()
-    else:  # "K2"
-        da = km * km
-    ds = clamp_mask(s, -1.0, 1.0, ds)
-    return ds, da
-
-
 def energy(problem: Problem, state: AnalogState,
            options: AnalogOptions = AnalogOptions()) -> float:
     """Clause-weighted energy V(s, a) = sum_m a_m K_m(s)^2 (>= 0)."""
@@ -182,11 +145,6 @@ def clause_values(problem: Problem, v) -> np.ndarray:
     """C_m for all clauses: half the minimum literal slack, in [0, 1]."""
     t = _literal_factors(problem, v)
     return 0.5 * t.min(axis=1)
-
-
-def clause_value(problem: Problem, m: int, v) -> float:
-    t = 1.0 - problem.sign[m] * np.asarray(v, dtype=float)[problem.var_index[m]]
-    return float(0.5 * t.min())
 
 
 def mem_clause_quantities(problem: Problem, v):
@@ -211,6 +169,100 @@ def mem_clause_quantities(problem: Problem, v):
     return c, g, r
 
 
+class System(NamedTuple):
+    """One solver's dynamics over its flat state vector."""
+
+    rhs: Callable[[float, np.ndarray], np.ndarray]  # rhs(t, y) -> dy, boundary-masked
+    lo: np.ndarray                  # per-component lower bound, -inf if unbounded
+    hi: np.ndarray                  # per-component upper bound, +inf if unbounded
+    columns: tuple[str, ...]        # component names, equal to the deck's node names
+
+
+def _bounds(problem: Problem, solver: str, mem_options: MemOptions):
+    """The variable bounds over the flat state: spins and clamped voltages
+    in [-1, 1], x_s in [0, 1], x_l in [1, 1e4*M]; the analog weights and
+    unclamped voltages are unbounded."""
+    n, m = problem.num_vars, problem.num_clauses
+    if solver == ANALOG:
+        lo = np.concatenate((np.full(n, -1.0), np.full(m, -np.inf)))
+        hi = np.concatenate((np.full(n, 1.0), np.full(m, np.inf)))
+    else:
+        v_bound = 1.0 if mem_options.clamp_v else np.inf
+        lo = np.concatenate((np.full(n, -v_bound), np.zeros(m), np.ones(m)))
+        hi = np.concatenate((np.full(n, v_bound), np.ones(m), np.full(m, 1e4 * m)))
+    return lo, hi
+
+
+def _kernel(problem: Problem, solver: str, analog_options: AnalogOptions,
+            mem_options: MemOptions, mem_params: MemParams):
+    """(rhs, lo, hi): the flat-vector RHS of one solver and its bounds.
+
+    The analog state is y = (s, a), the memcomputing state (v, x_s, x_l).
+    rhs zeroes every derivative that would push a component at its bound
+    outward; inward pushes at the bound pass unchanged.
+    """
+    n, m = problem.num_vars, problem.num_clauses
+    idx = problem.var_index.ravel()
+    lo, hi = _bounds(problem, solver, mem_options)
+    if solver == ANALOG:
+        growth = _AUX_GROWTH[analog_options.aux_mode]
+
+        def derivatives(y):
+            s, a = y[:n], y[n:]
+            km, kmi = clause_products(problem, s, analog_options)
+            contrib = (2.0 * a * km)[:, None] * problem.sign * kmi
+            d = np.empty_like(y)
+            d[:n] = np.bincount(idx, weights=contrib.ravel(), minlength=n)
+            d[n:] = growth(a, km)
+            return d
+    elif solver == MEM:
+        p = mem_params
+
+        def derivatives(y):
+            v, x_s, x_l = y[:n], y[n:n + m], y[n + m:]
+            c, g, r = mem_clause_quantities(problem, v)
+            coef_g = (x_l * x_s)[:, None]
+            coef_r = ((1.0 + p.zeta * x_l) * (1.0 - x_s))[:, None]
+            contrib = coef_g * g + coef_r * r
+            d = np.empty_like(y)
+            d[:n] = np.bincount(idx, weights=contrib.ravel(), minlength=n)
+            d[n:n + m] = p.beta * (x_s + p.epsilon) * (c - p.gamma)
+            d[n + m:] = p.alpha * (c - p.delta)
+            return d
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
+
+    def rhs(t, y):
+        d = derivatives(y)
+        d[((y >= hi) & (d > 0)) | ((y <= lo) & (d < 0))] = 0.0
+        return d
+
+    return rhs, lo, hi
+
+
+def make_system(problem: Problem, solver: str,
+                analog_options: AnalogOptions = AnalogOptions(),
+                mem_options: MemOptions = MemOptions(),
+                mem_params: MemParams = MemParams()) -> System:
+    """The flat-vector dynamics of one solver on one problem: the RHS, the
+    bounds that its mask, the integrator's projection and the deck's
+    source masks all read, and the component names."""
+    rhs, lo, hi = _kernel(problem, solver, analog_options, mem_options, mem_params)
+    n, m = problem.num_vars, problem.num_clauses
+    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
+    columns = tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
+    return System(rhs, lo, hi, columns)
+
+
+def analog_rhs(problem: Problem, state: AnalogState,
+               options: AnalogOptions = AnalogOptions()):
+    """Time derivatives (ds, da) of the analog SAT system, with the spin
+    derivatives boundary-masked at s = +-1."""
+    rhs, _, _ = _kernel(problem, ANALOG, options, MemOptions(), MemParams())
+    d = rhs(0.0, np.concatenate((state.s, state.a), dtype=float))
+    return d[:problem.num_vars], d[problem.num_vars:]
+
+
 def mem_rhs(problem: Problem, state: MemState,
             params: MemParams = MemParams(),
             options: MemOptions = MemOptions()):
@@ -219,23 +271,10 @@ def mem_rhs(problem: Problem, state: MemState,
     Boundary masks are applied to x_s and x_l always, and to v unless
     options.clamp_v is False (the unconstrained-voltage variant).
     """
-    v = np.asarray(state.v, dtype=float)
-    x_s = np.asarray(state.x_s, dtype=float)
-    x_l = np.asarray(state.x_l, dtype=float)
-    c, g, r = mem_clause_quantities(problem, v)
-    coef_g = (x_l * x_s)[:, None]
-    coef_r = ((1.0 + params.zeta * x_l) * (1.0 - x_s))[:, None]
-    contrib = coef_g * g + coef_r * r
-    dv = np.bincount(
-        problem.var_index.ravel(), weights=contrib.ravel(), minlength=problem.num_vars
-    )
-    dx_s = params.beta * (x_s + params.epsilon) * (c - params.gamma)
-    dx_l = params.alpha * (c - params.delta)
-    if options.clamp_v:
-        dv = clamp_mask(v, -1.0, 1.0, dv)
-    dx_s = clamp_mask(x_s, 0.0, 1.0, dx_s)
-    dx_l = clamp_mask(x_l, 1.0, x_long_upper_bound(problem), dx_l)
-    return dv, dx_s, dx_l
+    rhs, _, _ = _kernel(problem, MEM, AnalogOptions(), options, params)
+    d = rhs(0.0, np.concatenate((state.v, state.x_s, state.x_l), dtype=float))
+    n, m = problem.num_vars, problem.num_clauses
+    return d[:n], d[n:n + m], d[n + m:]
 
 
 def readout(values) -> Assignment:

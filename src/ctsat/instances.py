@@ -175,7 +175,8 @@ def xor_to_cnf(eq: XorEquation) -> tuple[Clause, Clause, Clause, Clause]:
             for var, value in zip(eq.variable_indices, values)
         )
         clauses.append(Clause.from_dimacs(codes))
-    assert len(clauses) == 4
+    if len(clauses) != 4:
+        raise RuntimeError(f"parity expansion gave {len(clauses)} clauses, expected 4")
     return tuple(clauses)
 
 

@@ -43,16 +43,16 @@ from .cnf import (
     count_unsatisfied,
 )
 from .dynamics import (
+    ANALOG,
+    MEM,
     AnalogOptions,
     AnalogState,
     MemOptions,
     MemParams,
     MemState,
-    analog_rhs,
     control_signals,
-    mem_rhs,
+    make_system,
     readout,
-    x_long_upper_bound,
 )
 
 __all__ = [
@@ -72,9 +72,6 @@ __all__ = [
     "save_run",
     "load_run",
 ]
-
-ANALOG = "analog"
-MEM = "mem"
 
 SOLVED = "solved"
 CONVERGED_TO_ZERO = "converged_to_zero"
@@ -149,62 +146,16 @@ def init_mem(problem: Problem, seed: int) -> MemState:
     return MemState(v, np.full(m, 0.5), np.ones(m))
 
 
-def make_system(problem: Problem, solver: str,
-                analog_options: AnalogOptions = AnalogOptions(),
-                mem_options: MemOptions = MemOptions(),
-                mem_params: MemParams = MemParams()):
-    """Flat-vector view of one solver's dynamics.
-
-    Returns (rhs, project, columns): rhs(t, y) -> dy with boundary masking
-    already applied, project(y) clips a state in place onto the variable
-    bounds, columns names the flat components (matching netlist nodes).
-    """
-    n, m = problem.num_vars, problem.num_clauses
-    if solver == ANALOG:
-        def rhs(t, y):
-            ds, da = analog_rhs(problem, AnalogState(y[:n], y[n:]), analog_options)
-            return np.concatenate((ds, da))
-
-        def project(y):
-            np.clip(y[:n], -1.0, 1.0, out=y[:n])
-            return y
-
-        columns = tuple(f"s{i}" for i in range(1, n + 1)) + tuple(
-            f"a{j}" for j in range(1, m + 1)
-        )
-    elif solver == MEM:
-        xl_max = x_long_upper_bound(problem)
-
-        def rhs(t, y):
-            dv, dxs, dxl = mem_rhs(
-                problem, MemState(y[:n], y[n:n + m], y[n + m:]), mem_params, mem_options
-            )
-            return np.concatenate((dv, dxs, dxl))
-
-        def project(y):
-            if mem_options.clamp_v:
-                np.clip(y[:n], -1.0, 1.0, out=y[:n])
-            np.clip(y[n:n + m], 0.0, 1.0, out=y[n:n + m])
-            np.clip(y[n + m:], 1.0, xl_max, out=y[n + m:])
-            return y
-
-        columns = (
-            tuple(f"v{i}" for i in range(1, n + 1))
-            + tuple(f"xs{j}" for j in range(1, m + 1))
-            + tuple(f"xl{j}" for j in range(1, m + 1))
-        )
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return rhs, project, columns
-
-
 class SegmentIntegrator:
     """Advances a state between sample points, keeping its step size as
-    persistent state so consecutive segments continue seamlessly."""
+    persistent state so consecutive segments continue seamlessly.  Every
+    accepted step is clipped in place onto the bounds [lo, hi]."""
 
-    def __init__(self, rhs: Callable, project: Callable, config: IntegratorConfig):
+    def __init__(self, rhs: Callable, lo: np.ndarray, hi: np.ndarray,
+                 config: IntegratorConfig):
         self.rhs = rhs
-        self.project = project
+        self.lo = lo
+        self.hi = hi
         self.config = config
         self.h = config.dt_init
         self.stats = {
@@ -227,7 +178,7 @@ class SegmentIntegrator:
             h = min(cfg.dt_init, t1 - t)
             dy = self.rhs(t, y)
             self.stats["n_rhs"] += 1
-            y = self.project(y + h * dy)
+            y = np.clip(y + h * dy, self.lo, self.hi)
             t += h
             self._note_step(h)
         return y
@@ -258,7 +209,7 @@ class SegmentIntegrator:
                     raise StepSizeUnderflow(t, err)
                 h = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             t += h
-            y = self.project(y_new)
+            y = np.clip(y_new, self.lo, self.hi, out=y_new)
             self._note_step(h)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             self.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
@@ -332,7 +283,7 @@ class _NodeRun:
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
                  analog_options: AnalogOptions, mem_options: MemOptions,
                  mem_params: MemParams, pins: tuple[int, ...] = ()):
-        rhs, project, self.columns = make_system(
+        rhs, lo, hi, self.columns = make_system(
             problem, solver, analog_options, mem_options, mem_params
         )
         if solver == ANALOG:
@@ -355,7 +306,7 @@ class _NodeRun:
         self.problem = problem
         self.solver = solver
         self.seed = seed
-        self.integrator = SegmentIntegrator(rhs, project, config)
+        self.integrator = SegmentIntegrator(rhs, lo, hi, config)
         self.detector = _OutcomeDetector(problem, solver, config)
         self.times, self.states, self.contra, self.contrd = [], [], [], []
         self.wall = 0.0

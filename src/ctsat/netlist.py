@@ -10,7 +10,8 @@ the clause functions, node "contrd" counts clauses unsatisfied by the sign
 readout (built from unit step functions).
 
 Boundary clamping appears in the source expressions as unit-step masks
-that suppress only outward pushes, mirroring the native dynamics:
+that suppress only outward pushes, one factor per finite bound of the
+native dynamics (dynamics.make_system decides the bounds for both):
 
     f()*(1-u(V(x)-hi)*u(f()))*(1-u(lo-V(x))*u(-f()))
 
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .cnf import Problem
-from .dynamics import AnalogOptions, MemOptions, MemParams, x_long_upper_bound
+from .dynamics import AnalogOptions, MemOptions, MemParams, make_system
 from .integrate import init_analog, init_mem
 from . import spice_expr
 
@@ -129,29 +130,47 @@ def _factor(node: str, sign: float) -> str:
 
 
 def _masked(d: str, node: str, lo: float, hi: float) -> str:
-    """Direction-sensitive boundary mask around derivative expression d."""
-    return (
-        f"{d}*(1-u(V({node})-{_fmt(hi)})*u({d}))"
-        f"*(1-u({_fmt(lo)}-V({node}))*u(-{d}))"
-    )
+    """Direction-sensitive boundary mask around derivative expression d,
+    one factor per finite bound."""
+    expr = d
+    if np.isfinite(hi):
+        expr += f"*(1-u(V({node})-{_fmt(hi)})*u({d}))"
+    if np.isfinite(lo):
+        expr += f"*(1-u({_fmt(lo)}-V({node}))*u(-{d}))"
+    return expr
 
 
-def _clause_function_defs(problem: Problem, node: str, fn) -> list[FuncDef]:
+def _literal_terms(problem: Problem, node: str) -> list[list[str]]:
+    """Slack term 1 - q*V(node<i>) of every clause slot, shape (M, 3)."""
+    return [
+        [_factor(f"{node}{i + 1}", q) for i, q in zip(row, signs)]
+        for row, signs in zip(problem.var_index.tolist(), problem.sign.tolist())
+    ]
+
+
+def _occurrences(problem: Problem) -> list[list[tuple[int, int]]]:
+    """Each variable's (clause, slot) occurrences in ascending (m, j) order."""
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(problem.num_vars)]
+    for m, row in enumerate(problem.var_index.tolist()):
+        for j, i in enumerate(row):
+            occ[i].append((m, j))
+    return occ
+
+
+def _clause_function_defs(problem: Problem, node: str, lits: list[list[str]],
+                          fn) -> list[FuncDef]:
     """Per-clause defs: c<m>() clause function, d<m>() unsat indicator."""
-    defs = []
-    for m in range(problem.num_clauses):
-        terms = [
-            _factor(f"{node}{problem.var_index[m, j] + 1}", problem.sign[m, j])
-            for j in range(3)
-        ]
-        defs.append(FuncDef(fn(f"c{m + 1}"), f"0.5*min({terms[0]},min({terms[1]},{terms[2]}))"))
-    for m in range(problem.num_clauses):
+    defs = [
+        FuncDef(fn(f"c{m + 1}"), f"0.5*min({t[0]},min({t[1]},{t[2]}))")
+        for m, t in enumerate(lits)
+    ]
+    for m, (row, signs) in enumerate(zip(problem.var_index.tolist(), problem.sign.tolist())):
         parts = []
-        for j in range(3):
-            v = f"V({node}{problem.var_index[m, j] + 1})"
+        for i, q in zip(row, signs):
+            v = f"V({node}{i + 1})"
             # literal unsatisfied by the sign readout: v <= 0 for a positive
             # literal, v > 0 for a negated one (readout maps 0 to FALSE)
-            parts.append(f"u(-{v})" if problem.sign[m, j] > 0 else f"(1-u(-{v}))")
+            parts.append(f"u(-{v})" if q > 0 else f"(1-u(-{v}))")
         defs.append(FuncDef(fn(f"d{m + 1}"), "*".join(parts)))
     return defs
 
@@ -163,10 +182,6 @@ def _control_cards(problem: Problem, fn) -> list[Card]:
         Card("Bcontra", ("contra", "0"), f"V={contra}"),
         Card("Bcontrd", ("contrd", "0"), f"V={contrd}"),
     ]
-
-
-def _ic_value(value: Optional[float]) -> str:
-    return "{flat(1)}" if value is None else _fmt(value)
 
 
 def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDocument:
@@ -185,40 +200,42 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             raise ValueError("subcircuit needs P + Q <= N")
     omitted = set(sub.inputs) if sub is not None else set()
 
+    system = make_system(problem, solver, options.analog, options.mem_options,
+                         options.mem_params)
     var_node = "s" if solver == "analog" else "v"
+    lits = _literal_terms(problem, var_node)
+    occurrences = _occurrences(problem)
+    signs = problem.sign.tolist()
     functions: list[FuncDef] = []
     elements: list[Card] = []
     ic: list[str] = []
     shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
 
+    def cell(k: int, ic_value: str):
+        """Capacitor, shunt and masked source of flat state component k."""
+        node = system.columns[k]
+        d = f"{fn('f' + node)}()"
+        elements.append(Card(f"C{node}", (node, "0"), "1"))
+        elements.append(Card(f"R{node}", (node, "0"), shunt))
+        elements.append(Card(f"B{node}", ("0", node),
+                             f"I={_masked(d, node, system.lo[k], system.hi[k])}"))
+        ic.append(f".ic V({node})={ic_value}")
+
     if solver == "analog":
         opts = options.analog
         pref = "0.125*" if opts.one_eighth_factor else ""
         state0 = init_analog(problem, options.ic_seed or 0)
-        s0 = None if options.ic_seed is None else state0.s
 
-        for m_i in range(m):
-            terms = [
-                _factor(f"s{problem.var_index[m_i, j] + 1}", problem.sign[m_i, j])
-                for j in range(3)
-            ]
-            functions.append(
-                FuncDef(fn(f"km{m_i + 1}"), f"{pref}{terms[0]}*{terms[1]}*{terms[2]}")
-            )
+        for m_i, t in enumerate(lits):
+            functions.append(FuncDef(fn(f"km{m_i + 1}"), f"{pref}{t[0]}*{t[1]}*{t[2]}"))
         for i in range(n):
             terms = []
-            for m_i in range(m):
-                slots = np.flatnonzero(problem.var_index[m_i] == i)
-                for j in slots:
-                    others = [k for k in range(3) if k != j]
-                    factors = "*".join(
-                        _factor(f"s{problem.var_index[m_i, k] + 1}", problem.sign[m_i, k])
-                        for k in others
-                    )
-                    coeff = "2" if problem.sign[m_i, j] > 0 else "(-2)"
-                    terms.append(
-                        f"{coeff}*V(a{m_i + 1})*({pref}{factors})*{fn(f'km{m_i + 1}')}()"
-                    )
+            for m_i, j in occurrences[i]:
+                factors = "*".join(lits[m_i][k] for k in range(3) if k != j)
+                coeff = "2" if signs[m_i][j] > 0 else "(-2)"
+                terms.append(
+                    f"{coeff}*V(a{m_i + 1})*({pref}{factors})*{fn(f'km{m_i + 1}')}()"
+                )
             functions.append(FuncDef(fn(f"fs{i + 1}"), " + ".join(terms) if terms else "0"))
         for m_i in range(m):
             km = f"{fn(f'km{m_i + 1}')}()"
@@ -229,53 +246,27 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
                 "K2": f"{km}*{km}",
             }[opts.aux_mode]
             functions.append(FuncDef(fn(f"fa{m_i + 1}"), body))
-        functions.extend(_clause_function_defs(problem, "s", fn))
-
-        for i in range(n):
-            node = f"s{i + 1}"
-            if (i + 1) in omitted:
-                continue
-            d = f"{fn(f'fs{i + 1}')}()"
-            elements.append(Card(f"C{node}", (node, "0"), "1"))
-            elements.append(Card(f"R{node}", (node, "0"), shunt))
-            elements.append(Card(f"B{node}", ("0", node), f"I={_masked(d, node, -1.0, 1.0)}"))
-            ic.append(f".ic V({node})={_ic_value(None if s0 is None else s0[i])}")
-        for m_i in range(m):
-            node = f"a{m_i + 1}"
-            elements.append(Card(f"C{node}", (node, "0"), "1"))
-            elements.append(Card(f"R{node}", (node, "0"), shunt))
-            elements.append(Card(f"B{node}", ("0", node), f"I={fn(f'fa{m_i + 1}')}()"))
-            ic.append(f".ic V({node})=1")
+        functions.extend(_clause_function_defs(problem, var_node, lits, fn))
+        var0 = state0.s
     else:
         params = options.mem_params
-        mo = options.mem_options
         state0 = init_mem(problem, options.ic_seed or 0)
-        v0 = None if options.ic_seed is None else state0.v
-        xl_max = x_long_upper_bound(problem)
 
-        functions.extend(_clause_function_defs(problem, "v", fn))
+        functions.extend(_clause_function_defs(problem, var_node, lits, fn))
         for i in range(n):
+            node = f"v{i + 1}"
             terms = []
-            for m_i in range(m):
-                slots = np.flatnonzero(problem.var_index[m_i] == i)
-                for j in slots:
-                    others = [k for k in range(3) if k != j]
-                    t_other = ",".join(
-                        _factor(f"v{problem.var_index[m_i, k] + 1}", problem.sign[m_i, k])
-                        for k in others
-                    )
-                    other_min = f"min({t_other})"
-                    q = problem.sign[m_i, j]
-                    g = f"0.5*{other_min}" if q > 0 else f"(-0.5)*{other_min}"
-                    node = f"v{i + 1}"
-                    t_self = _factor(node, q)
-                    r_val = f"0.5*(1-V({node}))" if q > 0 else f"0.5*(-1-V({node}))"
-                    r = f"if({t_self}<={other_min},{r_val},0)"
-                    xl = f"V(xl{m_i + 1})"
-                    xs = f"V(xs{m_i + 1})"
-                    terms.append(
-                        f"{xl}*{xs}*{g} + (1+{_fmt(params.zeta)}*{xl})*(1-{xs})*{r}"
-                    )
+            for m_i, j in occurrences[i]:
+                other_min = f"min({','.join(lits[m_i][k] for k in range(3) if k != j)})"
+                q = signs[m_i][j]
+                g = f"0.5*{other_min}" if q > 0 else f"(-0.5)*{other_min}"
+                r_val = f"0.5*(1-V({node}))" if q > 0 else f"0.5*(-1-V({node}))"
+                r = f"if({lits[m_i][j]}<={other_min},{r_val},0)"
+                xl = f"V(xl{m_i + 1})"
+                xs = f"V(xs{m_i + 1})"
+                terms.append(
+                    f"{xl}*{xs}*{g} + (1+{_fmt(params.zeta)}*{xl})*(1-{xs})*{r}"
+                )
             functions.append(FuncDef(fn(f"fv{i + 1}"), " + ".join(terms) if terms else "0"))
         for m_i in range(m):
             c = f"{fn(f'c{m_i + 1}')}()"
@@ -289,25 +280,17 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             functions.append(
                 FuncDef(fn(f"fxl{m_i + 1}"), f"{_fmt(params.alpha)}*({c}-{_fmt(params.delta)})")
             )
+        var0 = state0.v
 
-        for i in range(n):
-            node = f"v{i + 1}"
-            if (i + 1) in omitted:
-                continue
-            d = f"{fn(f'fv{i + 1}')}()"
-            expr = _masked(d, node, -1.0, 1.0) if mo.clamp_v else d
-            elements.append(Card(f"C{node}", (node, "0"), "1"))
-            elements.append(Card(f"R{node}", (node, "0"), shunt))
-            elements.append(Card(f"B{node}", ("0", node), f"I={expr}"))
-            ic.append(f".ic V({node})={_ic_value(None if v0 is None else v0[i])}")
-        for m_i in range(m):
-            for kind, lo, hi, x0 in (("xs", 0.0, 1.0, 0.5), ("xl", 1.0, xl_max, 1.0)):
-                node = f"{kind}{m_i + 1}"
-                d = f"{fn(f'f{kind}{m_i + 1}')}()"
-                elements.append(Card(f"C{node}", (node, "0"), "1"))
-                elements.append(Card(f"R{node}", (node, "0"), shunt))
-                elements.append(Card(f"B{node}", ("0", node), f"I={_masked(d, node, lo, hi)}"))
-                ic.append(f".ic V({node})={_fmt(x0)}")
+    for i in range(n):
+        if (i + 1) not in omitted:
+            cell(i, "{flat(1)}" if options.ic_seed is None else _fmt(var0[i]))
+    for m_i in range(m):
+        if solver == "analog":
+            cell(n + m_i, "1")
+        else:
+            cell(n + m_i, _fmt(state0.x_s[m_i]))
+            cell(n + m + m_i, _fmt(state0.x_l[m_i]))
 
     elements.extend(_control_cards(problem, fn))
 

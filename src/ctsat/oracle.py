@@ -110,5 +110,6 @@ def solve_dpll(problem: Problem) -> OracleResult:
     witness = np.zeros(problem.num_vars, dtype=bool)
     for var, value in model.items():
         witness[var - 1] = value
-    assert count_unsatisfied(problem, witness) == 0
+    if count_unsatisfied(problem, witness) != 0:
+        raise RuntimeError("DPLL model does not satisfy the formula")
     return OracleResult(True, witness, nodes)

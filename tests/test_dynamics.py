@@ -9,11 +9,10 @@ from ctsat.dynamics import (
     MemOptions,
     MemState,
     analog_rhs,
-    clamp_mask,
-    clause_value,
+    clause_products,
+    clause_values,
     control_signals,
     energy,
-    k_m,
     mem_clause_quantities,
     mem_rhs,
     readout,
@@ -21,6 +20,7 @@ from ctsat.dynamics import (
 from ctsat.instances import BarthelParams, gen_barthel
 
 ONE_CLAUSE = Problem.from_dimacs_clauses(3, [(1, 2, 3)])
+NEG_CLAUSE = Problem.from_dimacs_clauses(3, [(-1, -2, -3)])
 
 
 def finite_difference_gradient(problem, state, options, h=1e-6):
@@ -42,20 +42,24 @@ def random_problem(seed, n=8, ratio=4.0):
     return gen_barthel(BarthelParams(num_vars=n, ratio=ratio, seed=seed)).problem
 
 
-# -------------------------------------------------------------------------- k_m
+# -------------------------------------------------------------------------- K_m
+
+def k_m(problem, s, options=AnalogOptions()):
+    return clause_products(problem, s, options)[0][0]
+
 
 def test_k_m_satisfied_literal_zeroes():
-    assert k_m(ONE_CLAUSE, 0, np.array([1.0, -0.3, 0.7])) == 0.0
+    assert k_m(ONE_CLAUSE, np.array([1.0, -0.3, 0.7])) == 0.0
 
 
 def test_k_m_maximal_violation():
     s = np.array([-1.0, -1.0, -1.0])
-    assert k_m(ONE_CLAUSE, 0, s) == 1.0
-    assert k_m(ONE_CLAUSE, 0, s, AnalogOptions(one_eighth_factor=False)) == 8.0
+    assert k_m(ONE_CLAUSE, s) == 1.0
+    assert k_m(ONE_CLAUSE, s, AnalogOptions(one_eighth_factor=False)) == 8.0
 
 
 def test_k_m_midpoint():
-    assert k_m(ONE_CLAUSE, 0, np.zeros(3)) == 0.125
+    assert k_m(ONE_CLAUSE, np.zeros(3)) == 0.125
 
 
 # ------------------------------------------------------------------- analog_rhs
@@ -170,18 +174,18 @@ def test_energy_decreases_along_gradient_flow():
         v_prev = v
 
 
-# ----------------------------------------------------------------- clause_value
+# ---------------------------------------------------------------- clause_values
 
 def test_clause_value_examples():
-    assert clause_value(ONE_CLAUSE, 0, np.array([1.0, -1.0, -1.0])) == 0.0
-    assert clause_value(ONE_CLAUSE, 0, np.array([-1.0, -1.0, -1.0])) == 1.0
-    assert clause_value(ONE_CLAUSE, 0, np.array([0.5, -0.2, 0.1])) == pytest.approx(0.25)
+    assert clause_values(ONE_CLAUSE, np.array([1.0, -1.0, -1.0]))[0] == 0.0
+    assert clause_values(ONE_CLAUSE, np.array([-1.0, -1.0, -1.0]))[0] == 1.0
+    assert clause_values(ONE_CLAUSE, np.array([0.5, -0.2, 0.1]))[0] == pytest.approx(0.25)
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=1), min_size=3, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_clause_value_bounds(vs):
-    value = clause_value(ONE_CLAUSE, 0, np.array(vs))
+    value = clause_values(ONE_CLAUSE, np.array(vs))[0]
     assert 0.0 <= value <= 1.0
 
 
@@ -282,25 +286,68 @@ def test_mem_rhs_finite_everywhere():
             assert np.all(np.isfinite(arr))
 
 
-# ------------------------------------------------------------------- clamp_mask
+# ---------------------------------------------------------------- boundary mask
 
-@pytest.mark.parametrize("value,low,high,deriv,expected", [
-    (1.0, -1, 1, 0.7, 0.0),       # outward at upper bound
-    (1.0, -1, 1, -0.7, -0.7),     # inward allowed
-    (0.3, -1, 1, 0.9, 0.9),       # interior
-    (0.3, -1, 1, -0.9, -0.9),
-    (-1.0, -1, 1, -0.2, 0.0),     # outward at lower bound
-    (-1.0, -1, 1, 0.2, 0.2),
+def _analog_ds1(problem, s, a):
+    return analog_rhs(problem, AnalogState(np.array(s), np.array([a])))[0][0]
+
+
+def _mem_component(problem, v, x_s=0.5, x_l=1.0, which=0):
+    return mem_rhs(problem, MemState(np.array(v), np.array([x_s]), np.array([x_l])))[which][0]
+
+
+UP, DOWN = [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]   # C = 1 and C = 0 on ONE_CLAUSE
+XL_MAX = 1e4  # 1e4 * M with M = 1
+
+
+# Each case evaluates one component at a lower bound, an upper bound or an
+# interior point, where the unmasked derivative points outward or inward
+# (up or down in the interior).  A negative clause weight reverses the
+# analog spin derivative, the only way to make it point outward at s = +-1.
+@pytest.mark.parametrize("derivative,expected", [
+    pytest.param(lambda: _analog_ds1(ONE_CLAUSE, UP, -1.0), 0.0, id="s-lower-outward"),
+    pytest.param(lambda: _analog_ds1(ONE_CLAUSE, UP, 1.0), 1.0, id="s-lower-inward"),
+    pytest.param(lambda: _analog_ds1(NEG_CLAUSE, DOWN, -1.0), 0.0, id="s-upper-outward"),
+    pytest.param(lambda: _analog_ds1(NEG_CLAUSE, DOWN, 1.0), -1.0, id="s-upper-inward"),
+    pytest.param(lambda: _analog_ds1(ONE_CLAUSE, [0.0] * 3, 1.0), 0.03125, id="s-interior-up"),
+    pytest.param(lambda: _analog_ds1(ONE_CLAUSE, [0.0] * 3, -1.0), -0.03125,
+                 id="s-interior-down"),
+    pytest.param(lambda: _mem_component(NEG_CLAUSE, [-1.0, 1.0, 1.0]), 0.0, id="v-lower-outward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP), 1.005, id="v-lower-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, [1.0, -1.0, -1.0]), 0.0, id="v-upper-outward"),
+    pytest.param(lambda: _mem_component(NEG_CLAUSE, DOWN), -1.005, id="v-upper-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, [0.9, 0.2, -0.5], x_s=0.0), 0.0505,
+                 id="v-interior-up"),
+    pytest.param(lambda: _mem_component(NEG_CLAUSE, [-0.9, -0.2, 0.5], x_s=0.0), -0.0505,
+                 id="v-interior-down"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, x_s=0.0, which=1), 0.0,
+                 id="x_s-lower-outward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, x_s=0.0, which=1), 0.015,
+                 id="x_s-lower-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, x_s=1.0, which=1), 0.0,
+                 id="x_s-upper-outward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, x_s=1.0, which=1), -5.005,
+                 id="x_s-upper-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, which=1), 7.515, id="x_s-interior-up"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, which=1), -2.505,
+                 id="x_s-interior-down"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, which=2), 0.0, id="x_l-lower-outward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, which=2), 4.75, id="x_l-lower-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, x_l=XL_MAX, which=2), 0.0,
+                 id="x_l-upper-outward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, x_l=XL_MAX, which=2), -0.25,
+                 id="x_l-upper-inward"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, UP, x_l=5.0, which=2), 4.75,
+                 id="x_l-interior-up"),
+    pytest.param(lambda: _mem_component(ONE_CLAUSE, DOWN, x_l=5.0, which=2), -0.25,
+                 id="x_l-interior-down"),
 ])
-def test_clamp_mask_scalar(value, low, high, deriv, expected):
-    assert clamp_mask(value, low, high, deriv) == expected
-
-
-def test_clamp_mask_vectorized():
-    values = np.array([1.0, 1.0, 0.0, -1.0])
-    derivs = np.array([0.5, -0.5, 0.5, -0.5])
-    out = clamp_mask(values, -1.0, 1.0, derivs)
-    assert np.array_equal(out, [0.0, -0.5, 0.5, 0.0])
+def test_rhs_boundary_mask(derivative, expected):
+    value = derivative()
+    if expected == 0.0:
+        assert value == 0.0
+    else:
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 # -------------------------------------------------------------- control signals

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from ctsat.cnf import count_unsatisfied
+from ctsat.dynamics import AnalogOptions, MemOptions, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -113,6 +114,22 @@ def test_bound_preservation_along_trajectories():
         assert np.all(np.abs(rec_m.states[:, :n]) <= 1.0)
         assert np.all((rec_m.states[:, n:n + m] >= 0.0) & (rec_m.states[:, n:n + m] <= 1.0))
         assert np.all((rec_m.states[:, n + m:] >= 1.0) & (rec_m.states[:, n + m:] <= 1e4 * m))
+
+
+@pytest.mark.parametrize("solver,options", [
+    (MEM, {}),
+    (MEM, {"mem_options": MemOptions(clamp_v=False)}),
+    (ANALOG, {"analog_options": AnalogOptions(one_eighth_factor=False)}),
+])
+def test_samples_lie_within_system_bounds(solver, options):
+    problem = gen_barthel(BarthelParams(num_vars=20, ratio=4.3, seed=3)).problem
+    record = run(problem, solver, seed=1, config=IntegratorConfig(t_ev=20.0), **options)
+    system = make_system(problem, solver, **options)
+    assert record.state_columns == system.columns
+    assert np.all((record.states >= system.lo) & (record.states <= system.hi))
+    # the bounds are reached: some later sample sits exactly on one
+    later = record.states[1:]
+    assert np.any((later == system.lo) | (later == system.hi))
 
 
 def test_determinism_bitwise():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,21 +211,43 @@ def test_mem_deck_matches_engine(mem_options):
             assert got[f"xl{j + 1}"] == pytest.approx(dx_l[j], rel=1e-9, abs=1e-9)
 
 
+def _mem_corner_inputs(problem, rng):
+    """(options, v, x_s, x_l) at the memcomputing corners and ties."""
+    n, m = problem.num_vars, problem.num_clauses
+    poles = np.sign(rng.standard_normal(n))  # all voltages exactly at poles
+    return [
+        (MemOptions(), poles, np.zeros(m), np.ones(m)),
+        (MemOptions(), poles, np.ones(m), np.full(m, 1e4 * m)),
+        # v = 0: every clause has three equal slack terms, an exact rigidity tie
+        (MemOptions(), np.zeros(n), rng.uniform(0, 1, m), rng.uniform(1, 20, m)),
+        (MemOptions(clamp_v=False), poles, np.zeros(m), np.ones(m)),
+        (MemOptions(clamp_v=False), poles, np.ones(m), np.full(m, 1e4 * m)),
+    ]
+
+
 def test_deck_matches_engine_on_boundaries():
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
-    doc = emit_mem(problem, NetlistOptions())
     rng = np.random.default_rng(7)
-    v = np.sign(rng.standard_normal(n))  # all voltages exactly at poles
-    x_s = np.zeros(m)
-    x_l = np.ones(m)
-    got = evaluate_deck_rhs(doc, mem_voltages(problem, v, x_s, x_l))
-    dv, dx_s, dx_l = mem_rhs(problem, MemState(v, x_s, x_l))
-    vals = np.array([got[f"v{i + 1}"] for i in range(n)]
-                    + [got[f"xs{j + 1}"] for j in range(m)]
-                    + [got[f"xl{j + 1}"] for j in range(m)])
-    ref = np.concatenate([dv, dx_s, dx_l])
-    assert np.max(np.abs(vals - ref)) <= 1e-9
+    cases = []
+    for mem_options, v, x_s, x_l in _mem_corner_inputs(problem, rng):
+        doc = emit_mem(problem, NetlistOptions(mem_options=mem_options))
+        got = evaluate_deck_rhs(doc, mem_voltages(problem, v, x_s, x_l))
+        names = [f"v{i + 1}" for i in range(n)] + [f"xs{j + 1}" for j in range(m)] + [
+            f"xl{j + 1}" for j in range(m)]
+        ref = np.concatenate(mem_rhs(problem, MemState(v, x_s, x_l), options=mem_options))
+        cases.append(([got[name] for name in names], ref))
+    spins = np.sign(rng.standard_normal(n))  # all spins exactly at poles
+    a = rng.uniform(0.5, 4.0, m)
+    for aux_mode in ("aK2", "aK", "K", "K2"):
+        options = AnalogOptions(aux_mode=aux_mode)
+        doc = emit_analog(problem, NetlistOptions(analog=options))
+        got = evaluate_deck_rhs(doc, analog_voltages(problem, spins, a))
+        names = [f"s{i + 1}" for i in range(n)] + [f"a{j + 1}" for j in range(m)]
+        ref = np.concatenate(analog_rhs(problem, AnalogState(spins, a), options))
+        cases.append(([got[name] for name in names], ref))
+    for vals, ref in cases:
+        assert np.all(np.abs(np.array(vals) - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_non_eighth_mem_params_round_trip():
@@ -237,6 +261,36 @@ def test_non_eighth_mem_params_round_trip():
     assert got["xs1"] == pytest.approx(dx_s[0], rel=1e-12, abs=1e-12)
     assert got["xl1"] == pytest.approx(dx_l[0], rel=1e-12, abs=1e-12)
     assert got["v1"] == pytest.approx(dv[0], rel=1e-12, abs=1e-12)
+
+
+# Decks pinned byte for byte: sha256 of serialize() on a fixed formula.
+GOLDEN = Problem.from_dimacs_clauses(7, [
+    (1, -2, 3), (-1, 2, 4), (2, -3, -4), (1, 3, 5), (-5, -1, 2), (4, 5, -3),
+    (-2, -4, -5), (1, 2, 5), (-1, -3, 4), (3, -4, 5), (2, 4, 6),
+])
+
+
+@pytest.mark.parametrize("emit,digest", [
+    pytest.param(lambda: emit_analog(GOLDEN),
+                 "9363f88b8c49449b13611aabdb56a52b6697b8bb6686328c393a14222c02e545",
+                 id="analog"),
+    pytest.param(lambda: emit_analog(GOLDEN, NetlistOptions(
+        analog=AnalogOptions(one_eighth_factor=False, aux_mode="K2"))),
+                 "f395eaa428fd9f1d22e199f7479d027f085e16e78247e6dc8df4c0c3edd3244c",
+                 id="analog-K2-no-eighth"),
+    pytest.param(lambda: emit_mem(GOLDEN),
+                 "83555ca582a8da57a154491bbbd0592e1ce7eadb9ad2ac21515eb09be2b31314",
+                 id="mem"),
+    pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(mem_options=MemOptions(clamp_v=False))),
+                 "2d6fc01b7b4b138a1914a1c228ebb85190d6e0ca61ded8a8a35ab4afcd738e20",
+                 id="mem-unclamped"),
+    pytest.param(lambda: emit_subcircuit(GOLDEN, NetlistOptions(
+        subcircuit=SubcircuitSpec(name="nodea", inputs=(1,), outputs=(2, 6)))),
+                 "2f0432aa3ab5b2e82c1abed8a68ccd4b03c0b370cd282ac5d0a6457c92dd0253",
+                 id="mem-subckt"),
+])
+def test_pinned_deck_digests(emit, digest):
+    assert hashlib.sha256(serialize(emit()).encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ subcircuits

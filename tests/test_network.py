@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctsat.cnf import Problem, write_dimacs
-from ctsat.dynamics import MemParams
+from ctsat.dynamics import MemParams, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -257,10 +257,12 @@ def test_network_states_respect_bounds():
     nodes, wiring = ring_nodes(inst, 1, 2)
     records = simulate_network(nodes, wiring, IntegratorConfig(t_ev=10.0), seeds=[0, 1])
     n, m = inst.problem.num_vars, inst.problem.num_clauses
+    system = make_system(inst.problem, MEM)
     for r in records:
         assert np.all(np.abs(r.states[:, :n]) <= 1.0)
         assert np.all((r.states[:, n:n + m] >= 0.0) & (r.states[:, n:n + m] <= 1.0))
         assert np.all(r.states[:, n + m:] >= 1.0)
+        assert np.all((r.states >= system.lo) & (r.states <= system.hi))
 
 
 # ------------------------------------------------------------------ JSON config
