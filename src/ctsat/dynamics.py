@@ -217,24 +217,42 @@ def _kernel(problem: Problem, solver: str, analog_options: AnalogOptions,
             return d
     elif solver == MEM:
         p = mem_params
+        # mem_clause_quantities fused into few NumPy calls, with the same
+        # floating-point results.  Slot-major (3, M) copies make row j the
+        # j-th literal of every clause, so each per-slot step is one
+        # contiguous call.
+        var3 = np.ascontiguousarray(problem.var_index.T)
+        sign3 = np.ascontiguousarray(problem.sign.T)
+        half_sign3 = 0.5 * sign3
 
         def derivatives(y):
             v, x_s, x_l = y[:n], y[n:n + m], y[n + m:]
-            c, g, r = mem_clause_quantities(problem, v)
-            coef_g = (x_l * x_s)[:, None]
-            coef_r = ((1.0 + p.zeta * x_l) * (1.0 - x_s))[:, None]
-            contrib = coef_g * g + coef_r * r
-            d = np.empty_like(y)
-            d[:n] = np.bincount(idx, weights=contrib.ravel(), minlength=n)
-            d[n:n + m] = p.beta * (x_s + p.epsilon) * (c - p.gamma)
-            d[n + m:] = p.alpha * (c - p.delta)
-            return d
+            t = 1.0 - sign3 * v[var3]
+            other_min = np.empty_like(t)
+            np.minimum(t[1], t[2], out=other_min[0])
+            np.minimum(t[0], t[2], out=other_min[1])
+            np.minimum(t[0], t[1], out=other_min[2])
+            tmin = np.minimum(t[0], other_min[0])
+            c = 0.5 * tmin
+            g = half_sign3 * other_min
+            g *= x_l * x_s
+            # R = 0.5 (q - v) = (0.5 q) t for q = +-1, exactly up to the sign
+            # of a zero, which the sum below drops
+            r = np.where(t == tmin, half_sign3 * t, 0.0)
+            r *= (1.0 + p.zeta * x_l) * (1.0 - x_s)
+            contrib = np.empty((m, 3))  # clause-major: bincount's summation order
+            np.add(g, r, out=contrib.T)
+            return np.concatenate((
+                np.bincount(idx, weights=contrib.ravel(), minlength=n),
+                p.beta * (x_s + p.epsilon) * (c - p.gamma),
+                p.alpha * (c - p.delta),
+            ))
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
     def rhs(t, y):
         d = derivatives(y)
-        d[((y >= hi) & (d > 0)) | ((y <= lo) & (d < 0))] = 0.0
+        np.copyto(d, 0.0, where=((y >= hi) & (d > 0)) | ((y <= lo) & (d < 0)))
         return d
 
     return rhs, lo, hi

@@ -212,8 +212,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None):
     (family, size, instance index, solver label).
 
     With out_dir set, instances, runs and the summary are persisted.
-    Individual aborted runs (step-size underflow) are recorded as timeouts,
-    not fatal.
+    Individual aborted runs (step-size underflow, non-finite state) are
+    recorded as timeouts, not fatal.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     instances: dict = {}

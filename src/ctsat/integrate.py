@@ -28,6 +28,7 @@ makes one SPICE second equal one integration time unit).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -63,6 +64,8 @@ __all__ = [
     "TIMEOUT",
     "IntegratorConfig",
     "RunRecord",
+    "IntegrationAborted",
+    "NonFiniteState",
     "StepSizeUnderflow",
     "init_analog",
     "init_mem",
@@ -78,13 +81,28 @@ CONVERGED_TO_ZERO = "converged_to_zero"
 TIMEOUT = "timeout"
 
 
-class StepSizeUnderflow(RuntimeError):
+class IntegrationAborted(RuntimeError):
+    """The integrator cannot continue; the run ends early as a timeout."""
+
+    def __init__(self, message: str, t: float, err: float):
+        super().__init__(message)
+        self.t = t
+        self.err = err
+
+
+class StepSizeUnderflow(IntegrationAborted):
     """dt shrank to dt_min while the local error stayed above tolerance."""
 
     def __init__(self, t: float, err: float):
-        super().__init__(f"step size underflow at t={t:.6g} (error ratio {err:.3g})")
-        self.t = t
-        self.err = err
+        super().__init__(f"step size underflow at t={t:.6g} (error ratio {err:.3g})", t, err)
+
+
+class NonFiniteState(IntegrationAborted):
+    """A step's error ratio is NaN or infinite: some stage derivative or
+    state is no longer finite."""
+
+    def __init__(self, t: float, err: float):
+        super().__init__(f"non-finite state at t={t:.6g} (error ratio {err})", t, err)
 
 
 @dataclass(frozen=True)
@@ -149,7 +167,13 @@ def init_mem(problem: Problem, seed: int) -> MemState:
 class SegmentIntegrator:
     """Advances a state between sample points, keeping its step size as
     persistent state so consecutive segments continue seamlessly.  Every
-    accepted step is clipped in place onto the bounds [lo, hi]."""
+    accepted step is clipped onto the bounds [lo, hi].
+
+    stats["n_rhs"] counts RHS evaluations and stats["n_rhs_reused"] the RK
+    steps whose first stage reused the previous step's last one (FSAL); each
+    RK step takes one first stage plus three per attempt, so
+    n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted + n_rejected) for a
+    run that is not aborted."""
 
     def __init__(self, rhs: Callable, lo: np.ndarray, hi: np.ndarray,
                  config: IntegratorConfig):
@@ -158,10 +182,12 @@ class SegmentIntegrator:
         self.hi = hi
         self.config = config
         self.h = config.dt_init
+        self._fsal = (None, None)  # (bytes of the state, its derivative)
         self.stats = {
             "n_accepted": 0,
             "n_rejected": 0,
-            "n_rhs": 0,
+            "n_rhs": 0,           # right-hand-side evaluations made
+            "n_rhs_reused": 0,    # first stages taken from the last step's k4 (FSAL)
             "dt_smallest": np.inf,
             "dt_largest": 0.0,
         }
@@ -186,33 +212,50 @@ class SegmentIntegrator:
     def _advance_rk23(self, t0, y, t1):
         cfg = self.config
         rhs = self.rhs
+        stats = self.stats
+        tol = cfg.error_tol
+        # FSAL: the RHS is autonomous, so k4 = rhs(y_new) is the next step's
+        # k1 whenever the state it was evaluated at is still the state, bit
+        # for bit.  The caller may have written into y (network pins) since
+        # the last advance, so its bytes are compared, not its identity.
+        key, k1 = self._fsal
+        if k1 is not None and y.tobytes() != key:
+            k1 = None
         t = t0
         while t < t1 - 1e-12:
             h = min(self.h, cfg.dt_max, t1 - t)
-            k1 = rhs(t, y)
-            self.stats["n_rhs"] += 1
+            if k1 is None:
+                k1 = rhs(t, y)
+                stats["n_rhs"] += 1
+            else:
+                stats["n_rhs_reused"] += 1
+            abs_y = np.abs(y)
             while True:
                 k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
                 k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
                 y_new = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
                 k4 = rhs(t + h, y_new)
-                self.stats["n_rhs"] += 3
+                stats["n_rhs"] += 3
                 err_vec = h * (
                     (-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4
                 )
-                scale = cfg.error_tol + cfg.error_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+                e = err_vec / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
+                err = math.sqrt(np.add.reduce(e * e) / e.size)  # RMS, as np.mean computes it
+                if not math.isfinite(err):
+                    raise NonFiniteState(t, err)
                 if err <= 1.0:
                     break
-                self.stats["n_rejected"] += 1
+                stats["n_rejected"] += 1
                 if h <= cfg.dt_min * (1 + 1e-12):
                     raise StepSizeUnderflow(t, err)
                 h = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             t += h
-            y = np.clip(y_new, self.lo, self.hi, out=y_new)
+            y = np.clip(y_new, self.lo, self.hi)
+            k1 = k4 if y.tobytes() == y_new.tobytes() else None  # reuse unless clipped
             self._note_step(h)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             self.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
+        self._fsal = (y.tobytes(), k1)
         return y
 
     def _note_step(self, h):
@@ -386,8 +429,8 @@ def _simulate(nodes: list[_NodeRun], config: IntegratorConfig, fed: Optional[dic
                     pin_drives(c_prev)
                     for node in nodes:
                         node.advance(c_prev, c_next)
-            except StepSizeUnderflow as exc:
-                aborted = str(exc)
+            except IntegrationAborted as exc:
+                aborted = exc
                 break
             if sample(t_next):
                 break
@@ -407,9 +450,9 @@ def _simulate(nodes: list[_NodeRun], config: IntegratorConfig, fed: Optional[dic
         if stats["dt_smallest"] is np.inf:
             stats["dt_smallest"] = None
         stats["wall_time"] = node.wall
-        stats["dt_underflow"] = aborted is not None
-        if aborted:
-            stats["abort_message"] = aborted
+        stats["dt_underflow"] = isinstance(aborted, StepSizeUnderflow)
+        if aborted is not None:
+            stats["abort_message"] = str(aborted)
         records.append(RunRecord(
             solver=node.solver,
             seed=node.seed,
@@ -438,8 +481,9 @@ def run(problem: Problem, solver: str, *, seed: int = 0,
     a network of one node with no edges and no drives.
 
     Deterministic: (problem, solver, options, config, seed) fully determine
-    the returned record.  A step-size underflow aborts the run; it is
-    reported as a Timeout with stats["dt_underflow"] set.
+    the returned record.  A step-size underflow or a non-finite state
+    aborts the run; it is reported as a Timeout with stats["abort_message"]
+    naming the cause (and stats["dt_underflow"] set for an underflow).
     """
     node = _NodeRun(problem, solver, seed, config, analog_options, mem_options, mem_params)
     return _simulate([node], config)[0][0]

@@ -7,6 +7,7 @@ from ctsat.dynamics import (
     AnalogOptions,
     AnalogState,
     MemOptions,
+    MemParams,
     MemState,
     analog_rhs,
     clause_products,
@@ -14,10 +15,11 @@ from ctsat.dynamics import (
     control_signals,
     energy,
     mem_clause_quantities,
+    make_system,
     mem_rhs,
     readout,
 )
-from ctsat.instances import BarthelParams, gen_barthel
+from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 
 ONE_CLAUSE = Problem.from_dimacs_clauses(3, [(1, 2, 3)])
 NEG_CLAUSE = Problem.from_dimacs_clauses(3, [(-1, -2, -3)])
@@ -284,6 +286,63 @@ def test_mem_rhs_finite_everywhere():
         )
         for arr in mem_rhs(problem, state):
             assert np.all(np.isfinite(arr))
+
+
+def mem_reference_rhs(problem, y, params, lo, hi):
+    """The memcomputing RHS composed from mem_clause_quantities, clause by
+    clause: the definition the fused kernel must reproduce bit for bit."""
+    n, m = problem.num_vars, problem.num_clauses
+    v, x_s, x_l = y[:n], y[n:n + m], y[n + m:]
+    c, g, r = mem_clause_quantities(problem, v)
+    contrib = (x_l * x_s)[:, None] * g + ((1.0 + params.zeta * x_l) * (1.0 - x_s))[:, None] * r
+    d = np.concatenate((
+        np.bincount(problem.var_index.ravel(), weights=contrib.ravel(), minlength=n),
+        params.beta * (x_s + params.epsilon) * (c - params.gamma),
+        params.alpha * (c - params.delta),
+    ))
+    d[((y >= hi) & (d > 0)) | ((y <= lo) & (d < 0))] = 0.0
+    return d
+
+
+def _mem_states(rng, n, m, kind):
+    v = rng.uniform(-1.0, 1.0, n)
+    x_s = rng.uniform(0.0, 1.0, m)
+    x_l = rng.uniform(1.0, 50.0, m)
+    if kind == "pole":
+        v = rng.choice([-1.0, 1.0], n)
+    elif kind == "tie":
+        # v = 0 makes all three slack terms of a clause equal; poles and
+        # zeros mixed give two-way ties as well
+        v = rng.choice([-1.0, 0.0, 1.0], n)
+        v[rng.random(n) < 0.5] = 0.0
+    elif kind == "bound":
+        v[rng.random(n) < 0.5] = rng.choice([-1.0, 1.0])
+        x_s = rng.choice([0.0, 1.0, 0.3], m)
+        x_l = rng.choice([1.0, 1e4 * m, 7.0], m)
+    elif kind == "stage":
+        # an RK stage state lies a little outside the bounds
+        v = rng.uniform(-1.05, 1.05, n)
+        x_s = rng.uniform(-0.05, 1.05, m)
+        x_l = rng.uniform(0.9, 50.0, m)
+    elif kind == "unclamped":
+        v = rng.uniform(-3.0, 3.0, n)
+    return np.concatenate((v, x_s, x_l))
+
+
+@pytest.mark.parametrize("kind", ["random", "pole", "tie", "bound", "stage", "unclamped"])
+@pytest.mark.parametrize("clamp_v", [True, False])
+def test_mem_kernel_matches_clause_reference(kind, clamp_v):
+    rng = np.random.default_rng(17)
+    params = MemParams(alpha=3.0, beta=11.0, gamma=0.3, delta=0.07, epsilon=0.002, zeta=0.02)
+    for problem in (random_problem(2, n=12), gen_xorsat_3r(10, seed=4).problem):
+        system = make_system(problem, "mem", mem_options=MemOptions(clamp_v=clamp_v),
+                             mem_params=params)
+        for _ in range(40):
+            y = _mem_states(rng, problem.num_vars, problem.num_clauses, kind)
+            got = system.rhs(0.0, y)
+            want = mem_reference_rhs(problem, y, params, system.lo, system.hi)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------- boundary mask

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from ctsat.cnf import count_unsatisfied
-from ctsat.dynamics import AnalogOptions, MemOptions, make_system
+import ctsat.integrate as integrate
+from ctsat.dynamics import AnalogOptions, MemOptions, System, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -12,6 +13,8 @@ from ctsat.integrate import (
     SOLVED,
     TIMEOUT,
     IntegratorConfig,
+    NonFiniteState,
+    SegmentIntegrator,
     init_analog,
     init_mem,
     load_run,
@@ -201,12 +204,77 @@ def test_detect_convergence_on_recorded_run_with_growth_regression():
         assert 1 - np.sum(resid ** 2) / ss_tot >= 0.99
 
 
+# ------------------------------------------------- stepper: FSAL and aborts
+
+def nan_system(problem):
+    system = make_system(problem, MEM)
+    return system._replace(rhs=lambda t, y: np.full_like(y, np.nan))
+
+
+def test_non_finite_rhs_aborts_on_first_attempt():
+    problem = easy_instance(seed=1).problem
+    system = nan_system(problem)
+    integrator = SegmentIntegrator(system.rhs, system.lo, system.hi, IntegratorConfig())
+    y0 = np.concatenate([np.zeros(problem.num_vars), np.full(2 * problem.num_clauses, 0.5)])
+    with pytest.raises(NonFiniteState, match="non-finite"):
+        integrator.advance(0.0, y0, 0.1)
+    assert integrator.stats["n_rhs"] == 4
+    assert integrator.stats["n_rejected"] == 0
+
+
+def test_non_finite_state_is_reported_as_abort(monkeypatch):
+    problem = easy_instance(seed=1).problem
+    monkeypatch.setattr(integrate, "make_system", lambda p, *args: nan_system(p))
+    record = run(problem, MEM, seed=2)
+    assert record.outcome == TIMEOUT
+    assert record.times[-1] == 0.0
+    assert not record.stats["dt_underflow"]
+    assert "non-finite" in record.stats["abort_message"]
+    assert record.stats["n_rhs"] == 4
+
+
+def assert_stage_count(st):
+    """Every RK step has one first stage, computed or reused, and three
+    more per attempt; some but not all steps reuse it."""
+    assert st["n_rhs"] + st["n_rhs_reused"] == (
+        st["n_accepted"] + 3 * (st["n_accepted"] + st["n_rejected"]))
+    assert 0 < st["n_rhs_reused"] < st["n_accepted"]
+
+
+@pytest.mark.parametrize("solver,seed,t_ev", [(MEM, 1, 30.0), (ANALOG, 3, 150.0)])
+def test_stage_count_with_fsal(solver, seed, t_ev):
+    problem = gen_xorsat_3r(20, seed=seed).problem
+    record = run(problem, solver, seed=5, config=IntegratorConfig(t_ev=t_ev))
+    assert_stage_count(record.stats)
+
+
+@pytest.mark.parametrize("write", [False, True])
+def test_advance_after_in_place_write_matches_fresh_integrator(write):
+    # the reused first stage must follow the value of y, not its identity:
+    # network pins write into the returned state in place
+    problem = gen_xorsat_3r(20, seed=3).problem
+    system = make_system(problem, ANALOG)
+    config = IntegratorConfig()
+    y0 = np.concatenate((init_analog(problem, 5).s, np.ones(problem.num_clauses)))
+    carried = SegmentIntegrator(system.rhs, system.lo, system.hi, config)
+    y = carried.advance(0.0, y0, 1.0)
+    if write:
+        y[0] = -y[0]
+    fresh = SegmentIntegrator(system.rhs, system.lo, system.hi, config)
+    fresh.h = carried.h
+    reused = carried.stats["n_rhs_reused"]
+    expected = fresh.advance(1.0, y.copy(), 2.0)
+    got = carried.advance(1.0, y, 2.0)
+    assert np.array_equal(got, expected)
+    # without the write the first step of the second segment reuses k4
+    assert carried.stats["n_rhs_reused"] - reused == fresh.stats["n_rhs_reused"] + (not write)
+
+
 # -------------------------------------------------------------- witness check
 
 def test_bad_witness_raises(monkeypatch):
     # a readout that contradicts contrd must not yield a Solved record,
     # also under python -O
-    import ctsat.integrate as integrate
     monkeypatch.setattr(integrate, "readout", lambda values: np.asarray(values) <= 0.0)
     inst = easy_instance(seed=1)
     with pytest.raises(RuntimeError, match="does not satisfy"):

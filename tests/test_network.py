@@ -201,6 +201,13 @@ def test_same_instance_ring_solves():
     va = records[0].states[-1][p_in - 1]
     vb = records[1].states[-1][p_in - 1]
     assert (va > 0) == (vb > 0)
+    # every RK step has one first stage, computed or reused (FSAL), and
+    # three more per attempt
+    for r in records:
+        st = r.stats
+        assert st["n_rhs"] + st["n_rhs_reused"] == (
+            st["n_accepted"] + 3 * (st["n_accepted"] + st["n_rejected"]))
+        assert 0 < st["n_rhs_reused"] < st["n_accepted"]
 
 
 def test_contradictory_ring_never_jointly_solves():
