@@ -25,8 +25,8 @@ def forcing_clauses(var, value, f2, f3):
 
 def forced_instance(value):
     base = gen_barthel(BarthelParams(num_vars=10, ratio=3.0, seed=9))
-    kept = [c.to_dimacs() for c in base.problem.clauses
-            if all(abs(code) > 2 for code in c.to_dimacs())]
+    kept = [c for c in base.problem.dimacs_clauses().tolist()
+            if all(abs(code) > 2 for code in c)]
     return Problem.from_dimacs_clauses(10, kept + forcing_clauses(1, value, 9, 10))
 
 

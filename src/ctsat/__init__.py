@@ -7,9 +7,7 @@ equivalent LTspice netlists, and composes solvers into networks.
 
 from .cnf import (
     Assignment,
-    Clause,
     DimacsError,
-    Literal,
     Problem,
     count_unsatisfied,
     parse_dimacs,

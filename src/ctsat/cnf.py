@@ -9,14 +9,12 @@ SPICE node names and CLI arguments derived from them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DimacsError",
-    "Literal",
-    "Clause",
     "Problem",
     "Assignment",
     "assignment_from_bits",
@@ -34,96 +32,79 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
 
 
-@dataclass(frozen=True)
-class Literal:
-    """One variable occurrence: 0-based variable index plus +1/-1 polarity."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"variable index must be >= 0, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"literal sign must be +1 or -1, got {self.sign}")
-
-    @classmethod
-    def from_dimacs(cls, code: int) -> "Literal":
-        if code == 0:
-            raise DimacsError("0 is a clause terminator, not a literal")
-        return cls(abs(code) - 1, 1 if code > 0 else -1)
-
-    def to_dimacs(self) -> int:
-        return self.sign * (self.index + 1)
-
-
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of exactly three literals over distinct variables."""
-
-    literals: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self):
-        if len(self.literals) != 3:
-            raise ValueError(f"clause must have exactly 3 literals, got {len(self.literals)}")
-        indices = [lit.index for lit in self.literals]
-        if len(set(indices)) != 3:
-            raise ValueError(f"clause variables must be distinct, got {indices}")
-
-    @classmethod
-    def from_dimacs(cls, codes: Sequence[int]) -> "Clause":
-        return cls(tuple(Literal.from_dimacs(c) for c in codes))
-
-    def to_dimacs(self) -> tuple[int, int, int]:
-        return tuple(lit.to_dimacs() for lit in self.literals)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A 3-SAT instance: N variables and an ordered list of M clauses.
 
-    Clause order is part of the identity of the instance; it defines the
-    clause index m used by the dynamics, netlists and trajectory records.
-    Instances are immutable and safe to share between concurrent runs.
+    var_index holds the 0-based variables of each clause (int64) and sign
+    their polarities, +1 or -1 (float64); both have shape (M, 3) and are
+    read-only copies.  Clause order is part of the identity of the
+    instance; it defines the clause index m used by the dynamics, netlists
+    and trajectory records.  Instances are immutable and safe to share
+    between concurrent runs.
     """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    var_index: np.ndarray
+    sign: np.ndarray
 
-    # Derived dense (M, 3) arrays used by the dynamics: var_index holds
-    # 0-based variable indices, sign holds +-1 as float64.
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        clauses = tuple(self.clauses)
-        if not clauses:
+        var_index = np.array(self.var_index, dtype=np.int64)
+        sign = np.array(self.sign, dtype=np.float64)
+        if var_index.ndim != 2 or var_index.shape[1] != 3 or sign.shape != var_index.shape:
+            raise ValueError(
+                f"var_index and sign must have shape (M, 3), got {var_index.shape} and {sign.shape}"
+            )
+        if len(var_index) == 0:
             raise ValueError("a problem needs at least one clause")
-        object.__setattr__(self, "clauses", clauses)
-        for clause in clauses:
-            for lit in clause.literals:
-                if lit.index >= self.num_vars:
-                    raise ValueError(
-                        f"variable {lit.index + 1} out of range (num_vars={self.num_vars})"
-                    )
-        var_index = np.array(
-            [[lit.index for lit in c.literals] for c in clauses], dtype=np.int64
-        )
-        sign = np.array(
-            [[lit.sign for lit in c.literals] for c in clauses], dtype=np.float64
-        )
+        if not np.array_equal(var_index, self.var_index):
+            raise ValueError("var_index must hold integers")
+        out_of_range = (var_index < 0) | (var_index >= self.num_vars)
+        if out_of_range.any():
+            raise ValueError(
+                f"variable index {var_index[out_of_range][0]} out of range [0, {self.num_vars})"
+            )
+        a, b, c = var_index.T
+        repeated = (a == b) | (a == c) | (b == c)
+        if repeated.any():
+            raise ValueError(
+                f"clause variables must be distinct, got {var_index[repeated][0].tolist()}"
+            )
+        if not (np.abs(sign) == 1.0).all():
+            raise ValueError("literal signs must be +1 or -1")
         var_index.setflags(write=False)
         sign.setflags(write=False)
         object.__setattr__(self, "var_index", var_index)
         object.__setattr__(self, "sign", sign)
 
+    def __eq__(self, other):
+        if not isinstance(other, Problem):
+            return NotImplemented
+        return (self.num_vars == other.num_vars
+                and np.array_equal(self.var_index, other.var_index)
+                and np.array_equal(self.sign, other.sign))
+
+    def __hash__(self):
+        return hash((self.num_vars, self.var_index.tobytes(), self.sign.tobytes()))
+
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.var_index)
 
     @classmethod
-    def from_dimacs_clauses(cls, num_vars: int, clauses: Iterable[Sequence[int]]) -> "Problem":
-        """Build from clauses given as triples of signed 1-based integers."""
-        return cls(num_vars, tuple(Clause.from_dimacs(c) for c in clauses))
+    def from_dimacs_clauses(cls, num_vars: int, clauses: Sequence[Sequence[int]]) -> "Problem":
+        """Build from clauses given as triples of signed 1-based integers
+        (a list of triples or an (M, 3) integer array)."""
+        codes = np.array(clauses, dtype=np.int64)
+        if (codes == 0).any():
+            raise DimacsError("0 is a clause terminator, not a literal")
+        return cls(num_vars, np.abs(codes) - 1, np.sign(codes))
+
+    def dimacs_clauses(self) -> np.ndarray:
+        """The clauses as an (M, 3) int64 array of signed 1-based literals."""
+        return (self.var_index + 1) * self.sign.astype(np.int64)
 
 
 def assignment_from_bits(bits: str) -> Assignment:
@@ -150,7 +131,7 @@ def parse_dimacs(text) -> Problem:
 
     num_vars = None
     declared_clauses = None
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     in_trailer = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,7 +184,7 @@ def parse_dimacs(text) -> Problem:
                 raise DimacsError(
                     f"line {lineno}: variable {abs(c)} out of range (header N={num_vars})"
                 )
-        clauses.append(Clause.from_dimacs(codes))
+        clauses.append(codes)
 
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
@@ -211,15 +192,14 @@ def parse_dimacs(text) -> Problem:
         raise DimacsError(
             f"header declares {declared_clauses} clauses, file has {len(clauses)}"
         )
-    return Problem(num_vars, tuple(clauses))
+    return Problem.from_dimacs_clauses(num_vars, clauses)
 
 
 def write_dimacs(problem: Problem, comments: Sequence[str] = ()) -> str:
     """Serialize a Problem to canonical DIMACS text (newline line endings)."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cnf {problem.num_vars} {problem.num_clauses}")
-    for clause in problem.clauses:
-        lines.append(" ".join(str(code) for code in clause.to_dimacs()) + " 0")
+    lines.extend(" ".join(map(str, codes)) + " 0" for codes in problem.dimacs_clauses().tolist())
     return "\n".join(lines) + "\n"
 
 

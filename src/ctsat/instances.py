@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import Assignment, Clause, Problem, count_unsatisfied
+from .cnf import Assignment, Problem, count_unsatisfied
 
 __all__ = [
     "BarthelParams",
@@ -148,18 +148,14 @@ def gen_barthel(params: BarthelParams) -> PlantedInstance:
     satisfied = ((masks[:, None] >> np.arange(3)[None, :]) & 1).astype(bool)
     plant_sign = np.where(plant[variables], 1, -1)
     signs = np.where(satisfied, plant_sign, -plant_sign)
-
-    clauses = tuple(
-        Clause.from_dimacs(tuple(signs[i] * (variables[i] + 1)))
-        for i in range(m)
-    )
-    return PlantedInstance(Problem(n, clauses), plant)
+    return PlantedInstance(Problem(n, variables, signs), plant)
 
 
-def xor_to_cnf(eq: XorEquation) -> tuple[Clause, Clause, Clause, Clause]:
+def xor_to_cnf(eq: XorEquation) -> np.ndarray:
     """Expand one parity equation into the 4 clauses that forbid exactly
-    its 4 violating assignments.  An assignment satisfies all 4 clauses iff
-    it satisfies the equation.
+    its 4 violating assignments, as a (4, 3) int64 array of signed 1-based
+    DIMACS literals.  An assignment satisfies all 4 clauses iff it
+    satisfies the equation.
     """
     clauses = []
     for bits in range(8):
@@ -170,14 +166,13 @@ def xor_to_cnf(eq: XorEquation) -> tuple[Clause, Clause, Clause, Clause]:
         if parity == eq.rhs:
             continue
         # forbid `values`: each literal is false exactly there
-        codes = tuple(
+        clauses.append([
             (-(var + 1)) if value else (var + 1)
             for var, value in zip(eq.variable_indices, values)
-        )
-        clauses.append(Clause.from_dimacs(codes))
+        ])
     if len(clauses) != 4:
         raise RuntimeError(f"parity expansion gave {len(clauses)} clauses, expected 4")
-    return tuple(clauses)
+    return np.array(clauses, dtype=np.int64)
 
 
 def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
@@ -215,7 +210,6 @@ def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
     plant = rng.random(num_vars) < 0.5
 
     equations = []
-    clauses: list[Clause] = []
     for row in range(num_vars):
         variables = tuple(int(v) for v in triples[row])
         mask = tuple(bool(b) for b in negations[row])
@@ -224,7 +218,7 @@ def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
             rhs ^= bool(plant[var]) ^ neg
         eq = XorEquation(variables, mask, rhs)
         equations.append(eq)
-        clauses.extend(xor_to_cnf(eq))
 
-    problem = Problem(num_vars, tuple(clauses))
+    codes = np.concatenate([xor_to_cnf(eq) for eq in equations])
+    problem = Problem.from_dimacs_clauses(num_vars, codes)
     return PlantedInstance(problem, plant, tuple(equations))

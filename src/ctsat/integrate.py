@@ -98,8 +98,8 @@ class StepSizeUnderflow(IntegrationAborted):
 
 
 class NonFiniteState(IntegrationAborted):
-    """A step's error ratio is NaN or infinite: some stage derivative or
-    state is no longer finite."""
+    """A step's error ratio (RK) or derivative (Euler) is NaN or infinite:
+    some stage derivative or state is no longer finite."""
 
     def __init__(self, t: float, err: float):
         super().__init__(f"non-finite state at t={t:.6g} (error ratio {err})", t, err)
@@ -204,6 +204,8 @@ class SegmentIntegrator:
             h = min(cfg.dt_init, t1 - t)
             dy = self.rhs(t, y)
             self.stats["n_rhs"] += 1
+            if not np.isfinite(dy).all():
+                raise NonFiniteState(t, math.nan)  # Euler has no error ratio
             y = np.clip(y + h * dy, self.lo, self.hi)
             t += h
             self._note_step(h)

@@ -70,7 +70,7 @@ def solve_dpll(problem: Problem) -> OracleResult:
     clauses (lowest index on ties) and tries TRUE first, so the search is
     deterministic. nodes_explored counts branching nodes.
     """
-    clauses0 = [list(c.to_dimacs()) for c in problem.clauses]
+    clauses0 = problem.dimacs_clauses().tolist()
     nodes = 0
 
     def search(clauses, assignment):

@@ -333,7 +333,7 @@ def test_criterion_09_generator_correctness():
             clauses = xor_to_cnf(eq)
             for values in itertools.product((False, True), repeat=3):
                 cnf_sat = all(
-                    any((lit.sign > 0) == values[lit.index] for lit in c.literals)
+                    any((code > 0) == values[abs(code) - 1] for code in c)
                     for c in clauses
                 )
                 parity = rhs
@@ -421,7 +421,7 @@ def test_criterion_11_oracle_cross_checks(barthel_grid, x_mem_grid):
     agree = True
     for trial in range(200):
         inst = gen_barthel(BarthelParams(num_vars=12, ratio=4.3, seed=trial))
-        clauses = [c.to_dimacs() for c in inst.problem.clauses]
+        clauses = inst.problem.dimacs_clauses().tolist()
         if trial % 3 == 0:
             k = int(rng.integers(1, 13))
             others = [x for x in range(1, 13) if x != k]
@@ -465,8 +465,8 @@ def _forcing_clauses(var, value, f2, f3):
 
 def _forced_instance(value, seed=9, num_vars=10):
     base = gen_barthel(BarthelParams(num_vars=num_vars, ratio=3.0, seed=seed))
-    kept = [c.to_dimacs() for c in base.problem.clauses
-            if all(abs(code) > 2 for code in c.to_dimacs())]
+    kept = [c for c in base.problem.dimacs_clauses().tolist()
+            if all(abs(code) > 2 for code in c)]
     return Problem.from_dimacs_clauses(
         num_vars, kept + _forcing_clauses(1, value, num_vars - 1, num_vars)
     )

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctsat.cnf import (
-    Clause,
     DimacsError,
-    Literal,
     Problem,
     assignment_from_bits,
     assignment_to_bits,
@@ -19,11 +17,11 @@ from ctsat.instances import BarthelParams, gen_barthel
 def naive_unsatisfied(problem, assignment):
     """Independent per-clause evaluator (the oracle for count_unsatisfied)."""
     count = 0
-    for clause in problem.clauses:
+    for clause in problem.dimacs_clauses().tolist():
         satisfied = False
-        for lit in clause.literals:
-            value = bool(assignment[lit.index])
-            if (lit.sign > 0 and value) or (lit.sign < 0 and not value):
+        for code in clause:
+            value = bool(assignment[abs(code) - 1])
+            if (code > 0 and value) or (code < 0 and not value):
                 satisfied = True
                 break
         if not satisfied:
@@ -44,7 +42,7 @@ def test_parse_minimal():
     p = parse_dimacs("p cnf 3 1\n1 -2 3 0\n")
     assert p.num_vars == 3
     assert p.num_clauses == 1
-    assert p.clauses[0].to_dimacs() == (1, -2, 3)
+    assert tuple(p.dimacs_clauses()[0]) == (1, -2, 3)
 
 
 def test_parse_skips_comments_and_trailer():
@@ -90,18 +88,35 @@ def test_write_with_comments():
 
 def test_empty_clause_list_rejected_at_construction():
     with pytest.raises(ValueError):
-        Problem(3, ())
+        Problem(3, (), ())
+    with pytest.raises(ValueError):
+        Problem(3, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        Problem.from_dimacs_clauses(3, [])
 
 
 def test_clause_validation():
-    with pytest.raises(ValueError):
-        Clause.from_dimacs((1, 2))
-    with pytest.raises(ValueError):
-        Clause.from_dimacs((1, -1, 2))
-    with pytest.raises(ValueError):
-        Literal.from_dimacs(0)
-    with pytest.raises(ValueError):
-        Literal(0, 2)
+    # (var_index, sign) rows for Problem(3, ...); None where no DIMACS code exists
+    cases = [
+        ([[0, 1]], [[1, 1]], [(1, 2)]),                          # two literals
+        ([[0, 1, 2, 0]], [[1, 1, 1, 1]], [(1, 2, 3, 1)]),        # four literals
+        ([[0, 0, 1]], [[1, -1, 1]], [(1, -1, 2)]),               # repeated variable
+        (None, None, [(0, 1, 2)]),                               # literal 0
+        ([[0, 1, 2]], [[2, 1, 1]], None),                        # sign of 2
+        ([[-1, 1, 2]], [[1, 1, 1]], None),                       # negative index
+        ([[0, 1, 3]], [[1, 1, 1]], [(1, 2, 4)]),                 # index >= N
+        ([[0, 1, 1.5]], [[1, 1, 1]], None),                      # fractional index
+    ]
+    for var_index, sign, codes in cases:
+        if var_index is not None:
+            with pytest.raises(ValueError):
+                Problem(3, np.array(var_index), np.array(sign))
+        if codes is not None:
+            with pytest.raises(ValueError):
+                Problem.from_dimacs_clauses(3, codes)
+    # the valid row the cases start from is accepted both ways
+    assert Problem(3, np.array([[0, 1, 2]]), np.array([[1, -1, 1]])) == (
+        Problem.from_dimacs_clauses(3, [(1, -2, 3)]))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

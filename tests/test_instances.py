@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,10 +16,8 @@ from ctsat.instances import (
 from ctsat.oracle import solve_dpll
 
 
-def clause_satisfies(clause, assignment):
-    return any(
-        (lit.sign > 0) == bool(assignment[lit.index]) for lit in clause.literals
-    )
+def clause_satisfies(codes, assignment):
+    return any((code > 0) == bool(assignment[abs(code) - 1]) for code in codes)
 
 
 # ---------------------------------------------------------------------- barthel
@@ -154,7 +153,7 @@ def xor_satisfied(eq, values):
 def test_xor_to_cnf_true_rhs_matches_enumeration():
     eq = XorEquation((0, 1, 2), (False, False, False), True)
     clauses = xor_to_cnf(eq)
-    got = {tuple(sorted(c.to_dimacs())) for c in clauses}
+    got = {tuple(sorted(c)) for c in clauses.tolist()}
     expected = {
         tuple(sorted(c))
         for c in [(1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3)]
@@ -164,7 +163,7 @@ def test_xor_to_cnf_true_rhs_matches_enumeration():
 
 def test_xor_to_cnf_false_rhs_is_complement():
     eq = XorEquation((0, 1, 2), (False, False, False), False)
-    got = {tuple(sorted(c.to_dimacs())) for c in xor_to_cnf(eq)}
+    got = {tuple(sorted(c)) for c in xor_to_cnf(eq).tolist()}
     expected = {
         tuple(sorted(c))
         for c in [(-1, -2, -3), (-1, 2, 3), (1, -2, 3), (1, 2, -3)]
@@ -181,5 +180,41 @@ def test_xor_to_cnf_exhaustive_equivalence(negations, rhs):
     assert len(clauses) == 4
     for values in itertools.product((False, True), repeat=3):
         assignment = np.array(values)
-        cnf_ok = all(clause_satisfies(c, assignment) for c in clauses)
+        cnf_ok = all(clause_satisfies(c, assignment) for c in clauses.tolist())
         assert cnf_ok == xor_satisfied(eq, values)
+
+
+# ------------------------------------------------------------ instance stream
+
+def generate(family, num_vars, seed):
+    if family == "X":
+        return gen_xorsat_3r(num_vars, seed=seed)
+    return gen_barthel(BarthelParams(num_vars=num_vars, ratio=float(family[1:]), seed=seed))
+
+
+# sha256 of write_dimacs text, recorded before the generators built the
+# (M, 3) arrays directly; any change to a generator's RNG call sequence,
+# clause order or sign convention fails here.
+@pytest.mark.parametrize("family,num_vars,seed,digest", [
+    ("B4.3", 10, 0, "8536845436b64f4a7b2cab91aa38df44f4f47f85261e591626e3c5b6220be609"),
+    ("B4.3", 10, 1, "4ad063b227fa967ba3605af0917865b23971550efefb9396863c5d0fdf966da5"),
+    ("B4.3", 50, 0, "c2a609f43b007118954c1f9155dc4745c10706f6f9b0bf777d438f7dc1befc21"),
+    ("B4.3", 50, 1, "32492118bcbb2603dbfe996d767019cc4422e9e7b14c54b2b9b830ebaf7f4ed4"),
+    ("B4.3", 2000, 0, "8e746626d63bc62096613b916c2cf6da50d7522a91077aa4b3cd14009208f613"),
+    ("B4.3", 2000, 1, "45622324e1c4d3c83a93fcb49bdcec878f1c04b271736064b3cff5fdb54ecdd5"),
+    ("B7", 10, 0, "6c36766cb3a9c3b0a65864abcc619f66f4749bd6935d7259f82eabf178b81215"),
+    ("B7", 10, 1, "9e8e5bc31d5ea36436664bd4d26b0f111fbccf3ac00c6696adfd12fbc5765425"),
+    ("B7", 50, 0, "38f2be4e932eb0f8ccd321beb2f13d39c159599d34aea9f992dbb0dc01953852"),
+    ("B7", 50, 1, "5653fb1ca83aa13af407c9f2551c622c2fdcde3eba83b3a5b55d0bf30e3c315d"),
+    ("B7", 2000, 0, "a6b79ce22a07065df5355dc76bca6aec70a35986d2672d32cdb4645d2af90ecf"),
+    ("B7", 2000, 1, "e6ea076ebb1b740b8a5462869d799afecc8d2584fcd59f81b5a0604441a478ec"),
+    ("X", 20, 0, "f31952ed8d3a2c6b0d42d3ee9911eaa785faeca6e957f1b115fe3fc03db5d458"),
+    ("X", 20, 1, "f157749aa2b7782a1b97905756988587d9ebd6769c3c323396ea538581c453a4"),
+    ("X", 50, 0, "5886fd50a568d03f679de8bb805f2394ca0c3ec8aaafd3aa42619d5c4ee1d5a7"),
+    ("X", 50, 1, "6c7026507df91e5e7d1cb0915ade7e94a2fa83ae1be14d294f500480e99de656"),
+    ("X", 2000, 0, "5ce3f67016aca662762b6904c194d5020f53acf6c4796b17b1851099db52dddb"),
+    ("X", 2000, 1, "0d5609d9cad39e5d0e0bae2a01d33592d9ef3bf8b514eae0bf8209fa46e07f7c"),
+])
+def test_pinned_instance_stream_digests(family, num_vars, seed, digest):
+    text = write_dimacs(generate(family, num_vars, seed).problem)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -211,26 +211,33 @@ def nan_system(problem):
     return system._replace(rhs=lambda t, y: np.full_like(y, np.nan))
 
 
-def test_non_finite_rhs_aborts_on_first_attempt():
+# one RK attempt takes four stages; an Euler step takes one
+NON_FINITE_CASES = pytest.mark.parametrize("method,n_rhs", [("rk23", 4), ("euler", 1)])
+
+
+@NON_FINITE_CASES
+def test_non_finite_rhs_aborts_on_first_attempt(method, n_rhs):
     problem = easy_instance(seed=1).problem
     system = nan_system(problem)
-    integrator = SegmentIntegrator(system.rhs, system.lo, system.hi, IntegratorConfig())
+    integrator = SegmentIntegrator(system.rhs, system.lo, system.hi,
+                                   IntegratorConfig(method=method))
     y0 = np.concatenate([np.zeros(problem.num_vars), np.full(2 * problem.num_clauses, 0.5)])
     with pytest.raises(NonFiniteState, match="non-finite"):
         integrator.advance(0.0, y0, 0.1)
-    assert integrator.stats["n_rhs"] == 4
+    assert integrator.stats["n_rhs"] == n_rhs
     assert integrator.stats["n_rejected"] == 0
 
 
-def test_non_finite_state_is_reported_as_abort(monkeypatch):
+@NON_FINITE_CASES
+def test_non_finite_state_is_reported_as_abort(monkeypatch, method, n_rhs):
     problem = easy_instance(seed=1).problem
     monkeypatch.setattr(integrate, "make_system", lambda p, *args: nan_system(p))
-    record = run(problem, MEM, seed=2)
+    record = run(problem, MEM, seed=2, config=IntegratorConfig(method=method))
     assert record.outcome == TIMEOUT
     assert record.times[-1] == 0.0
     assert not record.stats["dt_underflow"]
     assert "non-finite" in record.stats["abort_message"]
-    assert record.stats["n_rhs"] == 4
+    assert record.stats["n_rhs"] == n_rhs
 
 
 def assert_stage_count(st):

@@ -35,8 +35,8 @@ def forcing_clauses(var, value, f2, f3):
 def forced_instance(forced_var, value, seed=9, num_vars=10):
     """A planted base (vars 3..N only) plus clauses forcing one variable."""
     base = gen_barthel(BarthelParams(num_vars=num_vars, ratio=3.0, seed=seed))
-    kept = [c.to_dimacs() for c in base.problem.clauses
-            if all(abs(code) > 2 for code in c.to_dimacs())]
+    kept = [c for c in base.problem.dimacs_clauses().tolist()
+            if all(abs(code) > 2 for code in c)]
     clauses = kept + forcing_clauses(forced_var, value, num_vars - 1, num_vars)
     return Problem.from_dimacs_clauses(num_vars, clauses)
 

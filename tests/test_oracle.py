@@ -58,7 +58,7 @@ def test_exhaustive_vs_dpll_agree_on_200_random_problems():
     agree = 0
     for trial in range(200):
         inst = gen_barthel(BarthelParams(num_vars=12, ratio=4.3, seed=trial))
-        clauses = [c.to_dimacs() for c in inst.problem.clauses]
+        clauses = inst.problem.dimacs_clauses().tolist()
         if trial % 3 == 0:
             # force x_k both ways over random fillers: usually unsatisfiable
             k = int(rng.integers(1, 13))
