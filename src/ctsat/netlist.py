@@ -395,12 +395,22 @@ def card_histogram(document: NetlistDocument) -> dict[str, int]:
     return hist
 
 
-def _source_expressions(document: NetlistDocument):
+def _parsed(document: NetlistDocument):
+    """({function name: AST}, {target node: AST}): every function body and
+    behavioral-source expression of the deck, each parsed once."""
+    functions, sources = {}, {}
+    for func in document.functions:
+        if func.name in functions:
+            raise ValueError(f"function {func.name}() is defined twice")
+        functions[func.name] = spice_expr.parse_expression(func.body)
     for card in document.elements:
         if card.name.startswith("B"):
             kind, expr = card.value.split("=", 1)
             target = card.nodes[1] if kind == "I" else card.nodes[0]
-            yield target, expr
+            if target in sources:
+                raise ValueError(f"node {target} is driven by two behavioral sources")
+            sources[target] = spice_expr.parse_expression(expr)
+    return functions, sources
 
 
 def undeclared_references(document: NetlistDocument) -> list[str]:
@@ -415,20 +425,18 @@ def undeclared_references(document: NetlistDocument) -> list[str]:
         declared_nodes.update(card.nodes)
     if document.subckt is not None:
         declared_nodes.update(document.subckt[1])
-    declared_funcs = {f.name for f in document.functions}
-    builtin = {"u", "min", "max", "if"}
+    functions, sources = _parsed(document)
+    known_calls = set(functions) | {"u", "min", "max", "if"}
 
     problems = []
-    sources = [(f"func {f.name}", f.body) for f in document.functions]
-    sources.extend((f"source {node}", expr) for node, expr in _source_expressions(document))
-    for label, text in sources:
-        ast = spice_expr.parse_expression(text)
-        for node in sorted(spice_expr.referenced_nodes(ast) - declared_nodes):
-            problems.append(f"{label}: undeclared node {node}")
-        for fname in sorted(
-            spice_expr.referenced_functions(ast) - declared_funcs - builtin
-        ):
-            problems.append(f"{label}: undeclared function {fname}")
+    labelled = [(f"func {name}", ast) for name, ast in functions.items()]
+    labelled.extend((f"source {node}", ast) for node, ast in sources.items())
+    for label, ast in labelled:
+        nodes, calls = spice_expr.references(ast)
+        problems.extend(f"{label}: undeclared node {node}"
+                        for node in sorted(nodes - declared_nodes))
+        problems.extend(f"{label}: undeclared function {name}"
+                        for name in sorted(calls - known_calls))
     return problems
 
 
@@ -437,14 +445,13 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
 
     Returns {target node: value}; for state nodes this is the would-be
     capacitor charging current, i.e. the netlist's claim about the
-    right-hand side at that state.
+    right-hand side at that state.  Each deck function is evaluated at most
+    once, its value shared by every source that calls it.
     """
-    functions = {f.name: f.body for f in document.functions}
-    out = {}
-    for target, expr in _source_expressions(document):
-        ast = spice_expr.parse_expression(expr)
-        out[target] = spice_expr.evaluate(ast, voltages, functions)
-    return out
+    functions, sources = _parsed(document)
+    values: dict[str, float] = {}
+    return {target: spice_expr.evaluate(ast, voltages, functions, values)
+            for target, ast in sources.items()}
 
 
 def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,

@@ -190,6 +190,12 @@ def _check_keys(spec: dict, allowed: set, where: str):
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _required(spec: dict, key: str, where: str):
+    if key not in spec:
+        raise ValueError(f"missing key {key!r} in {where}")
+    return spec[key]
+
+
 def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfig,
                                        list[int], bool]:
     """Parse the JSON network description (see README for the schema).
@@ -206,9 +212,10 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
 
     nodes = []
     seeds = []
-    for i, node_spec in enumerate(spec["nodes"]):
+    for i, node_spec in enumerate(_required(spec, "nodes", "network config")):
         _check_keys(node_spec, _NODE_KEYS, f"node {i}")
-        problem = parse_dimacs((base / node_spec["cnf"]).read_text())
+        cnf = _required(node_spec, "cnf", f"node {i}")
+        problem = parse_dimacs((base / cnf).read_text())
         nodes.append(SolverNode(
             problem=problem,
             solver=node_spec.get("solver", MEM),
@@ -217,7 +224,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
             analog_options=AnalogOptions(**node_spec.get("analog_options", {})),
             mem_options=MemOptions(**node_spec.get("mem_options", {})),
             mem_params=MemParams(**node_spec.get("mem_params", {})),
-            label=node_spec.get("label", node_spec["cnf"]),
+            label=node_spec.get("label", cnf),
         ))
         seeds.append(int(node_spec.get("seed", spec.get("seed", 0) + i)))
 
@@ -230,19 +237,22 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         drives.append(SquareWave(**{key: value for key, value in drive_spec.items()
                                     if key != "kind"}))
 
-    def parse_ref(ref: str):
-        parts = ref.split(":")
-        if parts[0] == "drive":
-            return ("drive", int(parts[1]))
-        if parts[0] == "node":
-            return ("node", int(parts[1]), int(parts[2]))
-        raise ValueError(f"bad signal reference {ref!r}")
+    def parse_ref(edge: dict, key: str, where: str):
+        """Parse drive:<k> into ("drive", k) and node:<i>:<var> into ("node", i, var)."""
+        ref = _required(edge, key, where)
+        kind, *indices = str(ref).split(":")
+        try:
+            if len(indices) == {"drive": 1, "node": 2}[kind]:
+                return (kind, *map(int, indices))
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(f"bad signal reference {ref!r} in {where}")
 
     edges = []
     for k, edge in enumerate(spec.get("edges", ())):
         _check_keys(edge, _EDGE_KEYS, f"edge {k}")
-        source = parse_ref(edge["from"])
-        target = parse_ref(edge["to"])
+        source = parse_ref(edge, "from", f"edge {k}")
+        target = parse_ref(edge, "to", f"edge {k}")
         if target[0] != "node":
             raise ValueError("edge targets must be node inputs")
         edges.append((source, (target[1], target[2])))

@@ -17,6 +17,7 @@ when the variable sits exactly on its bound).
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Mapping
 
@@ -24,8 +25,7 @@ __all__ = [
     "ExprError",
     "parse_expression",
     "evaluate",
-    "referenced_nodes",
-    "referenced_functions",
+    "references",
 ]
 
 
@@ -131,20 +131,17 @@ class _Parser:
         if tok[0] == "name":
             name = self.take()[1]
             self.take("op", "(")
+            if name in ("V", "v"):  # exactly one node name
+                node = self.take("name")[1]
+                self.take("op", ")")
+                return ("V", node)
             args = []
             if self.peek() != ("op", ")"):
-                if name in ("V", "v"):
-                    args.append(("node", self.take("name")[1]))
-                else:
-                    args.append(self.parse_and())
+                args.append(self.parse_and())
                 while self.peek() == ("op", ","):
                     self.take()
                     args.append(self.parse_and())
             self.take("op", ")")
-            if name in ("V", "v"):
-                if len(args) != 1 or args[0][0] != "node":
-                    raise ExprError("V() takes exactly one node name")
-                return ("V", args[0][1])
             return ("call", name, tuple(args))
         if tok == ("op", "("):
             self.take()
@@ -159,11 +156,23 @@ def parse_expression(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
+            "<=": operator.le, "==": operator.eq, "!=": operator.ne}
+
+
 def evaluate(ast, voltages: Mapping[str, float],
-             functions: Mapping[str, object] | None = None) -> float:
+             functions: Mapping[str, tuple] | None = None,
+             values: dict[str, float] | None = None) -> float:
     """Evaluate an AST given node voltages and zero-argument user functions
-    (mapping name -> AST or expression text)."""
+    (mapping name -> parsed body).
+
+    Each user function is evaluated at most once: its value is kept in
+    `values` (name -> value, a new dict when None).  Callers evaluating
+    several expressions at the same voltages may share one dict.
+    """
     functions = functions or {}
+    values = {} if values is None else values
 
     def ev(node):
         kind = node[0]
@@ -177,21 +186,9 @@ def evaluate(ast, voltages: Mapping[str, float],
         if kind == "neg":
             return -ev(node[1])
         if kind == "bin":
-            op, lhs, rhs = node[1], ev(node[2]), ev(node[3])
-            if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            return lhs / rhs
+            return _ARITH[node[1]](ev(node[2]), ev(node[3]))
         if kind == "cmp":
-            op, lhs, rhs = node[1], ev(node[2]), ev(node[3])
-            result = {
-                ">": lhs > rhs, "<": lhs < rhs, ">=": lhs >= rhs,
-                "<=": lhs <= rhs, "==": lhs == rhs, "!=": lhs != rhs,
-            }[op]
-            return 1.0 if result else 0.0
+            return 1.0 if _COMPARE[node[1]](ev(node[2]), ev(node[3])) else 0.0
         if kind == "and":
             return 1.0 if (ev(node[1]) != 0.0 and ev(node[2]) != 0.0) else 0.0
         if kind == "call":
@@ -209,53 +206,32 @@ def evaluate(ast, voltages: Mapping[str, float],
             if name in functions:
                 if args:
                     raise ExprError(f"user function {name}() takes no arguments")
-                body = functions[name]
-                if isinstance(body, str):
-                    body = parse_expression(body)
-                return ev(body)
+                if name not in values:
+                    values[name] = ev(functions[name])
+                return values[name]
             raise ExprError(f"unknown function {name!r}")
         raise ExprError(f"bad AST node {node!r}")
 
     return ev(ast)
 
 
-def referenced_nodes(ast) -> set[str]:
-    """All node names appearing in V(...) terms."""
-    out: set[str] = set()
+def references(ast) -> tuple[set[str], set[str]]:
+    """(nodes, calls): the node names in V(...) terms and the names of all
+    user and builtin functions called."""
+    nodes: set[str] = set()
+    calls: set[str] = set()
 
     def walk(node):
-        if not isinstance(node, tuple):
-            return
         if node[0] == "V":
-            out.add(node[1])
-            return
-        if node[0] == "call":
+            nodes.add(node[1])
+        elif node[0] == "call":
+            calls.add(node[1])
             for arg in node[2]:
                 walk(arg)
-            return
-        for child in node[1:]:
-            if isinstance(child, tuple):
-                walk(child)
+        else:
+            for child in node[1:]:
+                if isinstance(child, tuple):
+                    walk(child)
 
     walk(ast)
-    return out
-
-
-def referenced_functions(ast) -> set[str]:
-    """All user/builtin function names appearing in calls."""
-    out: set[str] = set()
-
-    def walk(node):
-        if not isinstance(node, tuple):
-            return
-        if node[0] == "call":
-            out.add(node[1])
-            for arg in node[2]:
-                walk(arg)
-            return
-        for child in node[1:]:
-            if isinstance(child, tuple):
-                walk(child)
-
-    walk(ast)
-    return out
+    return nodes, calls

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ctsat.cli import main
 from ctsat.cnf import parse_dimacs
 from ctsat.netlist import LINE_WIDTH
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_gen_barthel(tmp_path, capsys):
@@ -156,10 +160,11 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_module_entry_point(tmp_path):
     cnf = tmp_path / "inst.cnf"
+    path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "ctsat", "--seed", "1", "gen", "barthel",
          "--n", "6", "--ratio", "4.3", "--out", str(cnf)],
-        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
     assert cnf.exists()

@@ -18,6 +18,9 @@ from ctsat.instances import BarthelParams, gen_barthel
 from ctsat.integrate import init_analog, init_mem
 from ctsat.netlist import (
     LINE_WIDTH,
+    Card,
+    FuncDef,
+    NetlistDocument,
     NetlistOptions,
     SubcircuitSpec,
     card_histogram,
@@ -130,6 +133,40 @@ def test_deck_is_ascii_and_ends_with_end():
 def test_closed_name_check():
     assert undeclared_references(emit_analog(sample_problem())) == []
     assert undeclared_references(emit_mem(sample_problem())) == []
+
+
+def test_undeclared_references_lists_every_problem_in_order():
+    doc = NetlistDocument(
+        title="* hand-built deck",
+        functions=(FuncDef("f", "V(s1)*nope()"), FuncDef("g", "V(qq)+f()")),
+        elements=(
+            Card("Cs1", ("s1", "0"), "1"),
+            Card("Bs1", ("0", "s1"), "I=f()*V(zz)"),
+            Card("Bprobe", ("probe", "0"), "V=g()+V(yy)+V(xx)+V(probe)"),
+        ),
+        directives=(),
+    )
+    assert undeclared_references(doc) == [
+        "func f: undeclared function nope",
+        "func g: undeclared node qq",
+        "source s1: undeclared node zz",
+        "source probe: undeclared node xx",
+        "source probe: undeclared node yy",
+    ]
+
+
+@pytest.mark.parametrize("functions, elements, message", [
+    ((FuncDef("f", "1"), FuncDef("f", "2")), (), "function f\\(\\) is defined twice"),
+    ((), (Card("Bs1", ("0", "s1"), "I=1"), Card("Bt1", ("s1", "0"), "V=2")),
+     "node s1 is driven by two behavioral sources"),
+])
+def test_deck_checks_reject_duplicate_definitions(functions, elements, message):
+    # the checks key functions by name and sources by target node, so a
+    # duplicate would otherwise hide one of the two definitions
+    doc = NetlistDocument("* duplicates", functions, elements, ())
+    for check in (undeclared_references, lambda d: evaluate_deck_rhs(d, {})):
+        with pytest.raises(ValueError, match=message):
+            check(doc)
 
 
 def test_ic_cards_match_seeded_initial_conditions():
@@ -293,6 +330,69 @@ def test_pinned_deck_digests(emit, digest):
     assert hashlib.sha256(serialize(emit()).encode()).hexdigest() == digest
 
 
+def _golden_states(solver):
+    """A seeded interior state, then one with every bounded component on a bound."""
+    rng = np.random.default_rng(12)
+    n, m = GOLDEN.num_vars, GOLDEN.num_clauses
+    poles = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if solver == "analog":
+        return [analog_voltages(GOLDEN, rng.uniform(-1, 1, n), rng.uniform(0.5, 4.0, m)),
+                analog_voltages(GOLDEN, poles, rng.uniform(0.5, 4.0, m))]
+    return [
+        mem_voltages(GOLDEN, rng.uniform(-1, 1, n), rng.uniform(0, 1, m), rng.uniform(1, 20, m)),
+        mem_voltages(GOLDEN, poles, np.where(rng.random(m) < 0.5, 0.0, 1.0),
+                     np.where(rng.random(m) < 0.5, 1.0, 1e4 * m)),
+    ]
+
+
+def _analog_options(aux_mode, one_eighth_factor):
+    return NetlistOptions(analog=AnalogOptions(aux_mode=aux_mode,
+                                               one_eighth_factor=one_eighth_factor))
+
+
+# Deck values pinned bit for bit: sha256 of float.hex of every evaluate_deck_rhs
+# value on the GOLDEN decks, at both states of _golden_states.
+@pytest.mark.parametrize("solver,options,digest", [
+    pytest.param("analog", _analog_options("aK2", True),
+                 "c0782735f53c59ed5da24c7864dc9c32fb102361c297bad8779e42490c09de6c",
+                 id="analog-aK2"),
+    pytest.param("analog", _analog_options("aK2", False),
+                 "cb593cce597d9f389207ee200bc7222d43c208deff02bfaee40d4037b1798cb9",
+                 id="analog-aK2-no-eighth"),
+    pytest.param("analog", _analog_options("aK", True),
+                 "ce75d68da6367438de0e3ac3eaf64eadc995ae173795359765760e00c2da0367",
+                 id="analog-aK"),
+    pytest.param("analog", _analog_options("aK", False),
+                 "a60dc7658e8f865562b116843b631225ed9c16e0fe1622c83da0cda8184292b8",
+                 id="analog-aK-no-eighth"),
+    pytest.param("analog", _analog_options("K", True),
+                 "b8b63da4ee19d8f9da93c34e16eecb02dc40f788fe59e4613cf9f601f06e9512",
+                 id="analog-K"),
+    pytest.param("analog", _analog_options("K", False),
+                 "1b4e7d274e246379b509de9aeaa5a0c1194334e586cc441cc6d01f0a7dd81ae6",
+                 id="analog-K-no-eighth"),
+    pytest.param("analog", _analog_options("K2", True),
+                 "4d2779831293233425629d0536dafdbdf6b6bbe5f2a02a29bccf92424888e76f",
+                 id="analog-K2"),
+    pytest.param("analog", _analog_options("K2", False),
+                 "43d8ea5123b67874b79b985b9e40fee6439e9ac8b25c11e3312f8e1a468d07a0",
+                 id="analog-K2-no-eighth"),
+    pytest.param("mem", NetlistOptions(mem_options=MemOptions(clamp_v=True)),
+                 "d2ebe88954ff4bc86855b2656ea02efd66ec02d438ae7878c26ba9d946d7c60f",
+                 id="mem"),
+    pytest.param("mem", NetlistOptions(mem_options=MemOptions(clamp_v=False)),
+                 "3f65a18c96b464be6b20a98b6a04600fa15e96726bf3b7a88b271a73413d3725",
+                 id="mem-unclamped"),
+])
+def test_pinned_deck_rhs_digests(solver, options, digest):
+    doc = emit_analog(GOLDEN, options) if solver == "analog" else emit_mem(GOLDEN, options)
+    h = hashlib.sha256()
+    for volts in _golden_states(solver):
+        for node, value in evaluate_deck_rhs(doc, volts).items():
+            h.update(f"{node}={float.hex(value)}\n".encode())
+    assert h.hexdigest() == digest
+
+
 # ------------------------------------------------------------------ subcircuits
 
 def test_subcircuit_pins_and_omitted_cells():
@@ -373,7 +473,7 @@ def test_expression_parser_basics():
 
 def test_expression_parser_user_functions_and_errors():
     ast = spice_expr.parse_expression("f()+1")
-    assert spice_expr.evaluate(ast, {}, {"f": "2*2"}) == 5.0
+    assert spice_expr.evaluate(ast, {}, {"f": spice_expr.parse_expression("2*2")}) == 5.0
     with pytest.raises(spice_expr.ExprError):
         spice_expr.evaluate(spice_expr.parse_expression("g()"), {}, {})
     with pytest.raises(spice_expr.ExprError):
@@ -384,5 +484,4 @@ def test_expression_parser_user_functions_and_errors():
 
 def test_expression_reference_walkers():
     ast = spice_expr.parse_expression("f()*V(s1) + if(V(a2)>0, g(), 0)")
-    assert spice_expr.referenced_nodes(ast) == {"s1", "a2"}
-    assert spice_expr.referenced_functions(ast) == {"f", "if", "g"}
+    assert spice_expr.references(ast) == ({"s1", "a2"}, {"f", "if", "g"})

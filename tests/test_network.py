@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -330,7 +331,8 @@ def write_config(tmp_path, **changes):
         "drives": [{"kind": "square", "period": 4.0, "duty": 0.5}],
         "edges": [{"from": "drive:0", "to": "node:0:1"}],
     }
-    config.update(changes)
+    config.update(changes)  # a change to None drops the key
+    config = {key: value for key, value in config.items() if value is not None}
     (tmp_path / "net.json").write_text(json.dumps(config))
     return tmp_path / "net.json"
 
@@ -354,4 +356,25 @@ def test_load_network_config_rejects_unknown_drive_kind(tmp_path):
 ])
 def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}"):
+        load_network_config(write_config(tmp_path, **changes))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"edges": [{"from": "node:1", "to": "node:0:1"}]},
+     "bad signal reference 'node:1' in edge 0"),
+    ({"edges": [{"from": "node:0:1:5", "to": "node:0:1"}]},
+     "bad signal reference 'node:0:1:5' in edge 0"),
+    ({"edges": [{"from": "drive:0:1", "to": "node:0:1"}]},
+     "bad signal reference 'drive:0:1' in edge 0"),
+    ({"edges": [{"from": "drive:zero", "to": "node:0:1"}]},
+     "bad signal reference 'drive:zero' in edge 0"),
+    ({"edges": [{"from": "drive:0", "to": "pin:0:1"}]},
+     "bad signal reference 'pin:0:1' in edge 0"),
+    ({"nodes": None}, "missing key 'nodes' in network config"),
+    ({"nodes": [{"inputs": [1], "outputs": [2]}]}, "missing key 'cnf' in node 0"),
+    ({"edges": [{"to": "node:0:1"}]}, "missing key 'from' in edge 0"),
+    ({"edges": [{"from": "drive:0"}]}, "missing key 'to' in edge 0"),
+])
+def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_network_config(write_config(tmp_path, **changes))

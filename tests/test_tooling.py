@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import ctsat
@@ -16,3 +17,17 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_exists_once():
+    # a name left in __all__ after its definition goes breaks
+    # "from module import *" and misleads readers of the module
+    paths = sorted(Path(ctsat.__file__).parent.glob("[!_]*.py"))
+    modules = [importlib.import_module(f"ctsat.{p.stem}") for p in paths]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert {"ctsat.netlist", "ctsat.spice_expr"} <= {m.__name__ for m in exporting}
+    problems = [f"{m.__name__}.{name} missing" for m in exporting
+                for name in m.__all__ if not hasattr(m, name)]
+    problems += [f"{m.__name__}.{name} listed twice" for m in exporting
+                 for name in sorted(set(m.__all__)) if m.__all__.count(name) > 1]
+    assert problems == []
