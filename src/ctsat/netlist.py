@@ -23,6 +23,7 @@ so emitting twice yields byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,6 +81,24 @@ class NetlistDocument:
     elements: tuple[Card, ...]
     directives: tuple[str, ...]
     subckt: Optional[tuple[str, tuple[str, ...]]] = None  # (name, pins)
+
+    @cached_property
+    def parsed(self):
+        """({function name: AST}, {target node: AST}): every function body and
+        behavioral-source expression of the deck, parsed once per document."""
+        functions, sources = {}, {}
+        for func in self.functions:
+            if func.name in functions:
+                raise ValueError(f"function {func.name}() is defined twice")
+            functions[func.name] = spice_expr.parse_expression(func.body)
+        for card in self.elements:
+            if card.name.startswith("B"):
+                kind, expr = card.value.split("=", 1)
+                target = card.nodes[1] if kind == "I" else card.nodes[0]
+                if target in sources:
+                    raise ValueError(f"node {target} is driven by two behavioral sources")
+                sources[target] = spice_expr.parse_expression(expr)
+        return functions, sources
 
 
 @dataclass(frozen=True)
@@ -395,24 +414,6 @@ def card_histogram(document: NetlistDocument) -> dict[str, int]:
     return hist
 
 
-def _parsed(document: NetlistDocument):
-    """({function name: AST}, {target node: AST}): every function body and
-    behavioral-source expression of the deck, each parsed once."""
-    functions, sources = {}, {}
-    for func in document.functions:
-        if func.name in functions:
-            raise ValueError(f"function {func.name}() is defined twice")
-        functions[func.name] = spice_expr.parse_expression(func.body)
-    for card in document.elements:
-        if card.name.startswith("B"):
-            kind, expr = card.value.split("=", 1)
-            target = card.nodes[1] if kind == "I" else card.nodes[0]
-            if target in sources:
-                raise ValueError(f"node {target} is driven by two behavioral sources")
-            sources[target] = spice_expr.parse_expression(expr)
-    return functions, sources
-
-
 def undeclared_references(document: NetlistDocument) -> list[str]:
     """Names referenced by expressions but not declared in the deck.
 
@@ -425,7 +426,7 @@ def undeclared_references(document: NetlistDocument) -> list[str]:
         declared_nodes.update(card.nodes)
     if document.subckt is not None:
         declared_nodes.update(document.subckt[1])
-    functions, sources = _parsed(document)
+    functions, sources = document.parsed
     known_calls = set(functions) | {"u", "min", "max", "if"}
 
     problems = []
@@ -448,7 +449,7 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
     right-hand side at that state.  Each deck function is evaluated at most
     once, its value shared by every source that calls it.
     """
-    functions, sources = _parsed(document)
+    functions, sources = document.parsed
     values: dict[str, float] = {}
     return {target: spice_expr.evaluate(ast, voltages, functions, values)
             for target, ast in sources.items()}

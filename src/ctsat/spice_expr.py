@@ -6,9 +6,11 @@ native dynamics: parse the expression of each behavioral source, evaluate
 it at a test state, and compare with the right-hand-side engine.
 
 Supported syntax: floating point literals (plain or exponent notation, no
-SI suffixes), V(node), zero-argument user functions, the builtins
-u(x), min(a, b), if(cond, a, b), arithmetic + - * /, unary minus,
-comparisons > < >= <= == != (returning 1/0) and the logical &.
+SI suffixes), V(node), zero-argument user functions, the builtins u(x),
+min(a, ...), max(a, ...) and if(cond, a, b), arithmetic + - * /, unary
+minus and plus, comparisons > < >= <= == != (returning 1/0, not chained)
+and the logical &.  Builtin arity is checked at parse time: u takes one
+argument, if three, and min and max at least one.
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -17,8 +19,10 @@ when the variable sits exactly on its bound).
 
 from __future__ import annotations
 
+import math
 import operator
 import re
+import string
 from typing import Mapping
 
 __all__ = [
@@ -33,127 +37,103 @@ class ExprError(ValueError):
     pass
 
 
+# One token per match: a number, a name, a two-character comparison, or any
+# other single character (an operator, or one the parser rejects).
 _TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>>=|<=|==|!=|[-+*/(),<>&])"
-    r")"
+    r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*|>=|<=|==|!=|\S)"
 )
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExprError(f"cannot tokenize {text[pos:pos + 20]!r}")
-        pos = match.end()
-        if match.lastgroup == "num":
-            tokens.append(("num", float(match.group("num"))))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind}, got {tok}")
-        if value is not None and tok[1] != value:
-            raise ExprError(f"expected {value!r}, got {tok}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.parse_and()
-        if self.peek()[0] != "end":
-            raise ExprError(f"trailing input at token {self.peek()}")
-        return node
-
-    def parse_and(self):
-        node = self.parse_cmp()
-        while self.peek() == ("op", "&"):
-            self.take()
-            node = ("and", node, self.parse_cmp())
-        return node
-
-    def parse_cmp(self):
-        node = self.parse_add()
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] in (">", "<", ">=", "<=", "==", "!="):
-            self.take()
-            node = ("cmp", tok[1], node, self.parse_add())
-        return node
-
-    def parse_add(self):
-        node = self.parse_mul()
-        while self.peek()[0] == "op" and self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            node = ("bin", op, node, self.parse_mul())
-        return node
-
-    def parse_mul(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "op" and self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            node = ("bin", op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.parse_unary())
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.parse_unary()
-        return self.parse_atom()
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return ("num", tok[1])
-        if tok[0] == "name":
-            name = self.take()[1]
-            self.take("op", "(")
-            if name in ("V", "v"):  # exactly one node name
-                node = self.take("name")[1]
-                self.take("op", ")")
-                return ("V", node)
-            args = []
-            if self.peek() != ("op", ")"):
-                args.append(self.parse_and())
-                while self.peek() == ("op", ","):
-                    self.take()
-                    args.append(self.parse_and())
-            self.take("op", ")")
-            return ("call", name, tuple(args))
-        if tok == ("op", "("):
-            self.take()
-            node = self.parse_and()
-            self.take("op", ")")
-            return node
-        raise ExprError(f"unexpected token {tok}")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NUMBER_START = frozenset(string.digits + ".")
+# Binding power of each binary operator.  A run of operators of one power
+# becomes one flat node (see _combine).
+_POWER = {"&": 1, ">": 2, "<": 2, ">=": 2, "<=": 2, "==": 2, "!=": 2,
+          "+": 3, "-": 3, "*": 4, "/": 4}
+_ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, math.inf), "max": (1, math.inf)}
 
 
 def parse_expression(text: str):
-    """Parse expression text into an AST (nested tuples)."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse expression text into an AST (nested tuples).
+
+    A run of + - (or of * /) becomes one flat node ("chain", a, "+", b,
+    "-", c, ...), evaluated left to right, so a sum of any length costs no
+    recursion depth; a run of & becomes ("and", a, b, ...).
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end marker
+    tokens.reverse()  # the next token is tokens[-1]
+    node = _binary(tokens, 1)
+    if tokens[-1]:
+        raise ExprError(f"trailing input at {tokens[-1]!r}")
+    return node
+
+
+def _expect(tokens, token):
+    if tokens[-1] != token:
+        raise ExprError(f"expected {token!r}, got {tokens[-1] or 'end of input'!r}")
+    tokens.pop()
+
+
+def _binary(tokens, min_power):
+    """Precedence climbing over the binary operators of at least min_power."""
+    node = _atom(tokens)
+    power = _POWER.get(tokens[-1], 0)
+    while power >= min_power:
+        rest = []  # op, operand, op, operand, ...
+        while _POWER.get(tokens[-1]) == power:
+            rest.append(tokens.pop())
+            rest.append(_binary(tokens, power + 1))
+        node = _combine(power, node, rest)
+        power = _POWER.get(tokens[-1], 0)
+    return node
+
+
+def _combine(power, first, rest):
+    if power == 1:
+        return ("and", first, *rest[1::2])
+    if power == 2:
+        if len(rest) > 2:
+            raise ExprError("comparisons do not chain")
+        return ("cmp", rest[0], first, rest[1])
+    return ("chain", first, *rest)
+
+
+def _atom(tokens):
+    """A signed operand: unary - and + bind tighter than any binary operator."""
+    token = tokens.pop()
+    if token in ("-", "+"):
+        node = _atom(tokens)
+        return ("neg", node) if token == "-" else node
+    if token == "(":
+        node = _binary(tokens, 1)
+        _expect(tokens, ")")
+        return node
+    if token[:1] in _NAME_START:
+        _expect(tokens, "(")
+        if token in ("V", "v"):  # exactly one node name
+            node = tokens.pop()
+            if node[:1] not in _NAME_START:
+                raise ExprError(f"expected a node name in V(), got {node!r}")
+            _expect(tokens, ")")
+            return ("V", node)
+        args = []
+        if tokens[-1] != ")":
+            args.append(_binary(tokens, 1))
+            while tokens[-1] == ",":
+                tokens.pop()
+                args.append(_binary(tokens, 1))
+        _expect(tokens, ")")
+        low, high = _ARITY.get(token, (0, math.inf))  # user functions: at evaluation
+        if not low <= len(args) <= high:
+            raise ExprError(f"{token}() takes {low}{'' if low == high else ' or more'}"
+                            f" argument(s), got {len(args)}")
+        return ("call", token, tuple(args))
+    if token[:1] in _NUMBER_START:
+        try:
+            return ("num", float(token))
+        except ValueError:
+            pass
+    raise ExprError(f"unexpected {token or 'end of input'!r}")
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -183,14 +163,17 @@ def evaluate(ast, voltages: Mapping[str, float],
                 return float(voltages[node[1]])
             except KeyError:
                 raise ExprError(f"undefined node {node[1]!r}") from None
+        if kind == "chain":
+            value = ev(node[1])
+            for op, operand in zip(node[2::2], node[3::2]):
+                value = _ARITH[op](value, ev(operand))
+            return value
         if kind == "neg":
             return -ev(node[1])
-        if kind == "bin":
-            return _ARITH[node[1]](ev(node[2]), ev(node[3]))
         if kind == "cmp":
             return 1.0 if _COMPARE[node[1]](ev(node[2]), ev(node[3])) else 0.0
         if kind == "and":
-            return 1.0 if (ev(node[1]) != 0.0 and ev(node[2]) != 0.0) else 0.0
+            return 1.0 if all(ev(operand) != 0.0 for operand in node[1:]) else 0.0
         if kind == "call":
             name, args = node[1], node[2]
             if name == "u":
@@ -220,18 +203,14 @@ def references(ast) -> tuple[set[str], set[str]]:
     user and builtin functions called."""
     nodes: set[str] = set()
     calls: set[str] = set()
-
-    def walk(node):
+    stack = [ast]
+    while stack:
+        node = stack.pop()
         if node[0] == "V":
             nodes.add(node[1])
         elif node[0] == "call":
             calls.add(node[1])
-            for arg in node[2]:
-                walk(arg)
+            stack.extend(node[2])
         else:
-            for child in node[1:]:
-                if isinstance(child, tuple):
-                    walk(child)
-
-    walk(ast)
+            stack.extend(child for child in node[1:] if isinstance(child, tuple))
     return nodes, calls

@@ -393,6 +393,42 @@ def test_pinned_deck_rhs_digests(solver, options, digest):
     assert h.hexdigest() == digest
 
 
+def test_deck_checks_scale_past_a_thousand_clauses():
+    # the contra/contrd sources are sums of M calls; M = 1075 here
+    problem = gen_barthel(BarthelParams(num_vars=250, ratio=4.3, seed=1)).problem
+    n, m = problem.num_vars, problem.num_clauses
+    doc = emit_mem(problem)
+    assert undeclared_references(doc) == []
+    rng = np.random.default_rng(12)
+    v, x_s, x_l = rng.uniform(-1, 1, n), rng.uniform(0, 1, m), rng.uniform(1, 20, m)
+    got = evaluate_deck_rhs(doc, mem_voltages(problem, v, x_s, x_l))
+    names = [f"v{i + 1}" for i in range(n)] + [f"xs{j + 1}" for j in range(m)] + [
+        f"xl{j + 1}" for j in range(m)]
+    ref = np.concatenate(mem_rhs(problem, MemState(v, x_s, x_l)))
+    vals = np.array([got[name] for name in names])
+    assert np.all(np.abs(vals - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+    contra, contrd = control_signals(problem, v)
+    assert got["contra"] == pytest.approx(contra, rel=1e-9, abs=1e-9)
+    assert got["contrd"] == contrd
+
+
+def test_deck_checks_parse_each_document_once(monkeypatch):
+    parse = spice_expr.parse_expression
+    texts = []
+    monkeypatch.setattr(spice_expr, "parse_expression",
+                        lambda text: texts.append(text) or parse(text))
+    problem = sample_problem()
+    n, m = problem.num_vars, problem.num_clauses
+    doc = emit_mem(problem)
+    assert undeclared_references(doc) == []
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        evaluate_deck_rhs(doc, mem_voltages(problem, rng.uniform(-1, 1, n),
+                                            rng.uniform(0, 1, m), rng.uniform(1, 20, m)))
+    sources = sum(card.name.startswith("B") for card in doc.elements)
+    assert len(texts) == len(doc.functions) + sources
+
+
 # ------------------------------------------------------------------ subcircuits
 
 def test_subcircuit_pins_and_omitted_cells():
@@ -485,3 +521,46 @@ def test_expression_parser_user_functions_and_errors():
 def test_expression_reference_walkers():
     ast = spice_expr.parse_expression("f()*V(s1) + if(V(a2)>0, g(), 0)")
     assert spice_expr.references(ast) == ({"s1", "a2"}, {"f", "if", "g"})
+
+
+@pytest.mark.parametrize("text", ["u()", "u(1,2)", "if(1,2)", "if(1,2,3,4)", "min()", "max()"])
+def test_builtin_arity_is_checked_at_parse_time(text):
+    with pytest.raises(spice_expr.ExprError):
+        spice_expr.parse_expression(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 +", "2 $ 3", "1<2<3", "1 >= 2 >= 3", "V(1)", "V(a b)", "V()", "f(,)", "1 = 2", "!1",
+    "1 ! 2", "", "''", "1..2", "1.5.3", "(1", "1)", "1 2", "1e+", ".e1", "3 & & 4", "x",
+])
+def test_expression_parser_rejects(text):
+    with pytest.raises(spice_expr.ExprError):
+        spice_expr.parse_expression(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2*-3", -6.0), ("--1", 1.0), ("+-+1", -1.0), ("1 != 2", 1.0), ("8/2/2", 2.0),
+    ("1-2-3", -4.0), ("1<2 & 2<3 & 0", 0.0), ("1<2 & 2<3 & 3", 1.0), ("max(1,5,2)", 5.0),
+])
+def test_expression_parser_values(text, value):
+    assert spice_expr.evaluate(spice_expr.parse_expression(text), {}) == value
+
+
+def test_long_sum_costs_no_recursion_depth():
+    rng = np.random.default_rng(14)
+    volts = {"a": 0.3, "b": -1.7}
+    terms = [(repr(x), x) for x in rng.uniform(-1e3, 1e3, 20_000).tolist()]
+    for k in rng.choice(len(terms), 2000, replace=False):
+        name = "a" if k % 2 else "b"
+        terms[k] = (f"2.5*V({name})", 2.5 * volts[name])
+    for k in rng.choice(len(terms), 500, replace=False):
+        terms[k] = ("f()", 0.125)
+    ops = rng.choice(["+", "-"], len(terms) - 1)
+    text = terms[0][0] + "".join(op + term for op, (term, _) in zip(ops, terms[1:]))
+    ast = spice_expr.parse_expression(text)
+    assert spice_expr.references(ast) == ({"a", "b"}, {"f"})
+    expected = terms[0][1]
+    for op, (_, x) in zip(ops, terms[1:]):
+        expected = expected + x if op == "+" else expected - x
+    got = spice_expr.evaluate(ast, volts, {"f": spice_expr.parse_expression("0.125")})
+    assert float.hex(got) == float.hex(expected)
