@@ -1,7 +1,10 @@
 """Integrate both solvers on the same difficult instance and compare.
 
-Writes trajectory CSVs under ./demo-out/runs and, when matplotlib is
-available, a PNG of the variable dynamics for each solver.
+Saves each run under ./demo-out/runs as a JSON file (metadata, outcome)
+plus a .npz file (times, contra, contrd and states, readable with
+numpy.load), exports the memcomputing control signals as a tidy CSV and,
+when matplotlib is available, writes a PNG of the variable dynamics for
+each solver.
 """
 
 from ctsat import ANALOG, MEM, IntegratorConfig, run

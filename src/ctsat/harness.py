@@ -4,7 +4,7 @@ aggregate benchmark summary tables, emit plot data.
 Persistence layout (one directory per experiment):
 
     instances/   DIMACS files plus JSON sidecars (plant, seed, family)
-    runs/        one JSON + CSV pair per run
+    runs/        one JSON + .npz pair per run (metadata, trajectory arrays)
     summary.json, summary.md
 
 Seeds are derived from a single seed base by hashing it with the cell
@@ -291,14 +291,9 @@ def emit_plot_data(record, selection: str) -> str:
     '<prefix>:<index or *>' over the state columns (e.g. 's:*', 'a:3',
     'v:1', 'xs:*', 'xl:2'); indices are 1-based as in the column names.
     """
-    if isinstance(record, RunRecord):
-        columns = record.state_columns
-        times, states = record.times, record.states
-        extra = {"contra": record.contra, "contrd": record.contrd}
-    else:
-        columns = record["state_columns"]
-        times, states = record["times"], record["states"]
-        extra = {"contra": record["contra"], "contrd": record["contrd"]}
+    fields = vars(record) if isinstance(record, RunRecord) else record
+    columns, times, states = fields["state_columns"], fields["times"], fields["states"]
+    extra = {"contra": fields["contra"], "contrd": fields["contrd"]}
 
     selected: list[str] = []
     for token in selection.split(","):

@@ -70,8 +70,6 @@ __all__ = [
     "init_analog",
     "init_mem",
     "run",
-    "run_to_json_dict",
-    "run_to_csv",
     "save_run",
     "load_run",
 ]
@@ -492,10 +490,19 @@ def run(problem: Problem, solver: str, *, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON for metadata/outcome, CSV for the sampled trajectory.
+# Persistence: <name>.json holds the metadata and outcome, <name>.npz the
+# sampled trajectory as plain arrays (no pickled objects).
 
-def run_to_json_dict(record: RunRecord) -> dict:
-    return {
+_TRAJECTORY = ("times", "contra", "contrd", "states")
+
+
+def save_run(record: RunRecord, directory, name: str) -> tuple[Path, Path]:
+    """Writes <name>.json and <name>.npz into directory; returns both paths."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    json_path = directory / f"{name}.json"
+    npz_path = directory / f"{name}.npz"
+    payload = {
         "solver": record.solver,
         "seed": record.seed,
         "instance": record.instance,
@@ -512,49 +519,27 @@ def run_to_json_dict(record: RunRecord) -> dict:
         "config": asdict(record.config),
         "stats": record.stats,
         "samples": int(len(record.times)),
+        "state_columns": list(record.state_columns),
+        "trajectory": npz_path.name,
     }
-
-
-def run_to_csv(record: RunRecord) -> str:
-    header = "t,contra,contrd," + ",".join(record.state_columns)
-    lines = [header]
-    for i in range(len(record.times)):
-        row = [repr(float(record.times[i])), repr(float(record.contra[i])),
-               str(int(record.contrd[i]))]
-        row.extend(repr(float(v)) for v in record.states[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def save_run(record: RunRecord, directory, name: str) -> tuple[Path, Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / f"{name}.json"
-    csv_path = directory / f"{name}.csv"
-    payload = run_to_json_dict(record)
-    payload["trajectory_csv"] = csv_path.name
     json_path.write_text(json.dumps(payload, indent=1) + "\n")
-    csv_path.write_text(run_to_csv(record))
-    return json_path, csv_path
+    np.savez(npz_path, **{key: getattr(record, key) for key in _TRAJECTORY})
+    return json_path, npz_path
 
 
 def load_run(json_path) -> dict:
-    """Load persisted run metadata (and the trajectory if its CSV exists).
+    """Load a run written by save_run.
 
-    Returns a plain dict: the JSON payload plus, when available, 'times',
-    'contra', 'contrd', 'states' and 'state_columns' arrays."""
+    Returns a plain dict: the JSON payload, 'state_columns' as a tuple,
+    'assignment_array' for a solved run, and the 'times', 'contra',
+    'contrd' and 'states' arrays.  A missing trajectory file raises
+    FileNotFoundError; one holding object arrays raises ValueError (it is
+    never unpickled)."""
     json_path = Path(json_path)
     payload = json.loads(json_path.read_text())
-    if payload.get("assignment") is not None:
+    if payload["assignment"] is not None:
         payload["assignment_array"] = assignment_from_bits(payload["assignment"])
-    csv_name = payload.get("trajectory_csv")
-    if csv_name and (json_path.parent / csv_name).exists():
-        rows = (json_path.parent / csv_name).read_text().strip().splitlines()
-        columns = rows[0].split(",")
-        data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
-        payload["state_columns"] = tuple(columns[3:])
-        payload["times"] = data[:, 0]
-        payload["contra"] = data[:, 1]
-        payload["contrd"] = data[:, 2].astype(int)
-        payload["states"] = data[:, 3:]
+    payload["state_columns"] = tuple(payload["state_columns"])
+    with np.load(json_path.parent / payload["trajectory"]) as arrays:
+        payload.update((key, arrays[key]) for key in _TRAJECTORY)
     return payload

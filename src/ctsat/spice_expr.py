@@ -9,8 +9,8 @@ Supported syntax: floating point literals (plain or exponent notation, no
 SI suffixes), V(node), zero-argument user functions, the builtins u(x),
 min(a, ...), max(a, ...) and if(cond, a, b), arithmetic + - * /, unary
 minus and plus, comparisons > < >= <= == != (returning 1/0, not chained)
-and the logical &.  Builtin arity is checked at parse time: u takes one
-argument, if three, and min and max at least one.
+and the logical &.  Arity is checked at parse time: u takes one argument,
+if three, min and max at least one, and every other (user) function none.
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -123,7 +123,7 @@ def _atom(tokens):
                 tokens.pop()
                 args.append(_binary(tokens, 1))
         _expect(tokens, ")")
-        low, high = _ARITY.get(token, (0, math.inf))  # user functions: at evaluation
+        low, high = _ARITY.get(token, (0, 0))  # user functions take none
         if not low <= len(args) <= high:
             raise ExprError(f"{token}() takes {low}{'' if low == high else ' or more'}"
                             f" argument(s), got {len(args)}")
@@ -187,8 +187,6 @@ def evaluate(ast, voltages: Mapping[str, float],
                 cond, then, other = args
                 return ev(then) if ev(cond) != 0.0 else ev(other)
             if name in functions:
-                if args:
-                    raise ExprError(f"user function {name}() takes no arguments")
                 if name not in values:
                     values[name] = ev(functions[name])
                 return values[name]

@@ -1,8 +1,10 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from ctsat.cnf import count_unsatisfied
+from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
 from ctsat.dynamics import AnalogOptions, MemOptions, System, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
@@ -19,9 +21,9 @@ from ctsat.integrate import (
     init_mem,
     load_run,
     run,
-    run_to_csv,
     save_run,
 )
+from ctsat.network import SolverNode, Wiring, simulate_network
 from ctsat.oracle import solve_dpll
 
 
@@ -290,27 +292,86 @@ def test_bad_witness_raises(monkeypatch):
 
 # ------------------------------------------------------------------ persistence
 
-def test_save_and_load_run(tmp_path):
-    inst = easy_instance(seed=1)
-    record = run(inst.problem, MEM, seed=2, config=IntegratorConfig(t_ev=30.0))
+def solved_mem_record(monkeypatch):
+    problem = easy_instance(seed=1).problem
+    record = run(problem, MEM, seed=2, config=IntegratorConfig(t_ev=30.0))
     record.instance = "easy.cnf"
-    json_path, csv_path = save_run(record, tmp_path, "demo")
-    assert json_path.exists() and csv_path.exists()
+    assert record.outcome == SOLVED
+    return problem, record
+
+
+def converged_analog_record(monkeypatch):
+    problem = gen_xorsat_3r(20, seed=3).problem
+    record = run(problem, ANALOG, seed=5, config=IntegratorConfig(t_ev=150.0))
+    assert record.outcome == CONVERGED_TO_ZERO
+    return problem, record
+
+
+def non_finite_record(monkeypatch):
+    problem = easy_instance(seed=1).problem
+    monkeypatch.setattr(integrate, "make_system", lambda p, *args: nan_system(p))
+    record = run(problem, MEM, seed=2)
+    assert "non-finite" in record.stats["abort_message"]
+    assert record.stats["dt_smallest"] is None
+    return problem, record
+
+
+def ring_node_record(monkeypatch):
+    problem = easy_instance(seed=1).problem
+    node = lambda: SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,))
+    wiring = Wiring(edges=((("node", 0, 2), (1, 1)), (("node", 1, 2), (0, 1))))
+    records = simulate_network([node(), node()], wiring, IntegratorConfig(t_ev=5.0),
+                               seeds=[1, 2])
+    assert "network" in records[1].options
+    return problem, records[1]
+
+
+@pytest.mark.parametrize("make_record", [
+    solved_mem_record, converged_analog_record, non_finite_record, ring_node_record,
+], ids=["solved-mem", "converged-analog", "non-finite-abort", "ring-node"])
+def test_save_and_load_run(tmp_path, monkeypatch, make_record):
+    problem, record = make_record(monkeypatch)
+    json_path, npz_path = save_run(record, tmp_path, "demo")
+    assert (json_path.name, npz_path.name) == ("demo.json", "demo.npz")
     payload = load_run(json_path)
-    assert payload["outcome"] == record.outcome
-    assert payload["seed"] == 2
-    assert np.allclose(payload["times"], record.times)
-    assert np.array_equal(payload["contrd"], record.contrd)
-    assert np.allclose(payload["states"], record.states)
+    for key in ("times", "contra", "contrd", "states"):
+        saved, back = getattr(record, key), payload[key]
+        assert (back.dtype, back.shape) == (saved.dtype, saved.shape), key
+        assert back.tobytes() == saved.tobytes(), key
+    for key in ("solver", "seed", "instance", "outcome", "t_solve", "t_detect",
+                "readout_rule", "options", "stats"):
+        assert payload[key] == getattr(record, key), key
+    assert payload["config"] == asdict(record.config)
+    assert payload["samples"] == len(record.times)
+    assert payload["trajectory"] == npz_path.name
+    # the column order of the state vector: s1.. then a1..aM, or v, xs, xl
     assert payload["state_columns"] == record.state_columns
-    assert count_unsatisfied(inst.problem, payload["assignment_array"]) == 0
+    assert payload["state_columns"] == make_system(problem, record.solver).columns
+    if record.assignment is None:
+        assert payload["assignment"] is None and "assignment_array" not in payload
+    else:
+        assert payload["assignment"] == assignment_to_bits(record.assignment)
+        assert np.array_equal(payload["assignment_array"], record.assignment)
+        assert count_unsatisfied(problem, payload["assignment_array"]) == 0
+    assert set(payload) == {
+        "solver", "seed", "instance", "outcome", "t_solve", "t_detect", "assignment",
+        "readout_rule", "options", "config", "stats", "samples", "state_columns",
+        "trajectory", "times", "contra", "contrd", "states",
+    } | ({"assignment_array"} if record.assignment is not None else set())
 
 
-def test_csv_header_matches_columns():
-    inst = easy_instance(seed=1)
-    record = run(inst.problem, ANALOG, seed=2, config=IntegratorConfig(t_ev=1.0))
-    header = run_to_csv(record).splitlines()[0]
-    n, m = inst.problem.num_vars, inst.problem.num_clauses
-    assert header.split(",")[:4] == ["t", "contra", "contrd", "s1"]
-    assert header.split(",")[-1] == f"a{m}"
-    assert len(header.split(",")) == 3 + n + m
+def test_load_run_without_trajectory_raises(tmp_path):
+    record = run(easy_instance(seed=1).problem, MEM, seed=2, config=IntegratorConfig(t_ev=1.0))
+    json_path, npz_path = save_run(record, tmp_path, "demo")
+    npz_path.unlink()
+    with pytest.raises(FileNotFoundError):
+        load_run(json_path)
+
+
+def test_load_run_never_unpickles(tmp_path):
+    record = run(easy_instance(seed=1).problem, MEM, seed=2, config=IntegratorConfig(t_ev=1.0))
+    json_path, npz_path = save_run(record, tmp_path, "demo")
+    np.savez(npz_path, times=np.array([0.0, {"payload": 1}], dtype=object),
+             contra=record.contra, contrd=record.contrd, states=record.states)
+    with pytest.raises(ValueError):
+        load_run(json_path)

@@ -523,10 +523,23 @@ def test_expression_reference_walkers():
     assert spice_expr.references(ast) == ({"s1", "a2"}, {"f", "if", "g"})
 
 
-@pytest.mark.parametrize("text", ["u()", "u(1,2)", "if(1,2)", "if(1,2,3,4)", "min()", "max()"])
+@pytest.mark.parametrize("text", [
+    "u()", "u(1,2)", "if(1,2)", "if(1,2,3,4)", "min()", "max()", "f(2)",
+])
 def test_builtin_arity_is_checked_at_parse_time(text):
     with pytest.raises(spice_expr.ExprError):
         spice_expr.parse_expression(text)
+
+
+def test_name_check_rejects_arguments_to_a_user_function():
+    doc = NetlistDocument(
+        title="* hand-built deck",
+        functions=(FuncDef("f", "1"),),
+        elements=(Card("Cs1", ("s1", "0"), "1"), Card("Bs1", ("0", "s1"), "I=f(2)")),
+        directives=(),
+    )
+    with pytest.raises(spice_expr.ExprError, match="f\\(\\) takes 0"):
+        undeclared_references(doc)
 
 
 @pytest.mark.parametrize("text", [
