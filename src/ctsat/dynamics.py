@@ -24,8 +24,10 @@ gradient-like term G_nm = (1/2) q_nm min of the other two literals' terms,
 and the rigidity term R_nm = (1/2)(q_nm - v_n) for every literal achieving
 the clause minimum (zero otherwise).
 
-make_system() builds one flat-vector kernel per solver; analog_rhs() and
-mem_rhs() are views of it on the state structs.  The variable bounds are
+One kernel per solver evaluates a batch of flat state vectors of problems
+with equal N and M (make_batch_system); make_system() is that kernel on a
+batch of one, and analog_rhs() and mem_rhs() are views of it on the state
+structs.  The variable bounds are
 decided once, in _bounds(): the kernel's outward-push mask, the
 integrator's projection and the netlist's source masks all read them.
 All functions are pure; derivative outputs already include the boundary
@@ -35,7 +37,7 @@ masks that keep bounded variables from being pushed outward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +60,7 @@ __all__ = [
     "mem_rhs",
     "System",
     "make_system",
+    "make_batch_system",
     "control_signals",
     "readout",
 ]
@@ -118,20 +121,23 @@ def _literal_factors(problem: Problem, s: np.ndarray) -> np.ndarray:
     return 1.0 - problem.sign * np.asarray(s, dtype=float)[problem.var_index]
 
 
+def _products(f: np.ndarray, pref: float):
+    """K_m and K_mi from the literal factors f (..., 3): division-free."""
+    km = pref * (f[..., 0] * f[..., 1] * f[..., 2])
+    kmi = np.empty_like(f)
+    kmi[..., 0] = f[..., 1] * f[..., 2]
+    kmi[..., 1] = f[..., 0] * f[..., 2]
+    kmi[..., 2] = f[..., 0] * f[..., 1]
+    kmi *= pref
+    return km, kmi
+
+
 def clause_products(problem: Problem, s, options: AnalogOptions = AnalogOptions()):
     """K_m and K_mi for all clauses: shapes (M,) and (M, 3).
 
     K_mi is formed from the other two literal factors (division-free).
     """
-    f = _literal_factors(problem, s)
-    pref = 0.125 if options.one_eighth_factor else 1.0
-    km = pref * (f[:, 0] * f[:, 1] * f[:, 2])
-    kmi = np.empty_like(f)
-    kmi[:, 0] = f[:, 1] * f[:, 2]
-    kmi[:, 1] = f[:, 0] * f[:, 2]
-    kmi[:, 2] = f[:, 0] * f[:, 1]
-    kmi *= pref
-    return km, kmi
+    return _products(_literal_factors(problem, s), 0.125 if options.one_eighth_factor else 1.0)
 
 
 def energy(problem: Problem, state: AnalogState,
@@ -193,41 +199,56 @@ def _bounds(problem: Problem, solver: str, mem_options: MemOptions):
     return lo, hi
 
 
-def _kernel(problem: Problem, solver: str, analog_options: AnalogOptions,
+def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOptions,
             mem_options: MemOptions, mem_params: MemParams):
-    """(rhs, lo, hi): the flat-vector RHS of one solver and its bounds.
+    """(rhs, lo, hi): the RHS of one solver over B flat states, stacked as
+    the rows of a (B, D) array with row b the state of problems[b], and the
+    bounds every row shares.
 
     The analog state is y = (s, a), the memcomputing state (v, x_s, x_l).
     rhs zeroes every derivative that would push a component at its bound
-    outward; inward pushes at the bound pass unchanged.
+    outward; inward pushes at the bound pass unchanged.  Row b reads only
+    its own components, through literal indices offset by b*D into the
+    flat rows, and its spin or voltage derivatives are one bincount over
+    bins offset by b*N, fed clause-major as for one problem alone; so each
+    row equals the RHS of its problem evaluated by itself, bit for bit.
     """
-    n, m = problem.num_vars, problem.num_clauses
-    idx = problem.var_index.ravel()
-    lo, hi = _bounds(problem, solver, mem_options)
+    n, m = problems[0].num_vars, problems[0].num_clauses
+    if any((p.num_vars, p.num_clauses) != (n, m) for p in problems[1:]):
+        raise ValueError("a batch needs problems of equal N and M")
+    b = len(problems)
+    lo, hi = _bounds(problems[0], solver, mem_options)
+    # clauses of all rows in one (B*M, 3) run, clause-major
+    var = np.concatenate([p.var_index for p in problems])
+    sign = np.concatenate([p.sign for p in problems])
+    row = np.repeat(np.arange(b), m)[:, None]
+    gather = var + row * lo.size                # into the flat (B*D) rows
+    bins = (var + row * n).ravel()              # into the flat (B*N) bins
+    lo_rows, hi_rows = np.tile(lo, b), np.tile(hi, b)
+
     if solver == ANALOG:
         growth = _AUX_GROWTH[analog_options.aux_mode]
+        pref = 0.125 if analog_options.one_eighth_factor else 1.0
 
         def derivatives(y):
-            s, a = y[:n], y[n:]
-            km, kmi = clause_products(problem, s, analog_options)
-            contrib = (2.0 * a * km)[:, None] * problem.sign * kmi
-            d = np.empty_like(y)
-            d[:n] = np.bincount(idx, weights=contrib.ravel(), minlength=n)
-            d[n:] = growth(a, km)
-            return d
+            a = y[:, n:].reshape(-1)
+            km, kmi = _products(1.0 - sign * y.reshape(-1)[gather], pref)
+            contrib = (2.0 * a * km)[:, None] * sign * kmi
+            dv = np.bincount(bins, weights=contrib.ravel(), minlength=b * n)
+            return np.concatenate((dv.reshape(b, n), growth(a, km).reshape(b, m)), axis=1)
     elif solver == MEM:
         p = mem_params
         # mem_clause_quantities fused into few NumPy calls, with the same
-        # floating-point results.  Slot-major (3, M) copies make row j the
+        # floating-point results.  Slot-major (3, B*M) copies make row j the
         # j-th literal of every clause, so each per-slot step is one
         # contiguous call.
-        var3 = np.ascontiguousarray(problem.var_index.T)
-        sign3 = np.ascontiguousarray(problem.sign.T)
+        gather3 = np.ascontiguousarray(gather.T)
+        sign3 = np.ascontiguousarray(sign.T)
         half_sign3 = 0.5 * sign3
 
         def derivatives(y):
-            v, x_s, x_l = y[:n], y[n:n + m], y[n + m:]
-            t = 1.0 - sign3 * v[var3]
+            x_s, x_l = y[:, n:n + m].reshape(-1), y[:, n + m:].reshape(-1)
+            t = 1.0 - sign3 * y.reshape(-1)[gather3]
             other_min = np.empty_like(t)
             np.minimum(t[1], t[2], out=other_min[0])
             np.minimum(t[0], t[2], out=other_min[1])
@@ -240,22 +261,38 @@ def _kernel(problem: Problem, solver: str, analog_options: AnalogOptions,
             # of a zero, which the sum below drops
             r = np.where(t == tmin, half_sign3 * t, 0.0)
             r *= (1.0 + p.zeta * x_l) * (1.0 - x_s)
-            contrib = np.empty((m, 3))  # clause-major: bincount's summation order
+            contrib = np.empty((b * m, 3))  # clause-major: bincount's summation order
             np.add(g, r, out=contrib.T)
-            return np.concatenate((
-                np.bincount(idx, weights=contrib.ravel(), minlength=n),
-                p.beta * (x_s + p.epsilon) * (c - p.gamma),
-                p.alpha * (c - p.delta),
-            ))
+            dv = np.bincount(bins, weights=contrib.ravel(), minlength=b * n)
+            return np.concatenate((dv.reshape(b, n),
+                                   (p.beta * (x_s + p.epsilon) * (c - p.gamma)).reshape(b, m),
+                                   (p.alpha * (c - p.delta)).reshape(b, m)), axis=1)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
     def rhs(t, y):
         d = derivatives(y)
-        np.copyto(d, 0.0, where=((y >= hi) & (d > 0)) | ((y <= lo) & (d < 0)))
+        flat_y, flat_d = y.reshape(-1), d.reshape(-1)
+        np.copyto(flat_d, 0.0, where=((flat_y >= hi_rows) & (flat_d > 0))
+                  | ((flat_y <= lo_rows) & (flat_d < 0)))
         return d
 
     return rhs, lo, hi
+
+
+def make_batch_system(problems: Sequence[Problem], solver: str,
+                      analog_options: AnalogOptions = AnalogOptions(),
+                      mem_options: MemOptions = MemOptions(),
+                      mem_params: MemParams = MemParams()) -> System:
+    """The dynamics of one solver on B problems of equal N and M: rhs(t, y)
+    maps the (B, D) stack of their flat states, row b for problems[b], to
+    its (B, D) derivatives.  The dynamics are autonomous, so t is ignored.
+    The bounds and component names are those of make_system."""
+    rhs, lo, hi = _kernel(problems, solver, analog_options, mem_options, mem_params)
+    n, m = problems[0].num_vars, problems[0].num_clauses
+    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
+    columns = tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
+    return System(rhs, lo, hi, columns)
 
 
 def make_system(problem: Problem, solver: str,
@@ -264,19 +301,17 @@ def make_system(problem: Problem, solver: str,
                 mem_params: MemParams = MemParams()) -> System:
     """The flat-vector dynamics of one solver on one problem: the RHS, the
     bounds that its mask, the integrator's projection and the deck's
-    source masks all read, and the component names."""
-    rhs, lo, hi = _kernel(problem, solver, analog_options, mem_options, mem_params)
-    n, m = problem.num_vars, problem.num_clauses
-    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
-    columns = tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
-    return System(rhs, lo, hi, columns)
+    source masks all read, and the component names.  The RHS is the batch
+    kernel of make_batch_system on a batch of one."""
+    system = make_batch_system([problem], solver, analog_options, mem_options, mem_params)
+    return system._replace(rhs=lambda t, y: system.rhs(t, np.asarray(y)[None])[0])
 
 
 def analog_rhs(problem: Problem, state: AnalogState,
                options: AnalogOptions = AnalogOptions()):
     """Time derivatives (ds, da) of the analog SAT system, with the spin
     derivatives boundary-masked at s = +-1."""
-    rhs, _, _ = _kernel(problem, ANALOG, options, MemOptions(), MemParams())
+    rhs = make_system(problem, ANALOG, options).rhs
     d = rhs(0.0, np.concatenate((state.s, state.a), dtype=float))
     return d[:problem.num_vars], d[problem.num_vars:]
 
@@ -289,7 +324,7 @@ def mem_rhs(problem: Problem, state: MemState,
     Boundary masks are applied to x_s and x_l always, and to v unless
     options.clamp_v is False (the unconstrained-voltage variant).
     """
-    rhs, _, _ = _kernel(problem, MEM, AnalogOptions(), options, params)
+    rhs = make_system(problem, MEM, mem_options=options, mem_params=params).rhs
     d = rhs(0.0, np.concatenate((state.v, state.x_s, state.x_l), dtype=float))
     n, m = problem.num_vars, problem.num_clauses
     return d[:n], d[n:n + m], d[n + m:]

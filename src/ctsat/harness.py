@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import logging
+import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from statistics import median
@@ -33,7 +35,7 @@ from .integrate import (
     IntegratorConfig,
     RunRecord,
     load_run,
-    run,
+    run_batch,
     save_run,
 )
 
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 FAMILIES = ("B4.3", "B7", "X")
+
+logger = logging.getLogger(__name__)
 
 
 def derive_seed(*parts) -> int:
@@ -121,6 +125,12 @@ class ExperimentPlan:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
+        labels = [spec.label for spec in self.solvers]
+        if len(set(labels)) != len(labels):
+            # records and run seeds are keyed by the label
+            raise ValueError(f"duplicate solver labels in {labels}")
+        if self.instances_per_cell < 1 or self.workers < 1:
+            raise ValueError("instances_per_cell and workers must be at least 1")
 
 
 @dataclass
@@ -128,6 +138,7 @@ class CellSummary:
     runs: int = 0
     unsolved: int = 0
     converged_to_zero: int = 0
+    aborted: int = 0        # runs that ended on an integration abort (counted in unsolved)
     solve_times: list = field(default_factory=list)
 
     @property
@@ -153,6 +164,8 @@ class SummaryTable:
                 cell.unsolved += 1
                 if record.outcome == CONVERGED_TO_ZERO:
                     cell.converged_to_zero += 1
+            if "abort_message" in record.stats:
+                cell.aborted += 1
         return cls(cells)
 
     def to_json_dict(self) -> dict:
@@ -165,6 +178,7 @@ class SummaryTable:
                 "runs": cell.runs,
                 "unsolved": cell.unsolved,
                 "converged_to_zero": cell.converged_to_zero,
+                "aborted": cell.aborted,
                 "median_t_solve": cell.median_time,
             })
         return {"cells": rows}
@@ -192,18 +206,26 @@ class SummaryTable:
         return "\n".join(lines) + "\n"
 
 
-def _run_one(args):
-    key, problem, spec, config, seed = args
-    record = run(
-        problem,
-        spec.kind,
-        seed=seed,
-        config=config,
-        analog_options=spec.analog_options,
-        mem_options=spec.mem_options,
-        mem_params=spec.mem_params,
-    )
-    return key, record
+def _run_cell(spec: SolverSpec, config: IntegratorConfig, problems, seeds):
+    """One cell's runs as one batch; returns them with the cell's wall time."""
+    start = time.perf_counter()
+    records = run_batch(problems, spec.kind, seeds, config=config,
+                        analog_options=spec.analog_options, mem_options=spec.mem_options,
+                        mem_params=spec.mem_params)
+    return records, time.perf_counter() - start
+
+
+def _finished_cells(cells: dict, workers: int):
+    """Yields (cell key, (records, wall time)) as each cell finishes: in
+    this process when there is one worker or one cell, else on a pool."""
+    if workers == 1 or len(cells) == 1:
+        for key, task in cells.items():
+            yield key, _run_cell(*task)
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        futures = {pool.submit(_run_cell, *task): key for key, task in cells.items()}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None):
@@ -211,45 +233,45 @@ def run_experiment(plan: ExperimentPlan, out_dir=None):
     aggregate.  Returns (SummaryTable, records) with records keyed by
     (family, size, instance index, solver label).
 
-    With out_dir set, instances, runs and the summary are persisted.
-    Individual aborted runs (step-size underflow, non-finite state) are
-    recorded as timeouts, not fatal.
+    A cell, the instances of one family and size under one solver, is one
+    task: its runs are integrated as one batch (integrate.run_batch), on a
+    pool of plan.workers processes when the plan has more than one cell.
+    With out_dir set, instances are persisted first, each cell's runs as
+    soon as the cell finishes, and the summary at the end; one INFO line is
+    logged per finished cell.  Individual aborted runs (step-size
+    underflow, non-finite state) are recorded as timeouts, not fatal.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
-    instances: dict = {}
+    cells: dict = {}
     for family in plan.families:
         for size in plan.sizes:
+            problems = []
             for index in range(plan.instances_per_cell):
                 seed = derive_seed(plan.seed_base, "instance", family, size, index)
                 inst = generate_instance(family, size, seed)
-                name = f"{family}_N{size}_{index:02d}"
-                instances[(family, size, index)] = (name, inst)
+                problems.append(inst.problem)
                 if out_dir is not None:
-                    save_instance(inst, out_dir / "instances", name, family, seed)
-
-    tasks = []
-    for (family, size, index), (name, inst) in sorted(instances.items()):
-        for spec in plan.solvers:
-            seed = derive_seed(plan.seed_base, "run", family, size, index, spec.label)
-            key = (family, size, index, spec.label)
-            tasks.append((key, inst.problem, spec, plan.config, seed))
+                    save_instance(inst, out_dir / "instances", f"{family}_N{size}_{index:02d}",
+                                  family, seed)
+            for spec in plan.solvers:
+                seeds = [derive_seed(plan.seed_base, "run", family, size, index, spec.label)
+                         for index in range(plan.instances_per_cell)]
+                cells[(family, size, spec.label)] = (spec, plan.config, problems, seeds)
 
     records: dict = {}
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            for key, record in pool.map(_run_one, tasks, chunksize=1):
-                records[key] = record
-    else:
-        for task in tasks:
-            key, record = _run_one(task)
-            records[key] = record
+    for (family, size, label), (cell_records, wall) in _finished_cells(cells, plan.workers):
+        for index, record in enumerate(cell_records):
+            name = f"{family}_N{size}_{index:02d}"
+            record.instance = f"instances/{name}.cnf"
+            records[(family, size, index, label)] = record
+            if out_dir is not None:
+                save_run(record, out_dir / "runs", f"{name}_{label}")
+        logger.info("cell %s N=%d %s: %d runs, %d solved, %d aborted, %.2f s wall",
+                    family, size, label, len(cell_records),
+                    sum(r.outcome == SOLVED for r in cell_records),
+                    sum("abort_message" in r.stats for r in cell_records), wall)
 
-    for (family, size, index, label), record in sorted(records.items()):
-        name = f"{family}_N{size}_{index:02d}"
-        record.instance = f"instances/{name}.cnf"
-        if out_dir is not None:
-            save_run(record, out_dir / "runs", f"{name}_{label}")
-
+    records = dict(sorted(records.items()))  # the same order however cells finish
     table = SummaryTable.from_records(records)
     if out_dir is not None:
         (out_dir / "summary.json").write_text(

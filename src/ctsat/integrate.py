@@ -7,10 +7,15 @@ Accepted steps are followed by a projection onto the variable bounds to
 absorb integrator overshoot (the right-hand sides already mask outward
 derivatives at the boundaries).
 
-One sample-grid loop drives every integration.  A single run() is a
-network (see network.py) of one node with no edges and no drives, so the
-two share the initial state, the outcome windows, the stats and the
-record.  The loop ends at the first of:
+One driver loop integrates every run.  Runs of one solver on problems of
+equal N and M form a batch whose states are the rows of one (B, D) array:
+each loop iteration makes one step attempt for every running member, with
+one batched RHS call per stage, while each member keeps its own time, step
+size, accept/reject decision and sample grid.  run_batch() integrates a
+harness cell this way, run() is a batch of one, and the nodes of a network
+(see network.py) are batches of one that wait for each other at every
+sample and drive transition; all share the initial state, the outcome
+windows, the stats and the record.  A run ends at the first of:
 
 * Solved: the digital control signal contrd is 0 and stays 0 for a
   confirmation window (t_solve is the entry into the window); a network
@@ -32,7 +37,7 @@ import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +57,7 @@ from .dynamics import (
     MemParams,
     MemState,
     control_signals,
-    make_system,
+    make_batch_system,
     readout,
 )
 
@@ -70,6 +75,7 @@ __all__ = [
     "init_analog",
     "init_mem",
     "run",
+    "run_batch",
     "save_run",
     "load_run",
 ]
@@ -162,110 +168,6 @@ def init_mem(problem: Problem, seed: int) -> MemState:
     return MemState(v, np.full(m, 0.5), np.ones(m))
 
 
-class SegmentIntegrator:
-    """Advances a state between sample points, keeping its step size as
-    persistent state so consecutive segments continue seamlessly.  Every
-    accepted step is clipped onto the bounds [lo, hi].
-
-    stats["n_rhs"] counts RHS evaluations and stats["n_rhs_reused"] the RK
-    steps whose first stage reused the previous step's last one (FSAL); each
-    RK step takes one first stage plus three per attempt, so
-    n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted + n_rejected) for a
-    run that is not aborted."""
-
-    def __init__(self, rhs: Callable, lo: np.ndarray, hi: np.ndarray,
-                 config: IntegratorConfig):
-        self.rhs = rhs
-        self.lo = lo
-        self.hi = hi
-        self.config = config
-        self.h = config.dt_init
-        self._fsal = (None, None)  # (bytes of the state, its derivative)
-        self.stats = {
-            "n_accepted": 0,
-            "n_rejected": 0,
-            "n_rhs": 0,           # right-hand-side evaluations made
-            "n_rhs_reused": 0,    # first stages taken from the last step's k4 (FSAL)
-            "dt_smallest": np.inf,
-            "dt_largest": 0.0,
-        }
-
-    def advance(self, t0: float, y: np.ndarray, t1: float) -> np.ndarray:
-        if self.config.method == "euler":
-            return self._advance_euler(t0, y, t1)
-        return self._advance_rk23(t0, y, t1)
-
-    def _advance_euler(self, t0, y, t1):
-        cfg = self.config
-        t = t0
-        while t < t1 - 1e-12:
-            h = min(cfg.dt_init, t1 - t)
-            dy = self.rhs(t, y)
-            self.stats["n_rhs"] += 1
-            if not np.isfinite(dy).all():
-                raise NonFiniteState(t, math.nan)  # Euler has no error ratio
-            y = np.clip(y + h * dy, self.lo, self.hi)
-            t += h
-            self._note_step(h)
-        return y
-
-    def _advance_rk23(self, t0, y, t1):
-        cfg = self.config
-        rhs = self.rhs
-        stats = self.stats
-        tol = cfg.error_tol
-        # FSAL: the RHS is autonomous, so k4 = rhs(y_new) is the next step's
-        # k1 whenever the state it was evaluated at is still the state, bit
-        # for bit.  The caller may have written into y (network pins) since
-        # the last advance, so its bytes are compared, not its identity.
-        key, k1 = self._fsal
-        if k1 is not None and y.tobytes() != key:
-            k1 = None
-        t = t0
-        while t < t1 - 1e-12:
-            h = min(self.h, cfg.dt_max, t1 - t)
-            if k1 is None:
-                k1 = rhs(t, y)
-                stats["n_rhs"] += 1
-            else:
-                stats["n_rhs_reused"] += 1
-            abs_y = np.abs(y)
-            while True:
-                k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = rhs(t + 0.75 * h, y + (0.75 * h) * k2)
-                y_new = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-                k4 = rhs(t + h, y_new)
-                stats["n_rhs"] += 3
-                err_vec = h * (
-                    (-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4
-                )
-                e = err_vec / (tol + tol * np.maximum(abs_y, np.abs(y_new)))
-                err = math.sqrt(np.add.reduce(e * e) / e.size)  # RMS, as np.mean computes it
-                if not math.isfinite(err):
-                    raise NonFiniteState(t, err)
-                if err <= 1.0:
-                    break
-                stats["n_rejected"] += 1
-                if h <= cfg.dt_min * (1 + 1e-12):
-                    raise StepSizeUnderflow(t, err)
-                h = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-            t += h
-            y = np.clip(y_new, self.lo, self.hi)
-            k1 = k4 if y.tobytes() == y_new.tobytes() else None  # reuse unless clipped
-            self._note_step(h)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-            self.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
-        self._fsal = (y.tobytes(), k1)
-        return y
-
-    def _note_step(self, h):
-        self.stats["n_accepted"] += 1
-        if h < self.stats["dt_smallest"]:
-            self.stats["dt_smallest"] = h
-        if h > self.stats["dt_largest"]:
-            self.stats["dt_largest"] = h
-
-
 def _sample_times(config: IntegratorConfig):
     """The sampling grid: multiples of sample_interval, ending exactly at t_ev."""
     times = [0.0]
@@ -315,161 +217,445 @@ class _OutcomeDetector:
         return None
 
 
-class _NodeRun:
-    """One node's state, integrator, detector and recorded samples.
+class _Member:
+    """One run, or one node of a network: its problem, solver, seed and
+    options, its step state (time, next stop, proposed step size, the size
+    of a step being retried, whether the first stage can be reused), its
+    stats, detector and recorded samples.  Its state vector is a row of its
+    batch's (B, D) array.
 
     pins are 1-based variable indices held fixed by the caller (network
-    inputs); their derivatives are forced to zero.  Without pins the bare
-    RHS is used.
+    inputs); their derivatives are forced to zero.
     """
 
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
                  analog_options: AnalogOptions, mem_options: MemOptions,
                  mem_params: MemParams, pins: tuple[int, ...] = ()):
-        rhs, lo, hi, self.columns = make_system(
-            problem, solver, analog_options, mem_options, mem_params
-        )
         if solver == ANALOG:
             state0 = init_analog(problem, seed)
-            self.y = np.concatenate((state0.s, state0.a))
+            self.y0 = np.concatenate((state0.s, state0.a))
             self.options = {"analog": asdict(analog_options)}
         else:
             state0 = init_mem(problem, seed)
-            self.y = np.concatenate((state0.v, state0.x_s, state0.x_l))
+            self.y0 = np.concatenate((state0.v, state0.x_s, state0.x_l))
             self.options = {"mem": asdict(mem_options), "params": asdict(mem_params)}
-        if pins:
-            fixed = np.array(sorted(v - 1 for v in pins), dtype=int)
-            bare_rhs = rhs
-
-            def rhs(t, y):
-                d = bare_rhs(t, y)
-                d[fixed] = 0.0
-                return d
-
         self.problem = problem
         self.solver = solver
         self.seed = seed
-        self.integrator = SegmentIntegrator(rhs, lo, hi, config)
+        self.config = config
+        self.kernel_options = (analog_options, mem_options, mem_params)
+        self.pins = sorted(v - 1 for v in pins)
         self.detector = _OutcomeDetector(problem, solver, config)
         self.times, self.states, self.contra, self.contrd = [], [], [], []
+        self.stats = {
+            "n_accepted": 0,
+            "n_rejected": 0,
+            "n_rhs": 0,           # right-hand-side evaluations made
+            "n_rhs_reused": 0,    # first stages taken from the last step's k4 (FSAL)
+            "dt_smallest": np.inf,
+            "dt_largest": 0.0,
+        }
         self.wall = 0.0
+        self.t = 0.0
+        self.t_stop: Optional[float] = None   # None while waiting at a stop
+        self.h = config.dt_init               # the next step's proposed size
+        self.retry: Optional[float] = None    # the size of a rejected step's next attempt
+        self.fresh_k1 = True                  # the next step evaluates its first stage
+        self.key = b""                        # the state's bytes when it reached its stop
+        self.aborted: Optional[IntegrationAborted] = None
+        self.done = False
+        self.group = self.batch = self.row = None
 
-    def advance(self, t0: float, t1: float):
-        start = time.perf_counter()
-        try:
-            self.y = self.integrator.advance(t0, self.y, t1)
-        finally:
-            self.wall += time.perf_counter() - start
+    @property
+    def y(self) -> np.ndarray:
+        return self.batch.y[self.row]
+
+    def resume(self, t: float, t_stop: float):
+        """Steps on from t toward t_stop.  FSAL: the RHS is autonomous, so
+        the last step's k4 is the next step's k1 while the state is still
+        the state it was evaluated at, bit for bit; the group may have
+        written into it (network pins) since it stopped, so its bytes are
+        compared, not its identity."""
+        self.t, self.t_stop = t, t_stop
+        if self.y.tobytes() != self.key:
+            self.fresh_k1 = True
+
+    def note_step(self, h: float):
+        self.stats["n_accepted"] += 1
+        if h < self.stats["dt_smallest"]:
+            self.stats["dt_smallest"] = h
+        if h > self.stats["dt_largest"]:
+            self.stats["dt_largest"] = h
 
     def record(self, t: float) -> Optional[str]:
         start = time.perf_counter()
-        contra, contrd = control_signals(self.problem, self.y[:self.problem.num_vars])
+        y = self.y
+        contra, contrd = control_signals(self.problem, y[:self.problem.num_vars])
         self.times.append(t)
-        self.states.append(self.y.copy())
+        self.states.append(y.copy())
         self.contra.append(contra)
         self.contrd.append(contrd)
-        hit = self.detector.observe(t, self.y, contrd)
+        hit = self.detector.observe(t, y, contrd)
         self.wall += time.perf_counter() - start
         return hit
 
 
-def _simulate(nodes: list[_NodeRun], config: IntegratorConfig, fed: Optional[dict] = None,
-              drives=(), stop_on_solve: bool = True) -> tuple[list[RunRecord], Optional[float]]:
-    """The sample-grid driver behind run() and simulate_network().
+class _Batch:
+    """Members of one solver, options, N and M whose states are the rows of
+    one (B, D) array, integrated by one batched RHS call per stage.
 
-    fed maps (node index, 1-based input variable) to its source,
+    attempt() makes one step attempt for every member: RK 3(2) stages on all
+    rows at once, then each member's own accept/reject decision and step-size
+    control in Python floats (NumPy's vectorised power is not bit-identical
+    to Python's **), so every member steps exactly as it would alone.  Every
+    accepted step is clipped onto the bounds [lo, hi].  stats["n_rhs"]
+    counts the rows that needed their first stage evaluated and
+    stats["n_rhs_reused"] the steps that reused the previous step's last
+    stage (FSAL); each RK step takes one first stage plus three per attempt,
+    so n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted + n_rejected) for
+    a run that is not aborted."""
+
+    def __init__(self, members: list[_Member]):
+        self.members = members
+        self.config = members[0].config
+        self.y = np.stack([m.y0 for m in members])
+        self.k1 = np.empty_like(self.y)
+        self._bind()
+
+    def _bind(self):
+        """Builds the kernel for the current members and numbers their rows."""
+        first = self.members[0]
+        system = make_batch_system([m.problem for m in self.members], first.solver,
+                                   *first.kernel_options)
+        self.lo, self.hi, self.columns = system.lo, system.hi, system.columns
+        self.rhs = system.rhs
+        width = self.y.shape[1]
+        pinned = []  # flat indices into the (B, D) rows
+        for row, member in enumerate(self.members):
+            member.batch, member.row = self, row
+            pinned += [row * width + i for i in member.pins]
+        if pinned:
+            def rhs(t, y):
+                d = system.rhs(t, y)
+                np.put(d, pinned, 0.0)
+                return d
+            self.rhs = rhs
+
+    def prune(self) -> bool:
+        """Drops the members whose run has ended; False when none is left."""
+        keep = [row for row, m in enumerate(self.members) if not m.done]
+        if len(keep) < len(self.members):
+            self.members = [self.members[row] for row in keep]
+            if keep:
+                self.y, self.k1 = self.y[keep], self.k1[keep]
+                self._bind()
+        return bool(self.members)
+
+    def attempt(self) -> list[_Member]:
+        """One step attempt for every member; returns the members that
+        reached their stop or aborted.  A member waiting at a network
+        barrier is a batch of one, which then makes no attempt."""
+        members = self.members
+        if members[0].t_stop is None:
+            return []
+        start = time.perf_counter()
+        if self.config.method == "euler":
+            stopped = self._attempt_euler()
+        else:
+            stopped = self._attempt_rk23()
+        for member in stopped:
+            if member.t_stop is None:
+                member.key = self.y[member.row].tobytes()
+        share = (time.perf_counter() - start) / len(members)
+        for member in members:
+            member.wall += share
+        return stopped
+
+    def _attempt_euler(self):
+        cfg = self.config
+        hs = [min(cfg.dt_init, m.t_stop - m.t) for m in self.members]
+        dy = self.rhs(0.0, self.y)
+        finite = np.isfinite(dy).all(axis=1).tolist()
+        self.y = np.clip(self.y + np.array(hs)[:, None] * dy, self.lo, self.hi)
+        stopped = []
+        for m, h, ok in zip(self.members, hs, finite):
+            m.stats["n_rhs"] += 1
+            if not ok:
+                m.aborted = NonFiniteState(m.t, math.nan)  # Euler has no error ratio
+                stopped.append(m)
+                continue
+            m.t += h
+            m.note_step(h)
+            if m.t >= m.t_stop - 1e-12:
+                m.t_stop = None
+                stopped.append(m)
+        return stopped
+
+    def _attempt_rk23(self):
+        cfg = self.config
+        tol = cfg.error_tol
+        members, rhs, y = self.members, self.rhs, self.y
+        hs, fresh = [], []
+        for row, m in enumerate(members):
+            h = m.retry
+            if h is None:  # a new step
+                h = min(m.h, cfg.dt_max, m.t_stop - m.t)
+                if m.fresh_k1:
+                    fresh.append(row)
+                    m.stats["n_rhs"] += 1
+                    m.fresh_k1 = False
+                else:
+                    m.stats["n_rhs_reused"] += 1
+            hs.append(h)
+        if len(fresh) == len(members):
+            self.k1 = rhs(0.0, y)
+        elif fresh:
+            self.k1[fresh] = rhs(0.0, y)[fresh]
+        k1 = self.k1
+        # one row steps with its h as a scalar, which broadcasts faster
+        h = hs[0] if len(hs) == 1 else np.array(hs)[:, None]
+        k2 = rhs(0.0, y + (0.5 * h) * k1)
+        k3 = rhs(0.0, y + (0.75 * h) * k2)
+        y_new = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
+        k4 = rhs(0.0, y_new)
+        err_vec = h * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4)
+        e = err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        sum_sq = np.add.reduce(e * e, axis=1).tolist()
+        accepted, stopped = [], []
+        for row, m in enumerate(members):
+            h = hs[row]
+            err = math.sqrt(sum_sq[row] / e.shape[1])  # RMS, as np.mean computes it
+            m.stats["n_rhs"] += 3
+            if not math.isfinite(err):
+                m.aborted = NonFiniteState(m.t, err)
+                stopped.append(m)
+            elif err > 1.0:
+                m.stats["n_rejected"] += 1
+                if h <= cfg.dt_min * (1 + 1e-12):
+                    m.aborted = StepSizeUnderflow(m.t, err)
+                    stopped.append(m)
+                else:
+                    m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+            else:
+                m.retry = None
+                m.t += h
+                accepted.append(row)
+                m.note_step(h)
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+                m.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
+                if m.t >= m.t_stop - 1e-12:
+                    m.t_stop = None
+                    stopped.append(m)
+        if not accepted:
+            return stopped
+        y_clip = np.clip(y_new, self.lo, self.hi)
+        reuse = []
+        for row in accepted:
+            # k4 is the next step's k1 unless the step was clipped
+            if y_clip[row].tobytes() == y_new[row].tobytes():
+                reuse.append(row)
+            else:
+                members[row].fresh_k1 = True
+        if len(accepted) == len(members):
+            self.y = y_clip
+        else:
+            y[accepted] = y_clip[accepted]
+        if len(reuse) == len(members):
+            self.k1 = k4
+        elif reuse:
+            k1[reuse] = k4[reuse]
+        return stopped
+
+
+class _Group:
+    """Members that stop together at every sample point and drive cut: one
+    run, or every node of a network.
+
+    fed maps (member index, 1-based input variable) to its source,
     ("drive", k) or ("node", i, 1-based output variable); drives[k] has
     value(t) and next_transition(t).  Partner values are copied at every
     sample; drive values at every sample and drive transition, which also
-    split the macro step.  The network solves jointly at the first sample
-    where every node's detector reports SOLVED; the loop stops there (with
-    stop_on_solve) or at the first sample where some node converges to
-    zero.  Returns the per-node records and the joint solve time.
+    split the sample interval.  The group solves jointly at the first sample
+    where every member's detector reports SOLVED; it stops there (with
+    stop_on_solve), at the first sample where some member converges to
+    zero, at t_ev, or when a member aborts.  finish() leaves the records in
+    self.records.
     """
-    fed = fed or {}
-    from_nodes = [(target, source) for target, source in fed.items() if source[0] == "node"]
-    from_drives = [(target, source) for target, source in fed.items() if source[0] == "drive"]
 
-    def pin_drives(t):
-        for (i, var), source in from_drives:
-            nodes[i].y[var - 1] = drives[source[1]].value(t)
+    def __init__(self, members: list[_Member], config: IntegratorConfig,
+                 fed: Optional[dict] = None, drives=(), stop_on_solve: bool = True):
+        fed = fed or {}
+        self.members = members
+        self.config = config
+        self.from_nodes = [(target, source) for target, source in fed.items()
+                           if source[0] == "node"]
+        self.from_drives = [(target, source) for target, source in fed.items()
+                            if source[0] == "drive"]
+        self.drives = drives
+        self.stop_on_solve = stop_on_solve
+        self.grid = _sample_times(config)
+        self.k = 0              # index of the last sample point
+        self.stops: list[float] = []
+        self.joint_at: Optional[float] = None
+        self.joint: list = []
+        self.zero: list[int] = []
+        self.records: Optional[list[RunRecord]] = None
+        for member in members:
+            member.group = self
 
-    joint_at: Optional[float] = None
-    joint: list = []
-    zero: list[int] = []
+    def start(self):
+        if self.sample(0.0):
+            self.finish(None)
+        else:
+            self._plan_interval()
+            self._pass_stops()
 
-    def sample(t) -> bool:
-        """Pins and records every node; True when the loop should stop."""
-        nonlocal joint_at, joint, zero
-        values = [nodes[source[1]].y[source[2] - 1] for _, source in from_nodes]
-        for ((i, var), _), value in zip(from_nodes, values):
-            nodes[i].y[var - 1] = value
-        pin_drives(t)
-        hits = [node.record(t) for node in nodes]
-        if joint_at is None and all(hit == SOLVED for hit in hits):
-            joint_at = t
-            joint = [(node.detector.solved_enter, node.detector.solved_assignment)
-                     for node in nodes]
-        zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
-        return bool(zero) or (joint_at is not None and stop_on_solve)
-
-    aborted = None
-    if not sample(0.0):
-        grid = _sample_times(config)
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            cuts = [t_prev]
-            for drive in drives:
-                t_cut = drive.next_transition(t_prev)
-                while t_cut < t_next - 1e-12:
-                    cuts.append(t_cut)
-                    t_cut = drive.next_transition(t_cut)
-            cuts = sorted(set(cuts)) + [t_next]
-            try:
-                for c_prev, c_next in zip(cuts[:-1], cuts[1:]):
-                    pin_drives(c_prev)
-                    for node in nodes:
-                        node.advance(c_prev, c_next)
-            except IntegrationAborted as exc:
-                aborted = exc
-                break
-            if sample(t_next):
-                break
-
-    records = []
-    for i, node in enumerate(nodes):
-        outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
-        if i in zero:
-            outcome, t_detect = CONVERGED_TO_ZERO, node.times[-1]
-        elif joint_at is not None:
-            outcome, (t_solve, assignment) = SOLVED, joint[i]
-            if count_unsatisfied(node.problem, assignment) != 0:
-                raise RuntimeError(
-                    f"node {i}: readout at t={t_solve:g} does not satisfy the formula"
-                )
-        stats = dict(node.integrator.stats)
-        if stats["dt_smallest"] is np.inf:
-            stats["dt_smallest"] = None
-        stats["wall_time"] = node.wall
-        stats["dt_underflow"] = isinstance(aborted, StepSizeUnderflow)
+    def step(self):
+        """Called when some member stopped: acts once all are at the stop."""
+        aborted = next((m.aborted for m in self.members if m.aborted is not None), None)
         if aborted is not None:
-            stats["abort_message"] = str(aborted)
-        records.append(RunRecord(
-            solver=node.solver,
-            seed=node.seed,
-            outcome=outcome,
-            t_solve=t_solve,
-            t_detect=t_detect,
-            assignment=assignment,
-            times=np.asarray(node.times),
-            states=np.asarray(node.states),
-            contra=np.asarray(node.contra),
-            contrd=np.asarray(node.contrd, dtype=int),
-            state_columns=node.columns,
-            config=config,
-            options=node.options,
-            stats=stats,
-        ))
-    return records, joint_at
+            self.finish(aborted)
+        elif all(m.t_stop is None for m in self.members):
+            self._pass_stops()
+
+    def _pin_drives(self, t):
+        for (i, var), source in self.from_drives:
+            self.members[i].y[var - 1] = self.drives[source[1]].value(t)
+
+    def _plan_interval(self):
+        """The stops from the last sample point to the next: the sample
+        point itself, the drive transitions between, the next sample."""
+        t_prev, t_next = self.grid[self.k], self.grid[self.k + 1]
+        cuts = [t_prev]
+        for drive in self.drives:
+            t_cut = drive.next_transition(t_prev)
+            while t_cut < t_next - 1e-12:
+                cuts.append(t_cut)
+                t_cut = drive.next_transition(t_cut)
+        self.stops = sorted(set(cuts)) + [t_next]
+
+    def _pass_stops(self):
+        """Acts on the stops the members are at, up to the first one they
+        must integrate to, and sends them there; or finishes."""
+        while True:
+            t = self.stops.pop(0)
+            if not self.stops:  # the next sample point
+                self.k += 1
+                if self.sample(t) or self.k == len(self.grid) - 1:
+                    self.finish(None)
+                    return
+                self._plan_interval()
+                continue
+            self._pin_drives(t)
+            if t < self.stops[0] - 1e-12:
+                for member in self.members:
+                    member.resume(t, self.stops[0])
+                return
+
+    def sample(self, t) -> bool:
+        """Pins and records every member; True when the group should stop."""
+        members = self.members
+        values = [members[source[1]].y[source[2] - 1] for _, source in self.from_nodes]
+        for ((i, var), _), value in zip(self.from_nodes, values):
+            members[i].y[var - 1] = value
+        self._pin_drives(t)
+        hits = [member.record(t) for member in members]
+        if self.joint_at is None and all(hit == SOLVED for hit in hits):
+            self.joint_at = t
+            self.joint = [(m.detector.solved_enter, m.detector.solved_assignment)
+                          for m in members]
+        self.zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
+        return bool(self.zero) or (self.joint_at is not None and self.stop_on_solve)
+
+    def finish(self, aborted: Optional[IntegrationAborted]):
+        records = []
+        for i, m in enumerate(self.members):
+            outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
+            if i in self.zero:
+                outcome, t_detect = CONVERGED_TO_ZERO, m.times[-1]
+            elif self.joint_at is not None:
+                outcome, (t_solve, assignment) = SOLVED, self.joint[i]
+                if count_unsatisfied(m.problem, assignment) != 0:
+                    raise RuntimeError(
+                        f"node {i}: readout at t={t_solve:g} does not satisfy the formula"
+                    )
+            stats = dict(m.stats)
+            if stats["dt_smallest"] is np.inf:
+                stats["dt_smallest"] = None
+            stats["wall_time"] = m.wall
+            stats["dt_underflow"] = isinstance(aborted, StepSizeUnderflow)
+            if aborted is not None:
+                stats["abort_message"] = str(aborted)
+            records.append(RunRecord(
+                solver=m.solver,
+                seed=m.seed,
+                outcome=outcome,
+                t_solve=t_solve,
+                t_detect=t_detect,
+                assignment=assignment,
+                times=np.asarray(m.times),
+                states=np.asarray(m.states),
+                contra=np.asarray(m.contra),
+                contrd=np.asarray(m.contrd, dtype=int),
+                state_columns=m.batch.columns,
+                config=self.config,
+                options=m.options,
+                stats=stats,
+            ))
+            m.done = True
+        self.records = records
+
+
+def _integrate(batches: list[_Batch], groups: list[_Group]):
+    """The one driver loop behind run(), run_batch() and simulate_network().
+
+    Each iteration makes one step attempt for every running member of every
+    batch; then each group whose members all reached their stop acts on it
+    (pins, samples, outcome windows) and sends them on, or finishes, and
+    finished members leave their batch.  The members of a run_batch() cell
+    are groups of one, so none waits for another; the nodes of a network
+    share one group, so they wait for each other at every stop.
+    """
+    for group in groups:
+        group.start()
+    batches = [batch for batch in batches if batch.prune()]
+    while batches:
+        stopped = []
+        for batch in batches:
+            stopped += batch.attempt()
+        if stopped:  # a run ends only at a stop or an abort
+            for group in dict.fromkeys(member.group for member in stopped):
+                group.step()
+            batches = [batch for batch in batches if batch.prune()]
+
+
+def _simulate(nodes: list[_Member], config: IntegratorConfig, fed: Optional[dict] = None,
+              drives=(), stop_on_solve: bool = True) -> tuple[list[RunRecord], Optional[float]]:
+    """Integrates the nodes of a network, each a batch of one, as one group.
+    Returns the per-node records and the joint solve time."""
+    group = _Group(nodes, config, fed, drives, stop_on_solve)
+    _integrate([_Batch([node]) for node in nodes], [group])
+    return group.records, group.joint_at
+
+
+def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
+              config: IntegratorConfig = IntegratorConfig(),
+              analog_options: AnalogOptions = AnalogOptions(),
+              mem_options: MemOptions = MemOptions(),
+              mem_params: MemParams = MemParams()) -> list[RunRecord]:
+    """run() for every (problem, seed) pair, integrated as the rows of one
+    (B, D) state: the problems share N and M.  Every member steps on its
+    own and leaves the batch when its run ends, and its record equals
+    run(problem, solver, seed=seed, ...) in every field but
+    stats["wall_time"], which is its share of the batch's step time plus its
+    own recording time."""
+    if len(problems) != len(seeds):
+        raise ValueError("need exactly one seed per problem")
+    members = [_Member(problem, solver, int(seed), config, analog_options, mem_options,
+                       mem_params) for problem, seed in zip(problems, seeds)]
+    groups = [_Group([member], config) for member in members]
+    _integrate([_Batch(members)], groups)
+    return [group.records[0] for group in groups]
 
 
 def run(problem: Problem, solver: str, *, seed: int = 0,
@@ -478,15 +664,15 @@ def run(problem: Problem, solver: str, *, seed: int = 0,
         mem_options: MemOptions = MemOptions(),
         mem_params: MemParams = MemParams()) -> RunRecord:
     """Integrate one solver on one problem from seeded initial conditions:
-    a network of one node with no edges and no drives.
+    a batch of one.
 
     Deterministic: (problem, solver, options, config, seed) fully determine
     the returned record.  A step-size underflow or a non-finite state
     aborts the run; it is reported as a Timeout with stats["abort_message"]
     naming the cause (and stats["dt_underflow"] set for an underflow).
     """
-    node = _NodeRun(problem, solver, seed, config, analog_options, mem_options, mem_params)
-    return _simulate([node], config)[0][0]
+    return run_batch([problem], solver, [seed], config=config, analog_options=analog_options,
+                     mem_options=mem_options, mem_params=mem_params)[0]
 
 
 # ---------------------------------------------------------------------------

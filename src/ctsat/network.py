@@ -6,9 +6,11 @@ source's current value and their own derivatives are forced to zero;
 outputs are read after the step and feed the partners' inputs of the next
 step (a one-macro-step delay, which resolves cyclic wirings
 deterministically).  simulate_network() validates the wiring and hands the
-nodes to the sample-grid loop of integrate.py, the same loop that runs a
-single run() as a one-node network; a network without inter-node edges
-therefore reproduces independent runs exactly.
+nodes to the driver loop of integrate.py, the same loop that runs run()
+and the harness's batched cells: each node is a batch of one, and the
+nodes wait for each other at every sample and drive transition.  A
+network without inter-node edges therefore reproduces independent runs
+exactly.
 
 External square-wave drives are piecewise constant; micro-steps never
 straddle a transition, so a driven variable tracks its source exactly.
@@ -31,7 +33,7 @@ from typing import Sequence, Union
 
 from .cnf import Problem, parse_dimacs
 from .dynamics import AnalogOptions, MemOptions, MemParams
-from .integrate import MEM, IntegratorConfig, RunRecord, _NodeRun, _simulate
+from .integrate import MEM, IntegratorConfig, RunRecord, _Member, _simulate
 
 __all__ = [
     "SquareWave",
@@ -161,8 +163,8 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
         raise ValueError("need exactly one seed per node")
     fed = _validate(nodes, wiring)
     runs = [
-        _NodeRun(node.problem, node.solver, int(seed), config, node.analog_options,
-                 node.mem_options, node.mem_params, pins=node.input_vars)
+        _Member(node.problem, node.solver, int(seed), config, node.analog_options,
+                node.mem_options, node.mem_params, pins=node.input_vars)
         for node, seed in zip(nodes, seeds)
     ]
     records, joint_at = _simulate(runs, config, fed, wiring.drives, stop_on_solve)

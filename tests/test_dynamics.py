@@ -15,6 +15,7 @@ from ctsat.dynamics import (
     control_signals,
     energy,
     mem_clause_quantities,
+    make_batch_system,
     make_system,
     mem_rhs,
     readout,
@@ -343,6 +344,35 @@ def test_mem_kernel_matches_clause_reference(kind, clamp_v):
             want = mem_reference_rhs(problem, y, params, system.lo, system.hi)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("solver,options", [
+    ("mem", {}),
+    ("mem", {"mem_options": MemOptions(clamp_v=False)}),
+    ("analog", {}),
+    ("analog", {"analog_options": AnalogOptions(one_eighth_factor=False, aux_mode="K")}),
+])
+def test_batch_rows_equal_single_systems(solver, options):
+    # four problems of equal N and M; each row of the batched RHS equals
+    # the RHS of its problem alone, bit for bit
+    problems = [gen_xorsat_3r(10, seed=seed).problem for seed in range(4)]
+    n, m = problems[0].num_vars, problems[0].num_clauses
+    batch = make_batch_system(problems, solver, **options)
+    singles = [make_system(problem, solver, **options) for problem in problems]
+    assert batch.columns == singles[0].columns
+    rng = np.random.default_rng(29)
+    for kind in ("random", "pole", "tie", "bound", "stage", "unclamped"):
+        if solver == "mem":
+            y = np.stack([_mem_states(rng, n, m, kind) for _ in problems])
+        else:
+            spins = rng.choice([-1.0, 0.0, 1.0], (4, n)) if kind in ("pole", "tie") else (
+                rng.uniform(-1.0, 1.0, (4, n)))
+            y = np.hstack((spins, rng.uniform(-2.0, 5.0, (4, m))))
+        d = batch.rhs(0.0, y)
+        for row, single in enumerate(singles):
+            assert d[row].tobytes() == single.rhs(0.0, y[row]).tobytes()
+    with pytest.raises(ValueError, match="equal N and M"):
+        make_batch_system([problems[0], gen_xorsat_3r(12, seed=1).problem], solver)
 
 
 # ---------------------------------------------------------------- boundary mask

@@ -1,9 +1,14 @@
 import json
+import logging
+import time
 
 import numpy as np
 import pytest
 
+import ctsat.harness as harness
+import ctsat.integrate as integrate
 from ctsat.cnf import count_unsatisfied, parse_dimacs, assignment_from_bits
+from ctsat.dynamics import MemParams
 from ctsat.harness import (
     ExperimentPlan,
     SolverSpec,
@@ -15,7 +20,7 @@ from ctsat.harness import (
     save_instance,
     verify_run_dir,
 )
-from ctsat.integrate import MEM, SOLVED, IntegratorConfig, load_run, run
+from ctsat.integrate import ANALOG, MEM, SOLVED, TIMEOUT, IntegratorConfig, load_run, run
 
 
 def tiny_plan(**overrides):
@@ -87,12 +92,140 @@ def test_run_experiment_reproducible(tmp_path):
     ).read_text()
 
 
+def assert_same_record(got, want):
+    """Equal bytes (so equal values and sign bits), dtype and shape of the
+    trajectory arrays; equal outcome, times, assignment and every stat but
+    the wall time."""
+    for key in ("times", "states", "contra", "contrd"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+        assert a.tobytes() == b.tobytes(), key
+        assert np.array_equal(np.signbit(a), np.signbit(b)), key
+    assert (got.outcome, got.t_solve, got.t_detect) == (want.outcome, want.t_solve, want.t_detect)
+    if want.assignment is None:
+        assert got.assignment is None
+    else:
+        assert np.array_equal(got.assignment, want.assignment)
+    without_wall = lambda stats: {k: v for k, v in stats.items() if k != "wall_time"}
+    assert without_wall(got.stats) == without_wall(want.stats)
+
+
 def test_run_experiment_workers_match_sequential(tmp_path):
-    seq_table, seq_records = run_experiment(tiny_plan())
-    par_table, par_records = run_experiment(tiny_plan(workers=2))
+    # two cells, so that two workers run them on a pool
+    seq_table, seq_records = run_experiment(tiny_plan(sizes=(10, 12)))
+    par_table, par_records = run_experiment(tiny_plan(sizes=(10, 12), workers=2))
     assert seq_table.to_json_dict() == par_table.to_json_dict()
+    assert sorted(seq_records) == sorted(par_records)
     for key in seq_records:
-        assert np.array_equal(seq_records[key].states, par_records[key].states)
+        assert_same_record(par_records[key], seq_records[key])
+
+
+def standalone(plan, key):
+    """The record run() makes for one (family, size, index, label) key."""
+    family, size, index, label = key
+    spec = next(spec for spec in plan.solvers if spec.label == label)
+    problem = generate_instance(
+        family, size, derive_seed(plan.seed_base, "instance", family, size, index)).problem
+    return run(problem, spec.kind, seed=derive_seed(plan.seed_base, "run", *key),
+               config=plan.config, analog_options=spec.analog_options,
+               mem_options=spec.mem_options, mem_params=spec.mem_params)
+
+
+@pytest.mark.parametrize("family", ["B4.3", "B7", "X"])
+def test_batched_cell_members_equal_standalone_runs(family):
+    plan = tiny_plan(families=(family,), sizes=(12,), instances_per_cell=4,
+                     solvers=(SolverSpec(MEM), SolverSpec(ANALOG)),
+                     config=IntegratorConfig(t_ev=25.0), seed_base=3)
+    start = time.perf_counter()
+    _, records = run_experiment(plan)
+    elapsed = time.perf_counter() - start
+    assert len(records) == 8
+    for key, record in records.items():
+        assert_same_record(record, standalone(plan, key))
+    # a member's wall time is its share of the batch's loop
+    assert sum(r.stats["wall_time"] for r in records.values()) <= elapsed
+
+
+def test_batched_cell_with_one_aborting_member(monkeypatch):
+    # the derivative of one instance turns non-finite once a long memory
+    # passes 3, in a cell and alone alike
+    plan = tiny_plan(families=("X",), sizes=(12,), instances_per_cell=3,
+                     config=IntegratorConfig(t_ev=20.0), seed_base=5)
+    target = generate_instance("X", 12, derive_seed(5, "instance", "X", 12, 1)).problem
+    n, m = target.num_vars, target.num_clauses
+    batch_system = integrate.make_batch_system
+
+    def poisoned(problems, *args):
+        system = batch_system(problems, *args)
+        rows = [i for i, p in enumerate(problems)
+                if p.var_index.tobytes() == target.var_index.tobytes()]
+
+        def rhs(t, y):
+            d = system.rhs(t, y)
+            for i in rows:
+                if y[i, n + m:].max() > 3.0:
+                    d[i] = np.nan
+            return d
+        return system._replace(rhs=rhs)
+
+    monkeypatch.setattr(integrate, "make_batch_system", poisoned)
+    _, records = run_experiment(plan)
+    aborted = [key for key, r in records.items() if "abort_message" in r.stats]
+    assert aborted == [("X", 12, 1, "mem")]
+    record = records[aborted[0]]
+    assert "non-finite" in record.stats["abort_message"]
+    assert record.outcome == TIMEOUT and 0.0 < record.times[-1] < 20.0
+    for key, record in records.items():
+        assert_same_record(record, standalone(plan, key))
+
+
+def test_plan_validation():
+    # records and run seeds are keyed by the label: two specs with one
+    # label would share seeds and overwrite each other's records
+    twin = SolverSpec(MEM, mem_params=MemParams(alpha=2.0))
+    with pytest.raises(ValueError, match="duplicate"):
+        tiny_plan(solvers=(SolverSpec(MEM), twin))
+    with pytest.raises(ValueError):
+        tiny_plan(instances_per_cell=0)
+    with pytest.raises(ValueError):
+        tiny_plan(workers=0)
+    plan = tiny_plan(solvers=(SolverSpec(MEM), SolverSpec(MEM, "mem-a2", mem_params=twin.mem_params)))
+    _, records = run_experiment(plan)
+    assert len(records) == 4
+
+
+def test_summary_counts_aborted_runs(tmp_path):
+    # the step-size underflow configuration of test_integrate
+    config = IntegratorConfig(error_tol=1e-13, dt_min=0.05, dt_init=0.05, dt_max=0.1)
+    table, records = run_experiment(tiny_plan(config=config), tmp_path)
+    assert all("underflow" in r.stats["abort_message"] for r in records.values())
+    cell = table.cells[(10, "mem", "B7")]
+    assert cell.aborted == cell.runs == cell.unsolved == 2
+    rows = json.loads((tmp_path / "summary.json").read_text())["cells"]
+    assert [(row["runs"], row["aborted"]) for row in rows] == [(2, 2)]
+
+
+def test_cells_are_saved_and_logged_as_they_finish(tmp_path, monkeypatch, caplog):
+    events = []
+    run_batch, save_run = harness.run_batch, harness.save_run
+
+    def counting_run_batch(problems, *args, **kwargs):
+        events.append("run")
+        return run_batch(problems, *args, **kwargs)
+
+    def counting_save_run(record, directory, name):
+        events.append("save")
+        return save_run(record, directory, name)
+
+    monkeypatch.setattr(harness, "run_batch", counting_run_batch)
+    monkeypatch.setattr(harness, "save_run", counting_save_run)
+    with caplog.at_level(logging.INFO, logger="ctsat.harness"):
+        run_experiment(tiny_plan(sizes=(10, 12)), tmp_path)
+    assert events == ["run", "save", "save", "run", "save", "save"]
+    lines = [r.getMessage() for r in caplog.records if r.name == "ctsat.harness"]
+    assert len(lines) == 2
+    assert lines[0].startswith("cell B7 N=10 mem: 2 runs, 2 solved, 0 aborted, ")
+    assert lines[1].startswith("cell B7 N=12 mem: 2 runs, ")
 
 
 def test_summary_counts_equal_recount(tmp_path):

@@ -6,7 +6,7 @@ from scipy import stats
 
 from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
-from ctsat.dynamics import AnalogOptions, MemOptions, System, make_system
+from ctsat.dynamics import AnalogOptions, MemOptions, MemParams, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -16,7 +16,6 @@ from ctsat.integrate import (
     TIMEOUT,
     IntegratorConfig,
     NonFiniteState,
-    SegmentIntegrator,
     init_analog,
     init_mem,
     load_run,
@@ -213,27 +212,47 @@ def nan_system(problem):
     return system._replace(rhs=lambda t, y: np.full_like(y, np.nan))
 
 
+def patch_nan_kernel(monkeypatch):
+    monkeypatch.setattr(integrate, "make_batch_system", lambda ps, *args: nan_system(ps[0]))
+
+
+def stepper(problem, solver, seed, config):
+    """A member in a batch of its own: the row stepper on one row."""
+    member = integrate._Member(problem, solver, seed, config, AnalogOptions(), MemOptions(),
+                               MemParams())
+    integrate._Batch([member])
+    return member
+
+
+def advance(member, t0, t1):
+    """Steps the member's batch from t0 until the member stops at t1."""
+    member.resume(t0, t1)
+    while member not in member.batch.attempt():
+        pass
+
+
 # one RK attempt takes four stages; an Euler step takes one
 NON_FINITE_CASES = pytest.mark.parametrize("method,n_rhs", [("rk23", 4), ("euler", 1)])
 
 
 @NON_FINITE_CASES
-def test_non_finite_rhs_aborts_on_first_attempt(method, n_rhs):
+def test_non_finite_rhs_aborts_on_first_attempt(monkeypatch, method, n_rhs):
     problem = easy_instance(seed=1).problem
-    system = nan_system(problem)
-    integrator = SegmentIntegrator(system.rhs, system.lo, system.hi,
-                                   IntegratorConfig(method=method))
-    y0 = np.concatenate([np.zeros(problem.num_vars), np.full(2 * problem.num_clauses, 0.5)])
-    with pytest.raises(NonFiniteState, match="non-finite"):
-        integrator.advance(0.0, y0, 0.1)
-    assert integrator.stats["n_rhs"] == n_rhs
-    assert integrator.stats["n_rejected"] == 0
+    patch_nan_kernel(monkeypatch)
+    member = stepper(problem, MEM, 0, IntegratorConfig(method=method))
+    member.y[:] = np.concatenate([np.zeros(problem.num_vars),
+                                  np.full(2 * problem.num_clauses, 0.5)])
+    advance(member, 0.0, 0.1)
+    assert isinstance(member.aborted, NonFiniteState)
+    assert "non-finite" in str(member.aborted)
+    assert member.stats["n_rhs"] == n_rhs
+    assert member.stats["n_rejected"] == 0
 
 
 @NON_FINITE_CASES
 def test_non_finite_state_is_reported_as_abort(monkeypatch, method, n_rhs):
     problem = easy_instance(seed=1).problem
-    monkeypatch.setattr(integrate, "make_system", lambda p, *args: nan_system(p))
+    patch_nan_kernel(monkeypatch)
     record = run(problem, MEM, seed=2, config=IntegratorConfig(method=method))
     assert record.outcome == TIMEOUT
     assert record.times[-1] == 0.0
@@ -260,21 +279,23 @@ def test_stage_count_with_fsal(solver, seed, t_ev):
 @pytest.mark.parametrize("write", [False, True])
 def test_advance_after_in_place_write_matches_fresh_integrator(write):
     # the reused first stage must follow the value of y, not its identity:
-    # network pins write into the returned state in place
+    # network pins write into the state in place
     problem = gen_xorsat_3r(20, seed=3).problem
-    system = make_system(problem, ANALOG)
     config = IntegratorConfig()
     y0 = np.concatenate((init_analog(problem, 5).s, np.ones(problem.num_clauses)))
-    carried = SegmentIntegrator(system.rhs, system.lo, system.hi, config)
-    y = carried.advance(0.0, y0, 1.0)
+    carried = stepper(problem, ANALOG, 5, config)
+    assert np.array_equal(carried.y, y0)
+    advance(carried, 0.0, 1.0)
+    y = carried.y
     if write:
         y[0] = -y[0]
-    fresh = SegmentIntegrator(system.rhs, system.lo, system.hi, config)
+    fresh = stepper(problem, ANALOG, 5, config)
+    fresh.y[:] = y
     fresh.h = carried.h
     reused = carried.stats["n_rhs_reused"]
-    expected = fresh.advance(1.0, y.copy(), 2.0)
-    got = carried.advance(1.0, y, 2.0)
-    assert np.array_equal(got, expected)
+    advance(fresh, 1.0, 2.0)
+    advance(carried, 1.0, 2.0)
+    assert np.array_equal(carried.y, fresh.y)
     # without the write the first step of the second segment reuses k4
     assert carried.stats["n_rhs_reused"] - reused == fresh.stats["n_rhs_reused"] + (not write)
 
@@ -309,7 +330,7 @@ def converged_analog_record(monkeypatch):
 
 def non_finite_record(monkeypatch):
     problem = easy_instance(seed=1).problem
-    monkeypatch.setattr(integrate, "make_system", lambda p, *args: nan_system(p))
+    patch_nan_kernel(monkeypatch)
     record = run(problem, MEM, seed=2)
     assert "non-finite" in record.stats["abort_message"]
     assert record.stats["dt_smallest"] is None
