@@ -280,6 +280,12 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
     return rhs, lo, hi
 
 
+def _columns(problem: Problem, solver: str) -> tuple[str, ...]:
+    n, m = problem.num_vars, problem.num_clauses
+    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
+    return tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
+
+
 def make_batch_system(problems: Sequence[Problem], solver: str,
                       analog_options: AnalogOptions = AnalogOptions(),
                       mem_options: MemOptions = MemOptions(),
@@ -289,10 +295,7 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
     its (B, D) derivatives.  The dynamics are autonomous, so t is ignored.
     The bounds and component names are those of make_system."""
     rhs, lo, hi = _kernel(problems, solver, analog_options, mem_options, mem_params)
-    n, m = problems[0].num_vars, problems[0].num_clauses
-    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
-    columns = tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
-    return System(rhs, lo, hi, columns)
+    return System(rhs, lo, hi, _columns(problems[0], solver))
 
 
 def make_system(problem: Problem, solver: str,
@@ -303,16 +306,17 @@ def make_system(problem: Problem, solver: str,
     bounds that its mask, the integrator's projection and the deck's
     source masks all read, and the component names.  The RHS is the batch
     kernel of make_batch_system on a batch of one."""
-    system = make_batch_system([problem], solver, analog_options, mem_options, mem_params)
-    return system._replace(rhs=lambda t, y: system.rhs(t, np.asarray(y)[None])[0])
+    rhs, lo, hi = _kernel([problem], solver, analog_options, mem_options, mem_params)
+    return System(lambda t, y: rhs(t, np.asarray(y)[None])[0], lo, hi,
+                  _columns(problem, solver))
 
 
 def analog_rhs(problem: Problem, state: AnalogState,
                options: AnalogOptions = AnalogOptions()):
     """Time derivatives (ds, da) of the analog SAT system, with the spin
     derivatives boundary-masked at s = +-1."""
-    rhs = make_system(problem, ANALOG, options).rhs
-    d = rhs(0.0, np.concatenate((state.s, state.a), dtype=float))
+    rhs, _, _ = _kernel([problem], ANALOG, options, MemOptions(), MemParams())
+    d = rhs(0.0, np.concatenate((state.s, state.a), dtype=float)[None])[0]
     return d[:problem.num_vars], d[problem.num_vars:]
 
 
@@ -324,8 +328,8 @@ def mem_rhs(problem: Problem, state: MemState,
     Boundary masks are applied to x_s and x_l always, and to v unless
     options.clamp_v is False (the unconstrained-voltage variant).
     """
-    rhs = make_system(problem, MEM, mem_options=options, mem_params=params).rhs
-    d = rhs(0.0, np.concatenate((state.v, state.x_s, state.x_l), dtype=float))
+    rhs, _, _ = _kernel([problem], MEM, AnalogOptions(), options, params)
+    d = rhs(0.0, np.concatenate((state.v, state.x_s, state.x_l), dtype=float)[None])[0]
     n, m = problem.num_vars, problem.num_clauses
     return d[:n], d[n:n + m], d[n + m:]
 

@@ -125,10 +125,11 @@ class ExperimentPlan:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
-        labels = [spec.label for spec in self.solvers]
-        if len(set(labels)) != len(labels):
-            # records and run seeds are keyed by the label
-            raise ValueError(f"duplicate solver labels in {labels}")
+        # records and seeds are keyed by family, size and solver label
+        for name, keys in (("families", self.families), ("sizes", self.sizes),
+                           ("solver labels", [spec.label for spec in self.solvers])):
+            if len(set(keys)) != len(keys):
+                raise ValueError(f"duplicate {name} in {list(keys)}")
         if self.instances_per_cell < 1 or self.workers < 1:
             raise ValueError("instances_per_cell and workers must be at least 1")
 

@@ -335,9 +335,11 @@ class _Batch:
             member.batch, member.row = self, row
             pinned += [row * width + i for i in member.pins]
         if pinned:
+            pinned = np.array(pinned)
+
             def rhs(t, y):
                 d = system.rhs(t, y)
-                np.put(d, pinned, 0.0)
+                d.reshape(-1)[pinned] = 0.0
                 return d
             self.rhs = rhs
 
@@ -649,8 +651,8 @@ def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
     run(problem, solver, seed=seed, ...) in every field but
     stats["wall_time"], which is its share of the batch's step time plus its
     own recording time."""
-    if len(problems) != len(seeds):
-        raise ValueError("need exactly one seed per problem")
+    if not problems or len(problems) != len(seeds):
+        raise ValueError("need at least one problem and exactly one seed per problem")
     members = [_Member(problem, solver, int(seed), config, analog_options, mem_options,
                        mem_params) for problem, seed in zip(problems, seeds)]
     groups = [_Group([member], config) for member in members]

@@ -183,8 +183,12 @@ def test_plan_validation():
     # records and run seeds are keyed by the label: two specs with one
     # label would share seeds and overwrite each other's records
     twin = SolverSpec(MEM, mem_params=MemParams(alpha=2.0))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate solver labels"):
         tiny_plan(solvers=(SolverSpec(MEM), twin))
+    with pytest.raises(ValueError, match="duplicate sizes"):
+        tiny_plan(sizes=(10, 10))
+    with pytest.raises(ValueError, match="duplicate families"):
+        tiny_plan(families=("B7", "B7"))
     with pytest.raises(ValueError):
         tiny_plan(instances_per_cell=0)
     with pytest.raises(ValueError):
