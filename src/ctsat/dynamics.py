@@ -224,7 +224,7 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
     row = np.repeat(np.arange(b), m)[:, None]
     gather = var + row * lo.size                # into the flat (B*D) rows
     bins = (var + row * n).ravel()              # into the flat (B*N) bins
-    lo_rows, hi_rows = np.tile(lo, b), np.tile(hi, b)
+    lo_rows, hi_rows = np.concatenate([lo] * b), np.concatenate([hi] * b)
 
     if solver == ANALOG:
         growth = _AUX_GROWTH[analog_options.aux_mode]
