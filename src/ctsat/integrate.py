@@ -7,7 +7,7 @@ Accepted steps are followed by a projection onto the variable bounds to
 absorb integrator overshoot (the right-hand sides already mask outward
 derivatives at the boundaries).
 
-One driver loop integrates every run.  Runs of one solver on problems of
+One integration loop runs every run.  Runs of one solver on problems of
 equal N and M form a batch whose states are the rows of one (B, D) array:
 each loop iteration makes one step attempt for every running member, with
 one batched RHS call per stage, while each member keeps its own time, step
@@ -609,7 +609,7 @@ class _Group:
 
 
 def _integrate(batches: list[_Batch], groups: list[_Group]):
-    """The one driver loop behind run(), run_batch() and simulate_network().
+    """The one integration loop behind run(), run_batch() and simulate_network().
 
     Each iteration makes one step attempt for every running member of every
     batch; then each group whose members all reached their stop acts on it

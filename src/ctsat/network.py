@@ -6,7 +6,7 @@ source's current value and their own derivatives are forced to zero;
 outputs are read after the step and feed the partners' inputs of the next
 step (a one-macro-step delay, which resolves cyclic wirings
 deterministically).  simulate_network() validates the wiring and hands the
-nodes to the driver loop of integrate.py, the same loop that runs run()
+nodes to the integration loop of integrate.py, the same loop that runs run()
 and the harness's batched cells: each node is a batch of one, and the
 nodes wait for each other at every sample and drive transition.  A
 network without inter-node edges therefore reproduces independent runs
