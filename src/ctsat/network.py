@@ -67,11 +67,15 @@ class SquareWave:
         return self.high if tau < self.duty * self.period else self.low
 
     def next_transition(self, t: float) -> float:
+        """The first transition strictly after t."""
         tau = (t - self.phase) % self.period
         base = t - tau
         if tau < self.duty * self.period:
-            return base + self.duty * self.period
-        return base + self.period
+            edge = base + self.duty * self.period
+            # rounding in tau can put the edge on t itself; the next one follows
+            return edge if edge > t else base + self.period
+        edge = base + self.period
+        return edge if edge > t else edge + self.duty * self.period
 
 
 @dataclass(frozen=True)

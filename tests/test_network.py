@@ -68,6 +68,21 @@ def test_square_wave_next_transition():
     assert wave.next_transition(7.3) == 10.0
 
 
+@pytest.mark.parametrize("wave,t", [
+    (SquareWave(period=2.5, duty=0.3, phase=0.05), 0.04999999999999982),
+    (SquareWave(period=0.37), 0.5549999999999999),
+    (SquareWave(period=0.5, phase=0.03), 4.029999999999999),
+])
+def test_square_wave_transitions_always_advance(wave, t):
+    # rounding in (t - phase) % period used to return t itself here, which
+    # made the drive-cut loop of the integration loop spin without end
+    assert wave.next_transition(t) > t
+    for _ in range(2000):
+        t_next = wave.next_transition(t)
+        assert t < t_next <= t + wave.period
+        t = t_next
+
+
 def test_square_wave_validation():
     with pytest.raises(ValueError):
         SquareWave(period=0)
