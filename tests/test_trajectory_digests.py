@@ -1,20 +1,25 @@
 """Bit-identity guard: sha256 digests of pinned trajectories.
 
-The digests cover the bytes of a record's times, states, contra and
-contrd, as recorded before the fused memcomputing kernel and the FSAL step
-went in; a change to the RHS, the stepper or the sample-grid loop that moves
-any bit of any sample fails here.  They hold for a fixed numpy version
-(2.4 on x86-64 when recorded).
+The trajectory digests cover the bytes of a record's times, states, contra
+and contrd, as recorded before the fused memcomputing kernel and the FSAL
+step went in; a change to the RHS, the stepper or the sample-grid loop that
+moves any bit of any sample fails here.  The record digests add the
+outcome, t_solve, t_detect and every stat but wall_time, and pin the stops
+of the integration loop: drive transitions (one pair of drives puts stops
+closer than 1e-12 to the next), network barriers, an Euler run and a member
+of a batched cell.  They hold for a fixed numpy version (2.4 on x86-64 when
+recorded).
 """
 
 import hashlib
 
 import pytest
 
-from ctsat.dynamics import MemOptions
+from ctsat.dynamics import MemOptions, MemParams
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
-from ctsat.integrate import ANALOG, MEM, IntegratorConfig, run
-from ctsat.network import SolverNode, Wiring, simulate_network
+from ctsat.integrate import ANALOG, MEM, IntegratorConfig, run, run_batch
+from ctsat.network import SolverNode, SquareWave, Wiring, simulate_network
+from test_network import forced_instance
 
 
 def trajectory_digest(record) -> str:
@@ -58,3 +63,69 @@ def ring_node():
 ], ids=["mem-xorsat", "mem-unclamped", "analog-xorsat", "ring-node"])
 def test_pinned_trajectory_digests(make_record, digest):
     assert trajectory_digest(make_record()) == digest
+
+
+def record_digest(record) -> str:
+    stats = {key: value for key, value in record.stats.items() if key != "wall_time"}
+    summary = (record.outcome, record.t_solve, record.t_detect, sorted(stats.items()))
+    return hashlib.sha256(f"{trajectory_digest(record)} {summary!r}".encode()).hexdigest()
+
+
+def driven(*waves, t_ev):
+    """A forced-instance node whose first inputs follow the given drives."""
+    inputs = tuple(range(1, len(waves) + 1))
+    node = SolverNode(forced_instance(1, False), MEM, input_vars=inputs,
+                      output_vars=(len(waves) + 1,), mem_params=MemParams(alpha=0.0))
+    wiring = Wiring(edges=tuple((("drive", k), (0, var)) for k, var in enumerate(inputs)),
+                    drives=waves)
+    return simulate_network([node], wiring, IntegratorConfig(t_ev=t_ev), seeds=[4],
+                            stop_on_solve=False)[0]
+
+
+def driven_node():
+    return driven(SquareWave(period=20), t_ev=100.0)
+
+
+def two_drive_node():
+    return driven(SquareWave(period=0.37), SquareWave(period=0.74, duty=0.25), t_ev=20.0)
+
+
+def contradictory_ring_node():
+    """Node 1 of a ring whose nodes force the shared variable apart."""
+    node_a = SolverNode(forced_instance(1, True), MEM, input_vars=(2,), output_vars=(1,))
+    node_b = SolverNode(forced_instance(1, False), MEM, input_vars=(1,), output_vars=(2,))
+    wiring = Wiring(edges=((("node", 0, 1), (1, 1)), (("node", 1, 2), (0, 2))))
+    return simulate_network([node_a, node_b], wiring, IntegratorConfig(t_ev=60.0),
+                            seeds=[0, 50])[1]
+
+
+def mixed_network_node():
+    """The mem node of a network stopped when its analog partner converges
+    to zero."""
+    spins = gen_xorsat_3r(20, seed=3).problem
+    other = gen_xorsat_3r(16, seed=9).problem
+    return simulate_network([SolverNode(spins, ANALOG), SolverNode(other, MEM)], Wiring(),
+                            IntegratorConfig(t_ev=150.0), seeds=[5, 0])[1]
+
+
+def mem_euler():
+    problem = gen_barthel(BarthelParams(num_vars=20, ratio=4.3, seed=2)).problem
+    return run(problem, MEM, seed=1, config=IntegratorConfig(method="euler", t_ev=20.0))
+
+
+def batch_member():
+    problems = [gen_xorsat_3r(12, seed=seed).problem for seed in range(4)]
+    return run_batch(problems, MEM, [10, 11, 12, 13], config=IntegratorConfig(t_ev=30.0))[2]
+
+
+@pytest.mark.parametrize("make_record,digest", [
+    (driven_node, "8e9e85b7aa15518dd2c0ae4599c2e67b03d6dd7b246c4d95989eeaeb3948311a"),
+    (two_drive_node, "1d0f758d5107b1b413907d3c8d34a7124c2673169ee89686dd4981e4781aea54"),
+    (contradictory_ring_node, "73a7407280b51488e10af79cbcb42e490fb064bd12d98ed3e4c9886236043399"),
+    (mixed_network_node, "25d2a81ad00faa876327d15902e59c98166a5ad2a25052c5d4924800ee0ad35d"),
+    (mem_euler, "70d646928a8afbaad829080d610aa3f729cf8dae007290393d59c0193a5974ef"),
+    (batch_member, "b015fa97e9b5258bb7d3fc5bacbf4b02324a01d572f7324968bc6756dbc180ea"),
+], ids=["driven-node", "two-drive-node", "contradictory-ring-node", "mixed-network-node",
+        "mem-euler", "batch-member"])
+def test_pinned_record_digests(make_record, digest):
+    assert record_digest(make_record()) == digest
