@@ -11,11 +11,11 @@ One integration loop runs every run.  Runs of one solver on problems of
 equal N and M form a batch whose states are the rows of one (B, D) array:
 each loop iteration makes one step attempt for every running member, with
 one batched RHS call per stage, while each member keeps its own time, step
-size, accept/reject decision and sample grid.  run_batch() integrates a
-harness cell this way, run() is a batch of one, and the nodes of a network
-(see network.py) are batches of one that wait for each other at every
-sample and drive transition; all share the initial state, the outcome
-windows, the stats and the record.  A run ends at the first of:
+size, accept/reject decision and stops.  run_batch() integrates a harness
+cell this way, run() is a batch of one, and the nodes of a network (see
+network.py) are batches of one that wait for each other at every stop; all
+share the initial state, the outcome windows, the stats and the record.
+A run ends at the first of:
 
 * Solved: the digital control signal contrd is 0 and stays 0 for a
   confirmation window (t_solve is the entry into the window); a network
@@ -24,8 +24,9 @@ windows, the stats and the record.  A run ends at the first of:
   for a sustained window,
 * Timeout: t reached t_ev.
 
-Steps are aligned to the sampling grid, so recorded samples are exact
-integrator states and the detector windows are evaluated on that grid.
+Steps end exactly on every stop (the sample points, the last one exactly
+t_ev, and a network's drive transitions), so recorded samples are exact
+integrator states; an interval between stops under 1e-12 is skipped.
 Time is dimensionless ("circuit seconds": the 1 F capacitor convention
 makes one SPICE second equal one integration time unit).
 """
@@ -88,17 +89,12 @@ TIMEOUT = "timeout"
 class IntegrationAborted(RuntimeError):
     """The integrator cannot continue; the run ends early as a timeout."""
 
-    def __init__(self, message: str, t: float, err: float):
-        super().__init__(message)
-        self.t = t
-        self.err = err
-
 
 class StepSizeUnderflow(IntegrationAborted):
     """dt shrank to dt_min while the local error stayed above tolerance."""
 
     def __init__(self, t: float, err: float):
-        super().__init__(f"step size underflow at t={t:.6g} (error ratio {err:.3g})", t, err)
+        super().__init__(f"step size underflow at t={t:.6g} (error ratio {err:.3g})")
 
 
 class NonFiniteState(IntegrationAborted):
@@ -106,7 +102,7 @@ class NonFiniteState(IntegrationAborted):
     some stage derivative or state is no longer finite."""
 
     def __init__(self, t: float, err: float):
-        super().__init__(f"non-finite state at t={t:.6g} (error ratio {err})", t, err)
+        super().__init__(f"non-finite state at t={t:.6g} (error ratio {err})")
 
 
 @dataclass(frozen=True)
@@ -168,61 +164,34 @@ def init_mem(problem: Problem, seed: int) -> MemState:
     return MemState(v, np.full(m, 0.5), np.ones(m))
 
 
-def _sample_times(config: IntegratorConfig):
-    """The sampling grid: multiples of sample_interval, ending exactly at t_ev."""
-    times = [0.0]
-    k = 1
-    while True:
-        t = k * config.sample_interval
-        if t >= config.t_ev - 1e-12:
-            times.append(config.t_ev)
-            return times
-        times.append(t)
+def _stops(config: IntegratorConfig, drives):
+    """The stops of a group after t = 0, as (t, is_sample): the sample points
+    k * sample_interval, the last one exactly t_ev, each preceded by the
+    drive transitions chained from the sample point before it."""
+    t, k = 0.0, 0
+    while t < config.t_ev:
         k += 1
-
-
-class _OutcomeDetector:
-    """Tracks one node's solved / converged-to-zero windows on the sample grid."""
-
-    def __init__(self, problem: Problem, solver: str, config: IntegratorConfig):
-        self.problem = problem
-        self.solver = solver
-        self.config = config
-        self.solved_enter: Optional[float] = None
-        self.solved_assignment: Optional[Assignment] = None
-        self.zero_enter: Optional[float] = None
-
-    def observe(self, t: float, y: np.ndarray, contrd: int) -> Optional[str]:
-        """Updates both windows; returns the outcome whose window is complete
-        (SOLVED before CONVERGED_TO_ZERO) or None."""
-        cfg = self.config
-        n = self.problem.num_vars
-        if contrd == 0:
-            if self.solved_enter is None:
-                self.solved_enter = t
-                self.solved_assignment = readout(y[:n]).copy()
-        else:
-            self.solved_enter = None
-            self.solved_assignment = None
-        if self.solver == ANALOG and cfg.eps_zero > 0:
-            if float(np.max(np.abs(y[:n]))) < cfg.eps_zero:
-                if self.zero_enter is None:
-                    self.zero_enter = t
-            else:
-                self.zero_enter = None
-        if self.solved_enter is not None and t - self.solved_enter >= cfg.window_confirm - 1e-9:
-            return SOLVED
-        if self.zero_enter is not None and t - self.zero_enter >= cfg.window_zero - 1e-9:
-            return CONVERGED_TO_ZERO
-        return None
+        t_next = k * config.sample_interval
+        if t_next >= config.t_ev - 1e-12:
+            t_next = config.t_ev
+        cuts = set()
+        for drive in drives:
+            t_cut = drive.next_transition(t)
+            while t_cut < t_next - 1e-12:
+                cuts.add(t_cut)
+                t_cut = drive.next_transition(t_cut)
+        for t_cut in sorted(cuts):
+            yield t_cut, False
+        yield t_next, True
+        t = t_next
 
 
 class _Member:
     """One run, or one node of a network: its problem, solver, seed and
     options, its step state (time, next stop, proposed step size, the size
     of a step being retried, whether the first stage can be reused), its
-    stats, detector and recorded samples.  Its state vector is a row of its
-    batch's (B, D) array.
+    stats, outcome windows and recorded samples.  Its state vector is a row
+    of its batch's (B, D) array.
 
     pins are 1-based variable indices held fixed by the caller (network
     inputs); their derivatives are forced to zero.
@@ -245,7 +214,9 @@ class _Member:
         self.config = config
         self.kernel_options = (analog_options, mem_options, mem_params)
         self.pins = sorted(v - 1 for v in pins)
-        self.detector = _OutcomeDetector(problem, solver, config)
+        # the outcome windows: where contrd == 0 began and the readout there,
+        # and where max |s_i| < eps_zero began (None while outside)
+        self.solved_enter = self.solved_assignment = self.zero_enter = None
         self.times, self.states, self.contra, self.contrd = [], [], [], []
         self.stats = {
             "n_accepted": 0,
@@ -288,14 +259,33 @@ class _Member:
             self.stats["dt_largest"] = h
 
     def record(self, t: float) -> Optional[str]:
+        """Records the sample at t and updates both outcome windows; returns
+        the outcome whose window is complete (SOLVED before
+        CONVERGED_TO_ZERO) or None."""
         start = time.perf_counter()
-        y = self.y
-        contra, contrd = control_signals(self.problem, y[:self.problem.num_vars])
+        cfg = self.config
+        s = self.y[:self.problem.num_vars]
+        contra, contrd = control_signals(self.problem, s)
         self.times.append(t)
-        self.states.append(y.copy())
+        self.states.append(self.y.copy())
         self.contra.append(contra)
         self.contrd.append(contrd)
-        hit = self.detector.observe(t, y, contrd)
+        if contrd != 0:
+            self.solved_enter = self.solved_assignment = None
+        elif self.solved_enter is None:
+            self.solved_enter = t
+            self.solved_assignment = readout(s).copy()
+        if self.solver == ANALOG and cfg.eps_zero > 0:
+            if float(np.max(np.abs(s))) < cfg.eps_zero:
+                if self.zero_enter is None:
+                    self.zero_enter = t
+            else:
+                self.zero_enter = None
+        hit = None
+        if self.solved_enter is not None and t - self.solved_enter >= cfg.window_confirm - 1e-9:
+            hit = SOLVED
+        elif self.zero_enter is not None and t - self.zero_enter >= cfg.window_zero - 1e-9:
+            hit = CONVERGED_TO_ZERO
         self.wall += time.perf_counter() - start
         return hit
 
@@ -409,9 +399,7 @@ class _Batch:
                 else:
                     m.stats["n_rhs_reused"] += 1
             hs.append(h)
-        if len(fresh) == len(members):
-            self.k1 = rhs(0.0, y)
-        elif fresh:
+        if fresh:
             self.k1[fresh] = rhs(0.0, y)[fresh]
         k1 = self.k1
         # one row steps with its h as a scalar, which broadcasts faster
@@ -458,30 +446,25 @@ class _Batch:
                 reuse.append(row)
             else:
                 members[row].fresh_k1 = True
-        if len(accepted) == len(members):
-            self.y = y_clip
-        else:
-            y[accepted] = y_clip[accepted]
-        if len(reuse) == len(members):
-            self.k1 = k4
-        elif reuse:
+        y[accepted] = y_clip[accepted]
+        if reuse:
             k1[reuse] = k4[reuse]
         return stopped
 
 
 class _Group:
     """Members that stop together at every sample point and drive cut: one
-    run, or every node of a network.
+    run, or every node of a network.  It records t = 0 when it is created,
+    so its members' batches must exist by then.
 
     fed maps (member index, 1-based input variable) to its source,
     ("drive", k) or ("node", i, 1-based output variable); drives[k] has
     value(t) and next_transition(t).  Partner values are copied at every
     sample; drive values at every sample and drive transition, which also
     split the sample interval.  The group solves jointly at the first sample
-    where every member's detector reports SOLVED; it stops there (with
-    stop_on_solve), at the first sample where some member converges to
-    zero, at t_ev, or when a member aborts.  finish() leaves the records in
-    self.records.
+    where every member reports SOLVED; it stops there (with stop_on_solve),
+    at the first sample where some member converges to zero, at t_ev, or
+    when a member aborts.  The records are then left in self.records.
     """
 
     def __init__(self, members: list[_Member], config: IntegratorConfig,
@@ -491,81 +474,58 @@ class _Group:
         self.config = config
         self.from_nodes = [(target, source) for target, source in fed.items()
                            if source[0] == "node"]
-        self.from_drives = [(target, source) for target, source in fed.items()
+        self.from_drives = [(target, drives[source[1]]) for target, source in fed.items()
                             if source[0] == "drive"]
-        self.drives = drives
         self.stop_on_solve = stop_on_solve
-        self.grid = _sample_times(config)
-        self.k = 0              # index of the last sample point
-        self.stops: list[float] = []
+        self.stops = _stops(config, drives)
+        self.stop: Optional[tuple[float, bool]] = (0.0, True)  # (t, is_sample) ahead
         self.joint_at: Optional[float] = None
         self.joint: list = []
         self.zero: list[int] = []
         self.records: Optional[list[RunRecord]] = None
         for member in members:
             member.group = self
+        self.advance()
 
-    def start(self):
-        if self.sample(0.0):
-            self.finish(None)
-        else:
-            self._plan_interval()
-            self._pass_stops()
-
-    def step(self):
-        """Called when some member stopped: acts once all are at the stop."""
+    def advance(self):
+        """Acts once every member is at the stop, or one aborted: pins the
+        drives there and samples at a sample point, passes on over intervals
+        shorter than 1e-12, and sends the members on to the next stop; or
+        finishes.  Drive and partner inputs are distinct variables, so the
+        order of the two writes does not matter."""
         aborted = next((m.aborted for m in self.members if m.aborted is not None), None)
         if aborted is not None:
             self.finish(aborted)
-        elif all(m.t_stop is None for m in self.members):
-            self._pass_stops()
-
-    def _pin_drives(self, t):
-        for (i, var), source in self.from_drives:
-            self.members[i].y[var - 1] = self.drives[source[1]].value(t)
-
-    def _plan_interval(self):
-        """The stops from the last sample point to the next: the sample
-        point itself, the drive transitions between, the next sample."""
-        t_prev, t_next = self.grid[self.k], self.grid[self.k + 1]
-        cuts = [t_prev]
-        for drive in self.drives:
-            t_cut = drive.next_transition(t_prev)
-            while t_cut < t_next - 1e-12:
-                cuts.append(t_cut)
-                t_cut = drive.next_transition(t_cut)
-        self.stops = sorted(set(cuts)) + [t_next]
-
-    def _pass_stops(self):
-        """Acts on the stops the members are at, up to the first one they
-        must integrate to, and sends them there; or finishes."""
+            return
+        if any(m.t_stop is not None for m in self.members):
+            return
+        t, is_sample = self.stop
         while True:
-            t = self.stops.pop(0)
-            if not self.stops:  # the next sample point
-                self.k += 1
-                if self.sample(t) or self.k == len(self.grid) - 1:
-                    self.finish(None)
-                    return
-                self._plan_interval()
-                continue
-            self._pin_drives(t)
-            if t < self.stops[0] - 1e-12:
+            for (i, var), drive in self.from_drives:
+                self.members[i].y[var - 1] = drive.value(t)
+            if is_sample and self.sample(t):
+                break
+            self.stop = next(self.stops, None)
+            if self.stop is None:
+                break
+            if t < self.stop[0] - 1e-12:
                 for member in self.members:
-                    member.resume(t, self.stops[0])
+                    member.resume(t, self.stop[0])
                 return
+            t, is_sample = self.stop
+        self.finish(None)
 
     def sample(self, t) -> bool:
-        """Pins and records every member; True when the group should stop."""
+        """Copies the partners' outputs into the inputs they feed and records
+        every member; True when the group should stop."""
         members = self.members
         values = [members[source[1]].y[source[2] - 1] for _, source in self.from_nodes]
         for ((i, var), _), value in zip(self.from_nodes, values):
             members[i].y[var - 1] = value
-        self._pin_drives(t)
         hits = [member.record(t) for member in members]
         if self.joint_at is None and all(hit == SOLVED for hit in hits):
             self.joint_at = t
-            self.joint = [(m.detector.solved_enter, m.detector.solved_assignment)
-                          for m in members]
+            self.joint = [(m.solved_enter, m.solved_assignment) for m in members]
         self.zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
         return bool(self.zero) or (self.joint_at is not None and self.stop_on_solve)
 
@@ -608,7 +568,7 @@ class _Group:
         self.records = records
 
 
-def _integrate(batches: list[_Batch], groups: list[_Group]):
+def _integrate(batches: list[_Batch]):
     """The one integration loop behind run(), run_batch() and simulate_network().
 
     Each iteration makes one step attempt for every running member of every
@@ -618,8 +578,6 @@ def _integrate(batches: list[_Batch], groups: list[_Group]):
     are groups of one, so none waits for another; the nodes of a network
     share one group, so they wait for each other at every stop.
     """
-    for group in groups:
-        group.start()
     batches = [batch for batch in batches if batch.prune()]
     while batches:
         stopped = []
@@ -627,7 +585,7 @@ def _integrate(batches: list[_Batch], groups: list[_Group]):
             stopped += batch.attempt()
         if stopped:  # a run ends only at a stop or an abort
             for group in dict.fromkeys(member.group for member in stopped):
-                group.step()
+                group.advance()
             batches = [batch for batch in batches if batch.prune()]
 
 
@@ -635,8 +593,9 @@ def _simulate(nodes: list[_Member], config: IntegratorConfig, fed: Optional[dict
               drives=(), stop_on_solve: bool = True) -> tuple[list[RunRecord], Optional[float]]:
     """Integrates the nodes of a network, each a batch of one, as one group.
     Returns the per-node records and the joint solve time."""
+    batches = [_Batch([node]) for node in nodes]
     group = _Group(nodes, config, fed, drives, stop_on_solve)
-    _integrate([_Batch([node]) for node in nodes], [group])
+    _integrate(batches)
     return group.records, group.joint_at
 
 
@@ -655,8 +614,9 @@ def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
         raise ValueError("need at least one problem and exactly one seed per problem")
     members = [_Member(problem, solver, int(seed), config, analog_options, mem_options,
                        mem_params) for problem, seed in zip(problems, seeds)]
+    batch = _Batch(members)
     groups = [_Group([member], config) for member in members]
-    _integrate([_Batch(members)], groups)
+    _integrate([batch])
     return [group.records[0] for group in groups]
 
 
