@@ -1,19 +1,20 @@
 """Networks of solver instances coupled through shared variables.
 
-Nodes advance on a common macro clock given by the sampling grid.  Before
-each macro step every node's input variables are overwritten with their
-source's current value and their own derivatives are forced to zero;
-outputs are read after the step and feed the partners' inputs of the next
-step (a one-macro-step delay, which resolves cyclic wirings
-deterministically).  simulate_network() validates the wiring and hands the
-nodes to the integration loop of integrate.py, the same loop that runs run()
-and the harness's batched cells: each node is a batch of one, and the
-nodes wait for each other at every sample and drive transition.  A
-network without inter-node edges therefore reproduces independent runs
-exactly.
+Nodes advance together from stop to stop: the sample points and the
+transitions of the square-wave drives.  At every sample each input fed by
+a partner node is overwritten with the partner's current output and holds
+it until the next sample (a one-sample delay, which resolves cyclic wirings
+deterministically); input derivatives are forced to zero.
+simulate_network() validates the wiring and hands the nodes to the
+integration loop of integrate.py, the same loop that runs run() and the
+harness's batched cells: each node is a batch of one, and the nodes wait
+for each other at every stop.  A network without inter-node edges
+therefore reproduces independent runs exactly.
 
-External square-wave drives are piecewise constant; micro-steps never
-straddle a transition, so a driven variable tracks its source exactly.
+A driven input is overwritten with its drive's value at every stop.
+Drives are piecewise constant, value(t) is the level held until the next
+transition, and steps never straddle a transition, so a driven variable
+tracks its source exactly.
 
 Per-node outcomes: the network counts as solved when every node's contrd
 is simultaneously 0 and stays so for the confirmation window; per-node
@@ -63,19 +64,23 @@ class SquareWave:
             raise ValueError("need low < high")
 
     def value(self, t: float) -> float:
-        tau = (t - self.phase) % self.period
-        return self.high if tau < self.duty * self.period else self.low
+        """The level held from t until next_transition(t)."""
+        return self._edge(t)[1]
 
     def next_transition(self, t: float) -> float:
         """The first transition strictly after t."""
+        return self._edge(t)[0]
+
+    def _edge(self, t: float) -> tuple[float, float]:
+        """The first transition strictly after t and the level until it."""
         tau = (t - self.phase) % self.period
         base = t - tau
         if tau < self.duty * self.period:
             edge = base + self.duty * self.period
             # rounding in tau can put the edge on t itself; the next one follows
-            return edge if edge > t else base + self.period
+            return (edge, self.high) if edge > t else (base + self.period, self.low)
         edge = base + self.period
-        return edge if edge > t else edge + self.duty * self.period
+        return (edge, self.low) if edge > t else (edge + self.duty * self.period, self.high)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,27 @@ def test_square_wave_transitions_always_advance(wave, t):
         t = t_next
 
 
+def test_square_wave_value_holds_until_next_transition():
+    # the integration loop pins value(t) at every stop t and holds it until
+    # the next stop, so value at a transition must be the level after it;
+    # it used to be the level before on 643 of these 1,663 transitions of
+    # the first wave.  Transitions closer than 1e-12 to the next one are
+    # rounding slivers of one edge, which the loop does not integrate.
+    rng = np.random.default_rng(0)
+    waves = [SquareWave(period=0.37), SquareWave(period=3.3, duty=0.25, phase=1.1)]
+    waves += [SquareWave(period=rng.uniform(0.1, 5.0), duty=rng.uniform(0.05, 0.95),
+                         phase=rng.uniform(0.0, 3.0)) for _ in range(40)]
+    wrong = []
+    for wave in waves:
+        edge = wave.next_transition(0.0)
+        while edge < 300.0:
+            after = wave.next_transition(edge)
+            if after - edge >= 1e-12 and wave.value(edge) != wave.value((edge + after) / 2):
+                wrong.append((wave, edge))
+            edge = after
+    assert wrong == []
+
+
 def test_square_wave_validation():
     with pytest.raises(ValueError):
         SquareWave(period=0)

@@ -120,7 +120,7 @@ def batch_member():
 
 @pytest.mark.parametrize("make_record,digest", [
     (driven_node, "8e9e85b7aa15518dd2c0ae4599c2e67b03d6dd7b246c4d95989eeaeb3948311a"),
-    (two_drive_node, "1d0f758d5107b1b413907d3c8d34a7124c2673169ee89686dd4981e4781aea54"),
+    (two_drive_node, "614bf126aecbae4cf08e71688a86d9b790860f6c7d5e4e96051f353148a8d5c9"),
     (contradictory_ring_node, "73a7407280b51488e10af79cbcb42e490fb064bd12d98ed3e4c9886236043399"),
     (mixed_network_node, "25d2a81ad00faa876327d15902e59c98166a5ad2a25052c5d4924800ee0ad35d"),
     (mem_euler, "70d646928a8afbaad829080d610aa3f729cf8dae007290393d59c0193a5974ef"),
