@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -121,6 +121,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk23", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "method" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.error_tol <= 0 or self.t_ev <= 0 or self.sample_interval <= 0:

@@ -28,6 +28,7 @@ is the time spent advancing and recording that node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
@@ -58,6 +59,9 @@ class SquareWave:
     high: float = 1.0
 
     def __post_init__(self):
+        for name in ("period", "phase", "low", "high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.period <= 0 or not 0.0 < self.duty < 1.0:
             raise ValueError("need period > 0 and duty in (0, 1)")
         if not self.low < self.high:
@@ -168,8 +172,8 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
     joint solve (useful for drive-response studies).
     """
     nodes = list(nodes)
-    if len(seeds) != len(nodes):
-        raise ValueError("need exactly one seed per node")
+    if not nodes or len(seeds) != len(nodes):
+        raise ValueError("need at least one node and exactly one seed per node")
     fed = _validate(nodes, wiring)
     runs = [
         _Member(node.problem, node.solver, int(seed), config, node.analog_options,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ctsat.cli import main
+from ctsat.cli import _integrator_config, build_parser, main
 from ctsat.cnf import parse_dimacs
 from ctsat.netlist import LINE_WIDTH
 
@@ -156,6 +156,23 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"not_a_key": 1}))
     with pytest.raises(SystemExit):
         main(["--config", str(cfg), "solve", "--in", str(cnf)])
+
+
+@pytest.mark.parametrize("config, flags", [
+    (None, ["--t-ev", "nan"]),
+    ('{"t_ev": Infinity}', []),        # json.loads accepts NaN and Infinity
+    ('{"sample_interval": NaN}', []),
+])
+def test_non_finite_config_rejected(tmp_path, config, flags):
+    # either used to hang the run in the sample-grid loop, so only the
+    # config is built here
+    args = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args = ["--config", str(tmp_path / "cfg.json")]
+    args = build_parser().parse_args([*args, "solve", "--in", "inst.cnf", *flags])
+    with pytest.raises(ValueError, match="must be finite"):
+        _integrator_config(args)
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
-from dataclasses import asdict
+import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_outcome_robust_to_tighter_tolerance():
         tight = run(inst.problem, MEM, seed=seed,
                     config=IntegratorConfig(error_tol=1e-5, t_ev=60.0))
         assert (loose.outcome == SOLVED) == (tight.outcome == SOLVED)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(IntegratorConfig)
+                                   if f.name != "method"])
+def test_config_rejects_non_finite_numbers(field):
+    # a NaN or infinite t_ev or sample_interval made the sample-grid loop
+    # grow a list without end; NaN in the other fields silently changed the
+    # run.  Only the construction is tried, never a run.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            IntegratorConfig(**{field: value})
 
 
 def test_step_size_underflow_flagged_as_timeout():

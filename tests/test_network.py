@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -111,6 +112,10 @@ def test_square_wave_validation():
         SquareWave(period=10, duty=1.5)
     with pytest.raises(ValueError):
         SquareWave(period=10, low=1.0, high=-1.0)
+    for name in ("period", "phase", "low", "high"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SquareWave(**{"period": 10, name: value})
 
 
 # ------------------------------------------------------------------- validation
@@ -128,6 +133,8 @@ def test_wiring_validation():
     )
     with pytest.raises(ValueError, match="more than one"):
         simulate_network([node], doubled, IntegratorConfig(t_ev=1.0), seeds=[0])
+    with pytest.raises(ValueError, match="at least one node"):
+        simulate_network([], Wiring(), IntegratorConfig(t_ev=1.0), seeds=[])
 
 
 def test_node_validation():
@@ -410,6 +417,9 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     ({"nodes": [{"inputs": [1], "outputs": [2]}]}, "missing key 'cnf' in node 0"),
     ({"edges": [{"to": "node:0:1"}]}, "missing key 'from' in edge 0"),
     ({"edges": [{"from": "drive:0"}]}, "missing key 'to' in edge 0"),
+    # json.loads accepts NaN and Infinity
+    ({"t_ev": math.nan}, "t_ev must be finite, got nan"),
+    ({"drives": [{"kind": "square", "period": math.inf}]}, "period must be finite, got inf"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
