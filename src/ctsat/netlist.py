@@ -22,7 +22,7 @@ so emitting twice yields byte-identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 

@@ -31,3 +31,34 @@ def test_every_exported_name_exists_once():
     problems += [f"{m.__name__}.{name} listed twice" for m in exporting
                  for name in sorted(set(m.__all__)) if m.__all__.count(name) > 1]
     assert problems == []
+
+
+def test_no_unused_imports_in_package():
+    # an import that nothing reads is dead code that still costs a reader's
+    # attention and the import time; a name listed in __all__ counts as
+    # read, and __init__.py imports only to re-export
+    unused = []
+    for path in sorted(Path(ctsat.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {
+            element.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for element in ast.walk(node.value)
+            if isinstance(element, ast.Constant)
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
