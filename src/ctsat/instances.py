@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import Assignment, Problem, count_unsatisfied
+from .cnf import Assignment, Problem, count_unsatisfied, require_finite
 
 __all__ = [
     "BarthelParams",
@@ -50,6 +50,7 @@ class BarthelParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.num_vars < 3:
             raise ValueError("Barthel generator needs N >= 3")
         if self.ratio <= 0:
@@ -141,8 +142,16 @@ def gen_barthel(params: BarthelParams) -> PlantedInstance:
     rng = np.random.Generator(np.random.PCG64(params.seed))
     plant = rng.random(n) < 0.5
 
-    # 3 distinct variables per clause: first 3 entries of a per-row shuffle
-    variables = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :3]
+    # 3 distinct variables per clause, uniform over the ordered triples, in
+    # O(M): draw from n, n - 1 and n - 2 values, stepping each draw over the
+    # values already taken, smallest first (Bentley & Floyd, CACM 30(9), 1987)
+    a = rng.integers(n, size=m)
+    b = rng.integers(n - 1, size=m)
+    b += b >= a
+    c = rng.integers(n - 2, size=m)
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    variables = np.stack((a, b, c), axis=1)
     masks = rng.choice(8, size=m, p=_pattern_probabilities(params.p0))
 
     satisfied = ((masks[:, None] >> np.arange(3)[None, :]) & 1).astype(bool)

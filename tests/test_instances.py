@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,48 @@ def test_barthel_per_pattern_frequencies():
         observed = int((masks == mask).sum())
         sigma = np.sqrt(m * prob * (1 - prob))
         assert abs(observed - m * prob) <= 3 * sigma
+
+
+def test_barthel_triples_are_distinct_and_uniform():
+    # n = 4 has 4 * 3 * 2 = 24 ordered triples of distinct variables; each
+    # must appear with probability 1/24, four-sigma binomial bounds
+    inst = gen_barthel(BarthelParams(num_vars=4, ratio=25_000, seed=17))
+    triples = inst.problem.var_index
+    m = len(triples)
+    assert m == 100_000
+    assert inst.problem.var_index.dtype == np.int64
+    assert ((triples[:, 0] != triples[:, 1]) & (triples[:, 0] != triples[:, 2])
+            & (triples[:, 1] != triples[:, 2])).all()
+    codes = (triples[:, 0] * 4 + triples[:, 1]) * 4 + triples[:, 2]
+    counts = np.bincount(codes, minlength=64)
+    expected_codes = {(a * 4 + b) * 4 + c
+                      for a, b, c in itertools.permutations(range(4), 3)}
+    prob = 1 / 24
+    sigma = np.sqrt(m * prob * (1 - prob))
+    for code in range(64):
+        if code in expected_codes:
+            assert abs(counts[code] - m * prob) <= 4 * sigma, (code, counts[code])
+        else:
+            assert counts[code] == 0, code
+
+
+def test_barthel_memory_is_linear_in_clauses():
+    # the draw keeps O(M) state: at N = 2000 the output arrays are well
+    # under 1 MiB, where a per-clause shuffle of all N variables took 263 MiB
+    params = BarthelParams(num_vars=2000, ratio=4.3, seed=0)
+    tracemalloc.start()
+    try:
+        gen_barthel(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_barthel_generates_at_n_20000():
+    inst = gen_barthel(BarthelParams(num_vars=20_000, ratio=4.3, seed=1))
+    assert inst.problem.var_index.shape == (86_000, 3)
+    assert count_unsatisfied(inst.problem, inst.plant) == 0
 
 
 # ----------------------------------------------------------------------- xorsat
@@ -193,21 +236,22 @@ def generate(family, num_vars, seed):
 
 
 # sha256 of write_dimacs text, recorded before the generators built the
-# (M, 3) arrays directly; any change to a generator's RNG call sequence,
-# clause order or sign convention fails here.
+# (M, 3) arrays directly, the Barthel entries again when its variable draw
+# became O(M); any change to a generator's RNG call sequence, clause order
+# or sign convention fails here.
 @pytest.mark.parametrize("family,num_vars,seed,digest", [
-    ("B4.3", 10, 0, "8536845436b64f4a7b2cab91aa38df44f4f47f85261e591626e3c5b6220be609"),
-    ("B4.3", 10, 1, "4ad063b227fa967ba3605af0917865b23971550efefb9396863c5d0fdf966da5"),
-    ("B4.3", 50, 0, "c2a609f43b007118954c1f9155dc4745c10706f6f9b0bf777d438f7dc1befc21"),
-    ("B4.3", 50, 1, "32492118bcbb2603dbfe996d767019cc4422e9e7b14c54b2b9b830ebaf7f4ed4"),
-    ("B4.3", 2000, 0, "8e746626d63bc62096613b916c2cf6da50d7522a91077aa4b3cd14009208f613"),
-    ("B4.3", 2000, 1, "45622324e1c4d3c83a93fcb49bdcec878f1c04b271736064b3cff5fdb54ecdd5"),
-    ("B7", 10, 0, "6c36766cb3a9c3b0a65864abcc619f66f4749bd6935d7259f82eabf178b81215"),
-    ("B7", 10, 1, "9e8e5bc31d5ea36436664bd4d26b0f111fbccf3ac00c6696adfd12fbc5765425"),
-    ("B7", 50, 0, "38f2be4e932eb0f8ccd321beb2f13d39c159599d34aea9f992dbb0dc01953852"),
-    ("B7", 50, 1, "5653fb1ca83aa13af407c9f2551c622c2fdcde3eba83b3a5b55d0bf30e3c315d"),
-    ("B7", 2000, 0, "a6b79ce22a07065df5355dc76bca6aec70a35986d2672d32cdb4645d2af90ecf"),
-    ("B7", 2000, 1, "e6ea076ebb1b740b8a5462869d799afecc8d2584fcd59f81b5a0604441a478ec"),
+    ("B4.3", 10, 0, "79a8aee8d0febab17fdce41304387a046233710d1e96feb1bf4e4be328d0e4c7"),
+    ("B4.3", 10, 1, "776f234908ae2716a0bd45c7da7388bc1ba2b936af00fed99cf409e9467318f2"),
+    ("B4.3", 50, 0, "0edafa734932a10f38ef7d0ad080641bea8559866f39d8867932aa3f9a4fe991"),
+    ("B4.3", 50, 1, "5e542ee446088f6ed4ec71fc7bb97641eb67321caedceda5088e422069a03843"),
+    ("B4.3", 2000, 0, "e0c81900b8bd62efadb2086b7a8a9b0e665aaf517d3ee13f00c22aec98b8d680"),
+    ("B4.3", 2000, 1, "49c90bf153ac33f64ca46dcaa6b61647222d7d2bd540c72c60fd65eb3ea1dfbc"),
+    ("B7", 10, 0, "dff04fc4fcb817cc875ba5d9c12054ff9ab04d910aba6131748cf0d6a9739e81"),
+    ("B7", 10, 1, "cb0243d2008928c3815662b2c72cf7baa18766b422ce962c17b1ed79638407e7"),
+    ("B7", 50, 0, "5d26a9378585d1f8b756d77932dc430b2c5b3692ba6412e44af63e6d32bed7e9"),
+    ("B7", 50, 1, "049db3d78b1240a24c542ca27619f8d40c0f84ff6a5f701856f4e235fbf82313"),
+    ("B7", 2000, 0, "84af2f3bda7f8d9afa2541f2b86a00d2467cd26f4db3f7e41f5eec5730feaaf7"),
+    ("B7", 2000, 1, "ca00f2a2c0d1963cdd09871311012bde506fb96efda0b977126f3a4e120bf318"),
     ("X", 20, 0, "f31952ed8d3a2c6b0d42d3ee9911eaa785faeca6e957f1b115fe3fc03db5d458"),
     ("X", 20, 1, "f157749aa2b7782a1b97905756988587d9ebd6769c3c323396ea538581c453a4"),
     ("X", 50, 0, "5886fd50a568d03f679de8bb805f2394ca0c3ec8aaafd3aa42619d5c4ee1d5a7"),

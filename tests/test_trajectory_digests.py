@@ -8,7 +8,8 @@ outcome, t_solve, t_detect and every stat but wall_time, and pin the stops
 of the integration loop: drive transitions (one pair of drives puts stops
 closer than 1e-12 to the next), network barriers, an Euler run and a member
 of a batched cell.  They hold for a fixed numpy version (2.4 on x86-64 when
-recorded).
+recorded).  The cases on Barthel instances were re-recorded when the
+generator's variable draw changed, and only those.
 """
 
 import hashlib
@@ -57,9 +58,9 @@ def ring_node():
 
 @pytest.mark.parametrize("make_record,digest", [
     (mem_xorsat, "7bf3c8eeb457804a301432f080bc0d345ba5f34a8a6bc0decbef61c76ff22451"),
-    (mem_unclamped, "118e2663ae63e01d3ac0a8120fb4f5a9a7835f6541908d78c24d3ca016b71c9d"),
+    (mem_unclamped, "06d6a0ed1cc20d70834ef7b8d358fad2048f75c67cfca656fc267a467e04eb8c"),
     (analog_xorsat, "c70d0f1832f700d645d5555bc4591253ba9c24d01a53c4860e448da7c5f85f28"),
-    (ring_node, "174bf9024bf3956faae65b2da0a4e46288ed31015afc07afc3e25e6a1c4fd5bf"),
+    (ring_node, "5a680bcfa952c5a6538d7494c58b0d24101dace948a3f6c7673558c8aa680c5b"),
 ], ids=["mem-xorsat", "mem-unclamped", "analog-xorsat", "ring-node"])
 def test_pinned_trajectory_digests(make_record, digest):
     assert trajectory_digest(make_record()) == digest
@@ -119,11 +120,11 @@ def batch_member():
 
 
 @pytest.mark.parametrize("make_record,digest", [
-    (driven_node, "8e9e85b7aa15518dd2c0ae4599c2e67b03d6dd7b246c4d95989eeaeb3948311a"),
-    (two_drive_node, "614bf126aecbae4cf08e71688a86d9b790860f6c7d5e4e96051f353148a8d5c9"),
-    (contradictory_ring_node, "73a7407280b51488e10af79cbcb42e490fb064bd12d98ed3e4c9886236043399"),
+    (driven_node, "afa18683d0512f8f62485519726b35fef23d8580bf27ce71289e51e2699e625b"),
+    (two_drive_node, "f4c151cf3c91200b693d742e6905bb38e4834a4079805791b1129079362cbe75"),
+    (contradictory_ring_node, "2850596a28dca67625b7031335eb51f96b0a4868553cc6c1b929c847bac8a189"),
     (mixed_network_node, "25d2a81ad00faa876327d15902e59c98166a5ad2a25052c5d4924800ee0ad35d"),
-    (mem_euler, "70d646928a8afbaad829080d610aa3f729cf8dae007290393d59c0193a5974ef"),
+    (mem_euler, "21238f14f1c452a4f48edde2d7f1c5b50917d365b09dd3840cd372f7202944fd"),
     (batch_member, "b015fa97e9b5258bb7d3fc5bacbf4b02324a01d572f7324968bc6756dbc180ea"),
 ], ids=["driven-node", "two-drive-node", "contradictory-ring-node", "mixed-network-node",
         "mem-euler", "batch-member"])
