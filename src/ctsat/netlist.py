@@ -84,21 +84,25 @@ class NetlistDocument:
 
     @cached_property
     def parsed(self):
-        """({function name: AST}, {target node: AST}): every function body and
-        behavioral-source expression of the deck, parsed once per document."""
-        functions, sources = {}, {}
+        """({function name: AST}, {target node: AST}, {label: (nodes, calls)}):
+        every function body and behavioral-source expression of the deck,
+        parsed once per document, and the node and function names each one
+        references, labelled "func <name>" or "source <target node>"."""
+        functions, sources, references = {}, {}, {}
         for func in self.functions:
             if func.name in functions:
                 raise ValueError(f"function {func.name}() is defined twice")
-            functions[func.name] = spice_expr.parse_expression(func.body)
+            refs = references[f"func {func.name}"] = (set(), set())
+            functions[func.name] = spice_expr.parse_expression(func.body, refs)
         for card in self.elements:
             if card.name.startswith("B"):
                 kind, expr = card.value.split("=", 1)
                 target = card.nodes[1] if kind == "I" else card.nodes[0]
                 if target in sources:
                     raise ValueError(f"node {target} is driven by two behavioral sources")
-                sources[target] = spice_expr.parse_expression(expr)
-        return functions, sources
+                refs = references[f"source {target}"] = (set(), set())
+                sources[target] = spice_expr.parse_expression(expr, refs)
+        return functions, sources, references
 
 
 @dataclass(frozen=True)
@@ -426,14 +430,11 @@ def undeclared_references(document: NetlistDocument) -> list[str]:
         declared_nodes.update(card.nodes)
     if document.subckt is not None:
         declared_nodes.update(document.subckt[1])
-    functions, sources = document.parsed
+    functions, _, references = document.parsed
     known_calls = set(functions) | {"u", "min", "max", "if"}
 
     problems = []
-    labelled = [(f"func {name}", ast) for name, ast in functions.items()]
-    labelled.extend((f"source {node}", ast) for node, ast in sources.items())
-    for label, ast in labelled:
-        nodes, calls = spice_expr.references(ast)
+    for label, (nodes, calls) in references.items():
         problems.extend(f"{label}: undeclared node {node}"
                         for node in sorted(nodes - declared_nodes))
         problems.extend(f"{label}: undeclared function {name}"
@@ -449,7 +450,7 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
     right-hand side at that state.  Each deck function is evaluated at most
     once, its value shared by every source that calls it.
     """
-    functions, sources = document.parsed
+    functions, sources, _ = document.parsed
     values: dict[str, float] = {}
     return {target: spice_expr.evaluate(ast, voltages, functions, values)
             for target, ast in sources.items()}

@@ -29,7 +29,6 @@ __all__ = [
     "ExprError",
     "parse_expression",
     "evaluate",
-    "references",
 ]
 
 
@@ -52,17 +51,20 @@ _POWER = {"&": 1, ">": 2, "<": 2, ">=": 2, "<=": 2, "==": 2, "!=": 2,
 _ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, math.inf), "max": (1, math.inf)}
 
 
-def parse_expression(text: str):
+def parse_expression(text: str, references: tuple[set[str], set[str]] | None = None):
     """Parse expression text into an AST (nested tuples).
 
     A run of + - (or of * /) becomes one flat node ("chain", a, "+", b,
     "-", c, ...), evaluated left to right, so a sum of any length costs no
     recursion depth; a run of & becomes ("and", a, b, ...).
+
+    references, a pair of sets (nodes, calls), receives the node names in
+    V(...) terms and the names of all user and builtin functions called.
     """
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end marker
     tokens.reverse()  # the next token is tokens[-1]
-    node = _binary(tokens, 1)
+    node = _binary(tokens, 1, (set(), set()) if references is None else references)
     if tokens[-1]:
         raise ExprError(f"trailing input at {tokens[-1]!r}")
     return node
@@ -74,15 +76,15 @@ def _expect(tokens, token):
     tokens.pop()
 
 
-def _binary(tokens, min_power):
+def _binary(tokens, min_power, refs):
     """Precedence climbing over the binary operators of at least min_power."""
-    node = _atom(tokens)
+    node = _atom(tokens, refs)
     power = _POWER.get(tokens[-1], 0)
     while power >= min_power:
         rest = []  # op, operand, op, operand, ...
         while _POWER.get(tokens[-1]) == power:
             rest.append(tokens.pop())
-            rest.append(_binary(tokens, power + 1))
+            rest.append(_binary(tokens, power + 1, refs))
         node = _combine(power, node, rest)
         power = _POWER.get(tokens[-1], 0)
     return node
@@ -98,14 +100,14 @@ def _combine(power, first, rest):
     return ("chain", first, *rest)
 
 
-def _atom(tokens):
+def _atom(tokens, refs):
     """A signed operand: unary - and + bind tighter than any binary operator."""
     token = tokens.pop()
     if token in ("-", "+"):
-        node = _atom(tokens)
+        node = _atom(tokens, refs)
         return ("neg", node) if token == "-" else node
     if token == "(":
-        node = _binary(tokens, 1)
+        node = _binary(tokens, 1, refs)
         _expect(tokens, ")")
         return node
     if token[:1] in _NAME_START:
@@ -115,18 +117,20 @@ def _atom(tokens):
             if node[:1] not in _NAME_START:
                 raise ExprError(f"expected a node name in V(), got {node!r}")
             _expect(tokens, ")")
+            refs[0].add(node)
             return ("V", node)
         args = []
         if tokens[-1] != ")":
-            args.append(_binary(tokens, 1))
+            args.append(_binary(tokens, 1, refs))
             while tokens[-1] == ",":
                 tokens.pop()
-                args.append(_binary(tokens, 1))
+                args.append(_binary(tokens, 1, refs))
         _expect(tokens, ")")
         low, high = _ARITY.get(token, (0, 0))  # user functions take none
         if not low <= len(args) <= high:
             raise ExprError(f"{token}() takes {low}{'' if low == high else ' or more'}"
                             f" argument(s), got {len(args)}")
+        refs[1].add(token)
         return ("call", token, tuple(args))
     if token[:1] in _NUMBER_START:
         try:
@@ -195,20 +199,3 @@ def evaluate(ast, voltages: Mapping[str, float],
 
     return ev(ast)
 
-
-def references(ast) -> tuple[set[str], set[str]]:
-    """(nodes, calls): the node names in V(...) terms and the names of all
-    user and builtin functions called."""
-    nodes: set[str] = set()
-    calls: set[str] = set()
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if node[0] == "V":
-            nodes.add(node[1])
-        elif node[0] == "call":
-            calls.add(node[1])
-            stack.extend(node[2])
-        else:
-            stack.extend(child for child in node[1:] if isinstance(child, tuple))
-    return nodes, calls

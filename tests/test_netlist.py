@@ -416,7 +416,7 @@ def test_deck_checks_parse_each_document_once(monkeypatch):
     parse = spice_expr.parse_expression
     texts = []
     monkeypatch.setattr(spice_expr, "parse_expression",
-                        lambda text: texts.append(text) or parse(text))
+                        lambda text, refs: texts.append(text) or parse(text, refs))
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
     doc = emit_mem(problem)
@@ -519,8 +519,10 @@ def test_expression_parser_user_functions_and_errors():
 
 
 def test_expression_reference_walkers():
-    ast = spice_expr.parse_expression("f()*V(s1) + if(V(a2)>0, g(), 0)")
-    assert spice_expr.references(ast) == ({"s1", "a2"}, {"f", "if", "g"})
+    # the parse collects the names as it meets them
+    refs = (set(), set())
+    spice_expr.parse_expression("f()*V(s1) + if(V(a2)>0, g(), 0)", refs)
+    assert refs == ({"s1", "a2"}, {"f", "if", "g"})
 
 
 @pytest.mark.parametrize("text", [
@@ -570,8 +572,9 @@ def test_long_sum_costs_no_recursion_depth():
         terms[k] = ("f()", 0.125)
     ops = rng.choice(["+", "-"], len(terms) - 1)
     text = terms[0][0] + "".join(op + term for op, (term, _) in zip(ops, terms[1:]))
-    ast = spice_expr.parse_expression(text)
-    assert spice_expr.references(ast) == ({"a", "b"}, {"f"})
+    refs = (set(), set())
+    ast = spice_expr.parse_expression(text, refs)
+    assert refs == ({"a", "b"}, {"f"})
     expected = terms[0][1]
     for op, (_, x) in zip(ops, terms[1:]):
         expected = expected + x if op == "+" else expected - x
