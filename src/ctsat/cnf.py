@@ -8,7 +8,9 @@ SPICE node names and CLI arguments derived from them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "parse_dimacs",
     "write_dimacs",
     "count_unsatisfied",
+    "require_finite",
 ]
 
 # An assignment is a boolean vector of length Problem.num_vars.
@@ -30,6 +33,17 @@ Assignment = np.ndarray
 
 class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first real-valued field of the dataclass
+    instance params that is NaN or infinite.  Parameter and configuration
+    classes call it first thing, so a non-finite number fails where it is
+    given instead of inside a run."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Problem, count_unsatisfied
+from .cnf import Assignment, Problem, count_unsatisfied, require_finite
 
 __all__ = [
     "ANALOG",
@@ -101,6 +101,9 @@ class MemParams:
     delta: float = 0.05
     epsilon: float = 0.001
     zeta: float = 0.01
+
+    def __post_init__(self):
+        require_finite(self)
 
 
 @dataclass(frozen=True)

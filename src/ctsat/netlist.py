@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cnf import Problem
+from .cnf import Problem, require_finite
 from .dynamics import AnalogOptions, MemOptions, MemParams, make_system
 from .integrate import init_analog, init_mem
 from . import spice_expr
@@ -140,6 +140,9 @@ class NetlistOptions:
     # for run-to-run randomness.
     ic_seed: Optional[int] = 0
     subcircuit: Optional[SubcircuitSpec] = None
+
+    def __post_init__(self):
+        require_finite(self)  # a NaN shunt would be written into the deck
 
 
 def _fmt(x: float) -> str:

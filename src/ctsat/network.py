@@ -28,12 +28,11 @@ is the time spent advancing and recording that node.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, parse_dimacs
+from .cnf import Problem, parse_dimacs, require_finite
 from .dynamics import AnalogOptions, MemOptions, MemParams
 from .integrate import MEM, IntegratorConfig, RunRecord, _Member, _simulate
 
@@ -59,9 +58,7 @@ class SquareWave:
     high: float = 1.0
 
     def __post_init__(self):
-        for name in ("period", "phase", "low", "high"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        require_finite(self)
         if self.period <= 0 or not 0.0 < self.duty < 1.0:
             raise ValueError("need period > 0 and duty in (0, 1)")
         if not self.low < self.high:

@@ -175,6 +175,16 @@ def test_non_finite_config_rejected(tmp_path, config, flags):
         _integrator_config(args)
 
 
+def test_non_finite_mem_parameter_rejected(tmp_path):
+    # a NaN alpha used to start a run that aborted at t=0 as a timeout
+    cnf = tmp_path / "inst.cnf"
+    assert main(["gen", "xorsat", "--n", "10", "--out", str(cnf)]) == 0
+    out_dir = tmp_path / "runs"
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        main(["--out-dir", str(out_dir), "solve", "--in", str(cnf), "--alpha", "nan"])
+    assert not out_dir.exists()
+
+
 def test_module_entry_point(tmp_path):
     cnf = tmp_path / "inst.cnf"
     path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)

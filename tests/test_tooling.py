@@ -1,8 +1,17 @@
 import ast
 import importlib
+import math
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import ctsat
+from ctsat.dynamics import MemParams
+from ctsat.instances import BarthelParams
+from ctsat.integrate import IntegratorConfig
+from ctsat.netlist import NetlistOptions
+from ctsat.network import SquareWave
 
 
 def test_no_assert_statements_in_package():
@@ -62,3 +71,22 @@ def test_no_unused_imports_in_package():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+# valid arguments of each parameter class; every float field of each is
+# then made non-finite in turn
+_VALID_ARGS = {IntegratorConfig: {}, MemParams: {}, NetlistOptions: {},
+               BarthelParams: {"num_vars": 10, "ratio": 4.3}, SquareWave: {"period": 2.0}}
+_FLOAT_FIELDS = [(cls, f.name) for cls in _VALID_ARGS for f in fields(cls)
+                 if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_non_finite_parameters_rejected_by_name(cls, name, value):
+    # a NaN or infinite parameter used to start a run that aborted at t=0,
+    # hung the sample loop, or overflowed far from where it was given
+    cls(**_VALID_ARGS[cls])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{**_VALID_ARGS[cls], name: value})
