@@ -326,10 +326,14 @@ def emit_plot_data(record, selection: str) -> str:
 
     lines = ["t,series,value"]
     col_index = {name: i for i, name in enumerate(columns)}
+    # repr of a Python float is the shortest round-trip text; the integer
+    # contrd prints as a float too
+    t_texts = [repr(t) for t in times.astype(float, copy=False).tolist()]
     for name in selected:
         values = extra[name] if name in extra else states[:, col_index[name]]
-        for t, v in zip(times, values):
-            lines.append(f"{float(t)!r},{name},{float(v)!r}")
+        middle = f",{name},"
+        lines.extend([t + middle + repr(v) for t, v in
+                      zip(t_texts, values.astype(float, copy=False).tolist())])
     return "\n".join(lines) + "\n"
 
 

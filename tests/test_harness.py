@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import time
@@ -303,3 +304,14 @@ def test_emit_plot_data_from_loaded_payload(tmp_path):
     direct = emit_plot_data(record, "contrd,v:1")
     loaded = emit_plot_data(payload, "contrd,v:1")
     assert direct == loaded
+
+
+def test_emit_plot_data_pinned_text():
+    # sha256 of the CSV text as the per-sample formatting loop wrote it:
+    # every value is the repr of a Python float, the integer contrd too
+    record = run(generate_instance("X", 10, 2).problem, MEM, seed=4,
+                 config=IntegratorConfig(t_ev=10.0))
+    csv_text = emit_plot_data(record, "contra,contrd,v:*,xl:*")
+    assert "\n0.0,contrd,5.0\n" in csv_text
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "2560c3a2ae7717ed33d5ddb0c538eb6e39c860399b9dbdebb16568e0dd3e29e5")
