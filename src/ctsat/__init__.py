@@ -57,4 +57,4 @@ from .network import SolverNode, SquareWave, Wiring, simulate_network
 from .oracle import OracleResult, solve_dpll, solve_exhaustive
 from .harness import ExperimentPlan, SolverSpec, SummaryTable, emit_plot_data, run_experiment
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
