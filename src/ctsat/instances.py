@@ -129,6 +129,21 @@ def _pattern_probabilities(p0: float) -> np.ndarray:
     return probs
 
 
+def _draw_distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """3 distinct variables per clause as an (m, 3) int64 array, uniform
+    over the ordered triples, in O(M): draw from n, n - 1 and n - 2 values,
+    stepping each draw over the values already taken, smallest first
+    (Bentley & Floyd, CACM 30(9), 1987).
+    """
+    a = rng.integers(n, size=m)
+    b = rng.integers(n - 1, size=m)
+    b += b >= a
+    c = rng.integers(n - 2, size=m)
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return np.stack((a, b, c), axis=1)
+
+
 def gen_barthel(params: BarthelParams) -> PlantedInstance:
     """Draw a planted instance from the Barthel-style ensemble.
 
@@ -142,16 +157,7 @@ def gen_barthel(params: BarthelParams) -> PlantedInstance:
     rng = np.random.Generator(np.random.PCG64(params.seed))
     plant = rng.random(n) < 0.5
 
-    # 3 distinct variables per clause, uniform over the ordered triples, in
-    # O(M): draw from n, n - 1 and n - 2 values, stepping each draw over the
-    # values already taken, smallest first (Bentley & Floyd, CACM 30(9), 1987)
-    a = rng.integers(n, size=m)
-    b = rng.integers(n - 1, size=m)
-    b += b >= a
-    c = rng.integers(n - 2, size=m)
-    c += c >= np.minimum(a, b)
-    c += c >= np.maximum(a, b)
-    variables = np.stack((a, b, c), axis=1)
+    variables = _draw_distinct_triples(rng, n, m)
     masks = rng.choice(8, size=m, p=_pattern_probabilities(params.p0))
 
     satisfied = ((masks[:, None] >> np.arange(3)[None, :]) & 1).astype(bool)

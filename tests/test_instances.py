@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ctsat import instances
 from ctsat.cnf import count_unsatisfied, write_dimacs
 from ctsat.instances import (
     BarthelParams,
@@ -231,10 +232,46 @@ def generate(family, num_vars, seed):
     return gen_barthel(BarthelParams(num_vars=num_vars, ratio=float(family[1:]), seed=seed))
 
 
+def tile_shuffle_triples(rng, n, m):
+    # the variable draw gen_barthel used before it became O(M): the first
+    # 3 entries of a per-clause shuffle of all n variables
+    return rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :3]
+
+
 # sha256 of write_dimacs text, recorded before the generators built the
-# (M, 3) arrays directly, the Barthel entries again when its variable draw
-# became O(M); any change to a generator's RNG call sequence, clause order
-# or sign convention fails here.
+# (M, 3) arrays directly; any change to a generator's RNG call sequence,
+# clause order or sign convention fails here.  The Barthel entries run with
+# the earlier tile-shuffle variable draw put back, so they pin everything of
+# the Barthel stream except the draw itself: plant, RNG call order, sign
+# patterns and DIMACS text.
+@pytest.mark.parametrize("family,num_vars,seed,digest", [
+    ("B4.3", 10, 0, "8536845436b64f4a7b2cab91aa38df44f4f47f85261e591626e3c5b6220be609"),
+    ("B4.3", 10, 1, "4ad063b227fa967ba3605af0917865b23971550efefb9396863c5d0fdf966da5"),
+    ("B4.3", 50, 0, "c2a609f43b007118954c1f9155dc4745c10706f6f9b0bf777d438f7dc1befc21"),
+    ("B4.3", 50, 1, "32492118bcbb2603dbfe996d767019cc4422e9e7b14c54b2b9b830ebaf7f4ed4"),
+    ("B4.3", 2000, 0, "8e746626d63bc62096613b916c2cf6da50d7522a91077aa4b3cd14009208f613"),
+    ("B4.3", 2000, 1, "45622324e1c4d3c83a93fcb49bdcec878f1c04b271736064b3cff5fdb54ecdd5"),
+    ("B7", 10, 0, "6c36766cb3a9c3b0a65864abcc619f66f4749bd6935d7259f82eabf178b81215"),
+    ("B7", 10, 1, "9e8e5bc31d5ea36436664bd4d26b0f111fbccf3ac00c6696adfd12fbc5765425"),
+    ("B7", 50, 0, "38f2be4e932eb0f8ccd321beb2f13d39c159599d34aea9f992dbb0dc01953852"),
+    ("B7", 50, 1, "5653fb1ca83aa13af407c9f2551c622c2fdcde3eba83b3a5b55d0bf30e3c315d"),
+    ("B7", 2000, 0, "a6b79ce22a07065df5355dc76bca6aec70a35986d2672d32cdb4645d2af90ecf"),
+    ("B7", 2000, 1, "e6ea076ebb1b740b8a5462869d799afecc8d2584fcd59f81b5a0604441a478ec"),
+    ("X", 20, 0, "f31952ed8d3a2c6b0d42d3ee9911eaa785faeca6e957f1b115fe3fc03db5d458"),
+    ("X", 20, 1, "f157749aa2b7782a1b97905756988587d9ebd6769c3c323396ea538581c453a4"),
+    ("X", 50, 0, "5886fd50a568d03f679de8bb805f2394ca0c3ec8aaafd3aa42619d5c4ee1d5a7"),
+    ("X", 50, 1, "6c7026507df91e5e7d1cb0915ade7e94a2fa83ae1be14d294f500480e99de656"),
+    ("X", 2000, 0, "5ce3f67016aca662762b6904c194d5020f53acf6c4796b17b1851099db52dddb"),
+    ("X", 2000, 1, "0d5609d9cad39e5d0e0bae2a01d33592d9ef3bf8b514eae0bf8209fa46e07f7c"),
+])
+def test_pinned_instance_stream_digests(family, num_vars, seed, digest, monkeypatch):
+    monkeypatch.setattr(instances, "_draw_distinct_triples", tile_shuffle_triples)
+    text = write_dimacs(generate(family, num_vars, seed).problem)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of write_dimacs text of the Barthel stream with its O(M) variable
+# draw, the stream that gen_barthel gives
 @pytest.mark.parametrize("family,num_vars,seed,digest", [
     ("B4.3", 10, 0, "79a8aee8d0febab17fdce41304387a046233710d1e96feb1bf4e4be328d0e4c7"),
     ("B4.3", 10, 1, "776f234908ae2716a0bd45c7da7388bc1ba2b936af00fed99cf409e9467318f2"),
@@ -248,13 +285,7 @@ def generate(family, num_vars, seed):
     ("B7", 50, 1, "049db3d78b1240a24c542ca27619f8d40c0f84ff6a5f701856f4e235fbf82313"),
     ("B7", 2000, 0, "84af2f3bda7f8d9afa2541f2b86a00d2467cd26f4db3f7e41f5eec5730feaaf7"),
     ("B7", 2000, 1, "ca00f2a2c0d1963cdd09871311012bde506fb96efda0b977126f3a4e120bf318"),
-    ("X", 20, 0, "f31952ed8d3a2c6b0d42d3ee9911eaa785faeca6e957f1b115fe3fc03db5d458"),
-    ("X", 20, 1, "f157749aa2b7782a1b97905756988587d9ebd6769c3c323396ea538581c453a4"),
-    ("X", 50, 0, "5886fd50a568d03f679de8bb805f2394ca0c3ec8aaafd3aa42619d5c4ee1d5a7"),
-    ("X", 50, 1, "6c7026507df91e5e7d1cb0915ade7e94a2fa83ae1be14d294f500480e99de656"),
-    ("X", 2000, 0, "5ce3f67016aca662762b6904c194d5020f53acf6c4796b17b1851099db52dddb"),
-    ("X", 2000, 1, "0d5609d9cad39e5d0e0bae2a01d33592d9ef3bf8b514eae0bf8209fa46e07f7c"),
 ])
-def test_pinned_instance_stream_digests(family, num_vars, seed, digest):
+def test_pinned_barthel_stream_digests(family, num_vars, seed, digest):
     text = write_dimacs(generate(family, num_vars, seed).problem)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
