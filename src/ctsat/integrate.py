@@ -7,14 +7,14 @@ Accepted steps are followed by a projection onto the variable bounds to
 absorb integrator overshoot (the right-hand sides already mask outward
 derivatives at the boundaries).
 
-One integration loop runs every run.  Runs of one solver on problems of
-equal N and M form a batch whose states are the rows of one (B, D) array:
-each loop iteration makes one step attempt for every running member, with
-one batched RHS call per stage, while each member keeps its own time, step
-size, accept/reject decision and stops.  run_batch() integrates a harness
-cell this way, run() is a batch of one, and the nodes of a network (see
-network.py) are batches of one that wait for each other at every stop; all
-share the initial state, the outcome windows, the stats and the record.
+One integration loop runs every run.  Runs of one solver and kernel
+options on problems of equal N and M share a batch whose states are the
+rows of one (B, D) array: each loop iteration makes one step attempt for
+every running member, with one batched RHS call per stage, while each
+member keeps its own time, step size, accept/reject decision and stops.
+This holds for a harness cell (run_batch), a run (a batch of one) and the
+nodes of a network (see network.py), which wait for each other at every
+stop; all share the initial state, the outcome windows and the record.
 A run ends at the first of:
 
 * Solved: the digital control signal contrd is 0 and stays 0 for a
@@ -253,13 +253,6 @@ class _Member:
         if self.y.tobytes() != self.key:
             self.fresh_k1 = True
 
-    def note_step(self, h: float):
-        self.stats["n_accepted"] += 1
-        if h < self.stats["dt_smallest"]:
-            self.stats["dt_smallest"] = h
-        if h > self.stats["dt_largest"]:
-            self.stats["dt_largest"] = h
-
     def record(self, t: float) -> Optional[str]:
         """Records the sample at t and updates both outcome windows; returns
         the outcome whose window is complete (SOLVED before
@@ -293,19 +286,20 @@ class _Member:
 
 
 class _Batch:
-    """Members of one solver, options, N and M whose states are the rows of
-    one (B, D) array, integrated by one batched RHS call per stage.
+    """Members of one solver, kernel options, N and M whose states are the
+    rows of one (B, D) array, integrated by one batched RHS call per stage.
 
-    attempt() makes one step attempt for every member: RK 3(2) stages on all
-    rows at once, then each member's own accept/reject decision and step-size
-    control in Python floats (NumPy's vectorised power is not bit-identical
-    to Python's **), so every member steps exactly as it would alone.  Every
-    accepted step is clipped onto the bounds [lo, hi].  stats["n_rhs"]
-    counts the rows that needed their first stage evaluated and
-    stats["n_rhs_reused"] the steps that reused the previous step's last
-    stage (FSAL); each RK step takes one first stage plus three per attempt,
-    so n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted + n_rejected) for
-    a run that is not aborted."""
+    attempt() runs the method's stages on all rows at once, then each
+    member's own accept/reject decision and step-size control in Python
+    floats (NumPy's vectorised power is not bit-identical to Python's **),
+    so every member steps exactly as it would alone.  A member waiting at
+    its group's stop has h = 0: its row, first stage and stats stay
+    untouched, as only accepted rows are clipped onto [lo, hi] and written.
+    stats["n_rhs"] counts the rows that needed their first stage evaluated
+    and stats["n_rhs_reused"] the steps that reused the previous step's
+    last stage (FSAL); each RK step takes one first stage plus three per
+    attempt, so n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted +
+    n_rejected) for a run that is not aborted."""
 
     def __init__(self, members: list[_Member]):
         self.members = members
@@ -346,51 +340,78 @@ class _Batch:
         return bool(self.members)
 
     def attempt(self) -> list[_Member]:
-        """One step attempt for every member; returns the members that
-        reached their stop or aborted.  A member waiting at a network
-        barrier is a batch of one, which then makes no attempt."""
-        members = self.members
-        if members[0].t_stop is None:
+        """One step attempt for every running member; returns the members
+        that reached their stop or aborted.  A batch whose members all wait
+        makes no attempt."""
+        running = [m for m in self.members if m.t_stop is not None]
+        if not running:
             return []
         start = time.perf_counter()
-        if self.config.method == "euler":
-            stopped = self._attempt_euler()
-        else:
-            stopped = self._attempt_rk23()
+        cfg = self.config
+        hs, y_new, errs, last, calls = (self._euler if cfg.method == "euler" else self._rk23)()
+        accepted, stopped = [], []
+        for row, m in enumerate(self.members):
+            if m.t_stop is None:
+                continue
+            h, err = hs[row], errs[row]
+            m.stats["n_rhs"] += calls
+            if not math.isfinite(err):
+                m.aborted = NonFiniteState(m.t, err)
+                stopped.append(m)
+            elif err > 1.0:
+                m.stats["n_rejected"] += 1
+                if h <= cfg.dt_min * (1 + 1e-12):
+                    m.aborted = StepSizeUnderflow(m.t, err)
+                    stopped.append(m)
+                else:
+                    m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+            else:
+                m.retry = None
+                m.t += h
+                accepted.append(row)
+                m.stats["n_accepted"] += 1
+                m.stats["dt_smallest"] = min(m.stats["dt_smallest"], h)
+                m.stats["dt_largest"] = max(m.stats["dt_largest"], h)
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+                m.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
+                if m.t >= m.t_stop - 1e-12:
+                    m.t_stop = None
+                    stopped.append(m)
+        if accepted:
+            y_clip = np.clip(y_new, self.lo, self.hi)
+            if last is not None:  # the next step's first stage, unless the step was clipped
+                for row in accepted:
+                    self.members[row].fresh_k1 = y_clip[row].tobytes() != y_new[row].tobytes()
+                self.k1[accepted] = last[accepted]
+            self.y[accepted] = y_clip[accepted]
         for member in stopped:
             if member.t_stop is None:
                 member.key = self.y[member.row].tobytes()
-        share = (time.perf_counter() - start) / len(members)
-        for member in members:
+        share = (time.perf_counter() - start) / len(running)
+        for member in running:
             member.wall += share
         return stopped
 
-    def _attempt_euler(self):
-        cfg = self.config
-        hs = [min(cfg.dt_init, m.t_stop - m.t) for m in self.members]
+    def _euler(self):
+        """Forward Euler: (h per row, new rows, error ratios, no last stage,
+        RHS calls per attempt); the error ratio is NaN where dy/dt is not finite."""
+        hs = [0.0 if m.t_stop is None else min(self.config.dt_init, m.t_stop - m.t)
+              for m in self.members]
         dy = self.rhs(0.0, self.y)
-        finite = np.isfinite(dy).all(axis=1).tolist()
-        self.y = np.clip(self.y + np.array(hs)[:, None] * dy, self.lo, self.hi)
-        stopped = []
-        for m, h, ok in zip(self.members, hs, finite):
-            m.stats["n_rhs"] += 1
-            if not ok:
-                m.aborted = NonFiniteState(m.t, math.nan)  # Euler has no error ratio
-                stopped.append(m)
-                continue
-            m.t += h
-            m.note_step(h)
-            if m.t >= m.t_stop - 1e-12:
-                m.t_stop = None
-                stopped.append(m)
-        return stopped
+        errs = [0.0 if ok else math.nan for ok in np.isfinite(dy).all(axis=1).tolist()]
+        return hs, self.y + np.array(hs)[:, None] * dy, errs, None, 1
 
-    def _attempt_rk23(self):
+    def _rk23(self):
+        """Bogacki-Shampine 3(2): (h per row, new rows, RMS error ratios, the
+        last stage k4, RHS calls per attempt); a new step evaluates or reuses k1."""
         cfg = self.config
         tol = cfg.error_tol
-        members, rhs, y = self.members, self.rhs, self.y
+        rhs, y = self.rhs, self.y
         hs, fresh = [], []
-        for row, m in enumerate(members):
+        for row, m in enumerate(self.members):
+            if m.t_stop is None:  # waiting at its group's stop
+                hs.append(0.0)
+                continue
             h = m.retry
             if h is None:  # a new step
                 h = min(m.h, cfg.dt_max, m.t_stop - m.t)
@@ -412,52 +433,14 @@ class _Batch:
         k4 = rhs(0.0, y_new)
         err_vec = h * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4)
         e = err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-        sum_sq = np.add.reduce(e * e, axis=1).tolist()
-        accepted, stopped = [], []
-        for row, m in enumerate(members):
-            h = hs[row]
-            err = math.sqrt(sum_sq[row] / e.shape[1])  # RMS, as np.mean computes it
-            m.stats["n_rhs"] += 3
-            if not math.isfinite(err):
-                m.aborted = NonFiniteState(m.t, err)
-                stopped.append(m)
-            elif err > 1.0:
-                m.stats["n_rejected"] += 1
-                if h <= cfg.dt_min * (1 + 1e-12):
-                    m.aborted = StepSizeUnderflow(m.t, err)
-                    stopped.append(m)
-                else:
-                    m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-            else:
-                m.retry = None
-                m.t += h
-                accepted.append(row)
-                m.note_step(h)
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
-                m.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
-                if m.t >= m.t_stop - 1e-12:
-                    m.t_stop = None
-                    stopped.append(m)
-        if not accepted:
-            return stopped
-        y_clip = np.clip(y_new, self.lo, self.hi)
-        reuse = []
-        for row in accepted:
-            # k4 is the next step's k1 unless the step was clipped
-            if y_clip[row].tobytes() == y_new[row].tobytes():
-                reuse.append(row)
-            else:
-                members[row].fresh_k1 = True
-        y[accepted] = y_clip[accepted]
-        if reuse:
-            k1[reuse] = k4[reuse]
-        return stopped
+        width = e.shape[1]  # RMS, as np.mean computes it
+        errs = [math.sqrt(sum_sq / width) for sum_sq in np.add.reduce(e * e, axis=1).tolist()]
+        return hs, y_new, errs, k4, 3
 
 
 class _Group:
     """Members that stop together at every sample point and drive cut: one
-    run, or every node of a network.  It records t = 0 when it is created,
-    so its members' batches must exist by then.
+    run, or every node of a network.  Its first advance() records t = 0.
 
     fed maps (member index, 1-based input variable) to its source,
     ("drive", k) or ("node", i, 1-based output variable); drives[k] has
@@ -487,7 +470,6 @@ class _Group:
         self.records: Optional[list[RunRecord]] = None
         for member in members:
             member.group = self
-        self.advance()
 
     def advance(self):
         """Acts once every member is at the stop, or one aborted: pins the
@@ -570,16 +552,26 @@ class _Group:
         self.records = records
 
 
-def _integrate(batches: list[_Batch]):
+def _integrate(groups: list[_Group]):
     """The one integration loop behind run(), run_batch() and simulate_network().
 
-    Each iteration makes one step attempt for every running member of every
-    batch; then each group whose members all reached their stop acts on it
+    The members of one solver, kernel options, N and M share a batch,
+    whatever their group.  Each group then records t = 0, and each
+    iteration makes one step attempt for every running member of every
+    batch; each group whose members all reached their stop acts on it
     (pins, samples, outcome windows) and sends them on, or finishes, and
     finished members leave their batch.  The members of a run_batch() cell
     are groups of one, so none waits for another; the nodes of a network
     share one group, so they wait for each other at every stop.
     """
+    shapes: dict = {}
+    for group in groups:
+        for m in group.members:
+            key = (m.solver, m.kernel_options, m.problem.num_vars, m.problem.num_clauses)
+            shapes.setdefault(key, []).append(m)
+    batches = [_Batch(members) for members in shapes.values()]
+    for group in groups:
+        group.advance()
     batches = [batch for batch in batches if batch.prune()]
     while batches:
         stopped = []
@@ -591,34 +583,24 @@ def _integrate(batches: list[_Batch]):
             batches = [batch for batch in batches if batch.prune()]
 
 
-def _simulate(nodes: list[_Member], config: IntegratorConfig, fed: Optional[dict] = None,
-              drives=(), stop_on_solve: bool = True) -> tuple[list[RunRecord], Optional[float]]:
-    """Integrates the nodes of a network, each a batch of one, as one group.
-    Returns the per-node records and the joint solve time."""
-    batches = [_Batch([node]) for node in nodes]
-    group = _Group(nodes, config, fed, drives, stop_on_solve)
-    _integrate(batches)
-    return group.records, group.joint_at
-
-
 def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
               config: IntegratorConfig = IntegratorConfig(),
               analog_options: AnalogOptions = AnalogOptions(),
               mem_options: MemOptions = MemOptions(),
               mem_params: MemParams = MemParams()) -> list[RunRecord]:
     """run() for every (problem, seed) pair, integrated as the rows of one
-    (B, D) state: the problems share N and M.  Every member steps on its
-    own and leaves the batch when its run ends, and its record equals
-    run(problem, solver, seed=seed, ...) in every field but
-    stats["wall_time"], which is its share of the batch's step time plus its
-    own recording time."""
+    (B, D) state per shape: problems of equal N and M share a batch, and
+    problems of mixed sizes form one batch per shape.  Every member steps
+    on its own and leaves its batch when its run ends, and its record
+    equals run(problem, solver, seed=seed, ...) in every field but
+    stats["wall_time"], which is its share of its batch's step time plus
+    its own recording time."""
     if not problems or len(problems) != len(seeds):
         raise ValueError("need at least one problem and exactly one seed per problem")
-    members = [_Member(problem, solver, int(seed), config, analog_options, mem_options,
-                       mem_params) for problem, seed in zip(problems, seeds)]
-    batch = _Batch(members)
-    groups = [_Group([member], config) for member in members]
-    _integrate([batch])
+    groups = [_Group([_Member(problem, solver, int(seed), config, analog_options,
+                              mem_options, mem_params)], config)
+              for problem, seed in zip(problems, seeds)]
+    _integrate(groups)
     return [group.records[0] for group in groups]
 
 

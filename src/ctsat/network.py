@@ -7,9 +7,10 @@ it until the next sample (a one-sample delay, which resolves cyclic wirings
 deterministically); input derivatives are forced to zero.
 simulate_network() validates the wiring and hands the nodes to the
 integration loop of integrate.py, the same loop that runs run() and the
-harness's batched cells: each node is a batch of one, and the nodes wait
-for each other at every stop.  A network without inter-node edges
-therefore reproduces independent runs exactly.
+harness's batched cells: nodes of one solver, kernel options, N and M
+share a batch, and the nodes wait for each other at every stop.  A
+network without inter-node edges therefore reproduces independent runs
+exactly.
 
 A driven input is overwritten with its drive's value at every stop.
 Drives are piecewise constant, value(t) is the level held until the next
@@ -22,7 +23,8 @@ records then carry the node's own entry time into that window and its
 own readout.  An analog node whose spins converge to zero stops the
 network: that node reports converged_to_zero, the others timeout (or
 solved, if the network had already solved jointly).  stats["wall_time"]
-is the time spent advancing and recording that node.
+is that node's share of its batch's step attempts while it was not
+waiting, plus its own recording time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence, Union
 
 from .cnf import Problem, parse_dimacs, require_finite
 from .dynamics import AnalogOptions, MemOptions, MemParams
-from .integrate import MEM, IntegratorConfig, RunRecord, _Member, _simulate
+from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
 __all__ = [
     "SquareWave",
@@ -177,15 +179,16 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
                 node.mem_options, node.mem_params, pins=node.input_vars)
         for node, seed in zip(nodes, seeds)
     ]
-    records, joint_at = _simulate(runs, config, fed, wiring.drives, stop_on_solve)
-    for i, (node, record) in enumerate(zip(nodes, records)):
+    group = _Group(runs, config, fed, wiring.drives, stop_on_solve)
+    _integrate([group])
+    for i, (node, record) in enumerate(zip(nodes, group.records)):
         record.options["network"] = {
             "inputs": list(node.input_vars),
             "outputs": list(node.output_vars),
-            "joint_solve_time": joint_at,
+            "joint_solve_time": group.joint_at,
         }
         record.instance = node.label or f"node{i}"
-    return records
+    return group.records
 
 
 _CONFIG_KEYS = {f.name for f in fields(IntegratorConfig)}

@@ -21,7 +21,9 @@ from ctsat.harness import (
     save_instance,
     verify_run_dir,
 )
-from ctsat.integrate import ANALOG, MEM, SOLVED, TIMEOUT, IntegratorConfig, load_run, run
+from ctsat.integrate import (
+    ANALOG, MEM, SOLVED, TIMEOUT, IntegratorConfig, load_run, run, run_batch,
+)
 
 
 def tiny_plan(**overrides):
@@ -132,13 +134,33 @@ def standalone(plan, key):
                mem_options=spec.mem_options, mem_params=spec.mem_params)
 
 
-@pytest.mark.parametrize("family", ["B4.3", "B7", "X"])
+def mixed_shape_cell(plan):
+    """The records run_experiment would give for a cell of mixed shapes:
+    one run_batch call per solver on X N=12, B4.3 N=12, X N=16 and X N=12
+    problems, three shapes (N, M) and so three batches, keyed like
+    run_experiment's records."""
+    keys = [("X", 12, 0), ("B4.3", 12, 0), ("X", 16, 0), ("X", 12, 1)]
+    problems = [generate_instance(family, size, derive_seed(
+        plan.seed_base, "instance", family, size, index)).problem
+        for family, size, index in keys]
+    records = {}
+    for spec in plan.solvers:
+        seeds = [derive_seed(plan.seed_base, "run", *key, spec.label) for key in keys]
+        batch = run_batch(problems, spec.kind, seeds, config=plan.config,
+                          analog_options=spec.analog_options, mem_options=spec.mem_options,
+                          mem_params=spec.mem_params)
+        records.update(((*key, spec.label), record) for key, record in zip(keys, batch))
+    return records
+
+
+@pytest.mark.parametrize("family", ["B4.3", "B7", "X", "mixed-N"])
 def test_batched_cell_members_equal_standalone_runs(family):
-    plan = tiny_plan(families=(family,), sizes=(12,), instances_per_cell=4,
-                     solvers=(SolverSpec(MEM), SolverSpec(ANALOG)),
+    # a mixed-shape cell takes only the seeds, solvers and config of the plan
+    plan = tiny_plan(families=("X",) if family == "mixed-N" else (family,), sizes=(12,),
+                     instances_per_cell=4, solvers=(SolverSpec(MEM), SolverSpec(ANALOG)),
                      config=IntegratorConfig(t_ev=25.0), seed_base=3)
     start = time.perf_counter()
-    _, records = run_experiment(plan)
+    records = mixed_shape_cell(plan) if family == "mixed-N" else run_experiment(plan)[1]
     elapsed = time.perf_counter() - start
     assert len(records) == 8
     for key, record in records.items():

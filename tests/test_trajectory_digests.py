@@ -6,8 +6,9 @@ step went in; a change to the RHS, the stepper or the sample-grid loop that
 moves any bit of any sample fails here.  The record digests add the
 outcome, t_solve, t_detect and every stat but wall_time, and pin the stops
 of the integration loop: drive transitions (one pair of drives puts stops
-closer than 1e-12 to the next), network barriers, an Euler run and a member
-of a batched cell.  They hold for a fixed numpy version (2.4 on x86-64 when
+closer than 1e-12 to the next), network barriers, an Euler run, a member
+of a batched cell, and network nodes that share a batch with nodes waiting
+at a barrier (recorded while each node was a batch of its own).  They hold for a fixed numpy version (2.4 on x86-64 when
 recorded).  The cases on Barthel instances were re-recorded when the
 generator's variable draw changed, and only those.
 """
@@ -119,6 +120,38 @@ def batch_member():
     return run_batch(problems, MEM, [10, 11, 12, 13], config=IntegratorConfig(t_ev=30.0))[2]
 
 
+def ring(size, method="rk23"):
+    """A ring of one Barthel instance, node i's variable 2 feeding node
+    i+1's variable 1; all nodes share one batch."""
+    problem = gen_barthel(BarthelParams(num_vars=10, ratio=7.0, seed=5)).problem
+    nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,)) for _ in range(size)]
+    wiring = Wiring(edges=tuple((("node", i, 2), ((i + 1) % size, 1)) for i in range(size)))
+    return simulate_network(nodes, wiring, IntegratorConfig(method=method, t_ev=10.0),
+                            seeds=list(range(size)))
+
+
+def ring8_node():
+    return ring(8)[5]
+
+
+def euler_ring_node():
+    return ring(3, method="euler")[1]
+
+
+def two_shape_chain_node():
+    """Node 2 of a driven chain X12 -> X16 -> X12 -> X12 whose last node is
+    unclamped: three batches, nodes 0 and 2 sharing one."""
+    x12 = gen_xorsat_3r(12, seed=40).problem
+    x16 = gen_xorsat_3r(16, seed=41).problem
+    nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,),
+                        mem_options=MemOptions(clamp_v=i != 3))
+             for i, problem in enumerate((x12, x16, x12, x12))]
+    edges = ((("drive", 0), (0, 1)),) + tuple((("node", i, 2), (i + 1, 1)) for i in range(3))
+    wiring = Wiring(edges=edges, drives=(SquareWave(period=3.3),))
+    return simulate_network(nodes, wiring, IntegratorConfig(t_ev=10.0), seeds=[1, 2, 3, 4],
+                            stop_on_solve=False)[2]
+
+
 @pytest.mark.parametrize("make_record,digest", [
     (driven_node, "afa18683d0512f8f62485519726b35fef23d8580bf27ce71289e51e2699e625b"),
     (two_drive_node, "f4c151cf3c91200b693d742e6905bb38e4834a4079805791b1129079362cbe75"),
@@ -126,7 +159,10 @@ def batch_member():
     (mixed_network_node, "25d2a81ad00faa876327d15902e59c98166a5ad2a25052c5d4924800ee0ad35d"),
     (mem_euler, "21238f14f1c452a4f48edde2d7f1c5b50917d365b09dd3840cd372f7202944fd"),
     (batch_member, "b015fa97e9b5258bb7d3fc5bacbf4b02324a01d572f7324968bc6756dbc180ea"),
+    (ring8_node, "7d6387c621ca4f0783d0478606c155032f78ed5f8eb2521836a72176e95aa3ad"),
+    (euler_ring_node, "0bac711fecbcc53fd6991823f724e49b57469c3c9b5e0748b919fb415733605b"),
+    (two_shape_chain_node, "192977b60b2319a44ef7b998c922394807a528314f969e47d8b610633e3f3c42"),
 ], ids=["driven-node", "two-drive-node", "contradictory-ring-node", "mixed-network-node",
-        "mem-euler", "batch-member"])
+        "mem-euler", "batch-member", "ring8-node", "euler-ring-node", "two-shape-chain-node"])
 def test_pinned_record_digests(make_record, digest):
     assert record_digest(make_record()) == digest
