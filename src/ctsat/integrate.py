@@ -127,6 +127,9 @@ class IntegratorConfig:
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.error_tol <= 0 or self.t_ev <= 0 or self.sample_interval <= 0:
             raise ValueError("error_tol, t_ev and sample_interval must be positive")
+        for name in ("eps_zero", "window_zero", "window_confirm"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -205,6 +205,16 @@ def _check_keys(spec: dict, allowed: set, where: str):
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _typed(spec: dict, key: str, kind: type, default, where: str):
+    """spec[key] or default, which must be a JSON integer (kind int; true and
+    2.7 are not) or boolean (kind bool; "false" is not)."""
+    value = spec.get(key, default)
+    if type(value) is not kind:
+        noun = {int: "integer", bool: "boolean"}[kind]
+        raise ValueError(f"{key!r} in {where} must be a JSON {noun}, got {value!r}")
+    return value
+
+
 def _required(spec: dict, key: str, where: str):
     if key not in spec:
         raise ValueError(f"missing key {key!r} in {where}")
@@ -216,8 +226,9 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     """Parse the JSON network description (see README for the schema).
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
-    resolved relative to the config file.  Unknown keys and drive kinds
-    raise ValueError.
+    resolved relative to the config file.  Unknown keys and drive kinds,
+    seeds that are not JSON integers and a stop_on_solve that is not a
+    JSON boolean raise ValueError.
     """
     path = Path(path)
     spec = json.loads(path.read_text())
@@ -225,6 +236,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     _check_keys(spec, _TOP_KEYS, "network config")
     config = IntegratorConfig(**{key: spec[key] for key in _CONFIG_KEYS if key in spec})
 
+    seed = _typed(spec, "seed", int, 0, "network config")
     nodes = []
     seeds = []
     for i, node_spec in enumerate(_required(spec, "nodes", "network config")):
@@ -241,7 +253,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
             mem_params=MemParams(**node_spec.get("mem_params", {})),
             label=node_spec.get("label", cnf),
         ))
-        seeds.append(int(node_spec.get("seed", spec.get("seed", 0) + i)))
+        seeds.append(_typed(node_spec, "seed", int, seed + i, f"node {i}"))
 
     drives = []
     for k, drive_spec in enumerate(spec.get("drives", ())):
@@ -273,5 +285,5 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         edges.append((source, (target[1], target[2])))
     wiring = Wiring(tuple(edges), tuple(drives))
 
-    stop_on_solve = bool(spec.get("stop_on_solve", True))
+    stop_on_solve = _typed(spec, "stop_on_solve", bool, True, "network config")
     return nodes, wiring, config, seeds, stop_on_solve

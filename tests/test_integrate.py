@@ -169,6 +169,15 @@ def test_config_rejects_non_finite_numbers(field):
             IntegratorConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["eps_zero", "window_zero", "window_confirm"])
+def test_config_rejects_negative_windows(field):
+    # window_confirm=-5 let a run count as solved at the first sample with
+    # contrd == 0, with no confirmation window; zero stays valid
+    IntegratorConfig(**{field: 0.0})
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -5$"):
+        IntegratorConfig(**{field: -5})
+
+
 def test_step_size_underflow_flagged_as_timeout():
     inst = easy_instance(seed=1)
     config = IntegratorConfig(error_tol=1e-13, dt_min=0.05, dt_init=0.05, dt_max=0.1)

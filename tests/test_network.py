@@ -420,6 +420,16 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     # json.loads accepts NaN and Infinity
     ({"t_ev": math.nan}, "t_ev must be finite, got nan"),
     ({"drives": [{"kind": "square", "period": math.inf}]}, "period must be finite, got inf"),
+    # bool("false") is True and int(2.7) is 2; a JSON boolean is not a seed
+    ({"stop_on_solve": "false"},
+     "'stop_on_solve' in network config must be a JSON boolean, got 'false'"),
+    ({"stop_on_solve": 0}, "'stop_on_solve' in network config must be a JSON boolean, got 0"),
+    ({"seed": 2.7}, "'seed' in network config must be a JSON integer, got 2.7"),
+    ({"seed": True}, "'seed' in network config must be a JSON integer, got True"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "seed": "1"}]},
+     "'seed' in node 0 must be a JSON integer, got '1'"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "seed": False}]},
+     "'seed' in node 0 must be a JSON integer, got False"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
