@@ -73,6 +73,30 @@ def test_no_unused_imports_in_package():
     assert unused == []
 
 
+def test_every_private_module_name_is_read():
+    # a private function, class or constant that no code in the package
+    # reads is dead code a refactor left behind (a replaced helper or step
+    # method); tests do not count as readers
+    paths = sorted(Path(ctsat.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    assert unread == []
+
+
 # valid arguments of each parameter class; every float field of each is
 # then made non-finite in turn
 _VALID_ARGS = {IntegratorConfig: {}, MemParams: {}, NetlistOptions: {},
