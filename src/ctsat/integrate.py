@@ -11,10 +11,10 @@ One integration loop runs every run.  Runs of one solver and kernel
 options on problems of equal N and M share a batch whose states are the
 rows of one (B, D) array: each loop iteration makes one step attempt for
 every running member, with one batched RHS call per stage, while each
-member keeps its own time, step size, accept/reject decision and stops.
-This holds for a harness cell (run_batch), a run (a batch of one) and the
-nodes of a network (see network.py), which wait for each other at every
-stop; all share the initial state, the outcome windows and the record.
+member keeps its own time, step size, accept/reject decision and stops.  A
+harness cell (run_batch), a run and the nodes of a network (network.py),
+which wait for each other at every stop, all step this way and share the
+initial state, the outcome windows, the stats and the record.
 A run ends at the first of:
 
 * Solved: the digital control signal contrd is 0 and stays 0 for a
