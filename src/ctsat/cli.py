@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
-Global flags --seed, --out-dir and --config (a JSON file overriding
-integrator defaults) apply to every subcommand; solver parameters are
-exposed as flags with their standard defaults.
+The global flags go before the subcommand: --seed reaches gen, solve,
+netlist and bench; --out-dir reaches solve, network and bench; --config (a
+JSON file overriding integrator defaults) reaches solve and bench.  solve
+and netlist share one set of solver flags with their standard defaults.
 """
 
 from __future__ import annotations
@@ -30,14 +31,20 @@ from .netlist import (
     SubcircuitSpec,
     emit_analog,
     emit_mem,
-    emit_subcircuit,
     serialize,
 )
 from .network import load_network_config, simulate_network
 from .oracle import solve_dpll, solve_exhaustive
 
 
-def _add_mem_param_flags(parser):
+def _add_solver_flags(parser):
+    """The solver and its options, shared by solve and netlist."""
+    parser.add_argument("--solver", choices=(ANALOG, MEM), default=MEM)
+    parser.add_argument("--aux-mode", choices=AUX_MODES, default="aK2")
+    parser.add_argument("--no-one-eighth", action="store_true",
+                        help="drop the 1/2^3 prefactor from the clause products")
+    parser.add_argument("--no-clamp-v", action="store_true",
+                        help="remove the voltage bounds of the memcomputing solver")
     defaults = MemParams()
     for f in fields(MemParams):
         parser.add_argument(
@@ -46,8 +53,11 @@ def _add_mem_param_flags(parser):
         )
 
 
-def _mem_params(args) -> MemParams:
-    return MemParams(**{f.name: getattr(args, f.name) for f in fields(MemParams)})
+def _solver_options(args) -> tuple[AnalogOptions, MemOptions, MemParams]:
+    """The analog options, memcomputing options and parameters of the solver flags."""
+    return (AnalogOptions(one_eighth_factor=not args.no_one_eighth, aux_mode=args.aux_mode),
+            MemOptions(clamp_v=not args.no_clamp_v),
+            MemParams(**{f.name: getattr(args, f.name) for f in fields(MemParams)}))
 
 
 def _add_integrator_flags(parser):
@@ -63,28 +73,14 @@ def _integrator_config(args) -> IntegratorConfig:
     overrides = {}
     if args.config:
         overrides.update(json.loads(Path(args.config).read_text()))
-    flag_map = {
-        "t_ev": args.t_ev,
-        "method": args.method,
-        "error_tol": args.error_tol,
-        "dt_init": args.dt_init,
-        "sample_interval": args.sample_interval,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            overrides[key] = value
+    for key in ("t_ev", "method", "error_tol", "dt_init", "sample_interval"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     valid = {f.name for f in fields(IntegratorConfig)}
     unknown = set(overrides) - valid
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     return IntegratorConfig(**overrides)
-
-
-def _analog_options(args) -> AnalogOptions:
-    return AnalogOptions(
-        one_eighth_factor=not getattr(args, "no_one_eighth", False),
-        aux_mode=getattr(args, "aux_mode", "aK2"),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,23 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="integrate one solver on a CNF file")
     p_solve.add_argument("--in", dest="infile", required=True)
-    p_solve.add_argument("--solver", choices=(ANALOG, MEM), default=MEM)
-    p_solve.add_argument("--aux-mode", choices=AUX_MODES, default="aK2")
-    p_solve.add_argument("--no-one-eighth", action="store_true",
-                         help="drop the 1/2^3 prefactor from the clause products")
-    p_solve.add_argument("--no-clamp-v", action="store_true",
-                         help="remove the voltage bounds of the memcomputing solver")
     p_solve.add_argument("--name", default="run", help="basename for saved record")
+    _add_solver_flags(p_solve)
     _add_integrator_flags(p_solve)
-    _add_mem_param_flags(p_solve)
 
     p_net = sub.add_parser("netlist", help="emit a SPICE netlist for a CNF file")
     p_net.add_argument("--in", dest="infile", required=True)
-    p_net.add_argument("--solver", choices=(ANALOG, MEM), default=MEM)
     p_net.add_argument("--out", required=True, help="output netlist path (.cir/.net)")
-    p_net.add_argument("--aux-mode", choices=AUX_MODES, default="aK2")
-    p_net.add_argument("--no-one-eighth", action="store_true")
-    p_net.add_argument("--no-clamp-v", action="store_true")
+    _add_solver_flags(p_net)
     p_net.add_argument("--shunt", type=float, default=1e9,
                        help="shunt resistance in ohms (default 1e9)")
     p_net.add_argument("--random-ic", action="store_true",
@@ -140,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--outputs", default="", help="comma list of output variables")
     p_net.add_argument("--no-contrd-pin", action="store_true")
     p_net.add_argument("--t-ev", type=float, default=300.0)
-    _add_mem_param_flags(p_net)
 
     p_oracle = sub.add_parser("oracle", help="decide satisfiability exactly")
     p_oracle.add_argument("--in", dest="infile", required=True)
@@ -187,13 +173,9 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         problem = parse_dimacs(Path(args.infile).read_text())
-        config = _integrator_config(args)
-        record = run(
-            problem, args.solver, seed=args.seed, config=config,
-            analog_options=_analog_options(args),
-            mem_options=MemOptions(clamp_v=not args.no_clamp_v),
-            mem_params=_mem_params(args),
-        )
+        analog, mem_options, mem_params = _solver_options(args)
+        record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
+                     analog_options=analog, mem_options=mem_options, mem_params=mem_params)
         record.instance = args.infile
         save_run(record, out_dir, args.name)
         t = record.t_solve if record.t_solve is not None else record.t_detect
@@ -214,21 +196,11 @@ def main(argv=None) -> int:
                 outputs=_ints(args.outputs),
                 expose_contrd=not args.no_contrd_pin,
             )
-        options = NetlistOptions(
-            t_ev=args.t_ev,
-            shunt_resistance=args.shunt,
-            analog=_analog_options(args),
-            mem_options=MemOptions(clamp_v=not args.no_clamp_v),
-            mem_params=_mem_params(args),
-            ic_seed=None if args.random_ic else args.seed,
-            subcircuit=subckt,
-        )
-        if subckt is not None:
-            doc = emit_subcircuit(problem, options, solver=args.solver)
-        elif args.solver == ANALOG:
-            doc = emit_analog(problem, options)
-        else:
-            doc = emit_mem(problem, options)
+        analog, mem_options, mem_params = _solver_options(args)
+        options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt, analog=analog,
+                                 mem_options=mem_options, mem_params=mem_params,
+                                 ic_seed=None if args.random_ic else args.seed, subcircuit=subckt)
+        doc = (emit_analog if args.solver == ANALOG else emit_mem)(problem, options)
         Path(args.out).write_text(serialize(doc))
         print(f"wrote {args.out} ({len(doc.elements)} cards)")
         return 0

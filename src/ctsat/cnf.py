@@ -25,6 +25,7 @@ __all__ = [
     "write_dimacs",
     "count_unsatisfied",
     "require_finite",
+    "require_integer",
 ]
 
 # An assignment is a boolean vector of length Problem.num_vars.
@@ -36,14 +37,25 @@ class DimacsError(ValueError):
 
 
 def require_finite(params) -> None:
-    """Raise ValueError naming the first real-valued field of the dataclass
-    instance params that is NaN or infinite.  Parameter and configuration
-    classes call it first thing, so a non-finite number fails where it is
-    given instead of inside a run."""
+    """Raise ValueError naming the first field of the dataclass instance
+    params that is declared float but holds a bool, a str or another
+    non-number (an int is valid), or that holds a NaN or infinite number.
+    Parameter and configuration classes call it first thing, so a bad
+    number fails where it is given instead of inside a run."""
     for f in fields(params):
         value = getattr(params, f.name)
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if isinstance(value, numbers.Real) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def require_integer(value, what: str) -> int:
+    """value as a Python int: a Python or NumPy integer passes, a bool,
+    float, str or anything else raises ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,9 +27,10 @@ the clause minimum (zero otherwise).
 One kernel per solver evaluates a batch of flat state vectors of problems
 with equal N and M (make_batch_system); make_system() is that kernel on a
 batch of one, and analog_rhs() and mem_rhs() are views of it on the state
-structs.  The variable bounds are
-decided once, in _bounds(): the kernel's outward-push mask, the
-integrator's projection and the netlist's source masks all read them.
+structs.  Each solver's state (block names and order, bounds, start
+values) is described once, in _blocks(): the kernel's outward-push mask,
+the integrator's projection, the seeded start of initial_state() and the
+netlist's node names, source masks and .ic cards all read it.
 All functions are pure; derivative outputs already include the boundary
 masks that keep bounded variables from being pushed outward.
 """
@@ -61,6 +62,7 @@ __all__ = [
     "System",
     "make_system",
     "make_batch_system",
+    "initial_state",
     "control_signals",
     "readout",
 ]
@@ -187,26 +189,39 @@ class System(NamedTuple):
     columns: tuple[str, ...]        # component names, equal to the deck's node names
 
 
-def _bounds(problem: Problem, solver: str, mem_options: MemOptions):
-    """The variable bounds over the flat state: spins and clamped voltages
-    in [-1, 1], x_s in [0, 1], x_l in [1, 1e4*M]; the analog weights and
-    unclamped voltages are unbounded."""
+def _blocks(problem: Problem, solver: str, mem_options: MemOptions = MemOptions()):
+    """Each solver's flat state, block by block: (name, size, lo, hi, start).
+    Spins and clamped voltages lie in [-1, 1], x_s in [0, 1], x_l in
+    [1, 1e4*M]; the weights and unclamped voltages are unbounded.  A start
+    of None draws U[-1, 1]; a number is every component's start, and the
+    deck's .ic cards write it as given (1, 0.5, 1.0)."""
     n, m = problem.num_vars, problem.num_clauses
     if solver == ANALOG:
-        lo = np.concatenate((np.full(n, -1.0), np.full(m, -np.inf)))
-        hi = np.concatenate((np.full(n, 1.0), np.full(m, np.inf)))
-    else:
+        return (("s", n, -1.0, 1.0, None), ("a", m, -np.inf, np.inf, 1))
+    if solver == MEM:
         v_bound = 1.0 if mem_options.clamp_v else np.inf
-        lo = np.concatenate((np.full(n, -v_bound), np.zeros(m), np.ones(m)))
-        hi = np.concatenate((np.full(n, v_bound), np.ones(m), np.full(m, 1e4 * m)))
-    return lo, hi
+        return (("v", n, -v_bound, v_bound, None), ("xs", m, 0.0, 1.0, 0.5),
+                ("xl", m, 1.0, 1e4 * m, 1.0))
+    raise ValueError(f"unknown solver {solver!r}")
 
 
-def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOptions,
-            mem_options: MemOptions, mem_params: MemParams):
-    """(rhs, lo, hi): the RHS of one solver over B flat states, stacked as
-    the rows of a (B, D) array with row b the state of problems[b], and the
-    bounds every row shares.
+def initial_state(problem: Problem, solver: str, seed: int) -> np.ndarray:
+    """The seeded flat start of one solver: U[-1, 1]^N from a PCG64 stream
+    for the spins or voltages, then the constant blocks of _blocks()."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.concatenate([rng.uniform(-1.0, 1.0, size) if start is None
+                           else np.full(size, float(start))
+                           for _, size, _, _, start in _blocks(problem, solver)])
+
+
+def make_batch_system(problems: Sequence[Problem], solver: str,
+                      analog_options: AnalogOptions = AnalogOptions(),
+                      mem_options: MemOptions = MemOptions(),
+                      mem_params: MemParams = MemParams()) -> System:
+    """The dynamics of one solver on B problems of equal N and M: rhs(t, y)
+    maps the (B, D) stack of their flat states, row b for problems[b], to
+    its (B, D) derivatives; the bounds and component names are those every
+    row shares.  The dynamics are autonomous, so t is ignored.
 
     The analog state is y = (s, a), the memcomputing state (v, x_s, x_l).
     rhs zeroes every derivative that would push a component at its bound
@@ -220,7 +235,9 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
     if any((p.num_vars, p.num_clauses) != (n, m) for p in problems[1:]):
         raise ValueError("a batch needs problems of equal N and M")
     b = len(problems)
-    lo, hi = _bounds(problems[0], solver, mem_options)
+    names, sizes, lows, highs, _ = zip(*_blocks(problems[0], solver, mem_options))
+    lo, hi = np.repeat(lows, sizes), np.repeat(highs, sizes)
+    columns = tuple(f"{name}{k}" for name, size in zip(names, sizes) for k in range(1, size + 1))
     # clauses of all rows in one (B*M, 3) run, clause-major
     var = np.concatenate([p.var_index for p in problems])
     sign = np.concatenate([p.sign for p in problems])
@@ -239,7 +256,7 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
             contrib = (2.0 * a * km)[:, None] * sign * kmi
             dv = np.bincount(bins, weights=contrib.ravel(), minlength=b * n)
             return np.concatenate((dv.reshape(b, n), growth(a, km).reshape(b, m)), axis=1)
-    elif solver == MEM:
+    else:
         p = mem_params
         # mem_clause_quantities fused into few NumPy calls, with the same
         # floating-point results.  Slot-major (3, B*M) copies make row j the
@@ -270,8 +287,6 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
             return np.concatenate((dv.reshape(b, n),
                                    (p.beta * (x_s + p.epsilon) * (c - p.gamma)).reshape(b, m),
                                    (p.alpha * (c - p.delta)).reshape(b, m)), axis=1)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
 
     def rhs(t, y):
         d = derivatives(y)
@@ -280,25 +295,7 @@ def _kernel(problems: Sequence[Problem], solver: str, analog_options: AnalogOpti
                   | ((flat_y <= lo_rows) & (flat_d < 0)))
         return d
 
-    return rhs, lo, hi
-
-
-def _columns(problem: Problem, solver: str) -> tuple[str, ...]:
-    n, m = problem.num_vars, problem.num_clauses
-    blocks = (("s", n), ("a", m)) if solver == ANALOG else (("v", n), ("xs", m), ("xl", m))
-    return tuple(f"{name}{k}" for name, size in blocks for k in range(1, size + 1))
-
-
-def make_batch_system(problems: Sequence[Problem], solver: str,
-                      analog_options: AnalogOptions = AnalogOptions(),
-                      mem_options: MemOptions = MemOptions(),
-                      mem_params: MemParams = MemParams()) -> System:
-    """The dynamics of one solver on B problems of equal N and M: rhs(t, y)
-    maps the (B, D) stack of their flat states, row b for problems[b], to
-    its (B, D) derivatives.  The dynamics are autonomous, so t is ignored.
-    The bounds and component names are those of make_system."""
-    rhs, lo, hi = _kernel(problems, solver, analog_options, mem_options, mem_params)
-    return System(rhs, lo, hi, _columns(problems[0], solver))
+    return System(rhs, lo, hi, columns)
 
 
 def make_system(problem: Problem, solver: str,
@@ -309,17 +306,16 @@ def make_system(problem: Problem, solver: str,
     bounds that its mask, the integrator's projection and the deck's
     source masks all read, and the component names.  The RHS is the batch
     kernel of make_batch_system on a batch of one."""
-    rhs, lo, hi = _kernel([problem], solver, analog_options, mem_options, mem_params)
-    return System(lambda t, y: rhs(t, np.asarray(y)[None])[0], lo, hi,
-                  _columns(problem, solver))
+    system = make_batch_system([problem], solver, analog_options, mem_options, mem_params)
+    return system._replace(rhs=lambda t, y: system.rhs(t, np.asarray(y)[None])[0])
 
 
 def analog_rhs(problem: Problem, state: AnalogState,
                options: AnalogOptions = AnalogOptions()):
     """Time derivatives (ds, da) of the analog SAT system, with the spin
     derivatives boundary-masked at s = +-1."""
-    rhs, _, _ = _kernel([problem], ANALOG, options, MemOptions(), MemParams())
-    d = rhs(0.0, np.concatenate((state.s, state.a), dtype=float)[None])[0]
+    y = np.concatenate((state.s, state.a), dtype=float)
+    d = make_system(problem, ANALOG, options).rhs(0.0, y)
     return d[:problem.num_vars], d[problem.num_vars:]
 
 
@@ -331,8 +327,8 @@ def mem_rhs(problem: Problem, state: MemState,
     Boundary masks are applied to x_s and x_l always, and to v unless
     options.clamp_v is False (the unconstrained-voltage variant).
     """
-    rhs, _, _ = _kernel([problem], MEM, AnalogOptions(), options, params)
-    d = rhs(0.0, np.concatenate((state.v, state.x_s, state.x_l), dtype=float)[None])[0]
+    y = np.concatenate((state.v, state.x_s, state.x_l), dtype=float)
+    d = make_system(problem, MEM, mem_options=options, mem_params=params).rhs(0.0, y)
     n, m = problem.num_vars, problem.num_clauses
     return d[:n], d[n:n + m], d[n + m:]
 

@@ -49,6 +49,7 @@ from .cnf import (
     assignment_to_bits,
     count_unsatisfied,
     require_finite,
+    require_integer,
 )
 from .dynamics import (
     ANALOG,
@@ -59,6 +60,7 @@ from .dynamics import (
     MemParams,
     MemState,
     control_signals,
+    initial_state,
     make_batch_system,
     readout,
 )
@@ -155,18 +157,18 @@ class RunRecord:
 
 
 def init_analog(problem: Problem, seed: int) -> AnalogState:
-    """Seeded initial conditions: s ~ U[-1, 1]^N, a = 1^M (PCG64 stream)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    s = rng.uniform(-1.0, 1.0, problem.num_vars)
-    return AnalogState(s, np.ones(problem.num_clauses))
+    """Seeded initial conditions: s ~ U[-1, 1]^N, a = 1^M (PCG64 stream),
+    a view of dynamics.initial_state."""
+    y = initial_state(problem, ANALOG, seed)
+    return AnalogState(y[:problem.num_vars], y[problem.num_vars:])
 
 
 def init_mem(problem: Problem, seed: int) -> MemState:
-    """Seeded initial conditions: v ~ U[-1, 1]^N, x_s = 0.5, x_l = 1."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.uniform(-1.0, 1.0, problem.num_vars)
-    m = problem.num_clauses
-    return MemState(v, np.full(m, 0.5), np.ones(m))
+    """Seeded initial conditions: v ~ U[-1, 1]^N, x_s = 0.5, x_l = 1, a view
+    of dynamics.initial_state."""
+    y = initial_state(problem, MEM, seed)
+    n, m = problem.num_vars, problem.num_clauses
+    return MemState(y[:n], y[n:n + m], y[n + m:])
 
 
 def _stops(config: IntegratorConfig, drives):
@@ -199,23 +201,19 @@ class _Member:
     of its batch's (B, D) array.
 
     pins are 1-based variable indices held fixed by the caller (network
-    inputs); their derivatives are forced to zero.
+    inputs); their derivatives are forced to zero.  The seed is a Python or
+    NumPy integer; a bool, float or str raises ValueError.
     """
 
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
                  analog_options: AnalogOptions, mem_options: MemOptions,
                  mem_params: MemParams, pins: tuple[int, ...] = ()):
-        if solver == ANALOG:
-            state0 = init_analog(problem, seed)
-            self.y0 = np.concatenate((state0.s, state0.a))
-            self.options = {"analog": asdict(analog_options)}
-        else:
-            state0 = init_mem(problem, seed)
-            self.y0 = np.concatenate((state0.v, state0.x_s, state0.x_l))
-            self.options = {"mem": asdict(mem_options), "params": asdict(mem_params)}
+        self.seed = require_integer(seed, "seed")
+        self.y0 = initial_state(problem, solver, self.seed)
+        self.options = ({"analog": asdict(analog_options)} if solver == ANALOG
+                        else {"mem": asdict(mem_options), "params": asdict(mem_params)})
         self.problem = problem
         self.solver = solver
-        self.seed = seed
         self.config = config
         self.kernel_options = (analog_options, mem_options, mem_params)
         self.pins = sorted(v - 1 for v in pins)
@@ -600,7 +598,7 @@ def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
     its own recording time."""
     if not problems or len(problems) != len(seeds):
         raise ValueError("need at least one problem and exactly one seed per problem")
-    groups = [_Group([_Member(problem, solver, int(seed), config, analog_options,
+    groups = [_Group([_Member(problem, solver, seed, config, analog_options,
                               mem_options, mem_params)], config)
               for problem, seed in zip(problems, seeds)]
     _integrate(groups)

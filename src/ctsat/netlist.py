@@ -28,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cnf import Problem, require_finite
-from .dynamics import AnalogOptions, MemOptions, MemParams, make_system
-from .integrate import init_analog, init_mem
+from .cnf import Problem, require_finite, require_integer
+from .dynamics import AnalogOptions, MemOptions, MemParams, _blocks, initial_state, make_system
 from . import spice_expr
 
 __all__ = [
@@ -109,9 +108,10 @@ class NetlistDocument:
 class SubcircuitSpec:
     """P input pins and Q output pins over the deck's variable nodes.
 
-    Indices are 1-based (variable i <-> node v<i> / s<i>).  Input variables
-    lose their capacitor cell; the node becomes a pin whose voltage the
-    surrounding circuit dictates.  Output pins simply alias internal nodes.
+    Indices are 1-based integers (variable i <-> node v<i> / s<i>); a bool
+    or float raises ValueError.  Input variables lose their capacitor cell;
+    the node becomes a pin whose voltage the surrounding circuit dictates.
+    Output pins simply alias internal nodes.
     """
 
     name: str
@@ -120,8 +120,9 @@ class SubcircuitSpec:
     expose_contrd: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        for key in ("inputs", "outputs"):
+            object.__setattr__(self, key, tuple(require_integer(i, "subcircuit pin")
+                                                for i in getattr(self, key)))
         pins = (*self.inputs, *self.outputs)
         if len(set(pins)) != len(pins):
             raise ValueError("subcircuit input and output variables must be disjoint")
@@ -143,6 +144,8 @@ class NetlistOptions:
 
     def __post_init__(self):
         require_finite(self)  # a NaN shunt would be written into the deck
+        if self.ic_seed is not None:  # the integrator's seed rule: True is not seed 1
+            object.__setattr__(self, "ic_seed", require_integer(self.ic_seed, "ic_seed"))
 
 
 def _fmt(x: float) -> str:
@@ -222,13 +225,14 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
         bad = [i for i in (*sub.inputs, *sub.outputs) if not 1 <= i <= n]
         if bad:
             raise ValueError(f"subcircuit variable indices out of range: {bad}")
-        if len(sub.inputs) + len(sub.outputs) > n:
-            raise ValueError("subcircuit needs P + Q <= N")
     omitted = set(sub.inputs) if sub is not None else set()
 
     system = make_system(problem, solver, options.analog, options.mem_options,
                          options.mem_params)
-    var_node = "s" if solver == "analog" else "v"
+    y0 = initial_state(problem, solver, options.ic_seed or 0)
+    blocks = _blocks(problem, solver)
+    starts = [start for _, size, _, _, start in blocks for _ in range(size)]
+    var_node = blocks[0][0]  # s or v
     lits = _literal_terms(problem, var_node)
     occurrences = _occurrences(problem)
     signs = problem.sign.tolist()
@@ -237,20 +241,23 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
     ic: list[str] = []
     shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
 
-    def cell(k: int, ic_value: str):
-        """Capacitor, shunt and masked source of flat state component k."""
+    def cell(k: int):
+        """Capacitor, shunt, masked source and start of flat state component k."""
         node = system.columns[k]
         d = f"{fn('f' + node)}()"
         elements.append(Card(f"C{node}", (node, "0"), "1"))
         elements.append(Card(f"R{node}", (node, "0"), shunt))
         elements.append(Card(f"B{node}", ("0", node),
                              f"I={_masked(d, node, system.lo[k], system.hi[k])}"))
-        ic.append(f".ic V({node})={ic_value}")
+        if starts[k] is not None:
+            value = repr(starts[k])
+        else:
+            value = "{flat(1)}" if options.ic_seed is None else _fmt(y0[k])
+        ic.append(f".ic V({node})={value}")
 
     if solver == "analog":
         opts = options.analog
         pref = "0.125*" if opts.one_eighth_factor else ""
-        state0 = init_analog(problem, options.ic_seed or 0)
 
         for m_i, t in enumerate(lits):
             functions.append(FuncDef(fn(f"km{m_i + 1}"), f"{pref}{t[0]}*{t[1]}*{t[2]}"))
@@ -273,10 +280,8 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             }[opts.aux_mode]
             functions.append(FuncDef(fn(f"fa{m_i + 1}"), body))
         functions.extend(_clause_function_defs(problem, var_node, lits, fn))
-        var0 = state0.s
     else:
         params = options.mem_params
-        state0 = init_mem(problem, options.ic_seed or 0)
 
         functions.extend(_clause_function_defs(problem, var_node, lits, fn))
         for i in range(n):
@@ -306,17 +311,14 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             functions.append(
                 FuncDef(fn(f"fxl{m_i + 1}"), f"{_fmt(params.alpha)}*({c}-{_fmt(params.delta)})")
             )
-        var0 = state0.v
 
+    # variables first, then clause by clause: a, or xs then xl
     for i in range(n):
         if (i + 1) not in omitted:
-            cell(i, "{flat(1)}" if options.ic_seed is None else _fmt(var0[i]))
+            cell(i)
     for m_i in range(m):
-        if solver == "analog":
-            cell(n + m_i, "1")
-        else:
-            cell(n + m_i, _fmt(state0.x_s[m_i]))
-            cell(n + m + m_i, _fmt(state0.x_l[m_i]))
+        for k in range(n + m_i, len(y0), m):
+            cell(k)
 
     elements.extend(_control_cards(problem, fn))
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, parse_dimacs, require_finite
+from .cnf import Problem, parse_dimacs, require_finite, require_integer
 from .dynamics import AnalogOptions, MemOptions, MemParams
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -90,9 +90,9 @@ class SquareWave:
 class SolverNode:
     """One solver instance in a network.
 
-    input_vars / output_vars are 1-based variable indices (disjoint sets);
-    input variables are pinned by the wiring, outputs are readable by other
-    nodes.
+    input_vars / output_vars are 1-based integer variable indices (disjoint
+    sets; a bool or float raises ValueError); input variables are pinned by
+    the wiring, outputs are readable by other nodes.
     """
 
     problem: Problem
@@ -105,8 +105,9 @@ class SolverNode:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "input_vars", tuple(self.input_vars))
-        object.__setattr__(self, "output_vars", tuple(self.output_vars))
+        for key in ("input_vars", "output_vars"):
+            object.__setattr__(self, key, tuple(require_integer(i, "variable index")
+                                                for i in getattr(self, key)))
         pins = (*self.input_vars, *self.output_vars)
         if len(set(pins)) != len(pins):
             raise ValueError("input and output variable sets must be disjoint")
@@ -175,7 +176,7 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
         raise ValueError("need at least one node and exactly one seed per node")
     fed = _validate(nodes, wiring)
     runs = [
-        _Member(node.problem, node.solver, int(seed), config, node.analog_options,
+        _Member(node.problem, node.solver, seed, config, node.analog_options,
                 node.mem_options, node.mem_params, pins=node.input_vars)
         for node, seed in zip(nodes, seeds)
     ]

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import stats
 
 from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
-from ctsat.dynamics import AnalogOptions, MemOptions, MemParams, make_system
+from ctsat.dynamics import AnalogOptions, MemOptions, MemParams, initial_state, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -21,6 +22,7 @@ from ctsat.integrate import (
     init_mem,
     load_run,
     run,
+    run_batch,
     save_run,
 )
 from ctsat.network import SolverNode, Wiring, simulate_network
@@ -55,6 +57,19 @@ def test_init_deterministic_per_seed():
     c = init_analog(inst.problem, 12)
     assert np.array_equal(a.s, b.s)
     assert not np.array_equal(a.s, c.s)
+
+
+@pytest.mark.parametrize("solver", [ANALOG, MEM])
+def test_init_structs_view_the_flat_start(solver):
+    # the deck's .ic cards, the integrator's first row and the state structs
+    # all read one seeded start, laid out as the system's columns
+    problem = easy_instance().problem
+    y0 = initial_state(problem, solver, 7)
+    state = (init_analog if solver == ANALOG else init_mem)(problem, 7)
+    assert np.array_equal(np.concatenate(list(vars(state).values())), y0)
+    assert y0.shape == (len(make_system(problem, solver).columns),)
+    assert np.array_equal(run(problem, solver, seed=7,
+                              config=IntegratorConfig(t_ev=0.1)).states[0], y0)
 
 
 def test_init_uniformity_kolmogorov_smirnov():
@@ -176,6 +191,47 @@ def test_config_rejects_negative_windows(field):
     IntegratorConfig(**{field: 0.0})
     with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -5$"):
         IntegratorConfig(**{field: -5})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"method": "rk4"}, "unknown method 'rk4'"),
+    ({"dt_min": 0.0}, "need 0 < dt_min <= dt_init <= dt_max"),
+    ({"dt_min": 0.1, "dt_init": 0.01}, "need 0 < dt_min <= dt_init <= dt_max"),
+    ({"dt_init": 2.0}, "need 0 < dt_min <= dt_init <= dt_max"),
+    ({"error_tol": 0.0}, "error_tol, t_ev and sample_interval must be positive"),
+    ({"t_ev": -1.0}, "error_tol, t_ev and sample_interval must be positive"),
+    ({"sample_interval": 0}, "error_tol, t_ev and sample_interval must be positive"),
+])
+def test_config_rejects_invalid_values(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(**changes)
+
+
+@pytest.mark.parametrize("problems, seeds, message", [
+    ([], [], "need at least one problem and exactly one seed per problem"),
+    ([1], [], "need at least one problem and exactly one seed per problem"),
+    ([1], [0, 1], "need at least one problem and exactly one seed per problem"),
+    # int() used to turn 2.7 into seed 2 and True into seed 1
+    ([1], [2.7], "seed must be an integer, got 2.7"),
+    ([1], [True], "seed must be an integer, got True"),
+    ([1], ["2"], "seed must be an integer, got '2'"),
+    ([1], [np.float64(2.0)], f"seed must be an integer, got {np.float64(2.0)!r}"),
+    ([1, 2], [0, np.bool_(True)], f"seed must be an integer, got {np.bool_(True)!r}"),
+])
+def test_run_batch_rejects_bad_arguments(problems, seeds, message):
+    problems = [easy_instance(seed=k).problem for k in problems]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_batch(problems, MEM, seeds, config=IntegratorConfig(t_ev=0.5))
+
+
+def test_numpy_integer_seed_runs_as_its_int():
+    problem = easy_instance().problem
+    config = IntegratorConfig(t_ev=0.5)
+    record = run(problem, MEM, seed=np.int64(2), config=config)
+    assert type(record.seed) is int and record.seed == 2
+    assert np.array_equal(record.states, run(problem, MEM, seed=2, config=config).states)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 2.7$"):
+        run(problem, MEM, seed=2.7, config=config)
 
 
 def test_step_size_underflow_flagged_as_timeout():

@@ -472,6 +472,22 @@ def test_subcircuit_rejects_overlap_and_range():
         emit_subcircuit(problem, NetlistOptions(subcircuit=spec))
 
 
+@pytest.mark.parametrize("pins", [(1.5,), (True,), ("1",)])
+def test_subcircuit_pins_must_be_integers(pins):
+    # (1.5,) used to emit pin v1.5 that the deck checks accepted
+    for inputs, outputs in ((pins, (2,)), ((2,), pins)):
+        with pytest.raises(ValueError, match="^subcircuit pin must be an integer, got "):
+            SubcircuitSpec(name="x", inputs=inputs, outputs=outputs)
+
+
+@pytest.mark.parametrize("seed", [True, 2.7, "1"])
+def test_ic_seed_must_be_an_integer(seed):
+    # ic_seed=True used to emit the seed-1 deck; 2.7 failed at emission
+    with pytest.raises(ValueError, match="^ic_seed must be an integer, got "):
+        NetlistOptions(ic_seed=seed)
+    assert NetlistOptions(ic_seed=np.int64(3)).ic_seed == 3
+
+
 def test_subcircuit_analog_variant():
     problem = TINY
     spec = SubcircuitSpec(name="asat", inputs=(1,), outputs=(3,))

@@ -137,6 +137,44 @@ def test_wiring_validation():
         simulate_network([], Wiring(), IntegratorConfig(t_ev=1.0), seeds=[])
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((("drive", 0), (5, 1)), "edge targets unknown node 5"),
+    ((("drive", 0), (-1, 1)), "edge targets unknown node -1"),
+    ((("drive", 0), (0, 2)), "edge targets non-input variable 2 of node 0"),
+    ((("drive", 3), (0, 1)), "edge references unknown drive 3"),
+    ((("node", 4, 2), (0, 1)), "edge sources unknown node 4"),
+    ((("pin", 0, 2), (0, 1)), "unknown source kind 'pin'"),
+])
+def test_wiring_rejects_bad_edges(edge, message):
+    inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
+    node = SolverNode(inst.problem, MEM, input_vars=(1,), output_vars=(2,))
+    wiring = Wiring(edges=(edge,), drives=(SquareWave(period=2.0),))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_network([node], wiring, IntegratorConfig(t_ev=1.0), seeds=[0])
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "0"])
+def test_network_rejects_non_integer_seeds(seed):
+    # int() used to truncate 2.7 to seed 2 and run True as seed 1
+    inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
+    message = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_network([SolverNode(inst.problem)], Wiring(), IntegratorConfig(t_ev=1.0),
+                         seeds=[seed])
+
+
+@pytest.mark.parametrize("inputs", [(1.5,), (True,), ("1",), (1.0,)])
+def test_node_pins_must_be_integers(inputs):
+    # (True,) used to run and record "inputs": [true]
+    inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
+    with pytest.raises(ValueError, match="^variable index must be an integer, got "):
+        SolverNode(inst.problem, MEM, input_vars=inputs)
+    with pytest.raises(ValueError, match="^variable index must be an integer, got "):
+        SolverNode(inst.problem, MEM, output_vars=inputs)
+    node = SolverNode(inst.problem, MEM, input_vars=(np.int64(1),))
+    assert node.input_vars == (1,) and type(node.input_vars[0]) is int
+
+
 def test_node_validation():
     inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
     with pytest.raises(ValueError):
@@ -430,6 +468,10 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
      "'seed' in node 0 must be a JSON integer, got '1'"),
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "seed": False}]},
      "'seed' in node 0 must be a JSON integer, got False"),
+    ({"edges": [{"from": "drive:0", "to": "drive:0"}]}, "edge targets must be node inputs"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [True], "outputs": [2]}]},
+     "variable index must be an integer, got True"),
+    ({"t_ev": True}, "t_ev must be a real number, got True"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

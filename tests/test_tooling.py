@@ -114,3 +114,20 @@ def test_non_finite_parameters_rejected_by_name(cls, name, value):
     cls(**_VALID_ARGS[cls])
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         cls(**{**_VALID_ARGS[cls], name: value})
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_non_numbers_rejected_by_name(cls, name, value):
+    # MemParams(alpha=True) ran with alpha = 1 and recorded "alpha": true;
+    # alpha="5" was accepted and failed mid-run with a UFuncTypeError
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        cls(**{**_VALID_ARGS[cls], name: value})
+
+
+def test_integer_parameters_stay_valid():
+    assert MemParams(alpha=5, beta=20).alpha == 5
+    assert IntegratorConfig(t_ev=10, dt_max=1).t_ev == 10
+    assert NetlistOptions(shunt_resistance=10 ** 9).shunt_resistance == 10 ** 9
+    assert SquareWave(period=2, low=-1, high=1).period == 2
