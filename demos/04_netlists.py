@@ -20,7 +20,6 @@ from ctsat.netlist import (
     compose_ring_deck,
     emit_analog,
     emit_mem,
-    emit_subcircuit,
     evaluate_deck_rhs,
     serialize,
 )
@@ -50,7 +49,7 @@ err = max(abs(deck_rhs[f"s{i + 1}"] - ds[i]) for i in range(n))
 print(f"max |deck - engine| on spin derivatives: {err:.2e}")
 
 # a two-solver ring: each side's output pin feeds the other's input pin
-sub = lambda name: emit_subcircuit(
+sub = lambda name: emit_mem(
     problem, NetlistOptions(subcircuit=SubcircuitSpec(name, inputs=(1,), outputs=(2,)))
 )
 (out / "ring.cir").write_text(compose_ring_deck(sub("solva"), sub("solvb")))

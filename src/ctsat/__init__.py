@@ -50,7 +50,6 @@ from .netlist import (
     SubcircuitSpec,
     emit_analog,
     emit_mem,
-    emit_subcircuit,
     serialize,
 )
 from .network import SolverNode, SquareWave, Wiring, simulate_network

@@ -3,8 +3,9 @@
 Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
 The global flags go before the subcommand: --seed reaches gen, solve,
 netlist and bench; --out-dir reaches solve, network and bench; --config (a
-JSON file overriding integrator defaults) reaches solve and bench.  solve
-and netlist share one set of solver flags with their standard defaults.
+JSON file overriding integrator defaults) reaches solve and bench, and any
+other subcommand exits with an error when it is given.  solve and netlist
+share one set of solver flags with their standard defaults.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out_dir)
+    if args.config and args.command not in ("solve", "bench"):
+        raise SystemExit(f"--config applies to solve and bench only, not to {args.command}")
 
     if args.command == "gen":
         if args.family == "barthel":

@@ -24,7 +24,7 @@ __all__ = [
     "parse_dimacs",
     "write_dimacs",
     "count_unsatisfied",
-    "require_finite",
+    "check_fields",
     "require_integer",
 ]
 
@@ -36,16 +36,23 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
 
 
-def require_finite(params) -> None:
+def check_fields(params) -> None:
     """Raise ValueError naming the first field of the dataclass instance
-    params that is declared float but holds a bool, a str or another
-    non-number (an int is valid), or that holds a NaN or infinite number.
-    Parameter and configuration classes call it first thing, so a bad
-    number fails where it is given instead of inside a run."""
+    params whose value does not fit its declared type: a float field
+    holding a bool, a str or another non-number (an int is valid), an int
+    field holding a bool, a float or another non-integer (a NumPy integer is
+    valid), a bool field holding anything but a bool, or any field holding
+    a NaN or infinite number.  Parameter, option and configuration classes
+    call it first thing, so a bad value fails where it is given instead of
+    being read by truthiness or failing inside a run."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if f.type == "int":
+            require_integer(value, f.name)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if isinstance(value, numbers.Real) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Problem, count_unsatisfied, require_finite
+from .cnf import Assignment, Problem, check_fields, count_unsatisfied
 
 __all__ = [
     "ANALOG",
@@ -86,6 +86,7 @@ class AnalogOptions:
     aux_mode: str = "aK2"
 
     def __post_init__(self):
+        check_fields(self)
         if self.aux_mode not in AUX_MODES:
             raise ValueError(f"aux_mode must be one of {AUX_MODES}, got {self.aux_mode!r}")
 
@@ -93,6 +94,9 @@ class AnalogOptions:
 @dataclass(frozen=True)
 class MemOptions:
     clamp_v: bool = True
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class MemParams:
     zeta: float = 0.01
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

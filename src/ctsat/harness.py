@@ -24,7 +24,8 @@ from pathlib import Path
 from statistics import median
 from typing import Optional
 
-from .cnf import count_unsatisfied, parse_dimacs, write_dimacs, assignment_to_bits
+from .cnf import (assignment_to_bits, check_fields, count_unsatisfied, parse_dimacs,
+                  require_integer, write_dimacs)
 from .dynamics import AnalogOptions, MemOptions, MemParams
 from .instances import BarthelParams, PlantedInstance, gen_barthel, gen_xorsat_3r
 from .integrate import (
@@ -120,6 +121,8 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        check_fields(self)
+        object.__setattr__(self, "sizes", tuple(require_integer(n, "size") for n in self.sizes))
         if not (self.families and self.sizes and self.solvers):
             raise ValueError("plan needs at least one family, size and solver")
         for fam in self.families:
@@ -276,16 +279,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None):
     table = SummaryTable.from_records(records)
     if out_dir is not None:
         (out_dir / "summary.json").write_text(
-            json.dumps({"plan": _plan_dict(plan), **table.to_json_dict()}, indent=1) + "\n"
+            json.dumps({"plan": asdict(plan), **table.to_json_dict()}, indent=1) + "\n"
         )
         (out_dir / "summary.md").write_text(table.to_markdown())
     return table, records
-
-
-def _plan_dict(plan: ExperimentPlan) -> dict:
-    payload = asdict(plan)
-    payload["solvers"] = [asdict(s) for s in plan.solvers]
-    return payload
 
 
 def _series_columns(columns, token: str):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnf import Assignment, Problem, count_unsatisfied, require_finite
+from .cnf import Assignment, Problem, check_fields, count_unsatisfied, require_integer
 
 __all__ = [
     "BarthelParams",
@@ -50,7 +50,7 @@ class BarthelParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.num_vars < 3:
             raise ValueError("Barthel generator needs N >= 3")
         if self.ratio <= 0:
@@ -200,9 +200,10 @@ def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
     parity system is consistent.  Expansion gives exactly M = 4N clauses
     and 12 clause occurrences per variable.
     """
+    num_vars = require_integer(num_vars, "num_vars")
     if num_vars < 4:
         raise ValueError("3-regular 3-XORSAT generator needs N >= 4")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(require_integer(seed, "seed")))
 
     stubs = np.repeat(np.arange(num_vars), 3)
     for _ in range(XORSAT_RETRY_BUDGET):

@@ -47,8 +47,8 @@ from .cnf import (
     Problem,
     assignment_from_bits,
     assignment_to_bits,
+    check_fields,
     count_unsatisfied,
-    require_finite,
     require_integer,
 )
 from .dynamics import (
@@ -73,9 +73,6 @@ __all__ = [
     "TIMEOUT",
     "IntegratorConfig",
     "RunRecord",
-    "IntegrationAborted",
-    "NonFiniteState",
-    "StepSizeUnderflow",
     "init_analog",
     "init_mem",
     "run",
@@ -87,25 +84,6 @@ __all__ = [
 SOLVED = "solved"
 CONVERGED_TO_ZERO = "converged_to_zero"
 TIMEOUT = "timeout"
-
-
-class IntegrationAborted(RuntimeError):
-    """The integrator cannot continue; the run ends early as a timeout."""
-
-
-class StepSizeUnderflow(IntegrationAborted):
-    """dt shrank to dt_min while the local error stayed above tolerance."""
-
-    def __init__(self, t: float, err: float):
-        super().__init__(f"step size underflow at t={t:.6g} (error ratio {err:.3g})")
-
-
-class NonFiniteState(IntegrationAborted):
-    """A step's error ratio (RK) or derivative (Euler) is NaN or infinite:
-    some stage derivative or state is no longer finite."""
-
-    def __init__(self, t: float, err: float):
-        super().__init__(f"non-finite state at t={t:.6g} (error ratio {err})")
 
 
 @dataclass(frozen=True)
@@ -124,7 +102,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk23", "euler"):
             raise ValueError(f"unknown method {self.method!r}")
-        require_finite(self)
+        check_fields(self)
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if self.error_tol <= 0 or self.t_ev <= 0 or self.sample_interval <= 0:
@@ -236,7 +214,7 @@ class _Member:
         self.retry: Optional[float] = None    # the size of a rejected step's next attempt
         self.fresh_k1 = True                  # the next step evaluates its first stage
         self.key = b""                        # the state's bytes when it reached its stop
-        self.aborted: Optional[IntegrationAborted] = None
+        self.aborted: Optional[tuple[str, bool]] = None  # (message, is_underflow)
         self.done = False
         self.group = self.batch = self.row = None
 
@@ -357,12 +335,14 @@ class _Batch:
             h, err = hs[row], errs[row]
             m.stats["n_rhs"] += calls
             if not math.isfinite(err):
-                m.aborted = NonFiniteState(m.t, err)
+                # some stage derivative or state is no longer finite
+                m.aborted = (f"non-finite state at t={m.t:.6g} (error ratio {err})", False)
                 stopped.append(m)
             elif err > 1.0:
                 m.stats["n_rejected"] += 1
                 if h <= cfg.dt_min * (1 + 1e-12):
-                    m.aborted = StepSizeUnderflow(m.t, err)
+                    m.aborted = (f"step size underflow at t={m.t:.6g} "
+                                 f"(error ratio {err:.3g})", True)
                     stopped.append(m)
                 else:
                     m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
@@ -514,7 +494,7 @@ class _Group:
         self.zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
         return bool(self.zero) or (self.joint_at is not None and self.stop_on_solve)
 
-    def finish(self, aborted: Optional[IntegrationAborted]):
+    def finish(self, aborted: Optional[tuple[str, bool]]):
         records = []
         for i, m in enumerate(self.members):
             outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
@@ -530,9 +510,9 @@ class _Group:
             if stats["dt_smallest"] is np.inf:
                 stats["dt_smallest"] = None
             stats["wall_time"] = m.wall
-            stats["dt_underflow"] = isinstance(aborted, StepSizeUnderflow)
+            stats["dt_underflow"] = False
             if aborted is not None:
-                stats["abort_message"] = str(aborted)
+                stats["abort_message"], stats["dt_underflow"] = aborted
             records.append(RunRecord(
                 solver=m.solver,
                 seed=m.seed,

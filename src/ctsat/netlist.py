@@ -28,8 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cnf import Problem, require_finite, require_integer
-from .dynamics import AnalogOptions, MemOptions, MemParams, _blocks, initial_state, make_system
+from .cnf import Problem, check_fields, require_integer
+from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, MemParams, _blocks,
+                       initial_state, make_system)
 from . import spice_expr
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "NetlistOptions",
     "emit_analog",
     "emit_mem",
-    "emit_subcircuit",
     "serialize",
     "card_histogram",
     "undeclared_references",
@@ -111,7 +111,10 @@ class SubcircuitSpec:
     Indices are 1-based integers (variable i <-> node v<i> / s<i>); a bool
     or float raises ValueError.  Input variables lose their capacitor cell;
     the node becomes a pin whose voltage the surrounding circuit dictates.
-    Output pins simply alias internal nodes.
+    Output pins simply alias internal nodes, and expose_contrd adds contrd
+    as the last pin.  emit_analog and emit_mem with options.subcircuit set
+    return the .subckt block; it carries no .ic or .tran cards, which
+    belong to the instantiating deck.
     """
 
     name: str
@@ -120,6 +123,7 @@ class SubcircuitSpec:
     expose_contrd: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         for key in ("inputs", "outputs"):
             object.__setattr__(self, key, tuple(require_integer(i, "subcircuit pin")
                                                 for i in getattr(self, key)))
@@ -143,7 +147,7 @@ class NetlistOptions:
     subcircuit: Optional[SubcircuitSpec] = None
 
     def __post_init__(self):
-        require_finite(self)  # a NaN shunt would be written into the deck
+        check_fields(self)  # a NaN shunt would be written into the deck
         if self.ic_seed is not None:  # the integrator's seed rule: True is not seed 1
             object.__setattr__(self, "ic_seed", require_integer(self.ic_seed, "ic_seed"))
 
@@ -255,7 +259,7 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             value = "{flat(1)}" if options.ic_seed is None else _fmt(y0[k])
         ic.append(f".ic V({node})={value}")
 
-    if solver == "analog":
+    if solver == ANALOG:
         opts = options.analog
         pref = "0.125*" if opts.one_eighth_factor else ""
 
@@ -323,51 +327,27 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
     elements.extend(_control_cards(problem, fn))
 
     title = (
-        f"* {'analog SAT' if solver == 'analog' else 'digital memcomputing'} solver, "
+        f"* {'analog SAT' if solver == ANALOG else 'digital memcomputing'} solver, "
         f"N={n} M={m}"
     )
-    if sub is not None:
+    subckt, directives = None, (*ic, f".tran 0 {_fmt(options.t_ev)} 0 uic")
+    if sub is not None:  # the instantiating deck holds the .ic and .tran cards
         pins = tuple(f"{var_node}{i}" for i in (*sub.inputs, *sub.outputs))
         if sub.expose_contrd:
-            pins = pins + ("contrd",)
-        return NetlistDocument(
-            title=title,
-            functions=tuple(functions),
-            elements=tuple(elements),
-            directives=(),
-            subckt=(sub.name, pins),
-        )
-    directives = tuple(ic) + (f".tran 0 {_fmt(options.t_ev)} 0 uic",)
-    return NetlistDocument(
-        title=title,
-        functions=tuple(functions),
-        elements=tuple(elements),
-        directives=directives,
-    )
+            pins += ("contrd",)
+        subckt, directives = (sub.name, pins), ()
+    return NetlistDocument(title=title, functions=tuple(functions), elements=tuple(elements),
+                           directives=directives, subckt=subckt)
 
 
 def emit_analog(problem: Problem, options: NetlistOptions = NetlistOptions()) -> NetlistDocument:
     """Netlist integrating the analog SAT equations (N+M capacitors)."""
-    return _build(problem, options, "analog")
+    return _build(problem, options, ANALOG)
 
 
 def emit_mem(problem: Problem, options: NetlistOptions = NetlistOptions()) -> NetlistDocument:
     """Netlist integrating the memcomputing equations (N+2M capacitors)."""
-    return _build(problem, options, "mem")
-
-
-def emit_subcircuit(problem: Problem, options: NetlistOptions,
-                    solver: str = "mem") -> NetlistDocument:
-    """A .subckt wrapping of the solver deck per options.subcircuit.
-
-    Input variables lose their capacitor/source cell and become pins driven
-    from outside; output pins alias internal variable nodes; contrd can be
-    exposed as an extra pin.  The block carries no .ic/.tran directives --
-    those belong to the instantiating deck.
-    """
-    if options.subcircuit is None:
-        raise ValueError("options.subcircuit must be set")
-    return _build(problem, options, solver)
+    return _build(problem, options, MEM)
 
 
 def _wrap_line(line: str, width: int = LINE_WIDTH) -> list[str]:
@@ -436,7 +416,7 @@ def undeclared_references(document: NetlistDocument) -> list[str]:
     if document.subckt is not None:
         declared_nodes.update(document.subckt[1])
     functions, _, references = document.parsed
-    known_calls = set(functions) | {"u", "min", "max", "if"}
+    known_calls = set(functions) | spice_expr.BUILTINS
 
     problems = []
     for label, (nodes, calls) in references.items():

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, parse_dimacs, require_finite, require_integer
+from .cnf import Problem, check_fields, parse_dimacs, require_integer
 from .dynamics import AnalogOptions, MemOptions, MemParams
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -60,7 +60,7 @@ class SquareWave:
     high: float = 1.0
 
     def __post_init__(self):
-        require_finite(self)
+        check_fields(self)
         if self.period <= 0 or not 0.0 < self.duty < 1.0:
             raise ValueError("need period > 0 and duty in (0, 1)")
         if not self.low < self.high:

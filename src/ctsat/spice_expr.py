@@ -26,6 +26,7 @@ import string
 from typing import Mapping
 
 __all__ = [
+    "BUILTINS",
     "ExprError",
     "parse_expression",
     "evaluate",
@@ -49,6 +50,7 @@ _NUMBER_START = frozenset(string.digits + ".")
 _POWER = {"&": 1, ">": 2, "<": 2, ">=": 2, "<=": 2, "==": 2, "!=": 2,
           "+": 3, "-": 3, "*": 4, "/": 4}
 _ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, math.inf), "max": (1, math.inf)}
+BUILTINS = frozenset(_ARITY)  # the builtin function names
 
 
 def parse_expression(text: str, references: tuple[set[str], set[str]] | None = None):

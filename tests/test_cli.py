@@ -185,6 +185,24 @@ def test_non_finite_mem_parameter_rejected(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["netlist", "--in", "x.cnf", "--out", "d.cir"],
+    ["oracle", "--in", "x.cnf"],
+    ["gen", "xorsat", "--n", "10", "--out", "x.cnf"],
+    ["network", "--config", "net.json"],
+    ["plotdata", "--run", "run.json", "--select", "contra"],
+], ids=lambda command: command[0])
+def test_config_rejected_where_unread(tmp_path, monkeypatch, command):
+    # netlist used to write .tran 0 300.0 with {"t_ev": 7.0} in the file,
+    # and every subcommand but solve and bench ignored it without a word
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"t_ev": 7.0}))
+    with pytest.raises(SystemExit, match=f"^--config applies to solve and bench only, "
+                                         f"not to {command[0]}$"):
+        main(["--config", "cfg.json", *command])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_module_entry_point(tmp_path):
     cnf = tmp_path / "inst.cnf"
     path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)

@@ -27,7 +27,6 @@ from ctsat.netlist import (
     compose_ring_deck,
     emit_analog,
     emit_mem,
-    emit_subcircuit,
     evaluate_deck_rhs,
     serialize,
     undeclared_references,
@@ -321,7 +320,7 @@ GOLDEN = Problem.from_dimacs_clauses(7, [
     pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(mem_options=MemOptions(clamp_v=False))),
                  "2d6fc01b7b4b138a1914a1c228ebb85190d6e0ca61ded8a8a35ab4afcd738e20",
                  id="mem-unclamped"),
-    pytest.param(lambda: emit_subcircuit(GOLDEN, NetlistOptions(
+    pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(
         subcircuit=SubcircuitSpec(name="nodea", inputs=(1,), outputs=(2, 6)))),
                  "2f0432aa3ab5b2e82c1abed8a68ccd4b03c0b370cd282ac5d0a6457c92dd0253",
                  id="mem-subckt"),
@@ -434,7 +433,7 @@ def test_deck_checks_parse_each_document_once(monkeypatch):
 def test_subcircuit_pins_and_omitted_cells():
     problem = sample_problem()
     spec = SubcircuitSpec(name="solva", inputs=(1,), outputs=(2,), expose_contrd=True)
-    doc = emit_subcircuit(problem, NetlistOptions(subcircuit=spec))
+    doc = emit_mem(problem, NetlistOptions(subcircuit=spec))
     name, pins = doc.subckt
     assert name == "solva"
     assert pins == ("v1", "v2", "contrd")
@@ -451,7 +450,7 @@ def test_subcircuit_pins_and_omitted_cells():
 def test_subcircuit_without_inputs_equals_plain_deck_cells():
     problem = TINY
     spec = SubcircuitSpec(name="plain", inputs=(), outputs=(1,), expose_contrd=False)
-    sub = emit_subcircuit(problem, NetlistOptions(subcircuit=spec))
+    sub = emit_mem(problem, NetlistOptions(subcircuit=spec))
     full = emit_mem(problem, NetlistOptions())
     strip = lambda text: text.replace("plain_", "")
     assert [strip(c.value) for c in sub.elements] == [c.value for c in full.elements]
@@ -469,7 +468,7 @@ def test_subcircuit_rejects_overlap_and_range():
     problem = TINY
     spec = SubcircuitSpec(name="x", inputs=(1,), outputs=(9,))
     with pytest.raises(ValueError):
-        emit_subcircuit(problem, NetlistOptions(subcircuit=spec))
+        emit_mem(problem, NetlistOptions(subcircuit=spec))
 
 
 @pytest.mark.parametrize("pins", [(1.5,), (True,), ("1",)])
@@ -491,14 +490,14 @@ def test_ic_seed_must_be_an_integer(seed):
 def test_subcircuit_analog_variant():
     problem = TINY
     spec = SubcircuitSpec(name="asat", inputs=(1,), outputs=(3,))
-    doc = emit_subcircuit(problem, NetlistOptions(subcircuit=spec), solver="analog")
+    doc = emit_analog(problem, NetlistOptions(subcircuit=spec))
     assert doc.subckt[1] == ("s1", "s3", "contrd")
     assert "Cs1" not in {c.name for c in doc.elements}
 
 
 def test_ring_deck_instantiates_twice_with_cross_wiring():
     problem = sample_problem(n=6)
-    make = lambda name: emit_subcircuit(
+    make = lambda name: emit_mem(
         problem,
         NetlistOptions(subcircuit=SubcircuitSpec(name=name, inputs=(1,), outputs=(2,))),
     )

@@ -472,6 +472,9 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     ({"nodes": [{"cnf": "a.cnf", "inputs": [True], "outputs": [2]}]},
      "variable index must be an integer, got True"),
     ({"t_ev": True}, "t_ev must be a real number, got True"),
+    # bool("false") is True: the voltage bounds stayed and "false" was recorded
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
+                 "mem_options": {"clamp_v": "false"}}]}, "clamp_v must be a bool, got 'false'"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,17 +1,22 @@
 import ast
 import importlib
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ctsat
-from ctsat.dynamics import MemParams
-from ctsat.instances import BarthelParams
+from ctsat.dynamics import AnalogOptions, MemOptions, MemParams
+from ctsat.harness import ExperimentPlan
+from ctsat.instances import BarthelParams, gen_xorsat_3r
 from ctsat.integrate import IntegratorConfig
-from ctsat.netlist import NetlistOptions
+from ctsat.netlist import NetlistOptions, SubcircuitSpec
 from ctsat.network import SquareWave
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -97,12 +102,43 @@ def test_every_private_module_name_is_read():
     assert unread == []
 
 
-# valid arguments of each parameter class; every float field of each is
-# then made non-finite in turn
+def test_every_exception_class_is_raised():
+    # an exception class that no code raises is an API a caller may catch
+    # in vain; the integrator's abort classes outlived their raise sites
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(ctsat.__file__).parent.glob("*.py"))]
+    modules = [importlib.import_module(f"ctsat.{p.stem}")
+               for p in sorted(Path(ctsat.__file__).parent.glob("[!_]*.py"))]
+    defined = {name for m in modules for name, obj in vars(m).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == m.__name__}
+    assert {"DimacsError", "ExprError"} <= defined
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    assert sorted(defined - raised) == []
+
+
+def test_project_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert project["version"] == ctsat.__version__
+
+
+# valid arguments of each parameter and option class; every float field of
+# each is then made non-finite in turn, and every typed field mistyped
 _VALID_ARGS = {IntegratorConfig: {}, MemParams: {}, NetlistOptions: {},
-               BarthelParams: {"num_vars": 10, "ratio": 4.3}, SquareWave: {"period": 2.0}}
+               BarthelParams: {"num_vars": 10, "ratio": 4.3}, SquareWave: {"period": 2.0},
+               AnalogOptions: {}, MemOptions: {}, ExperimentPlan: {},
+               SubcircuitSpec: {"name": "x", "inputs": (1,), "outputs": (2,)}}
 _FLOAT_FIELDS = [(cls, f.name) for cls in _VALID_ARGS for f in fields(cls)
                  if f.type == "float"]
+_MISTYPED = {"bool": ("false", 1, None), "int": (True, 2.5, "1")}
+_MISTYPED_FIELDS = [(cls, f.name, f.type, value) for cls in _VALID_ARGS for f in fields(cls)
+                    for value in _MISTYPED.get(f.type, ())]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -126,8 +162,43 @@ def test_non_numbers_rejected_by_name(cls, name, value):
         cls(**{**_VALID_ARGS[cls], name: value})
 
 
+@pytest.mark.parametrize(
+    "cls, name, kind, value", _MISTYPED_FIELDS,
+    ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, _, value in _MISTYPED_FIELDS])
+def test_mistyped_bool_and_int_fields_rejected_by_name(cls, name, kind, value):
+    # bool and int fields were read by truthiness or int(): MemOptions(clamp_v="false")
+    # kept the voltage bounds, BarthelParams(10, 4.3, seed=True) gave the seed-1
+    # instance and ExperimentPlan(instances_per_cell=2.5) was accepted
+    noun = {"bool": "a bool", "int": "an integer"}[kind]
+    with pytest.raises(ValueError, match=f"^{name} must be {noun}, got {re.escape(repr(value))}$"):
+        cls(**{**_VALID_ARGS[cls], name: value})
+
+
+def test_mistyped_fields_cover_every_typed_option():
+    assert {(cls.__name__, name) for cls, name, _, _ in _MISTYPED_FIELDS} == {
+        ("AnalogOptions", "one_eighth_factor"), ("MemOptions", "clamp_v"),
+        ("SubcircuitSpec", "expose_contrd"), ("BarthelParams", "num_vars"),
+        ("BarthelParams", "seed"), ("ExperimentPlan", "instances_per_cell"),
+        ("ExperimentPlan", "seed_base"), ("ExperimentPlan", "workers")}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_xorsat_3r(10, seed=True), "seed must be an integer, got True"),
+    (lambda: gen_xorsat_3r(10.0), "num_vars must be an integer, got 10.0"),
+    (lambda: ExperimentPlan(sizes=(10.5,)), "size must be an integer, got 10.5"),
+    (lambda: ExperimentPlan(sizes=(10, True)), "size must be an integer, got True"),
+], ids=["xorsat-seed", "xorsat-num_vars", "plan-size", "plan-size-bool"])
+def test_integer_arguments_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_integer_parameters_stay_valid():
     assert MemParams(alpha=5, beta=20).alpha == 5
     assert IntegratorConfig(t_ev=10, dt_max=1).t_ev == 10
     assert NetlistOptions(shunt_resistance=10 ** 9).shunt_resistance == 10 ** 9
     assert SquareWave(period=2, low=-1, high=1).period == 2
+    five = np.int64(5)  # int fields and arguments take NumPy integers
+    assert BarthelParams(num_vars=five, ratio=4.3, seed=five).seed == 5
+    assert ExperimentPlan(sizes=(five,), instances_per_cell=five, workers=five).sizes == (5,)
+    assert gen_xorsat_3r(five, seed=five).problem == gen_xorsat_3r(5, seed=5).problem
