@@ -1,10 +1,8 @@
 """Command line interface.
 
 Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
-The global flags go before the subcommand: --seed reaches gen, solve,
-netlist and bench; --out-dir reaches solve, network and bench; --config (a
-JSON file overriding integrator defaults) reaches solve and bench, and any
-other subcommand exits with an error when it is given.  solve and netlist
+Every flag follows its subcommand and is declared only on the subcommands
+that read it, so argparse rejects it on any other.  solve and netlist
 share one set of solver flags with their standard defaults.
 """
 
@@ -46,12 +44,9 @@ def _add_solver_flags(parser):
                         help="drop the 1/2^3 prefactor from the clause products")
     parser.add_argument("--no-clamp-v", action="store_true",
                         help="remove the voltage bounds of the memcomputing solver")
-    defaults = MemParams()
     for f in fields(MemParams):
-        parser.add_argument(
-            f"--{f.name}", type=float, default=getattr(defaults, f.name),
-            help=f"memcomputing parameter {f.name} (default {getattr(defaults, f.name)})",
-        )
+        parser.add_argument(f"--{f.name}", type=float, default=f.default,
+                            help=f"memcomputing parameter {f.name} (default {f.default})")
 
 
 def _solver_options(args) -> tuple[AnalogOptions, MemOptions, MemParams]:
@@ -62,12 +57,13 @@ def _solver_options(args) -> tuple[AnalogOptions, MemOptions, MemParams]:
 
 
 def _add_integrator_flags(parser):
-    parser.add_argument("--t-ev", type=float, default=None,
-                        help="evolution time budget (default 300)")
-    parser.add_argument("--method", choices=("rk23", "euler"), default=None)
-    parser.add_argument("--error-tol", type=float, default=None)
-    parser.add_argument("--dt-init", type=float, default=None)
-    parser.add_argument("--sample-interval", type=float, default=None)
+    """The integrator flags and the JSON file they override, shared by solve and bench."""
+    parser.add_argument("--config", help="JSON file overriding integrator defaults")
+    parser.add_argument("--t-ev", type=float, help="evolution time budget (default 300)")
+    parser.add_argument("--method", choices=("rk23", "euler"))
+    parser.add_argument("--error-tol", type=float)
+    parser.add_argument("--dt-init", type=float)
+    parser.add_argument("--sample-interval", type=float)
 
 
 def _integrator_config(args) -> IntegratorConfig:
@@ -89,32 +85,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ctsat",
         description="continuous-time SAT solver laboratory",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    parser.add_argument("--out-dir", default="ctsat-out",
-                        help="output directory for runs/experiments")
-    parser.add_argument("--config", default=None,
-                        help="JSON file overriding integrator defaults")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default="ctsat-out",
+                         help="output directory for runs/experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a planted instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    p_barthel = gen_sub.add_parser("barthel", help="planted ensemble instance")
+    p_barthel = gen_sub.add_parser("barthel", parents=[seed], help="planted ensemble instance")
     p_barthel.add_argument("--n", type=int, required=True)
     p_barthel.add_argument("--ratio", type=float, default=4.3,
                            help="clause ratio M/N (7 easy, 4.3 difficult)")
     p_barthel.add_argument("--p0", type=float, default=0.08)
     p_barthel.add_argument("--out", required=True, help="output .cnf path")
-    p_xorsat = gen_sub.add_parser("xorsat", help="3-regular 3-XORSAT instance")
+    p_xorsat = gen_sub.add_parser("xorsat", parents=[seed], help="3-regular 3-XORSAT instance")
     p_xorsat.add_argument("--n", type=int, required=True)
     p_xorsat.add_argument("--out", required=True)
 
-    p_solve = sub.add_parser("solve", help="integrate one solver on a CNF file")
+    p_solve = sub.add_parser("solve", parents=[seed, out_dir],
+                             help="integrate one solver on a CNF file")
     p_solve.add_argument("--in", dest="infile", required=True)
     p_solve.add_argument("--name", default="run", help="basename for saved record")
     _add_solver_flags(p_solve)
     _add_integrator_flags(p_solve)
 
-    p_net = sub.add_parser("netlist", help="emit a SPICE netlist for a CNF file")
+    p_net = sub.add_parser("netlist", parents=[seed], help="emit a SPICE netlist for a CNF file")
     p_net.add_argument("--in", dest="infile", required=True)
     p_net.add_argument("--out", required=True, help="output netlist path (.cir/.net)")
     _add_solver_flags(p_net)
@@ -133,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--in", dest="infile", required=True)
     p_oracle.add_argument("--method", choices=("dpll", "exhaustive"), default="dpll")
 
-    p_network = sub.add_parser("network", help="simulate a solver network")
-    p_network.add_argument("--config", "--network-config", dest="network_config",
-                           required=True, help="JSON network description")
+    p_network = sub.add_parser("network", parents=[out_dir], help="simulate a solver network")
+    p_network.add_argument("--config", required=True, help="JSON network description")
 
-    p_bench = sub.add_parser("bench", help="run a benchmark grid and summarize")
+    p_bench = sub.add_parser("bench", parents=[seed, out_dir],
+                             help="run a benchmark grid and summarize")
     p_bench.add_argument("--families", default="B4.3,B7,X")
     p_bench.add_argument("--sizes", default="10,20,30,40,50")
     p_bench.add_argument("--instances", type=int, default=10)
@@ -156,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = Path(args.out_dir)
-    if args.config and args.command not in ("solve", "bench"):
-        raise SystemExit(f"--config applies to solve and bench only, not to {args.command}")
 
     if args.command == "gen":
         if args.family == "barthel":
@@ -180,7 +174,7 @@ def main(argv=None) -> int:
         record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
                      analog_options=analog, mem_options=mem_options, mem_params=mem_params)
         record.instance = args.infile
-        save_run(record, out_dir, args.name)
+        save_run(record, args.out_dir, args.name)
         t = record.t_solve if record.t_solve is not None else record.t_detect
         print(f"{record.outcome}" + (f" at t={t:g}" if t is not None else ""))
         if record.assignment is not None:
@@ -220,12 +214,11 @@ def main(argv=None) -> int:
         return 0 if result.satisfiable else 1
 
     if args.command == "network":
-        nodes, wiring, config, seeds, stop_on_solve = load_network_config(args.network_config)
+        nodes, wiring, config, seeds, stop_on_solve = load_network_config(args.config)
         records = simulate_network(nodes, wiring, config, seeds,
                                    stop_on_solve=stop_on_solve)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for i, record in enumerate(records):
-            save_run(record, out_dir, f"node{i}")
+            save_run(record, args.out_dir, f"node{i}")
             t = f" t_solve={record.t_solve:g}" if record.t_solve is not None else ""
             print(f"node {i}: {record.outcome}{t}")
         return 0
@@ -240,7 +233,7 @@ def main(argv=None) -> int:
             seed_base=args.seed,
             workers=args.workers,
         )
-        table, _records = run_experiment(plan, out_dir)
+        table, _records = run_experiment(plan, args.out_dir)
         print(table.to_markdown())
         return 0
 

@@ -265,7 +265,7 @@ class _Member:
 
 
 class _Batch:
-    """Members of one solver, kernel options, N and M whose states are the
+    """Members of one solver, kernel options, config, N and M whose states are the
     rows of one (B, D) array, integrated by one batched RHS call per stage.
 
     attempt() runs the method's stages on all rows at once, then each
@@ -536,7 +536,7 @@ class _Group:
 def _integrate(groups: list[_Group]):
     """The one integration loop behind run(), run_batch() and simulate_network().
 
-    The members of one solver, kernel options, N and M share a batch,
+    The members of one solver, kernel options, config, N and M share a batch,
     whatever their group.  Each group then records t = 0, and each
     iteration makes one step attempt for every running member of every
     batch; each group whose members all reached their stop acts on it
@@ -548,7 +548,7 @@ def _integrate(groups: list[_Group]):
     shapes: dict = {}
     for group in groups:
         for m in group.members:
-            key = (m.solver, m.kernel_options, m.problem.num_vars, m.problem.num_clauses)
+            key = (m.solver, m.kernel_options, m.config, m.problem.num_vars, m.problem.num_clauses)
             shapes.setdefault(key, []).append(m)
     batches = [_Batch(members) for members in shapes.values()]
     for group in groups:

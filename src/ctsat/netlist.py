@@ -350,11 +350,11 @@ def emit_mem(problem: Problem, options: NetlistOptions = NetlistOptions()) -> Ne
     return _build(problem, options, MEM)
 
 
-def _wrap_line(line: str, width: int = LINE_WIDTH) -> list[str]:
+def _wrap_line(line: str) -> list[str]:
     out = []
     current = line
-    while len(current) > width:
-        cut = current.rfind(" ", 1, width)
+    while len(current) > LINE_WIDTH:
+        cut = current.rfind(" ", 1, LINE_WIDTH)
         if cut <= 0:
             break
         out.append(current[:cut])

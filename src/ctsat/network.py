@@ -169,8 +169,10 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
 
     seeds gives one initial-condition seed per node.  With
     stop_on_solve=False the network integrates the full t_ev even after a
-    joint solve (useful for drive-response studies).
+    joint solve (useful for drive-response studies); it must be a bool.
     """
+    if not isinstance(stop_on_solve, bool):
+        raise ValueError(f"stop_on_solve must be a bool, got {stop_on_solve!r}")
     nodes = list(nodes)
     if not nodes or len(seeds) != len(nodes):
         raise ValueError("need at least one node and exactly one seed per node")
@@ -194,8 +196,8 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
 
 _CONFIG_KEYS = {f.name for f in fields(IntegratorConfig)}
 _TOP_KEYS = _CONFIG_KEYS | {"seed", "stop_on_solve", "nodes", "edges", "drives"}
-_NODE_KEYS = {"cnf", "solver", "inputs", "outputs", "mem_params", "mem_options",
-              "analog_options", "label", "seed"}
+_OPTIONS = {"analog_options": AnalogOptions, "mem_options": MemOptions, "mem_params": MemParams}
+_NODE_KEYS = {"cnf", "solver", "inputs", "outputs", "label", "seed", *_OPTIONS}
 _DRIVE_KEYS = {"kind"} | {f.name for f in fields(SquareWave)}
 _EDGE_KEYS = {"from", "to"}
 
@@ -208,10 +210,10 @@ def _check_keys(spec: dict, allowed: set, where: str):
 
 def _typed(spec: dict, key: str, kind: type, default, where: str):
     """spec[key] or default, which must be a JSON integer (kind int; true and
-    2.7 are not) or boolean (kind bool; "false" is not)."""
+    2.7 are not), boolean (bool; "false" is not), array (list) or object (dict)."""
     value = spec.get(key, default)
     if type(value) is not kind:
-        noun = {int: "integer", bool: "boolean"}[kind]
+        noun = {int: "integer", bool: "boolean", list: "array", dict: "object"}[kind]
         raise ValueError(f"{key!r} in {where} must be a JSON {noun}, got {value!r}")
     return value
 
@@ -227,9 +229,9 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     """Parse the JSON network description (see README for the schema).
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
-    resolved relative to the config file.  Unknown keys and drive kinds,
-    seeds that are not JSON integers and a stop_on_solve that is not a
-    JSON boolean raise ValueError.
+    resolved relative to the config file.  Unknown keys (option objects'
+    included), unknown drive kinds and values of the wrong JSON type (seeds,
+    stop_on_solve, inputs, outputs, option objects) raise ValueError.
     """
     path = Path(path)
     spec = json.loads(path.read_text())
@@ -244,15 +246,18 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         _check_keys(node_spec, _NODE_KEYS, f"node {i}")
         cnf = _required(node_spec, "cnf", f"node {i}")
         problem = parse_dimacs((base / cnf).read_text())
+        options = {}
+        for key, cls in _OPTIONS.items():
+            values = _typed(node_spec, key, dict, {}, f"node {i}")
+            _check_keys(values, {f.name for f in fields(cls)}, f"node {i} {key}")
+            options[key] = cls(**values)
         nodes.append(SolverNode(
             problem=problem,
             solver=node_spec.get("solver", MEM),
-            input_vars=tuple(node_spec.get("inputs", ())),
-            output_vars=tuple(node_spec.get("outputs", ())),
-            analog_options=AnalogOptions(**node_spec.get("analog_options", {})),
-            mem_options=MemOptions(**node_spec.get("mem_options", {})),
-            mem_params=MemParams(**node_spec.get("mem_params", {})),
+            input_vars=tuple(_typed(node_spec, "inputs", list, [], f"node {i}")),
+            output_vars=tuple(_typed(node_spec, "outputs", list, [], f"node {i}")),
             label=node_spec.get("label", cnf),
+            **options,
         ))
         seeds.append(_typed(node_spec, "seed", int, seed + i, f"node {i}"))
 

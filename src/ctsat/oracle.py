@@ -16,6 +16,7 @@ from .cnf import Assignment, Problem, count_unsatisfied
 __all__ = ["OracleResult", "solve_exhaustive", "solve_dpll", "EXHAUSTIVE_MAX_VARS"]
 
 EXHAUSTIVE_MAX_VARS = 26
+_CHUNK = 1 << 13  # assignments evaluated per NumPy pass
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class OracleResult:
     nodes_explored: int
 
 
-def solve_exhaustive(problem: Problem, chunk: int = 1 << 13) -> OracleResult:
+def solve_exhaustive(problem: Problem) -> OracleResult:
     """Enumerate all 2^N assignments in lexicographic order (x1 most
     significant, FALSE < TRUE) and return the first satisfying one.
 
@@ -38,8 +39,8 @@ def solve_exhaustive(problem: Problem, chunk: int = 1 << 13) -> OracleResult:
     shifts = (n - 1 - problem.var_index).astype(np.uint64)  # (M, 3)
     want_true = problem.sign > 0
     total = 1 << n
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         bits = (codes[:, None, None] >> shifts[None, :, :]) & np.uint64(1)
         lit_sat = (bits == 1) == want_true[None, :, :]
         sat = lit_sat.any(axis=2).all(axis=1)

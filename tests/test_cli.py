@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 def test_gen_barthel(tmp_path, capsys):
     out = tmp_path / "easy.cnf"
-    assert main(["--seed", "3", "gen", "barthel", "--n", "12", "--ratio", "7",
+    assert main(["gen", "barthel", "--seed", "3", "--n", "12", "--ratio", "7",
                  "--out", str(out)]) == 0
     problem = parse_dimacs(out.read_text())
     assert problem.num_vars == 12 and problem.num_clauses == 84
@@ -25,17 +26,17 @@ def test_gen_barthel(tmp_path, capsys):
 
 def test_gen_xorsat(tmp_path):
     out = tmp_path / "hard.cnf"
-    assert main(["--seed", "5", "gen", "xorsat", "--n", "10", "--out", str(out)]) == 0
+    assert main(["gen", "xorsat", "--seed", "5", "--n", "10", "--out", str(out)]) == 0
     problem = parse_dimacs(out.read_text())
     assert problem.num_clauses == 40
 
 
 def test_solve_and_plotdata(tmp_path, capsys):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "10", "--ratio", "7",
+    main(["gen", "barthel", "--seed", "1", "--n", "10", "--ratio", "7",
           "--out", str(cnf)])
     out_dir = tmp_path / "runs"
-    code = main(["--seed", "2", "--out-dir", str(out_dir), "solve",
+    code = main(["solve", "--seed", "2", "--out-dir", str(out_dir),
                  "--in", str(cnf), "--solver", "mem", "--t-ev", "60",
                  "--name", "demo"])
     assert code == 0
@@ -52,9 +53,9 @@ def test_solve_and_plotdata(tmp_path, capsys):
 
 def test_solve_analog_with_aux_mode(tmp_path, capsys):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "10", "--ratio", "7",
+    main(["gen", "barthel", "--seed", "1", "--n", "10", "--ratio", "7",
           "--out", str(cnf)])
-    code = main(["--seed", "2", "--out-dir", str(tmp_path / "r"), "solve",
+    code = main(["solve", "--seed", "2", "--out-dir", str(tmp_path / "r"),
                  "--in", str(cnf), "--solver", "analog", "--aux-mode", "K2",
                  "--t-ev", "120"])
     assert code == 0
@@ -62,7 +63,7 @@ def test_solve_analog_with_aux_mode(tmp_path, capsys):
 
 def test_netlist_command(tmp_path):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "6", "--ratio", "4.3",
+    main(["gen", "barthel", "--seed", "1", "--n", "6", "--ratio", "4.3",
           "--out", str(cnf)])
     out = tmp_path / "deck.cir"
     assert main(["netlist", "--in", str(cnf), "--solver", "mem",
@@ -80,7 +81,7 @@ def test_netlist_command(tmp_path):
 
 def test_netlist_random_ic(tmp_path):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "6", "--ratio", "4.3",
+    main(["gen", "barthel", "--seed", "1", "--n", "6", "--ratio", "4.3",
           "--out", str(cnf)])
     out = tmp_path / "deck.cir"
     main(["netlist", "--in", str(cnf), "--solver", "analog", "--out", str(out),
@@ -90,7 +91,7 @@ def test_netlist_random_ic(tmp_path):
 
 def test_oracle_command(tmp_path, capsys):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "xorsat", "--n", "10", "--out", str(cnf)])
+    main(["gen", "xorsat", "--seed", "1", "--n", "10", "--out", str(cnf)])
     assert main(["oracle", "--in", str(cnf)]) == 0
     assert "SATISFIABLE" in capsys.readouterr().out
     # unsatisfiable case returns exit code 1
@@ -103,7 +104,7 @@ def test_oracle_command(tmp_path, capsys):
 
 def test_bench_command(tmp_path, capsys):
     out_dir = tmp_path / "exp"
-    code = main(["--seed", "7", "--out-dir", str(out_dir), "bench",
+    code = main(["bench", "--seed", "7", "--out-dir", str(out_dir),
                  "--families", "B7", "--sizes", "10", "--instances", "2",
                  "--solvers", "mem", "--t-ev", "60"])
     assert code == 0
@@ -113,7 +114,7 @@ def test_bench_command(tmp_path, capsys):
 
 def test_network_command(tmp_path, capsys):
     cnf = tmp_path / "a.cnf"
-    main(["--seed", "3", "gen", "barthel", "--n", "8", "--ratio", "7",
+    main(["gen", "barthel", "--seed", "3", "--n", "8", "--ratio", "7",
           "--out", str(cnf)])
     net = {
         "t_ev": 60.0,
@@ -127,7 +128,7 @@ def test_network_command(tmp_path, capsys):
         ],
     }
     (tmp_path / "net.json").write_text(json.dumps(net))
-    code = main(["--out-dir", str(tmp_path / "netout"), "network",
+    code = main(["network", "--out-dir", str(tmp_path / "netout"),
                  "--config", str(tmp_path / "net.json")])
     assert code == 0
     assert (tmp_path / "netout" / "node0.json").exists()
@@ -136,12 +137,12 @@ def test_network_command(tmp_path, capsys):
 
 def test_config_file_overrides(tmp_path, capsys):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "8", "--ratio", "7",
+    main(["gen", "barthel", "--seed", "1", "--n", "8", "--ratio", "7",
           "--out", str(cnf)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t_ev": 30.0, "error_tol": 1e-5}))
-    code = main(["--seed", "2", "--out-dir", str(tmp_path / "r"),
-                 "--config", str(cfg), "solve", "--in", str(cnf)])
+    code = main(["solve", "--seed", "2", "--out-dir", str(tmp_path / "r"),
+                 "--config", str(cfg), "--in", str(cnf)])
     assert code == 0
     payload = json.loads((tmp_path / "r" / "run.json").read_text())
     assert payload["config"]["t_ev"] == 30.0
@@ -150,12 +151,12 @@ def test_config_file_overrides(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path):
     cnf = tmp_path / "inst.cnf"
-    main(["--seed", "1", "gen", "barthel", "--n", "8", "--ratio", "7",
+    main(["gen", "barthel", "--seed", "1", "--n", "8", "--ratio", "7",
           "--out", str(cnf)])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
     with pytest.raises(SystemExit):
-        main(["--config", str(cfg), "solve", "--in", str(cnf)])
+        main(["solve", "--config", str(cfg), "--in", str(cnf)])
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -170,7 +171,7 @@ def test_non_finite_config_rejected(tmp_path, config, flags):
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         args = ["--config", str(tmp_path / "cfg.json")]
-    args = build_parser().parse_args([*args, "solve", "--in", "inst.cnf", *flags])
+    args = build_parser().parse_args(["solve", *args, "--in", "inst.cnf", *flags])
     with pytest.raises(ValueError, match="must be finite"):
         _integrator_config(args)
 
@@ -181,33 +182,89 @@ def test_non_finite_mem_parameter_rejected(tmp_path):
     assert main(["gen", "xorsat", "--n", "10", "--out", str(cnf)]) == 0
     out_dir = tmp_path / "runs"
     with pytest.raises(ValueError, match="alpha must be finite"):
-        main(["--out-dir", str(out_dir), "solve", "--in", str(cnf), "--alpha", "nan"])
+        main(["solve", "--out-dir", str(out_dir), "--in", str(cnf), "--alpha", "nan"])
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["netlist", "--in", "x.cnf", "--out", "d.cir"],
-    ["oracle", "--in", "x.cnf"],
-    ["gen", "xorsat", "--n", "10", "--out", "x.cnf"],
-    ["network", "--config", "net.json"],
-    ["plotdata", "--run", "run.json", "--select", "contra"],
-], ids=lambda command: command[0])
-def test_config_rejected_where_unread(tmp_path, monkeypatch, command):
-    # netlist used to write .tran 0 300.0 with {"t_ev": 7.0} in the file,
-    # and every subcommand but solve and bench ignored it without a word
+# which of the flags that several subcommands share each one declares;
+# network's --config is its network description
+SHARED = ("--seed", "--out-dir", "--config")
+DECLARED = {
+    "gen barthel": {"--seed"},
+    "gen xorsat": {"--seed"},
+    "solve": {"--seed", "--out-dir", "--config"},
+    "netlist": {"--seed"},
+    "oracle": set(),
+    "network": {"--out-dir", "--config"},
+    "bench": {"--seed", "--out-dir", "--config"},
+    "plotdata": set(),
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every parser without subcommands."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(path), parser
+    for action in actions:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_flags_declared_only_where_read():
+    parser = build_parser()
+    assert [a.option_strings for a in parser._actions if a.option_strings] == [["-h", "--help"]]
+    declared = {path: {option for a in leaf._actions for option in a.option_strings
+                       if option in SHARED}
+                for path, leaf in leaf_parsers(parser)}
+    assert declared == DECLARED
+
+
+# the arguments of one subcommand of each that leaves a shared flag unread
+# (gen barthel reads as gen xorsat does)
+ARGS = {
+    "gen xorsat": ["--n", "10", "--out", "x.cnf"],
+    "netlist": ["--in", "x.cnf", "--out", "d.cir"],
+    "oracle": ["--in", "x.cnf"],
+    "network": ["--config", "net.json"],
+    "plotdata": ["--run", "run.json", "--select", "contra"],
+}
+VALUES = {"--seed": "5", "--out-dir": "out", "--config": "cfg.json"}
+
+
+@pytest.mark.parametrize("flag, name", [
+    (flag, name) for name in ARGS for flag in SHARED if flag not in DECLARED[name]
+], ids=lambda value: value.lstrip("-").split()[0])
+def test_flag_rejected_where_unread(tmp_path, monkeypatch, capsys, flag, name):
+    # as global flags, --config was ignored by netlist (which wrote .tran 0
+    # 300.0 with {"t_ev": 7.0} in the file), --seed by oracle, network and
+    # plotdata, and --out-dir by gen, netlist, oracle and plotdata
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"t_ev": 7.0}))
-    with pytest.raises(SystemExit, match=f"^--config applies to solve and bench only, "
-                                         f"not to {command[0]}$"):
-        main(["--config", "cfg.json", *command])
+    command = [*name.split(), *ARGS[name]]
+    for argv, message in (([*command, flag, VALUES[flag]], f"unrecognized arguments: {flag}"),
+                          ([flag, VALUES[flag], *command], "invalid choice")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_global_form_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "1", "gen", "xorsat", "--n", "10", "--out", "x.cnf"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: '1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point(tmp_path):
     cnf = tmp_path / "inst.cnf"
     path = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-m", "ctsat", "--seed", "1", "gen", "barthel",
+        [sys.executable, "-m", "ctsat", "gen", "barthel", "--seed", "1",
          "--n", "6", "--ratio", "4.3", "--out", str(cnf)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )

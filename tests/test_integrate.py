@@ -233,6 +233,25 @@ def test_numpy_integer_seed_runs_as_its_int():
         run(problem, MEM, seed=2.7, config=config)
 
 
+def test_groups_of_one_shape_with_different_configs_step_apart():
+    # one batch used to hold both, and both stepped with the first's error_tol
+    problem = gen_xorsat_3r(12, seed=4).problem
+    configs = [IntegratorConfig(t_ev=10.0, error_tol=1e-3),
+               IntegratorConfig(t_ev=10.0, error_tol=1e-5)]
+    groups = [integrate._Group([integrate._Member(problem, MEM, 5, config, AnalogOptions(),
+                                                  MemOptions(), MemParams())], config)
+              for config in configs]
+    integrate._integrate(groups)
+    for group, config in zip(groups, configs):
+        got, want = group.records[0], run(problem, MEM, seed=5, config=config)
+        assert got.config == config
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert (got.outcome, got.t_solve) == (want.outcome, want.t_solve)
+        without_wall = lambda stats: {k: v for k, v in stats.items() if k != "wall_time"}
+        assert without_wall(got.stats) == without_wall(want.stats)
+
+
 def test_step_size_underflow_flagged_as_timeout():
     inst = easy_instance(seed=1)
     config = IntegratorConfig(error_tol=1e-13, dt_min=0.05, dt_init=0.05, dt_max=0.1)

@@ -434,6 +434,13 @@ def test_load_network_config_rejects_unknown_drive_kind(tmp_path):
                  "expose_contrd": True}]}, "node 0: expose_contrd"),
     ({"drives": [{"kind": "square", "period": 4.0, "dutty": 0.5}]}, "drive 0: dutty"),
     ({"edges": [{"from": "drive:0", "too": "node:0:1"}]}, "edge 0: too"),
+    # an unknown option field used to raise TypeError from the constructor
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
+                 "mem_params": {"alhpa": 1.0}}]}, "node 0 mem_params: alhpa"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
+                 "analog_options": {"aux": "K"}}]}, "node 0 analog_options: aux"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
+                 "mem_options": {"clamp": False}}]}, "node 0 mem_options: clamp"),
 ])
 def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}"):
@@ -475,7 +482,26 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     # bool("false") is True: the voltage bounds stayed and "false" was recorded
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
                  "mem_options": {"clamp_v": "false"}}]}, "clamp_v must be a bool, got 'false'"),
+    # each used to raise TypeError
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "mem_params": [1]}]},
+     "'mem_params' in node 0 must be a JSON object, got [1]"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "analog_options": "aK2"}]},
+     "'analog_options' in node 0 must be a JSON object, got 'aK2'"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": 5, "outputs": [2]}]},
+     "'inputs' in node 0 must be a JSON array, got 5"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": {"2": 1}}]},
+     "'outputs' in node 0 must be a JSON array, got {'2': 1}"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_network_config(write_config(tmp_path, **changes))
+
+
+@pytest.mark.parametrize("stop_on_solve", ["no", 0, 1, None, np.True_])
+def test_simulate_network_rejects_non_bool_stop_on_solve(stop_on_solve):
+    # "no" used to stop at the joint solve, as True does
+    node = SolverNode(gen_barthel(BarthelParams(num_vars=8, ratio=7.0, seed=3)).problem)
+    with pytest.raises(ValueError, match=f"^stop_on_solve must be a bool, got "
+                                         f"{re.escape(repr(stop_on_solve))}$"):
+        simulate_network([node], Wiring(), IntegratorConfig(t_ev=40.0), [0],
+                         stop_on_solve=stop_on_solve)
