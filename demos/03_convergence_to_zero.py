@@ -31,7 +31,7 @@ print(f"  final max|s_i| = {np.abs(record.states[-1, :n]).max():.2e}, "
 config = IntegratorConfig(t_ev=120.0, eps_zero=0.0)
 for mode in ("aK2", "K", "K2"):
     rec = run(inst.problem, ANALOG, seed=1, config=config,
-              analog_options=AnalogOptions(aux_mode=mode))
+              solver_options=AnalogOptions(aux_mode=mode))
     tail = rec.times >= 60.0
     t, a = rec.times[tail], rec.states[tail][:, n:]
     r2_exp = np.mean([r_squared(t, np.log(a[:, j])) for j in range(a.shape[1])])

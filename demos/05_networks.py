@@ -13,7 +13,7 @@ impossible.
 import numpy as np
 
 from ctsat import IntegratorConfig, MEM, Problem
-from ctsat.dynamics import MemParams
+from ctsat.dynamics import MemOptions
 from ctsat.instances import BarthelParams, gen_barthel
 from ctsat.network import SolverNode, SquareWave, Wiring, simulate_network
 
@@ -33,7 +33,7 @@ def forced_instance(value):
 # --- part 1: square-wave response (memory decay alpha = 0) -----------------
 prob = forced_instance(False)
 node = SolverNode(prob, MEM, input_vars=(1,), output_vars=(2,),
-                  mem_params=MemParams(alpha=0.0))
+                  solver_options=MemOptions(alpha=0.0))
 wave = SquareWave(period=20, duty=0.5, phase=0)
 wiring = Wiring(edges=((("drive", 0), (0, 1)),), drives=(wave,))
 

@@ -17,7 +17,6 @@ from .dynamics import (
     AnalogOptions,
     AnalogState,
     MemOptions,
-    MemParams,
     MemState,
     analog_rhs,
     control_signals,
@@ -56,4 +55,4 @@ from .network import SolverNode, SquareWave, Wiring, simulate_network
 from .oracle import OracleResult, solve_dpll, solve_exhaustive
 from .harness import ExperimentPlan, SolverSpec, SummaryTable, emit_plot_data, run_experiment
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

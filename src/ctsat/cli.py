@@ -3,7 +3,8 @@
 Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
 Every flag follows its subcommand and is declared only on the subcommands
 that read it, so argparse rejects it on any other.  solve and netlist
-share one set of solver flags with their standard defaults.
+share one set of solver flags, one per field of AnalogOptions and
+MemOptions; a flag of the solver not chosen is a usage error.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .cnf import parse_dimacs, assignment_to_bits
-from .dynamics import AUX_MODES, AnalogOptions, MemOptions, MemParams
+from .dynamics import AUX_MODES, MemOptions, resolve_options
 from .harness import (
     ExperimentPlan,
     SolverSpec,
@@ -36,29 +37,38 @@ from .network import load_network_config, simulate_network
 from .oracle import solve_dpll, solve_exhaustive
 
 
+# the solver flags: option string -> argparse keywords, each dest an options field
+_SOLVER_FLAGS = {
+    "--no-one-eighth": dict(dest="one_eighth_factor", action="store_false",
+                            help="analog: drop the 1/2^3 prefactor from the clause products"),
+    "--aux-mode": dict(dest="aux_mode", choices=AUX_MODES),
+    "--no-clamp-v": dict(dest="clamp_v", action="store_false",
+                         help="mem: remove the voltage bounds"),
+    **{f"--{f.name}": dict(dest=f.name, type=float, help=f"mem: {f.name} (default {f.default})")
+       for f in fields(MemOptions) if f.type == "float"},
+}
+
+
 def _add_solver_flags(parser):
-    """The solver and its options, shared by solve and netlist."""
+    """The solver and its options, shared by solve and netlist; unset when not given."""
     parser.add_argument("--solver", choices=(ANALOG, MEM), default=MEM)
-    parser.add_argument("--aux-mode", choices=AUX_MODES, default="aK2")
-    parser.add_argument("--no-one-eighth", action="store_true",
-                        help="drop the 1/2^3 prefactor from the clause products")
-    parser.add_argument("--no-clamp-v", action="store_true",
-                        help="remove the voltage bounds of the memcomputing solver")
-    for f in fields(MemParams):
-        parser.add_argument(f"--{f.name}", type=float, default=f.default,
-                            help=f"memcomputing parameter {f.name} (default {f.default})")
+    for flag, keywords in _SOLVER_FLAGS.items():
+        parser.add_argument(flag, default=argparse.SUPPRESS, **keywords)
 
 
-def _solver_options(args) -> tuple[AnalogOptions, MemOptions, MemParams]:
-    """The analog options, memcomputing options and parameters of the solver flags."""
-    return (AnalogOptions(one_eighth_factor=not args.no_one_eighth, aux_mode=args.aux_mode),
-            MemOptions(clamp_v=not args.no_clamp_v),
-            MemParams(**{f.name: getattr(args, f.name) for f in fields(MemParams)}))
+def _solver_options(parser, args):
+    """args.solver's options from the flags given; another solver's flag is a usage error."""
+    options = resolve_options(args.solver)
+    given = {kw["dest"]: flag for flag, kw in _SOLVER_FLAGS.items() if hasattr(args, kw["dest"])}
+    stray = [flag for name, flag in given.items() if not hasattr(options, name)]
+    if stray:
+        parser.error(f"--solver {args.solver} does not read {', '.join(stray)}")
+    return replace(options, **{name: getattr(args, name) for name in given})
 
 
 def _add_integrator_flags(parser):
     """The integrator flags and the JSON file they override, shared by solve and bench."""
-    parser.add_argument("--config", help="JSON file overriding integrator defaults")
+    parser.add_argument("--config", type=_config_file, help="JSON file of integrator settings")
     parser.add_argument("--t-ev", type=float, help="evolution time budget (default 300)")
     parser.add_argument("--method", choices=("rk23", "euler"))
     parser.add_argument("--error-tol", type=float)
@@ -66,17 +76,22 @@ def _add_integrator_flags(parser):
     parser.add_argument("--sample-interval", type=float)
 
 
+def _config_file(path: str) -> dict:
+    """The --config file's JSON object of IntegratorConfig fields; else a usage error."""
+    overrides = json.loads(Path(path).read_text())
+    if type(overrides) is not dict:
+        raise argparse.ArgumentTypeError(f"{path} must hold a JSON object, got {overrides!r}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(IntegratorConfig)})
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown config keys in {path}: {unknown}")
+    return overrides
+
+
 def _integrator_config(args) -> IntegratorConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(json.loads(Path(args.config).read_text()))
+    overrides = dict(args.config or {})
     for key in ("t_ev", "method", "error_tol", "dt_init", "sample_interval"):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
-    valid = {f.name for f in fields(IntegratorConfig)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     return IntegratorConfig(**overrides)
 
 
@@ -152,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "gen":
         if args.family == "barthel":
@@ -169,10 +185,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
+        solver_options = _solver_options(parser, args)
         problem = parse_dimacs(Path(args.infile).read_text())
-        analog, mem_options, mem_params = _solver_options(args)
         record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
-                     analog_options=analog, mem_options=mem_options, mem_params=mem_params)
+                     solver_options=solver_options)
         record.instance = args.infile
         save_run(record, args.out_dir, args.name)
         t = record.t_solve if record.t_solve is not None else record.t_detect
@@ -182,6 +198,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "netlist":
+        solver_options = _solver_options(parser, args)
         problem = parse_dimacs(Path(args.infile).read_text())
         subckt = None
         if args.subckt:
@@ -193,9 +210,8 @@ def main(argv=None) -> int:
                 outputs=_ints(args.outputs),
                 expose_contrd=not args.no_contrd_pin,
             )
-        analog, mem_options, mem_params = _solver_options(args)
-        options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt, analog=analog,
-                                 mem_options=mem_options, mem_params=mem_params,
+        options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt,
+                                 solver_options=solver_options,
                                  ic_seed=None if args.random_ic else args.seed, subcircuit=subckt)
         doc = (emit_analog if args.solver == ANALOG else emit_mem)(problem, options)
         Path(args.out).write_text(serialize(doc))

@@ -27,7 +27,8 @@ the clause minimum (zero otherwise).
 One kernel per solver evaluates a batch of flat state vectors of problems
 with equal N and M (make_batch_system); make_system() is that kernel on a
 batch of one, and analog_rhs() and mem_rhs() are views of it on the state
-structs.  Each solver's state (block names and order, bounds, start
+structs.  Each solver has one options object, matched to it by
+resolve_options().  Each solver's state (block names and order, bounds, start
 values) is described once, in _blocks(): the kernel's outward-push mask,
 the integrator's projection, the seeded start of initial_state() and the
 netlist's node names, source masks and .ic cards all read it.
@@ -50,7 +51,7 @@ __all__ = [
     "AUX_MODES",
     "AnalogOptions",
     "MemOptions",
-    "MemParams",
+    "resolve_options",
     "AnalogState",
     "MemState",
     "clause_products",
@@ -93,14 +94,7 @@ class AnalogOptions:
 
 @dataclass(frozen=True)
 class MemOptions:
-    clamp_v: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class MemParams:
+    clamp_v: bool = True  # keep v in [-1, 1]; False is the unconstrained-voltage variant
     alpha: float = 5.0
     beta: float = 20.0
     gamma: float = 0.25
@@ -110,6 +104,17 @@ class MemParams:
 
     def __post_init__(self):
         check_fields(self)
+
+
+def resolve_options(solver: str, options: AnalogOptions | MemOptions | None = None):
+    """The options object of one solver: options, or the solver's defaults for
+    None; an unknown solver or the other solver's options raise ValueError."""
+    if solver not in (ANALOG, MEM):  # by equality, so an unhashable solver is unknown too
+        raise ValueError(f"unknown solver {solver!r} (expected {ANALOG!r} or {MEM!r})")
+    cls = AnalogOptions if solver == ANALOG else MemOptions
+    if not isinstance(options, (cls, type(None))):
+        raise ValueError(f"solver {solver!r} takes {cls.__name__}, got {type(options).__name__}")
+    return cls() if options is None else options
 
 
 @dataclass(frozen=True)
@@ -193,20 +198,20 @@ class System(NamedTuple):
     columns: tuple[str, ...]        # component names, equal to the deck's node names
 
 
-def _blocks(problem: Problem, solver: str, mem_options: MemOptions = MemOptions()):
-    """Each solver's flat state, block by block: (name, size, lo, hi, start).
-    Spins and clamped voltages lie in [-1, 1], x_s in [0, 1], x_l in
-    [1, 1e4*M]; the weights and unclamped voltages are unbounded.  A start
-    of None draws U[-1, 1]; a number is every component's start, and the
-    deck's .ic cards write it as given (1, 0.5, 1.0)."""
+def _blocks(problem: Problem, solver: str, options: AnalogOptions | MemOptions | None = None):
+    """Each solver's flat state under its options (None for the defaults),
+    block by block: (name, size, lo, hi, start).  Spins and clamped
+    voltages lie in [-1, 1], x_s in [0, 1], x_l in [1, 1e4*M]; the weights
+    and unclamped voltages are unbounded.  A start of None draws U[-1, 1];
+    a number is every component's start, and the deck's .ic cards write it
+    as given (1, 0.5, 1.0)."""
+    options = resolve_options(solver, options)
     n, m = problem.num_vars, problem.num_clauses
     if solver == ANALOG:
         return (("s", n, -1.0, 1.0, None), ("a", m, -np.inf, np.inf, 1))
-    if solver == MEM:
-        v_bound = 1.0 if mem_options.clamp_v else np.inf
-        return (("v", n, -v_bound, v_bound, None), ("xs", m, 0.0, 1.0, 0.5),
-                ("xl", m, 1.0, 1e4 * m, 1.0))
-    raise ValueError(f"unknown solver {solver!r}")
+    v_bound = 1.0 if options.clamp_v else np.inf
+    return (("v", n, -v_bound, v_bound, None), ("xs", m, 0.0, 1.0, 0.5),
+            ("xl", m, 1.0, 1e4 * m, 1.0))
 
 
 def initial_state(problem: Problem, solver: str, seed: int) -> np.ndarray:
@@ -219,10 +224,9 @@ def initial_state(problem: Problem, solver: str, seed: int) -> np.ndarray:
 
 
 def make_batch_system(problems: Sequence[Problem], solver: str,
-                      analog_options: AnalogOptions = AnalogOptions(),
-                      mem_options: MemOptions = MemOptions(),
-                      mem_params: MemParams = MemParams()) -> System:
-    """The dynamics of one solver on B problems of equal N and M: rhs(t, y)
+                      solver_options: AnalogOptions | MemOptions | None = None) -> System:
+    """The dynamics of one solver under its options (None for the defaults,
+    see resolve_options) on B problems of equal N and M: rhs(t, y)
     maps the (B, D) stack of their flat states, row b for problems[b], to
     its (B, D) derivatives; the bounds and component names are those every
     row shares.  The dynamics are autonomous, so t is ignored.
@@ -239,7 +243,8 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
     if any((p.num_vars, p.num_clauses) != (n, m) for p in problems[1:]):
         raise ValueError("a batch needs problems of equal N and M")
     b = len(problems)
-    names, sizes, lows, highs, _ = zip(*_blocks(problems[0], solver, mem_options))
+    options = resolve_options(solver, solver_options)
+    names, sizes, lows, highs, _ = zip(*_blocks(problems[0], solver, options))
     lo, hi = np.repeat(lows, sizes), np.repeat(highs, sizes)
     columns = tuple(f"{name}{k}" for name, size in zip(names, sizes) for k in range(1, size + 1))
     # clauses of all rows in one (B*M, 3) run, clause-major
@@ -251,8 +256,8 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
     lo_rows, hi_rows = np.concatenate([lo] * b), np.concatenate([hi] * b)
 
     if solver == ANALOG:
-        growth = _AUX_GROWTH[analog_options.aux_mode]
-        pref = 0.125 if analog_options.one_eighth_factor else 1.0
+        growth = _AUX_GROWTH[options.aux_mode]
+        pref = 0.125 if options.one_eighth_factor else 1.0
 
         def derivatives(y):
             a = y[:, n:].reshape(-1)
@@ -261,7 +266,7 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
             dv = np.bincount(bins, weights=contrib.ravel(), minlength=b * n)
             return np.concatenate((dv.reshape(b, n), growth(a, km).reshape(b, m)), axis=1)
     else:
-        p = mem_params
+        p = options
         # mem_clause_quantities fused into few NumPy calls, with the same
         # floating-point results.  Slot-major (3, B*M) copies make row j the
         # j-th literal of every clause, so each per-slot step is one
@@ -303,14 +308,12 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
 
 
 def make_system(problem: Problem, solver: str,
-                analog_options: AnalogOptions = AnalogOptions(),
-                mem_options: MemOptions = MemOptions(),
-                mem_params: MemParams = MemParams()) -> System:
+                solver_options: AnalogOptions | MemOptions | None = None) -> System:
     """The flat-vector dynamics of one solver on one problem: the RHS, the
     bounds that its mask, the integrator's projection and the deck's
     source masks all read, and the component names.  The RHS is the batch
     kernel of make_batch_system on a batch of one."""
-    system = make_batch_system([problem], solver, analog_options, mem_options, mem_params)
+    system = make_batch_system([problem], solver, solver_options)
     return system._replace(rhs=lambda t, y: system.rhs(t, np.asarray(y)[None])[0])
 
 
@@ -323,16 +326,14 @@ def analog_rhs(problem: Problem, state: AnalogState,
     return d[:problem.num_vars], d[problem.num_vars:]
 
 
-def mem_rhs(problem: Problem, state: MemState,
-            params: MemParams = MemParams(),
-            options: MemOptions = MemOptions()):
+def mem_rhs(problem: Problem, state: MemState, options: MemOptions = MemOptions()):
     """Time derivatives (dv, dx_s, dx_l) of the memcomputing system.
 
     Boundary masks are applied to x_s and x_l always, and to v unless
     options.clamp_v is False (the unconstrained-voltage variant).
     """
     y = np.concatenate((state.v, state.x_s, state.x_l), dtype=float)
-    d = make_system(problem, MEM, mem_options=options, mem_params=params).rhs(0.0, y)
+    d = make_system(problem, MEM, options).rhs(0.0, y)
     n, m = problem.num_vars, problem.num_clauses
     return d[:n], d[n:n + m], d[n + m:]
 

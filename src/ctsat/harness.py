@@ -26,7 +26,7 @@ from typing import Optional
 
 from .cnf import (assignment_to_bits, check_fields, count_unsatisfied, parse_dimacs,
                   require_integer, write_dimacs)
-from .dynamics import AnalogOptions, MemOptions, MemParams
+from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .instances import BarthelParams, PlantedInstance, gen_barthel, gen_xorsat_3r
 from .integrate import (
     ANALOG,
@@ -99,13 +99,10 @@ def save_instance(inst: PlantedInstance, directory, name: str,
 class SolverSpec:
     kind: str  # "analog" or "mem"
     label: str = ""
-    analog_options: AnalogOptions = AnalogOptions()
-    mem_options: MemOptions = MemOptions()
-    mem_params: MemParams = MemParams()
+    solver_options: AnalogOptions | MemOptions | None = None  # None: the kind's defaults
 
     def __post_init__(self):
-        if self.kind not in (ANALOG, MEM):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
+        object.__setattr__(self, "solver_options", resolve_options(self.kind, self.solver_options))
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
@@ -214,8 +211,7 @@ def _run_cell(spec: SolverSpec, config: IntegratorConfig, problems, seeds):
     """One cell's runs as one batch; returns them with the cell's wall time."""
     start = time.perf_counter()
     records = run_batch(problems, spec.kind, seeds, config=config,
-                        analog_options=spec.analog_options, mem_options=spec.mem_options,
-                        mem_params=spec.mem_params)
+                        solver_options=spec.solver_options)
     return records, time.perf_counter() - start
 
 

@@ -7,7 +7,7 @@ Accepted steps are followed by a projection onto the variable bounds to
 absorb integrator overshoot (the right-hand sides already mask outward
 derivatives at the boundaries).
 
-One integration loop runs every run.  Runs of one solver and kernel
+One integration loop runs every run.  Runs of one solver and its
 options on problems of equal N and M share a batch whose states are the
 rows of one (B, D) array: each loop iteration makes one step attempt for
 every running member, with one batched RHS call per stage, while each
@@ -57,12 +57,12 @@ from .dynamics import (
     AnalogOptions,
     AnalogState,
     MemOptions,
-    MemParams,
     MemState,
     control_signals,
     initial_state,
     make_batch_system,
     readout,
+    resolve_options,
 )
 
 __all__ = [
@@ -184,16 +184,14 @@ class _Member:
     """
 
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
-                 analog_options: AnalogOptions, mem_options: MemOptions,
-                 mem_params: MemParams, pins: tuple[int, ...] = ()):
+                 solver_options: AnalogOptions | MemOptions | None, pins: tuple[int, ...] = ()):
+        self.solver_options = resolve_options(solver, solver_options)
+        self.options = {solver: asdict(self.solver_options)}
         self.seed = require_integer(seed, "seed")
         self.y0 = initial_state(problem, solver, self.seed)
-        self.options = ({"analog": asdict(analog_options)} if solver == ANALOG
-                        else {"mem": asdict(mem_options), "params": asdict(mem_params)})
         self.problem = problem
         self.solver = solver
         self.config = config
-        self.kernel_options = (analog_options, mem_options, mem_params)
         self.pins = sorted(v - 1 for v in pins)
         # the outcome windows: where contrd == 0 began and the readout there,
         # and where max |s_i| < eps_zero began (None while outside)
@@ -265,7 +263,7 @@ class _Member:
 
 
 class _Batch:
-    """Members of one solver, kernel options, config, N and M whose states are the
+    """Members of one solver, options, config, N and M whose states are the
     rows of one (B, D) array, integrated by one batched RHS call per stage.
 
     attempt() runs the method's stages on all rows at once, then each
@@ -291,7 +289,7 @@ class _Batch:
         """Builds the kernel for the current members and numbers their rows."""
         first = self.members[0]
         system = make_batch_system([m.problem for m in self.members], first.solver,
-                                   *first.kernel_options)
+                                   first.solver_options)
         self.lo, self.hi, self.columns = system.lo, system.hi, system.columns
         self.rhs = system.rhs
         width = self.y.shape[1]
@@ -536,7 +534,7 @@ class _Group:
 def _integrate(groups: list[_Group]):
     """The one integration loop behind run(), run_batch() and simulate_network().
 
-    The members of one solver, kernel options, config, N and M share a batch,
+    The members of one solver, options, config, N and M share a batch,
     whatever their group.  Each group then records t = 0, and each
     iteration makes one step attempt for every running member of every
     batch; each group whose members all reached their stop acts on it
@@ -548,7 +546,7 @@ def _integrate(groups: list[_Group]):
     shapes: dict = {}
     for group in groups:
         for m in group.members:
-            key = (m.solver, m.kernel_options, m.config, m.problem.num_vars, m.problem.num_clauses)
+            key = (m.solver, m.solver_options, m.config, m.problem.num_vars, m.problem.num_clauses)
             shapes.setdefault(key, []).append(m)
     batches = [_Batch(members) for members in shapes.values()]
     for group in groups:
@@ -566,9 +564,7 @@ def _integrate(groups: list[_Group]):
 
 def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
               config: IntegratorConfig = IntegratorConfig(),
-              analog_options: AnalogOptions = AnalogOptions(),
-              mem_options: MemOptions = MemOptions(),
-              mem_params: MemParams = MemParams()) -> list[RunRecord]:
+              solver_options: AnalogOptions | MemOptions | None = None) -> list[RunRecord]:
     """run() for every (problem, seed) pair, integrated as the rows of one
     (B, D) state per shape: problems of equal N and M share a batch, and
     problems of mixed sizes form one batch per shape.  Every member steps
@@ -578,8 +574,7 @@ def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
     its own recording time."""
     if not problems or len(problems) != len(seeds):
         raise ValueError("need at least one problem and exactly one seed per problem")
-    groups = [_Group([_Member(problem, solver, seed, config, analog_options,
-                              mem_options, mem_params)], config)
+    groups = [_Group([_Member(problem, solver, seed, config, solver_options)], config)
               for problem, seed in zip(problems, seeds)]
     _integrate(groups)
     return [group.records[0] for group in groups]
@@ -587,9 +582,7 @@ def run_batch(problems: Sequence[Problem], solver: str, seeds: Sequence[int], *,
 
 def run(problem: Problem, solver: str, *, seed: int = 0,
         config: IntegratorConfig = IntegratorConfig(),
-        analog_options: AnalogOptions = AnalogOptions(),
-        mem_options: MemOptions = MemOptions(),
-        mem_params: MemParams = MemParams()) -> RunRecord:
+        solver_options: AnalogOptions | MemOptions | None = None) -> RunRecord:
     """Integrate one solver on one problem from seeded initial conditions:
     a batch of one.
 
@@ -598,8 +591,7 @@ def run(problem: Problem, solver: str, *, seed: int = 0,
     aborts the run; it is reported as a Timeout with stats["abort_message"]
     naming the cause (and stats["dt_underflow"] set for an underflow).
     """
-    return run_batch([problem], solver, [seed], config=config, analog_options=analog_options,
-                     mem_options=mem_options, mem_params=mem_params)[0]
+    return run_batch([problem], solver, [seed], config=config, solver_options=solver_options)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .cnf import Problem, check_fields, require_integer
-from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, MemParams, _blocks,
-                       initial_state, make_system)
+from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, _blocks, initial_state,
+                       make_system, resolve_options)
 from . import spice_expr
 
 __all__ = [
@@ -136,9 +136,7 @@ class SubcircuitSpec:
 class NetlistOptions:
     t_ev: float = 300.0
     shunt_resistance: float = 1e9
-    analog: AnalogOptions = AnalogOptions()
-    mem_options: MemOptions = MemOptions()
-    mem_params: MemParams = MemParams()
+    solver_options: AnalogOptions | MemOptions | None = None  # None: the solver's defaults
     # Seed for explicit .ic values (reproducible decks).  None emits the
     # simulator-side random form {flat(1)} instead; that variant needs the
     # "Use the clock to reseed the MC generator" option enabled in LTspice
@@ -231,8 +229,8 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             raise ValueError(f"subcircuit variable indices out of range: {bad}")
     omitted = set(sub.inputs) if sub is not None else set()
 
-    system = make_system(problem, solver, options.analog, options.mem_options,
-                         options.mem_params)
+    opts = resolve_options(solver, options.solver_options)
+    system = make_system(problem, solver, opts)
     y0 = initial_state(problem, solver, options.ic_seed or 0)
     blocks = _blocks(problem, solver)
     starts = [start for _, size, _, _, start in blocks for _ in range(size)]
@@ -260,7 +258,6 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
         ic.append(f".ic V({node})={value}")
 
     if solver == ANALOG:
-        opts = options.analog
         pref = "0.125*" if opts.one_eighth_factor else ""
 
         for m_i, t in enumerate(lits):
@@ -285,8 +282,6 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             functions.append(FuncDef(fn(f"fa{m_i + 1}"), body))
         functions.extend(_clause_function_defs(problem, var_node, lits, fn))
     else:
-        params = options.mem_params
-
         functions.extend(_clause_function_defs(problem, var_node, lits, fn))
         for i in range(n):
             node = f"v{i + 1}"
@@ -300,7 +295,7 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
                 xl = f"V(xl{m_i + 1})"
                 xs = f"V(xs{m_i + 1})"
                 terms.append(
-                    f"{xl}*{xs}*{g} + (1+{_fmt(params.zeta)}*{xl})*(1-{xs})*{r}"
+                    f"{xl}*{xs}*{g} + (1+{_fmt(opts.zeta)}*{xl})*(1-{xs})*{r}"
                 )
             functions.append(FuncDef(fn(f"fv{i + 1}"), " + ".join(terms) if terms else "0"))
         for m_i in range(m):
@@ -308,12 +303,12 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             functions.append(
                 FuncDef(
                     fn(f"fxs{m_i + 1}"),
-                    f"{_fmt(params.beta)}*(V(xs{m_i + 1})+{_fmt(params.epsilon)})"
-                    f"*({c}-{_fmt(params.gamma)})",
+                    f"{_fmt(opts.beta)}*(V(xs{m_i + 1})+{_fmt(opts.epsilon)})"
+                    f"*({c}-{_fmt(opts.gamma)})",
                 )
             )
             functions.append(
-                FuncDef(fn(f"fxl{m_i + 1}"), f"{_fmt(params.alpha)}*({c}-{_fmt(params.delta)})")
+                FuncDef(fn(f"fxl{m_i + 1}"), f"{_fmt(opts.alpha)}*({c}-{_fmt(opts.delta)})")
             )
 
     # variables first, then clause by clause: a, or xs then xl

@@ -7,7 +7,7 @@ it until the next sample (a one-sample delay, which resolves cyclic wirings
 deterministically); input derivatives are forced to zero.
 simulate_network() validates the wiring and hands the nodes to the
 integration loop of integrate.py, the same loop that runs run() and the
-harness's batched cells: nodes of one solver, kernel options, N and M
+harness's batched cells: nodes of one solver, options, N and M
 share a batch, and the nodes wait for each other at every stop.  A
 network without inter-node edges therefore reproduces independent runs
 exactly.
@@ -30,12 +30,12 @@ waiting, plus its own recording time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
 from .cnf import Problem, check_fields, parse_dimacs, require_integer
-from .dynamics import AnalogOptions, MemOptions, MemParams
+from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
 __all__ = [
@@ -92,19 +92,20 @@ class SolverNode:
 
     input_vars / output_vars are 1-based integer variable indices (disjoint
     sets; a bool or float raises ValueError); input variables are pinned by
-    the wiring, outputs are readable by other nodes.
+    the wiring, outputs are readable by other nodes.  solver_options is
+    the solver's options object, its defaults for None.
     """
 
     problem: Problem
     solver: str = MEM
     input_vars: tuple[int, ...] = ()
     output_vars: tuple[int, ...] = ()
-    analog_options: AnalogOptions = AnalogOptions()
-    mem_options: MemOptions = MemOptions()
-    mem_params: MemParams = MemParams()
+    solver_options: AnalogOptions | MemOptions | None = None
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "solver_options",
+                           resolve_options(self.solver, self.solver_options))
         for key in ("input_vars", "output_vars"):
             object.__setattr__(self, key, tuple(require_integer(i, "variable index")
                                                 for i in getattr(self, key)))
@@ -178,8 +179,8 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
         raise ValueError("need at least one node and exactly one seed per node")
     fed = _validate(nodes, wiring)
     runs = [
-        _Member(node.problem, node.solver, seed, config, node.analog_options,
-                node.mem_options, node.mem_params, pins=node.input_vars)
+        _Member(node.problem, node.solver, seed, config, node.solver_options,
+                pins=node.input_vars)
         for node, seed in zip(nodes, seeds)
     ]
     group = _Group(runs, config, fed, wiring.drives, stop_on_solve)
@@ -196,32 +197,31 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
 
 _CONFIG_KEYS = {f.name for f in fields(IntegratorConfig)}
 _TOP_KEYS = _CONFIG_KEYS | {"seed", "stop_on_solve", "nodes", "edges", "drives"}
-_OPTIONS = {"analog_options": AnalogOptions, "mem_options": MemOptions, "mem_params": MemParams}
-_NODE_KEYS = {"cnf", "solver", "inputs", "outputs", "label", "seed", *_OPTIONS}
+_NODE_KEYS = {"cnf", "solver", "inputs", "outputs", "label", "seed", "solver_options"}
 _DRIVE_KEYS = {"kind"} | {f.name for f in fields(SquareWave)}
 _EDGE_KEYS = {"from", "to"}
 
 
-def _check_keys(spec: dict, allowed: set, where: str):
+def _check_keys(spec, allowed: set, where: str):
+    """spec must be a JSON object whose keys are all allowed."""
+    if type(spec) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {spec!r}")
     unknown = sorted(set(spec) - allowed)
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
 def _typed(spec: dict, key: str, kind: type, default, where: str):
-    """spec[key] or default, which must be a JSON integer (kind int; true and
-    2.7 are not), boolean (bool; "false" is not), array (list) or object (dict)."""
+    """spec[key] or default (None: the key is required), which must be a JSON
+    integer (kind int; true and 2.7 are not), boolean (bool; "false" is
+    not), string (str), array (list) or object (dict)."""
+    if default is None and key not in spec:
+        raise ValueError(f"missing key {key!r} in {where}")
     value = spec.get(key, default)
     if type(value) is not kind:
-        noun = {int: "integer", bool: "boolean", list: "array", dict: "object"}[kind]
+        noun = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}[kind]
         raise ValueError(f"{key!r} in {where} must be a JSON {noun}, got {value!r}")
     return value
-
-
-def _required(spec: dict, key: str, where: str):
-    if key not in spec:
-        raise ValueError(f"missing key {key!r} in {where}")
-    return spec[key]
 
 
 def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfig,
@@ -229,9 +229,9 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     """Parse the JSON network description (see README for the schema).
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
-    resolved relative to the config file.  Unknown keys (option objects'
-    included), unknown drive kinds and values of the wrong JSON type (seeds,
-    stop_on_solve, inputs, outputs, option objects) raise ValueError.
+    resolved relative to the config file, and a node's solver_options are
+    read as its solver's options class.  Unknown keys, unknown drive kinds
+    and values of the wrong JSON type raise ValueError naming the key.
     """
     path = Path(path)
     spec = json.loads(path.read_text())
@@ -242,27 +242,27 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
     seed = _typed(spec, "seed", int, 0, "network config")
     nodes = []
     seeds = []
-    for i, node_spec in enumerate(_required(spec, "nodes", "network config")):
-        _check_keys(node_spec, _NODE_KEYS, f"node {i}")
-        cnf = _required(node_spec, "cnf", f"node {i}")
+    for i, node_spec in enumerate(_typed(spec, "nodes", list, None, "network config")):
+        where = f"node {i}"
+        _check_keys(node_spec, _NODE_KEYS, where)
+        cnf = _typed(node_spec, "cnf", str, None, where)
         problem = parse_dimacs((base / cnf).read_text())
-        options = {}
-        for key, cls in _OPTIONS.items():
-            values = _typed(node_spec, key, dict, {}, f"node {i}")
-            _check_keys(values, {f.name for f in fields(cls)}, f"node {i} {key}")
-            options[key] = cls(**values)
+        solver = node_spec.get("solver", MEM)
+        options = resolve_options(solver)
+        values = _typed(node_spec, "solver_options", dict, {}, where)
+        _check_keys(values, {f.name for f in fields(options)}, f"{where} solver_options")
         nodes.append(SolverNode(
             problem=problem,
-            solver=node_spec.get("solver", MEM),
-            input_vars=tuple(_typed(node_spec, "inputs", list, [], f"node {i}")),
-            output_vars=tuple(_typed(node_spec, "outputs", list, [], f"node {i}")),
+            solver=solver,
+            input_vars=tuple(_typed(node_spec, "inputs", list, [], where)),
+            output_vars=tuple(_typed(node_spec, "outputs", list, [], where)),
+            solver_options=replace(options, **values),
             label=node_spec.get("label", cnf),
-            **options,
         ))
-        seeds.append(_typed(node_spec, "seed", int, seed + i, f"node {i}"))
+        seeds.append(_typed(node_spec, "seed", int, seed + i, where))
 
     drives = []
-    for k, drive_spec in enumerate(spec.get("drives", ())):
+    for k, drive_spec in enumerate(_typed(spec, "drives", list, [], "network config")):
         _check_keys(drive_spec, _DRIVE_KEYS, f"drive {k}")
         kind = drive_spec.get("kind", "square")
         if kind != "square":
@@ -272,8 +272,8 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
 
     def parse_ref(edge: dict, key: str, where: str):
         """Parse drive:<k> into ("drive", k) and node:<i>:<var> into ("node", i, var)."""
-        ref = _required(edge, key, where)
-        kind, *indices = str(ref).split(":")
+        ref = _typed(edge, key, str, None, where)
+        kind, *indices = ref.split(":")
         try:
             if len(indices) == {"drive": 1, "node": 2}[kind]:
                 return (kind, *map(int, indices))
@@ -282,7 +282,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         raise ValueError(f"bad signal reference {ref!r} in {where}")
 
     edges = []
-    for k, edge in enumerate(spec.get("edges", ())):
+    for k, edge in enumerate(_typed(spec, "edges", list, [], "network config")):
         _check_keys(edge, _EDGE_KEYS, f"edge {k}")
         source = parse_ref(edge, "from", f"edge {k}")
         target = parse_ref(edge, "to", f"edge {k}")

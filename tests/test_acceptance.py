@@ -154,7 +154,7 @@ def test_criterion_03_convergence_to_zero(x_analog_20):
         for seed in range(8):
             rec = run(inst.problem, ANALOG, seed=seed,
                       config=IntegratorConfig(t_ev=150.0),
-                      analog_options=AnalogOptions(aux_mode=mode))
+                      solver_options=AnalogOptions(aux_mode=mode))
             if rec.outcome == CONVERGED_TO_ZERO:
                 found[mode] = seed
                 break
@@ -181,7 +181,7 @@ def test_criterion_04_auxiliary_growth_character():
     results = {}
     for mode, seed in (("aK2", 1), ("K", 1), ("K2", 1)):
         rec = run(inst.problem, ANALOG, seed=seed, config=config,
-                  analog_options=AnalogOptions(aux_mode=mode))
+                  solver_options=AnalogOptions(aux_mode=mode))
         tail = rec.times >= rec.times[-1] / 2
         t = rec.times[tail]
         a = rec.states[tail][:, n:]
@@ -289,7 +289,7 @@ def test_criterion_08_unclamped_memcomputing():
     contrd_zero = 0
     for seed in range(10):
         rec = run(inst.problem, MEM, seed=seed, config=IntegratorConfig(t_ev=T_EV),
-                  mem_options=MemOptions(clamp_v=False))
+                  solver_options=MemOptions(clamp_v=False))
         if rec.outcome == SOLVED:
             solved += 1
         if (rec.contrd == 0).any():

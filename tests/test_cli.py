@@ -186,6 +186,48 @@ def test_non_finite_mem_parameter_rejected(tmp_path):
     assert not out_dir.exists()
 
 
+def test_solver_flags_reach_the_record(tmp_path):
+    cnf = tmp_path / "inst.cnf"
+    assert main(["gen", "xorsat", "--n", "10", "--out", str(cnf)]) == 0
+    assert main(["solve", "--out-dir", str(tmp_path / "r"), "--in", str(cnf), "--t-ev", "2",
+                 "--alpha", "2", "--no-clamp-v"]) == 0
+    options = json.loads((tmp_path / "r" / "run.json").read_text())["options"]
+    assert options == {"mem": {"clamp_v": False, "alpha": 2.0, "beta": 20.0, "gamma": 0.25,
+                               "delta": 0.05, "epsilon": 0.001, "zeta": 0.01}}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--solver", "analog", "--alpha", "0"], "--alpha"),
+    (["solve", "--solver", "analog", "--no-clamp-v"], "--no-clamp-v"),
+    (["netlist", "--solver", "mem", "--aux-mode", "K", "--out", "d.cir"], "--aux-mode"),
+    (["netlist", "--no-one-eighth", "--out", "d.cir"], "--no-one-eighth"),
+], ids=["solve-alpha", "solve-no-clamp-v", "netlist-aux-mode", "netlist-no-one-eighth"])
+def test_other_solvers_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    # each was accepted and ignored: the run and the deck used the
+    # defaults, and the record did not show the flag
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--in", "x.cnf"])
+    assert exit_info.value.code == 2
+    assert f"does not read {flag}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cnf", "x.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_config_file_without_an_object_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # a config file holding [1] ended in a TypeError traceback from dict.update
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("[1]")
+    extra = ["--in", "x.cnf"] if command == "solve" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", "cfg.json", *extra])
+    assert exit_info.value.code == 2
+    assert ("argument --config: cfg.json must hold a JSON object, got [1]"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # which of the flags that several subcommands share each one declares;
 # network's --config is its network description
 SHARED = ("--seed", "--out-dir", "--config")

@@ -7,7 +7,6 @@ from ctsat.dynamics import (
     AnalogOptions,
     AnalogState,
     MemOptions,
-    MemParams,
     MemState,
     analog_rhs,
     clause_products,
@@ -19,8 +18,13 @@ from ctsat.dynamics import (
     make_system,
     mem_rhs,
     readout,
+    resolve_options,
 )
+from ctsat.harness import SolverSpec
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
+from ctsat.integrate import run, run_batch
+from ctsat.netlist import NetlistOptions, emit_analog, emit_mem
+from ctsat.network import SolverNode
 
 ONE_CLAUSE = Problem.from_dimacs_clauses(3, [(1, 2, 3)])
 NEG_CLAUSE = Problem.from_dimacs_clauses(3, [(-1, -2, -3)])
@@ -334,10 +338,10 @@ def _mem_states(rng, n, m, kind):
 @pytest.mark.parametrize("clamp_v", [True, False])
 def test_mem_kernel_matches_clause_reference(kind, clamp_v):
     rng = np.random.default_rng(17)
-    params = MemParams(alpha=3.0, beta=11.0, gamma=0.3, delta=0.07, epsilon=0.002, zeta=0.02)
+    params = MemOptions(clamp_v=clamp_v, alpha=3.0, beta=11.0, gamma=0.3, delta=0.07,
+                        epsilon=0.002, zeta=0.02)
     for problem in (random_problem(2, n=12), gen_xorsat_3r(10, seed=4).problem):
-        system = make_system(problem, "mem", mem_options=MemOptions(clamp_v=clamp_v),
-                             mem_params=params)
+        system = make_system(problem, "mem", params)
         for _ in range(40):
             y = _mem_states(rng, problem.num_vars, problem.num_clauses, kind)
             got = system.rhs(0.0, y)
@@ -348,9 +352,9 @@ def test_mem_kernel_matches_clause_reference(kind, clamp_v):
 
 @pytest.mark.parametrize("solver,options", [
     ("mem", {}),
-    ("mem", {"mem_options": MemOptions(clamp_v=False)}),
+    ("mem", {"solver_options": MemOptions(clamp_v=False)}),
     ("analog", {}),
-    ("analog", {"analog_options": AnalogOptions(one_eighth_factor=False, aux_mode="K")}),
+    ("analog", {"solver_options": AnalogOptions(one_eighth_factor=False, aux_mode="K")}),
 ])
 def test_batch_rows_equal_single_systems(solver, options):
     # four problems of equal N and M; each row of the batched RHS equals
@@ -373,6 +377,46 @@ def test_batch_rows_equal_single_systems(solver, options):
             assert d[row].tobytes() == single.rhs(0.0, y[row]).tobytes()
     with pytest.raises(ValueError, match="equal N and M"):
         make_batch_system([problems[0], gen_xorsat_3r(12, seed=1).problem], solver)
+
+
+# --------------------------------------------------------------------- options
+
+WRONG_OPTIONS = "^solver 'analog' takes AnalogOptions, got MemOptions$"
+UNKNOWN_SOLVER = "^unknown solver 'memm' \\(expected 'analog' or 'mem'\\)$"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda p: run(p, "analog", solver_options=MemOptions()), WRONG_OPTIONS),
+    (lambda p: run(p, "memm"), UNKNOWN_SOLVER),
+    (lambda p: run_batch([p], "analog", [0], solver_options=MemOptions()), WRONG_OPTIONS),
+    (lambda p: run_batch([p], "memm", [0]), UNKNOWN_SOLVER),
+    (lambda p: make_system(p, "analog", MemOptions()), WRONG_OPTIONS),
+    (lambda p: make_system(p, "memm"), UNKNOWN_SOLVER),
+    (lambda p: SolverSpec("analog", solver_options=MemOptions()), WRONG_OPTIONS),
+    (lambda p: SolverSpec("memm"), UNKNOWN_SOLVER),
+    (lambda p: SolverNode(p, "analog", solver_options=MemOptions()), WRONG_OPTIONS),
+    (lambda p: SolverNode(p, "memm"), UNKNOWN_SOLVER),
+    (lambda p: emit_analog(p, NetlistOptions(solver_options=MemOptions())), WRONG_OPTIONS),
+    (lambda p: emit_mem(p, NetlistOptions(solver_options=AnalogOptions())),
+     "^solver 'mem' takes MemOptions, got AnalogOptions$"),
+], ids=["run-options", "run-solver", "run_batch-options", "run_batch-solver",
+        "make_system-options", "make_system-solver", "SolverSpec-options", "SolverSpec-solver",
+        "SolverNode-options", "SolverNode-solver", "emit_analog-options", "emit_mem-options"])
+def test_other_solvers_options_and_unknown_solvers_rejected(build, message):
+    # each layer used to take both solvers' options and read only its
+    # solver's: run(p, "analog", mem_params=MemParams(alpha=0)) ran the
+    # default run, and SolverNode(p, "memm") failed only inside the run
+    with pytest.raises(ValueError, match=message):
+        build(ONE_CLAUSE)
+
+
+def test_resolve_options_defaults_and_identity():
+    assert resolve_options("analog") == AnalogOptions()
+    assert resolve_options("mem") == MemOptions()
+    options = MemOptions(clamp_v=False, alpha=2.0)
+    assert resolve_options("mem", options) is options
+    assert SolverSpec("mem").solver_options == MemOptions()
+    assert SolverNode(ONE_CLAUSE, "analog").solver_options == AnalogOptions()
 
 
 # ---------------------------------------------------------------- boundary mask

@@ -9,7 +9,7 @@ import pytest
 import ctsat.harness as harness
 import ctsat.integrate as integrate
 from ctsat.cnf import count_unsatisfied, parse_dimacs, assignment_from_bits
-from ctsat.dynamics import MemParams
+from ctsat.dynamics import MemOptions
 from ctsat.harness import (
     ExperimentPlan,
     SolverSpec,
@@ -130,8 +130,7 @@ def standalone(plan, key):
     problem = generate_instance(
         family, size, derive_seed(plan.seed_base, "instance", family, size, index)).problem
     return run(problem, spec.kind, seed=derive_seed(plan.seed_base, "run", *key),
-               config=plan.config, analog_options=spec.analog_options,
-               mem_options=spec.mem_options, mem_params=spec.mem_params)
+               config=plan.config, solver_options=spec.solver_options)
 
 
 def mixed_shape_cell(plan):
@@ -147,8 +146,7 @@ def mixed_shape_cell(plan):
     for spec in plan.solvers:
         seeds = [derive_seed(plan.seed_base, "run", *key, spec.label) for key in keys]
         batch = run_batch(problems, spec.kind, seeds, config=plan.config,
-                          analog_options=spec.analog_options, mem_options=spec.mem_options,
-                          mem_params=spec.mem_params)
+                          solver_options=spec.solver_options)
         records.update(((*key, spec.label), record) for key, record in zip(keys, batch))
     return records
 
@@ -205,7 +203,7 @@ def test_batched_cell_with_one_aborting_member(monkeypatch):
 def test_plan_validation():
     # records and run seeds are keyed by the label: two specs with one
     # label would share seeds and overwrite each other's records
-    twin = SolverSpec(MEM, mem_params=MemParams(alpha=2.0))
+    twin = SolverSpec(MEM, solver_options=MemOptions(alpha=2.0))
     with pytest.raises(ValueError, match="duplicate solver labels"):
         tiny_plan(solvers=(SolverSpec(MEM), twin))
     with pytest.raises(ValueError, match="duplicate sizes"):
@@ -216,7 +214,8 @@ def test_plan_validation():
         tiny_plan(instances_per_cell=0)
     with pytest.raises(ValueError):
         tiny_plan(workers=0)
-    plan = tiny_plan(solvers=(SolverSpec(MEM), SolverSpec(MEM, "mem-a2", mem_params=twin.mem_params)))
+    plan = tiny_plan(solvers=(SolverSpec(MEM),
+                              SolverSpec(MEM, "mem-a2", solver_options=twin.solver_options)))
     _, records = run_experiment(plan)
     assert len(records) == 4
 

@@ -8,7 +8,7 @@ from scipy import stats
 
 from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
-from ctsat.dynamics import AnalogOptions, MemOptions, MemParams, initial_state, make_system
+from ctsat.dynamics import AnalogOptions, MemOptions, initial_state, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -137,8 +137,8 @@ def test_bound_preservation_along_trajectories():
 
 @pytest.mark.parametrize("solver,options", [
     (MEM, {}),
-    (MEM, {"mem_options": MemOptions(clamp_v=False)}),
-    (ANALOG, {"analog_options": AnalogOptions(one_eighth_factor=False)}),
+    (MEM, {"solver_options": MemOptions(clamp_v=False)}),
+    (ANALOG, {"solver_options": AnalogOptions(one_eighth_factor=False)}),
 ])
 def test_samples_lie_within_system_bounds(solver, options):
     problem = gen_barthel(BarthelParams(num_vars=20, ratio=4.3, seed=3)).problem
@@ -238,8 +238,7 @@ def test_groups_of_one_shape_with_different_configs_step_apart():
     problem = gen_xorsat_3r(12, seed=4).problem
     configs = [IntegratorConfig(t_ev=10.0, error_tol=1e-3),
                IntegratorConfig(t_ev=10.0, error_tol=1e-5)]
-    groups = [integrate._Group([integrate._Member(problem, MEM, 5, config, AnalogOptions(),
-                                                  MemOptions(), MemParams())], config)
+    groups = [integrate._Group([integrate._Member(problem, MEM, 5, config, None)], config)
               for config in configs]
     integrate._integrate(groups)
     for group, config in zip(groups, configs):
@@ -313,8 +312,7 @@ def patch_nan_kernel(monkeypatch):
 
 def stepper(problem, solver, seed, config):
     """A member in a batch of its own: the row stepper on one row."""
-    member = integrate._Member(problem, solver, seed, config, AnalogOptions(), MemOptions(),
-                               MemParams())
+    member = integrate._Member(problem, solver, seed, config, None)
     integrate._Batch([member])
     return member
 

@@ -8,7 +8,6 @@ from ctsat.dynamics import (
     AnalogOptions,
     AnalogState,
     MemOptions,
-    MemParams,
     MemState,
     analog_rhs,
     control_signals,
@@ -79,9 +78,9 @@ def test_counts_scale_with_problem():
 
 
 def test_factor_flag_strips_prefactor():
-    on = serialize(emit_analog(TINY, NetlistOptions(analog=AnalogOptions())))
+    on = serialize(emit_analog(TINY, NetlistOptions(solver_options=AnalogOptions())))
     off = serialize(
-        emit_analog(TINY, NetlistOptions(analog=AnalogOptions(one_eighth_factor=False)))
+        emit_analog(TINY, NetlistOptions(solver_options=AnalogOptions(one_eighth_factor=False)))
     )
     assert "0.125" in on
     assert "0.125" not in off
@@ -89,8 +88,8 @@ def test_factor_flag_strips_prefactor():
 
 def test_clamp_flag_changes_only_v_source_cards():
     problem = sample_problem()
-    with_clamp = emit_mem(problem, NetlistOptions(mem_options=MemOptions(clamp_v=True)))
-    without = emit_mem(problem, NetlistOptions(mem_options=MemOptions(clamp_v=False)))
+    with_clamp = emit_mem(problem, NetlistOptions(solver_options=MemOptions(clamp_v=True)))
+    without = emit_mem(problem, NetlistOptions(solver_options=MemOptions(clamp_v=False)))
     assert with_clamp.functions == without.functions
     diff = [
         (a, b) for a, b in zip(with_clamp.elements, without.elements) if a != b
@@ -102,7 +101,7 @@ def test_clamp_flag_changes_only_v_source_cards():
 
 
 def test_unclamped_v_sources_are_bare_functions():
-    doc = emit_mem(TINY, NetlistOptions(mem_options=MemOptions(clamp_v=False)))
+    doc = emit_mem(TINY, NetlistOptions(solver_options=MemOptions(clamp_v=False)))
     for card in doc.elements:
         if card.name.startswith("Bv"):
             assert card.value == f"I=fv{card.name[2:]}()"
@@ -211,7 +210,7 @@ def test_tran_directive_uses_uic():
 def test_analog_deck_matches_engine(options):
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
-    doc = emit_analog(problem, NetlistOptions(analog=options))
+    doc = emit_analog(problem, NetlistOptions(solver_options=options))
     rng = np.random.default_rng(5)
     for trial in range(10):
         s = rng.uniform(-1, 1, n)
@@ -231,15 +230,14 @@ def test_analog_deck_matches_engine(options):
 def test_mem_deck_matches_engine(mem_options):
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
-    params = MemParams()
-    doc = emit_mem(problem, NetlistOptions(mem_options=mem_options, mem_params=params))
+    doc = emit_mem(problem, NetlistOptions(solver_options=mem_options))
     rng = np.random.default_rng(6)
     for trial in range(10):
         v = rng.uniform(-1, 1, n)
         x_s = rng.uniform(0, 1, m)
         x_l = rng.uniform(1, 20, m)
         got = evaluate_deck_rhs(doc, mem_voltages(problem, v, x_s, x_l))
-        dv, dx_s, dx_l = mem_rhs(problem, MemState(v, x_s, x_l), params, mem_options)
+        dv, dx_s, dx_l = mem_rhs(problem, MemState(v, x_s, x_l), mem_options)
         for i in range(n):
             assert got[f"v{i + 1}"] == pytest.approx(dv[i], rel=1e-9, abs=1e-9)
         for j in range(m):
@@ -267,7 +265,7 @@ def test_deck_matches_engine_on_boundaries():
     rng = np.random.default_rng(7)
     cases = []
     for mem_options, v, x_s, x_l in _mem_corner_inputs(problem, rng):
-        doc = emit_mem(problem, NetlistOptions(mem_options=mem_options))
+        doc = emit_mem(problem, NetlistOptions(solver_options=mem_options))
         got = evaluate_deck_rhs(doc, mem_voltages(problem, v, x_s, x_l))
         names = [f"v{i + 1}" for i in range(n)] + [f"xs{j + 1}" for j in range(m)] + [
             f"xl{j + 1}" for j in range(m)]
@@ -277,7 +275,7 @@ def test_deck_matches_engine_on_boundaries():
     a = rng.uniform(0.5, 4.0, m)
     for aux_mode in ("aK2", "aK", "K", "K2"):
         options = AnalogOptions(aux_mode=aux_mode)
-        doc = emit_analog(problem, NetlistOptions(analog=options))
+        doc = emit_analog(problem, NetlistOptions(solver_options=options))
         got = evaluate_deck_rhs(doc, analog_voltages(problem, spins, a))
         names = [f"s{i + 1}" for i in range(n)] + [f"a{j + 1}" for j in range(m)]
         ref = np.concatenate(analog_rhs(problem, AnalogState(spins, a), options))
@@ -287,9 +285,9 @@ def test_deck_matches_engine_on_boundaries():
 
 
 def test_non_eighth_mem_params_round_trip():
-    params = MemParams(alpha=0.0, beta=12.5, gamma=0.3, delta=0.01, epsilon=0.002, zeta=0.05)
+    params = MemOptions(alpha=0.0, beta=12.5, gamma=0.3, delta=0.01, epsilon=0.002, zeta=0.05)
     problem = TINY
-    doc = emit_mem(problem, NetlistOptions(mem_params=params))
+    doc = emit_mem(problem, NetlistOptions(solver_options=params))
     rng = np.random.default_rng(8)
     v = rng.uniform(-1, 1, 3)
     got = evaluate_deck_rhs(doc, mem_voltages(problem, v, np.array([0.4]), np.array([2.0])))
@@ -311,13 +309,13 @@ GOLDEN = Problem.from_dimacs_clauses(7, [
                  "9363f88b8c49449b13611aabdb56a52b6697b8bb6686328c393a14222c02e545",
                  id="analog"),
     pytest.param(lambda: emit_analog(GOLDEN, NetlistOptions(
-        analog=AnalogOptions(one_eighth_factor=False, aux_mode="K2"))),
+        solver_options=AnalogOptions(one_eighth_factor=False, aux_mode="K2"))),
                  "f395eaa428fd9f1d22e199f7479d027f085e16e78247e6dc8df4c0c3edd3244c",
                  id="analog-K2-no-eighth"),
     pytest.param(lambda: emit_mem(GOLDEN),
                  "83555ca582a8da57a154491bbbd0592e1ce7eadb9ad2ac21515eb09be2b31314",
                  id="mem"),
-    pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(mem_options=MemOptions(clamp_v=False))),
+    pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(solver_options=MemOptions(clamp_v=False))),
                  "2d6fc01b7b4b138a1914a1c228ebb85190d6e0ca61ded8a8a35ab4afcd738e20",
                  id="mem-unclamped"),
     pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(
@@ -345,8 +343,8 @@ def _golden_states(solver):
 
 
 def _analog_options(aux_mode, one_eighth_factor):
-    return NetlistOptions(analog=AnalogOptions(aux_mode=aux_mode,
-                                               one_eighth_factor=one_eighth_factor))
+    return NetlistOptions(solver_options=AnalogOptions(aux_mode=aux_mode,
+                                                       one_eighth_factor=one_eighth_factor))
 
 
 # Deck values pinned bit for bit: sha256 of float.hex of every evaluate_deck_rhs
@@ -376,10 +374,10 @@ def _analog_options(aux_mode, one_eighth_factor):
     pytest.param("analog", _analog_options("K2", False),
                  "43d8ea5123b67874b79b985b9e40fee6439e9ac8b25c11e3312f8e1a468d07a0",
                  id="analog-K2-no-eighth"),
-    pytest.param("mem", NetlistOptions(mem_options=MemOptions(clamp_v=True)),
+    pytest.param("mem", NetlistOptions(solver_options=MemOptions(clamp_v=True)),
                  "d2ebe88954ff4bc86855b2656ea02efd66ec02d438ae7878c26ba9d946d7c60f",
                  id="mem"),
-    pytest.param("mem", NetlistOptions(mem_options=MemOptions(clamp_v=False)),
+    pytest.param("mem", NetlistOptions(solver_options=MemOptions(clamp_v=False)),
                  "3f65a18c96b464be6b20a98b6a04600fa15e96726bf3b7a88b271a73413d3725",
                  id="mem-unclamped"),
 ])

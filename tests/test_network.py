@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctsat.cnf import Problem, write_dimacs
-from ctsat.dynamics import MemParams, make_system
+from ctsat.dynamics import MemOptions, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -311,7 +311,7 @@ def test_contradictory_ring_never_jointly_solves():
 def test_driven_node_tracks_square_wave_exactly():
     prob = forced_instance(1, False)
     node = SolverNode(prob, MEM, input_vars=(1,), output_vars=(2,),
-                      mem_params=MemParams(alpha=0.0))
+                      solver_options=MemOptions(alpha=0.0))
     wave = SquareWave(period=20, duty=0.5, phase=0)
     wiring = Wiring(edges=((("drive", 0), (0, 1)),), drives=(wave,))
     records = simulate_network([node], wiring, IntegratorConfig(t_ev=50.0),
@@ -326,7 +326,7 @@ def test_driven_node_solves_during_low_half_period():
     # drive sits at logic zero (-1); the solve lands in a low half-period
     prob = forced_instance(1, False)
     node = SolverNode(prob, MEM, input_vars=(1,), output_vars=(2,),
-                      mem_params=MemParams(alpha=0.0))
+                      solver_options=MemOptions(alpha=0.0))
     wave = SquareWave(period=20, duty=0.5, phase=0)
     wiring = Wiring(edges=((("drive", 0), (0, 1)),), drives=(wave,))
     records = simulate_network([node], wiring, IntegratorConfig(t_ev=300.0), seeds=[4])
@@ -366,7 +366,7 @@ def test_load_network_config_roundtrip(tmp_path):
         "stop_on_solve": True,
         "nodes": [
             {"cnf": "a.cnf", "solver": "mem", "inputs": [1], "outputs": [2],
-             "mem_params": {"alpha": 0.0}, "seed": 11},
+             "solver_options": {"alpha": 0.0}, "seed": 11},
             {"cnf": "b.cnf", "solver": "mem", "inputs": [1], "outputs": [2]},
         ],
         "edges": [
@@ -378,8 +378,8 @@ def test_load_network_config_roundtrip(tmp_path):
     nodes, wiring, cfg, seeds, stop = load_network_config(tmp_path / "net.json")
     assert cfg.t_ev == 40.0
     assert seeds == [11, 6]  # explicit, then base seed + index
-    assert nodes[0].mem_params.alpha == 0.0
-    assert nodes[1].mem_params.alpha == 5.0
+    assert nodes[0].solver_options.alpha == 0.0
+    assert nodes[1].solver_options.alpha == 5.0
     assert len(wiring.edges) == 2
     records = simulate_network(nodes, wiring, cfg, seeds, stop_on_solve=stop)
     assert len(records) == 2
@@ -436,11 +436,16 @@ def test_load_network_config_rejects_unknown_drive_kind(tmp_path):
     ({"edges": [{"from": "drive:0", "too": "node:0:1"}]}, "edge 0: too"),
     # an unknown option field used to raise TypeError from the constructor
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
-                 "mem_params": {"alhpa": 1.0}}]}, "node 0 mem_params: alhpa"),
+                 "solver_options": {"alhpa": 1.0}}]}, "node 0 solver_options: alhpa"),
+    ({"nodes": [{"cnf": "a.cnf", "solver": "analog",
+                 "solver_options": {"aux": "K"}}]}, "node 0 solver_options: aux"),
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
-                 "analog_options": {"aux": "K"}}]}, "node 0 analog_options: aux"),
+                 "solver_options": {"clamp": False}}]}, "node 0 solver_options: clamp"),
+    # the option fields of the other solver are read as unknown, not ignored
+    ({"nodes": [{"cnf": "a.cnf", "solver": "analog", "solver_options": {"alpha": 1}}]},
+     "node 0 solver_options: alpha"),
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
-                 "mem_options": {"clamp": False}}]}, "node 0 mem_options: clamp"),
+                 "solver_options": {"aux_mode": "K"}}]}, "node 0 solver_options: aux_mode"),
 ])
 def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     with pytest.raises(ValueError, match=f"unknown key\\(s\\) in {where}"):
@@ -481,16 +486,28 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     ({"t_ev": True}, "t_ev must be a real number, got True"),
     # bool("false") is True: the voltage bounds stayed and "false" was recorded
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2],
-                 "mem_options": {"clamp_v": "false"}}]}, "clamp_v must be a bool, got 'false'"),
+                 "solver_options": {"clamp_v": "false"}}]}, "clamp_v must be a bool, got 'false'"),
     # each used to raise TypeError
-    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "mem_params": [1]}]},
-     "'mem_params' in node 0 must be a JSON object, got [1]"),
-    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "analog_options": "aK2"}]},
-     "'analog_options' in node 0 must be a JSON object, got 'aK2'"),
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "solver_options": [1]}]},
+     "'solver_options' in node 0 must be a JSON object, got [1]"),
+    ({"nodes": [{"cnf": "a.cnf", "solver": "analog", "solver_options": "aK2"}]},
+     "'solver_options' in node 0 must be a JSON object, got 'aK2'"),
     ({"nodes": [{"cnf": "a.cnf", "inputs": 5, "outputs": [2]}]},
      "'inputs' in node 0 must be a JSON array, got 5"),
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": {"2": 1}}]},
      "'outputs' in node 0 must be a JSON array, got {'2': 1}"),
+    ({"nodes": [5]}, "node 0 must be a JSON object, got 5"),
+    ({"nodes": 5}, "'nodes' in network config must be a JSON array, got 5"),
+    ({"edges": 5}, "'edges' in network config must be a JSON array, got 5"),
+    ({"edges": [7]}, "edge 0 must be a JSON object, got 7"),
+    ({"drives": [3]}, "drive 0 must be a JSON object, got 3"),
+    ({"nodes": [{"cnf": 5, "inputs": [1], "outputs": [2]}]},
+     "'cnf' in node 0 must be a JSON string, got 5"),
+    # the option objects of the old layout are unknown keys now
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "mem_params": {"alpha": 0}}]},
+     "unknown key(s) in node 0: mem_params"),
+    ({"nodes": [{"cnf": "a.cnf", "solver": "memm"}]},
+     "unknown solver 'memm' (expected 'analog' or 'mem')"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

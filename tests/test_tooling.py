@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import ctsat
-from ctsat.dynamics import AnalogOptions, MemOptions, MemParams
+from ctsat.cli import build_parser
+from ctsat.dynamics import AnalogOptions, MemOptions
 from ctsat.harness import ExperimentPlan
 from ctsat.instances import BarthelParams, gen_xorsat_3r
 from ctsat.integrate import IntegratorConfig
 from ctsat.netlist import NetlistOptions, SubcircuitSpec
 from ctsat.network import SquareWave
+from test_cli import leaf_parsers
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -130,7 +132,7 @@ def test_project_version_matches_package():
 
 # valid arguments of each parameter and option class; every float field of
 # each is then made non-finite in turn, and every typed field mistyped
-_VALID_ARGS = {IntegratorConfig: {}, MemParams: {}, NetlistOptions: {},
+_VALID_ARGS = {IntegratorConfig: {}, NetlistOptions: {},
                BarthelParams: {"num_vars": 10, "ratio": 4.3}, SquareWave: {"period": 2.0},
                AnalogOptions: {}, MemOptions: {}, ExperimentPlan: {},
                SubcircuitSpec: {"name": "x", "inputs": (1,), "outputs": (2,)}}
@@ -156,7 +158,7 @@ def test_non_finite_parameters_rejected_by_name(cls, name, value):
 @pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
 def test_non_numbers_rejected_by_name(cls, name, value):
-    # MemParams(alpha=True) ran with alpha = 1 and recorded "alpha": true;
+    # alpha=True ran with alpha = 1 and recorded "alpha": true;
     # alpha="5" was accepted and failed mid-run with a UFuncTypeError
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
         cls(**{**_VALID_ARGS[cls], name: value})
@@ -172,6 +174,23 @@ def test_mistyped_bool_and_int_fields_rejected_by_name(cls, name, kind, value):
     noun = {"bool": "a bool", "int": "an integer"}[kind]
     with pytest.raises(ValueError, match=f"^{name} must be {noun}, got {re.escape(repr(value))}$"):
         cls(**{**_VALID_ARGS[cls], name: value})
+
+
+def test_float_fields_cover_every_mem_parameter():
+    # the six memcomputing parameters moved into MemOptions; each keeps its cases
+    assert [name for cls, name in _FLOAT_FIELDS if cls is MemOptions] == [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+
+
+def test_solver_flags_declared_once_per_option_field():
+    # solve and netlist declare one flag per options field, whose dest is
+    # the field; no other subcommand declares any of them
+    names = [f.name for cls in (AnalogOptions, MemOptions) for f in fields(cls)]
+    assert len(set(names)) == len(names) == 9
+    declared = {path: sorted(a.dest for a in leaf._actions if a.dest in names)
+                for path, leaf in leaf_parsers(build_parser())}
+    assert declared == {path: sorted(names) if path in ("solve", "netlist") else []
+                        for path in declared}
 
 
 def test_mistyped_fields_cover_every_typed_option():
@@ -194,7 +213,7 @@ def test_integer_arguments_rejected_by_name(build, message):
 
 
 def test_integer_parameters_stay_valid():
-    assert MemParams(alpha=5, beta=20).alpha == 5
+    assert MemOptions(alpha=5, beta=20).alpha == 5
     assert IntegratorConfig(t_ev=10, dt_max=1).t_ev == 10
     assert NetlistOptions(shunt_resistance=10 ** 9).shunt_resistance == 10 ** 9
     assert SquareWave(period=2, low=-1, high=1).period == 2

@@ -17,7 +17,7 @@ import hashlib
 
 import pytest
 
-from ctsat.dynamics import MemOptions, MemParams
+from ctsat.dynamics import MemOptions
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import ANALOG, MEM, IntegratorConfig, run, run_batch
 from ctsat.network import SolverNode, SquareWave, Wiring, simulate_network
@@ -39,7 +39,7 @@ def mem_xorsat():
 def mem_unclamped():
     problem = gen_barthel(BarthelParams(num_vars=30, ratio=4.3, seed=7)).problem
     return run(problem, MEM, seed=3, config=IntegratorConfig(t_ev=100.0),
-               mem_options=MemOptions(clamp_v=False))
+               solver_options=MemOptions(clamp_v=False))
 
 
 def analog_xorsat():
@@ -77,7 +77,7 @@ def driven(*waves, t_ev):
     """A forced-instance node whose first inputs follow the given drives."""
     inputs = tuple(range(1, len(waves) + 1))
     node = SolverNode(forced_instance(1, False), MEM, input_vars=inputs,
-                      output_vars=(len(waves) + 1,), mem_params=MemParams(alpha=0.0))
+                      output_vars=(len(waves) + 1,), solver_options=MemOptions(alpha=0.0))
     wiring = Wiring(edges=tuple((("drive", k), (0, var)) for k, var in enumerate(inputs)),
                     drives=waves)
     return simulate_network([node], wiring, IntegratorConfig(t_ev=t_ev), seeds=[4],
@@ -144,7 +144,7 @@ def two_shape_chain_node():
     x12 = gen_xorsat_3r(12, seed=40).problem
     x16 = gen_xorsat_3r(16, seed=41).problem
     nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,),
-                        mem_options=MemOptions(clamp_v=i != 3))
+                        solver_options=MemOptions(clamp_v=i != 3))
              for i, problem in enumerate((x12, x16, x12, x12))]
     edges = ((("drive", 0), (0, 1)),) + tuple((("node", i, 2), (i + 1, 1)) for i in range(3))
     wiring = Wiring(edges=edges, drives=(SquareWave(period=3.3),))
