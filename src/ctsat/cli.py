@@ -56,13 +56,13 @@ def _add_solver_flags(parser):
         parser.add_argument(flag, default=argparse.SUPPRESS, **keywords)
 
 
-def _solver_options(parser, args):
+def _solver_options(args):
     """args.solver's options from the flags given; another solver's flag is a usage error."""
     options = resolve_options(args.solver)
     given = {kw["dest"]: flag for flag, kw in _SOLVER_FLAGS.items() if hasattr(args, kw["dest"])}
     stray = [flag for name, flag in given.items() if not hasattr(options, name)]
     if stray:
-        parser.error(f"--solver {args.solver} does not read {', '.join(stray)}")
+        args.parser.error(f"--solver {args.solver} does not read {', '.join(stray)}")
     return replace(options, **{name: getattr(args, name) for name in given})
 
 
@@ -78,7 +78,12 @@ def _add_integrator_flags(parser):
 
 def _config_file(path: str) -> dict:
     """The --config file's JSON object of IntegratorConfig fields; else a usage error."""
-    overrides = json.loads(Path(path).read_text())
+    try:
+        overrides = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"{path} is not JSON: {exc}") from None
     if type(overrides) is not dict:
         raise argparse.ArgumentTypeError(f"{path} must hold a JSON object, got {overrides!r}")
     unknown = sorted(set(overrides) - {f.name for f in fields(IntegratorConfig)})
@@ -163,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list: contra, contrd, s:*, a:3, v:1, xs:*, xl:2")
     p_plot.add_argument("--out", default=None, help="output CSV (default stdout)")
 
+    for command_parser in sub.choices.values():  # for usage errors found after parsing
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
@@ -185,7 +192,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
-        solver_options = _solver_options(parser, args)
+        solver_options = _solver_options(args)
         problem = parse_dimacs(Path(args.infile).read_text())
         record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
                      solver_options=solver_options)
@@ -198,7 +205,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "netlist":
-        solver_options = _solver_options(parser, args)
+        solver_options = _solver_options(args)
         problem = parse_dimacs(Path(args.infile).read_text())
         subckt = None
         if args.subckt:
@@ -230,7 +237,12 @@ def main(argv=None) -> int:
         return 0 if result.satisfiable else 1
 
     if args.command == "network":
-        nodes, wiring, config, seeds, stop_on_solve = load_network_config(args.config)
+        try:
+            nodes, wiring, config, seeds, stop_on_solve = load_network_config(args.config)
+        except OSError as exc:
+            args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
+        except ValueError as exc:
+            args.parser.error(str(exc))
         records = simulate_network(nodes, wiring, config, seeds,
                                    stop_on_solve=stop_on_solve)
         for i, record in enumerate(records):

@@ -83,10 +83,11 @@ class NetlistDocument:
 
     @cached_property
     def parsed(self):
-        """({function name: AST}, {target node: AST}, {label: (nodes, calls)}):
-        every function body and behavioral-source expression of the deck,
-        parsed once per document, and the node and function names each one
-        references, labelled "func <name>" or "source <target node>"."""
+        """({function name: program}, {target node: program}, {label: (nodes,
+        calls)}): every function body and behavioral-source expression of the
+        deck, parsed once per document into a spice_expr postfix program, and
+        the node and function names each one references, labelled
+        "func <name>" or "source <target node>"."""
         functions, sources, references = {}, {}, {}
         for func in self.functions:
             if func.name in functions:
@@ -432,8 +433,8 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
     """
     functions, sources, _ = document.parsed
     values: dict[str, float] = {}
-    return {target: spice_expr.evaluate(ast, voltages, functions, values)
-            for target, ast in sources.items()}
+    return {target: spice_expr.evaluate(code, voltages, functions, values)
+            for target, code in sources.items()}
 
 
 def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,

@@ -230,11 +230,15 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
     resolved relative to the config file, and a node's solver_options are
-    read as its solver's options class.  Unknown keys, unknown drive kinds
-    and values of the wrong JSON type raise ValueError naming the key.
+    read as its solver's options class.  A file that is not JSON raises
+    ValueError naming the file; unknown keys, unknown drive kinds and values
+    of the wrong JSON type raise ValueError naming the key.
     """
     path = Path(path)
-    spec = json.loads(path.read_text())
+    try:
+        spec = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
     base = path.parent
     _check_keys(spec, _TOP_KEYS, "network config")
     config = IntegratorConfig(**{key: spec[key] for key in _CONFIG_KEYS if key in spec})

@@ -19,138 +19,146 @@ when the variable sits exactly on its bound).
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 import string
 from typing import Mapping
 
-__all__ = [
-    "BUILTINS",
-    "ExprError",
-    "parse_expression",
-    "evaluate",
-]
+__all__ = ["BUILTINS", "ExprError", "parse_expression", "evaluate"]
 
 
 class ExprError(ValueError):
     pass
 
 
-# One token per match: a number, a name, a two-character comparison, or any
-# other single character (an operator, or one the parser rejects).
+# One token per match: one of + - * / ( ) , &, a whole V(node) or name(), a
+# number, a name, a two-character comparison, or any other character.  With
+# spaces inside, V ( a ) and f ( ) come in pieces and take a longer path.
 _TOKEN = re.compile(
-    r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"\s*([-+*/(),&]|[Vv]\([A-Za-z_][A-Za-z_0-9]*\)|[A-Za-z_][A-Za-z_0-9]*\(\)"
+    r"|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|[A-Za-z_][A-Za-z_0-9]*|>=|<=|==|!=|\S)"
 )
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NUMBER_START = frozenset(string.digits + ".")
-# Binding power of each binary operator.  A run of operators of one power
-# becomes one flat node (see _combine).
+# Binding power of each binary operator; the unary signs bind tighter.
 _POWER = {"&": 1, ">": 2, "<": 2, ">=": 2, "<=": 2, "==": 2, "!=": 2,
           "+": 3, "-": 3, "*": 4, "/": 4}
-_ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, math.inf), "max": (1, math.inf)}
-BUILTINS = frozenset(_ARITY)  # the builtin function names
+_PENDING = {op: (power, op) for op, power in _POWER.items()}  # operator-stack entries
+_SIGNS = {"-": (5, "neg"), "+": (5, None)}
+_OPEN = (-1, None)  # a "(" on the operator stack; a call's "(" is (-1, frame)
+BUILTINS = frozenset(("u", "if", "min", "max"))  # the builtin function names
+_ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, float("inf")), "max": (1, float("inf")),
+          "V": (1, 1), "v": (1, 1)}  # V takes a node name, not an expression
+
+
+def _call(name, argc, calls):
+    """The program entry of a call, once its argument count is checked."""
+    low, high = _ARITY.get(name, (0, 0))  # user functions take none
+    if not low <= argc <= high:
+        raise ExprError(f"{name}() takes {low}{'' if low == high else ' or more'}"
+                        f" argument(s), got {argc}")
+    calls.add(name)
+    return ("call", name, argc) if argc else ("call", name)
 
 
 def parse_expression(text: str, references: tuple[set[str], set[str]] | None = None):
-    """Parse expression text into an AST (nested tuples).
-
-    A run of + - (or of * /) becomes one flat node ("chain", a, "+", b,
-    "-", c, ...), evaluated left to right, so a sum of any length costs no
-    recursion depth; a run of & becomes ("and", a, b, ...).
+    """Parse expression text, with one loop and no recursion, into a flat
+    postfix program: a list of floats, ("V", node), ("call", name) for a
+    user function, ("call", name, argc) for u, min and max, and operators
+    (+ - * /, the comparisons, "neg").  The branches of if and the right
+    operand of & are sub-programs, ("if", then, other) and ("&", right).
 
     references, a pair of sets (nodes, calls), receives the node names in
     V(...) terms and the names of all user and builtin functions called.
     """
-    tokens = _TOKEN.findall(text)
-    tokens.append("")  # end marker
-    tokens.reverse()  # the next token is tokens[-1]
-    node = _binary(tokens, 1, (set(), set()) if references is None else references)
-    if tokens[-1]:
-        raise ExprError(f"trailing input at {tokens[-1]!r}")
-    return node
+    nodes, calls = (set(), set()) if references is None else references
+    out = []  # the program being built: a sub-program inside & or an if branch
+    # Pending (power, entry) above a floor of -2: operators, and "(" at -1.  A
+    # call's "(" holds [name, commas seen, and for if: outer program, then].
+    ops = [(-2, None)]
+    operand = True  # an operand comes next, else an operator or the end
+    tokens = iter(_TOKEN.findall(text) + [""])  # "" marks the end
+    for token in tokens:
+        if operand:
+            if token == "(":
+                ops.append(_OPEN)
+                continue
+            if token[-1:] == ")" and len(token) > 1:  # a whole V(node) or name()
+                if token[-2] != "(":
+                    nodes.add(token[2:-1])
+                    out.append(("V", token[2:-1]))
+                else:
+                    out.append(_call(token[:-2], 0, calls))
+            elif token[:1] in _NUMBER_START and token != ".":  # "." alone is no number
+                out.append(float(token))
+            elif token in _SIGNS:
+                ops.append(_SIGNS[token])
+                continue
+            elif token[:1] in _NAME_START:
+                if next(tokens) != "(":
+                    raise ExprError(f"expected '(' after {token}")
+                if token not in ("V", "v"):
+                    ops.append((-1, [token, 0]))
+                    continue
+                node = next(tokens)
+                if node[:1] not in _NAME_START or node[-1] == ")" or next(tokens) != ")":
+                    raise ExprError(f"expected V(node name), got V({node}")
+                nodes.add(node)
+                out.append(("V", node))
+            elif token == ")" and ops[-1][0] == -1 and ops[-1][1] and not ops[-1][1][1]:
+                out.append(_call(ops.pop()[1][0], 0, calls))  # name ( )
+            else:
+                raise ExprError(f"unexpected {token or 'end of input'!r}")
+            operand = False
+            continue
+        power = _POWER.get(token, 0)
+        while ops[-1][0] >= power:
+            rank, entry = ops.pop()
+            if rank == 1:  # the right operand of & ends here
+                entry.append(("&", out))
+                out = entry
+            elif rank == power == 2:
+                raise ExprError("comparisons do not chain")
+            elif entry:
+                out.append(entry)
+        if power == 1:
+            ops.append((1, out))
+            out = []
+        elif power:
+            ops.append(_PENDING[token])
+        elif token == ")" and ops[-1][0] == -1:
+            frame = ops.pop()[1]
+            if frame and frame[0] == "if":
+                _call("if", frame[1] + 1, calls)
+                frame[2].append(("if", frame[3], out))
+                out = frame[2]
+            elif frame:
+                out.append(_call(frame[0], frame[1] + 1, calls))
+            continue
+        elif token == "," and ops[-1][1]:
+            frame = ops[-1][1]
+            frame[1] += 1
+            if frame[0] == "if":  # the condition stays in the outer program
+                frame.append(out)
+                out = []
+        elif token or ops[-1][0] != -2:
+            raise ExprError(f"expected ')', got {token or 'end of input'!r}"
+                            if ops[-1][0] == -1 else f"trailing input at {token!r}")
+        operand = True
+    return out
 
 
-def _expect(tokens, token):
-    if tokens[-1] != token:
-        raise ExprError(f"expected {token!r}, got {tokens[-1] or 'end of input'!r}")
-    tokens.pop()
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY.update((op, lambda a, b, test=test: 1.0 if test(a, b) else 0.0) for op, test in (
+    (">", operator.gt), ("<", operator.lt), (">=", operator.ge), ("<=", operator.le),
+    ("==", operator.eq), ("!=", operator.ne)))
 
 
-def _binary(tokens, min_power, refs):
-    """Precedence climbing over the binary operators of at least min_power."""
-    node = _atom(tokens, refs)
-    power = _POWER.get(tokens[-1], 0)
-    while power >= min_power:
-        rest = []  # op, operand, op, operand, ...
-        while _POWER.get(tokens[-1]) == power:
-            rest.append(tokens.pop())
-            rest.append(_binary(tokens, power + 1, refs))
-        node = _combine(power, node, rest)
-        power = _POWER.get(tokens[-1], 0)
-    return node
-
-
-def _combine(power, first, rest):
-    if power == 1:
-        return ("and", first, *rest[1::2])
-    if power == 2:
-        if len(rest) > 2:
-            raise ExprError("comparisons do not chain")
-        return ("cmp", rest[0], first, rest[1])
-    return ("chain", first, *rest)
-
-
-def _atom(tokens, refs):
-    """A signed operand: unary - and + bind tighter than any binary operator."""
-    token = tokens.pop()
-    if token in ("-", "+"):
-        node = _atom(tokens, refs)
-        return ("neg", node) if token == "-" else node
-    if token == "(":
-        node = _binary(tokens, 1, refs)
-        _expect(tokens, ")")
-        return node
-    if token[:1] in _NAME_START:
-        _expect(tokens, "(")
-        if token in ("V", "v"):  # exactly one node name
-            node = tokens.pop()
-            if node[:1] not in _NAME_START:
-                raise ExprError(f"expected a node name in V(), got {node!r}")
-            _expect(tokens, ")")
-            refs[0].add(node)
-            return ("V", node)
-        args = []
-        if tokens[-1] != ")":
-            args.append(_binary(tokens, 1, refs))
-            while tokens[-1] == ",":
-                tokens.pop()
-                args.append(_binary(tokens, 1, refs))
-        _expect(tokens, ")")
-        low, high = _ARITY.get(token, (0, 0))  # user functions take none
-        if not low <= len(args) <= high:
-            raise ExprError(f"{token}() takes {low}{'' if low == high else ' or more'}"
-                            f" argument(s), got {len(args)}")
-        refs[1].add(token)
-        return ("call", token, tuple(args))
-    if token[:1] in _NUMBER_START:
-        try:
-            return ("num", float(token))
-        except ValueError:
-            pass
-    raise ExprError(f"unexpected {token or 'end of input'!r}")
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge,
-            "<=": operator.le, "==": operator.eq, "!=": operator.ne}
-
-
-def evaluate(ast, voltages: Mapping[str, float],
-             functions: Mapping[str, tuple] | None = None,
+def evaluate(code, voltages: Mapping[str, float],
+             functions: Mapping[str, list] | None = None,
              values: dict[str, float] | None = None) -> float:
-    """Evaluate an AST given node voltages and zero-argument user functions
+    """Run a program given node voltages and zero-argument user functions
     (mapping name -> parsed body).
 
     Each user function is evaluated at most once: its value is kept in
@@ -159,45 +167,37 @@ def evaluate(ast, voltages: Mapping[str, float],
     """
     functions = functions or {}
     values = {} if values is None else values
-
-    def ev(node):
-        kind = node[0]
-        if kind == "num":
-            return node[1]
-        if kind == "V":
+    stack = []
+    for op in code:
+        if op.__class__ is str:
+            if op == "neg":
+                stack[-1] = -stack[-1]
+            else:
+                right = stack.pop()
+                stack[-1] = _BINARY[op](stack[-1], right)
+        elif op.__class__ is float:
+            stack.append(op)
+        elif op[0] == "V":
             try:
-                return float(voltages[node[1]])
+                stack.append(float(voltages[op[1]]))
             except KeyError:
-                raise ExprError(f"undefined node {node[1]!r}") from None
-        if kind == "chain":
-            value = ev(node[1])
-            for op, operand in zip(node[2::2], node[3::2]):
-                value = _ARITH[op](value, ev(operand))
-            return value
-        if kind == "neg":
-            return -ev(node[1])
-        if kind == "cmp":
-            return 1.0 if _COMPARE[node[1]](ev(node[2]), ev(node[3])) else 0.0
-        if kind == "and":
-            return 1.0 if all(ev(operand) != 0.0 for operand in node[1:]) else 0.0
-        if kind == "call":
-            name, args = node[1], node[2]
-            if name == "u":
-                (x,) = args
-                return 1.0 if ev(x) >= 0.0 else 0.0
-            if name == "min":
-                return min(ev(arg) for arg in args)
-            if name == "max":
-                return max(ev(arg) for arg in args)
-            if name == "if":
-                cond, then, other = args
-                return ev(then) if ev(cond) != 0.0 else ev(other)
-            if name in functions:
-                if name not in values:
-                    values[name] = ev(functions[name])
-                return values[name]
-            raise ExprError(f"unknown function {name!r}")
-        raise ExprError(f"bad AST node {node!r}")
-
-    return ev(ast)
-
+                raise ExprError(f"undefined node {op[1]!r}") from None
+        elif op[0] == "call" and len(op) == 3:
+            if op[1] == "u":
+                stack[-1] = 1.0 if stack[-1] >= 0.0 else 0.0
+            else:
+                args = stack[-op[2]:]
+                del stack[-op[2]:]
+                stack.append(min(args) if op[1] == "min" else max(args))
+        elif op[0] == "call":
+            if op[1] not in functions:
+                raise ExprError(f"unknown function {op[1]!r}")
+            if op[1] not in values:
+                values[op[1]] = evaluate(functions[op[1]], voltages, functions, values)
+            stack.append(values[op[1]])
+        elif op[0] == "if":
+            stack[-1] = evaluate(op[1] if stack[-1] != 0.0 else op[2], voltages, functions, values)
+        else:  # "&"
+            stack[-1] = (1.0 if stack[-1] != 0.0
+                         and evaluate(op[1], voltages, functions, values) != 0.0 else 0.0)
+    return stack.pop()

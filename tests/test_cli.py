@@ -210,7 +210,10 @@ def test_other_solvers_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--in", "x.cnf"])
     assert exit_info.value.code == 2
-    assert f"does not read {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"does not read {flag}" in err
+    # the usage line is the subcommand's, not the top-level parser's
+    assert err.startswith(f"usage: ctsat {argv[0]} ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cnf", "x.json"]
 
 
@@ -226,6 +229,29 @@ def test_config_file_without_an_object_is_a_usage_error(tmp_path, monkeypatch, c
     assert ("argument --config: cfg.json must hold a JSON object, got [1]"
             in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "network"])
+@pytest.mark.parametrize("name, text, message", [
+    ("missing.json", None, "cannot read missing.json: No such file or directory"),
+    ("cfg.json", "{", "cfg.json is not JSON: Expecting property name"),
+], ids=["missing", "not-json"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
+                                                 name, text, message):
+    # a missing file ended in a FileNotFoundError traceback; a file that is
+    # not JSON gave "invalid _config_file value" (solve, bench) or a
+    # JSONDecodeError traceback (network)
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    extra = ["--in", "x.cnf"] if command == "solve" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", name, *extra])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ctsat {command} ")
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
 
 
 # which of the flags that several subcommands share each one declares;

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 
 import numpy as np
 import pytest
@@ -593,3 +594,110 @@ def test_long_sum_costs_no_recursion_depth():
         expected = expected + x if op == "+" else expected - x
     got = spice_expr.evaluate(ast, volts, {"f": spice_expr.parse_expression("0.125")})
     assert float.hex(got) == float.hex(expected)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(" * 3000 + "1.5" + ")" * 3000, 1.5),
+    ("-" * 3000 + "2", 2.0),
+    ("-" * 3001 + "2", -2.0),
+    ("+-" * 1500 + "V(a)", -0.25),
+], ids=["parentheses", "even-signs", "odd-signs", "mixed-signs"])
+def test_deep_nesting_costs_no_recursion_depth(text, value):
+    # each of these raised RecursionError in the recursive-descent parser
+    got = spice_expr.evaluate(spice_expr.parse_expression(text), {"a": -0.25})
+    assert float.hex(got) == float.hex(value)
+
+
+@pytest.mark.parametrize("text, value, reached", [
+    ("if(1, 2, V(zz))", 2.0, "if(0, 2, V(zz))"),
+    ("if(0, V(zz), 3)", 3.0, "if(1, V(zz), 3)"),
+    ("if(V(a), 4, g())", 4.0, "if(V(a)-1, 4, g())"),
+    ("if(0, g(), 5)", 5.0, "if(2, g(), 5)"),
+    ("0 & V(zz)", 0.0, "1 & V(zz)"),
+    ("V(a) & 0 & g()", 0.0, "V(a) & 1 & g()"),
+    ("1 & 2 & if(0, V(zz), 7)", 1.0, "1 & 2 & if(1, V(zz), 7)"),
+])
+def test_untaken_branches_are_not_evaluated(text, value, reached):
+    # the undefined node zz and the unknown function g raise when reached
+    volts = {"a": 1.0}
+    assert spice_expr.evaluate(spice_expr.parse_expression(text), volts, {}) == value
+    with pytest.raises(spice_expr.ExprError, match="undefined node 'zz'|unknown function 'g'"):
+        spice_expr.evaluate(spice_expr.parse_expression(reached), volts, {})
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_VOLTS = {"a": 0.3, "b": -1.7, "n_1": 2.25, "c0": 0.0}
+_USER = {"f": ("0.125", 0.125), "g": ("2*V(a)-1", 2 * 0.3 - 1), "h": ("u(V(b))", 0.0)}
+
+
+def _random_expression(rng, depth, refs):
+    """(text, binding power at its top level, value) of a random expression.
+    The value is computed here the way the evaluator is documented to:
+    a run of + - or of * / left to right, comparisons and & as 1.0/0.0,
+    min/max by Python's min/max over the arguments in order."""
+    def operand(need):
+        text, power, value = _random_expression(rng, depth + 1, refs)
+        return (text if power >= need else f"({text})"), value
+
+    kind = rng.integers(9) if depth < 4 else rng.integers(3)
+    if kind == 0:
+        value = float(rng.choice([rng.uniform(0, 10), rng.integers(0, 4),
+                                  10.0 ** rng.integers(-9, 9)]))
+        return repr(value), 5, value
+    if kind == 1:
+        node = rng.choice(list(_VOLTS))
+        refs[0].add(node)
+        return f"{rng.choice(['V', 'v'])}({node})", 5, _VOLTS[node]
+    if kind == 2:
+        name = rng.choice(list(_USER))
+        refs[1].add(name)
+        return f"{name}()", 5, _USER[name][1]
+    if kind == 3:
+        sign = rng.choice(["-", "+", "--", "+-"])
+        text, value = operand(5)
+        return sign + text, 5, -value if sign.count("-") % 2 else value
+    if kind in (4, 5):  # a run of + - or of * /
+        power, ops = (3, "+-") if kind == 4 else (4, "*/")
+        text, value = operand(power + 1)
+        for _ in range(rng.integers(1, 4)):
+            op = rng.choice(list(ops))
+            term, x = operand(power + 1)
+            if op == "/" and x == 0.0:
+                op = "*"
+            space = rng.choice(["", " "])
+            text += f"{space}{op}{space}{term}"
+            value = _ARITH[op](value, x)
+        return text, power, value
+    if kind == 6:
+        op = rng.choice([">", "<", ">=", "<=", "==", "!="])
+        (left, x), (right, y) = operand(3), operand(3)
+        test = {">": x > y, "<": x < y, ">=": x >= y, "<=": x <= y, "==": x == y, "!=": x != y}
+        return f"{left}{op}{right}", 2, 1.0 if test[op] else 0.0
+    if kind == 7:
+        parts = [operand(2) for _ in range(rng.integers(2, 4))]
+        value = 1.0 if all(x != 0.0 for _, x in parts) else 0.0
+        return " & ".join(text for text, _ in parts), 1, value
+    name = rng.choice(["u", "min", "max", "if"])
+    refs[1].add(name)
+    count = {"u": 1, "if": 3}.get(name, rng.integers(1, 5))
+    args = [operand(1) for _ in range(count)]
+    values = [x for _, x in args]
+    if name == "u":
+        value = 1.0 if values[0] >= 0.0 else 0.0
+    elif name == "if":
+        value = values[1] if values[0] != 0.0 else values[2]
+    else:
+        value = min(values) if name == "min" else max(values)
+    return f"{name}({', '.join(text for text, _ in args)})", 5, value
+
+
+def test_random_expressions_match_their_python_values():
+    rng = np.random.default_rng(18)
+    functions = {name: spice_expr.parse_expression(body) for name, (body, _) in _USER.items()}
+    for _ in range(2000):
+        refs = (set(), set())
+        text, _, value = _random_expression(rng, 0, refs)
+        got_refs = (set(), set())
+        got = spice_expr.evaluate(spice_expr.parse_expression(text, got_refs), _VOLTS, functions)
+        assert float.hex(got) == float.hex(value), text
+        assert got_refs == refs, text
