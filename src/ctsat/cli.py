@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .cnf import parse_dimacs, assignment_to_bits
+from .cnf import assignment_to_bits, read_dimacs
 from .dynamics import AUX_MODES, MemOptions, resolve_options
 from .harness import (
     ExperimentPlan,
@@ -94,10 +94,35 @@ def _config_file(path: str) -> dict:
 
 def _integrator_config(args) -> IntegratorConfig:
     overrides = dict(args.config or {})
-    for key in ("t_ev", "method", "error_tol", "dt_init", "sample_interval"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
+    for f in fields(IntegratorConfig):
+        if getattr(args, f.name, None) is not None:
+            overrides[f.name] = getattr(args, f.name)
     return IntegratorConfig(**overrides)
+
+
+def _load(args, load, path):
+    """load(path); an unreadable or malformed file is a usage error naming it."""
+    try:
+        return load(path)
+    except OSError as exc:
+        args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
+def _cnf_path(text: str) -> Path:
+    """A gen --out path; it must end in .cnf, since the JSON sidecar takes its stem."""
+    if Path(text).suffix != ".cnf":
+        raise argparse.ArgumentTypeError(f"{text} does not end in .cnf")
+    return Path(text)
+
+
+def _indices(text: str) -> tuple[int, ...]:
+    """A comma list of 1-based variable indices."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,10 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_barthel.add_argument("--ratio", type=float, default=4.3,
                            help="clause ratio M/N (7 easy, 4.3 difficult)")
     p_barthel.add_argument("--p0", type=float, default=0.08)
-    p_barthel.add_argument("--out", required=True, help="output .cnf path")
+    p_barthel.add_argument("--out", type=_cnf_path, required=True, help="output .cnf path")
     p_xorsat = gen_sub.add_parser("xorsat", parents=[seed], help="3-regular 3-XORSAT instance")
     p_xorsat.add_argument("--n", type=int, required=True)
-    p_xorsat.add_argument("--out", required=True)
+    p_xorsat.add_argument("--out", type=_cnf_path, required=True, help="output .cnf path")
 
     p_solve = sub.add_parser("solve", parents=[seed, out_dir],
                              help="integrate one solver on a CNF file")
@@ -141,9 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit simulator-side random initial conditions "
                             "({flat(1)}) instead of explicit seeded values")
     p_net.add_argument("--subckt", default=None, help="wrap the deck as .subckt NAME")
-    p_net.add_argument("--inputs", default="", help="comma list of input variables (1-based)")
-    p_net.add_argument("--outputs", default="", help="comma list of output variables")
-    p_net.add_argument("--no-contrd-pin", action="store_true")
+    # the pin flags shape the .subckt block; each is unset when not given
+    p_net.add_argument("--inputs", type=_indices, default=argparse.SUPPRESS,
+                       help="comma list of input variables (1-based)")
+    p_net.add_argument("--outputs", type=_indices, default=argparse.SUPPRESS,
+                       help="comma list of output variables")
+    p_net.add_argument("--no-contrd-pin", action="store_true", default=argparse.SUPPRESS)
     p_net.add_argument("--t-ev", type=float, default=300.0)
 
     p_oracle = sub.add_parser("oracle", help="decide satisfiability exactly")
@@ -186,14 +214,13 @@ def main(argv=None) -> int:
         else:
             inst = gen_xorsat_3r(args.n, args.seed)
             family = "X"
-        out = Path(args.out)
-        save_instance(inst, out.parent, out.stem, family=family, seed=args.seed)
-        print(f"wrote {out} (N={inst.problem.num_vars}, M={inst.problem.num_clauses})")
+        save_instance(inst, args.out.parent, args.out.stem, family=family, seed=args.seed)
+        print(f"wrote {args.out} (N={inst.problem.num_vars}, M={inst.problem.num_clauses})")
         return 0
 
     if args.command == "solve":
         solver_options = _solver_options(args)
-        problem = parse_dimacs(Path(args.infile).read_text())
+        problem = _load(args, read_dimacs, args.infile)
         record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
                      solver_options=solver_options)
         record.instance = args.infile
@@ -206,17 +233,15 @@ def main(argv=None) -> int:
 
     if args.command == "netlist":
         solver_options = _solver_options(args)
-        problem = parse_dimacs(Path(args.infile).read_text())
+        pins = [name for name in ("inputs", "outputs", "no_contrd_pin") if hasattr(args, name)]
+        if pins and not args.subckt:
+            args.parser.error(", ".join("--" + name.replace("_", "-") for name in pins)
+                              + " needs --subckt")
+        problem = _load(args, read_dimacs, args.infile)
         subckt = None
         if args.subckt:
-            def _ints(text):
-                return tuple(int(x) for x in text.split(",") if x.strip())
-            subckt = SubcircuitSpec(
-                name=args.subckt,
-                inputs=_ints(args.inputs),
-                outputs=_ints(args.outputs),
-                expose_contrd=not args.no_contrd_pin,
-            )
+            subckt = SubcircuitSpec(args.subckt, getattr(args, "inputs", ()),
+                                    getattr(args, "outputs", ()), "no_contrd_pin" not in pins)
         options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt,
                                  solver_options=solver_options,
                                  ic_seed=None if args.random_ic else args.seed, subcircuit=subckt)
@@ -226,7 +251,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "oracle":
-        problem = parse_dimacs(Path(args.infile).read_text())
+        problem = _load(args, read_dimacs, args.infile)
         solver = solve_dpll if args.method == "dpll" else solve_exhaustive
         result = solver(problem)
         if result.satisfiable:
@@ -237,12 +262,8 @@ def main(argv=None) -> int:
         return 0 if result.satisfiable else 1
 
     if args.command == "network":
-        try:
-            nodes, wiring, config, seeds, stop_on_solve = load_network_config(args.config)
-        except OSError as exc:
-            args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
-        except ValueError as exc:
-            args.parser.error(str(exc))
+        nodes, wiring, config, seeds, stop_on_solve = _load(args, load_network_config,
+                                                            args.config)
         records = simulate_network(nodes, wiring, config, seeds,
                                    stop_on_solve=stop_on_solve)
         for i, record in enumerate(records):
@@ -274,8 +295,6 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(csv_text)
         return 0
-
-    raise SystemExit(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

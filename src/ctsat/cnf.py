@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "assignment_from_bits",
     "assignment_to_bits",
     "parse_dimacs",
+    "read_dimacs",
     "write_dimacs",
     "count_unsatisfied",
     "check_fields",
@@ -226,6 +228,14 @@ def parse_dimacs(text) -> Problem:
             f"header declares {declared_clauses} clauses, file has {len(clauses)}"
         )
     return Problem.from_dimacs_clauses(num_vars, clauses)
+
+
+def read_dimacs(path) -> Problem:
+    """Parse the DIMACS file at path; a malformed one raises DimacsError naming it."""
+    try:
+        return parse_dimacs(Path(path).read_text())
+    except (DimacsError, UnicodeDecodeError) as exc:
+        raise DimacsError(f"{path}: {exc}") from None
 
 
 def write_dimacs(problem: Problem, comments: Sequence[str] = ()) -> str:

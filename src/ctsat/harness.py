@@ -24,7 +24,7 @@ from pathlib import Path
 from statistics import median
 from typing import Optional
 
-from .cnf import (assignment_to_bits, check_fields, count_unsatisfied, parse_dimacs,
+from .cnf import (assignment_to_bits, check_fields, count_unsatisfied, read_dimacs,
                   require_integer, write_dimacs)
 from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .instances import BarthelParams, PlantedInstance, gen_barthel, gen_xorsat_3r
@@ -54,7 +54,8 @@ __all__ = [
     "verify_run_dir",
 ]
 
-FAMILIES = ("B4.3", "B7", "X")
+_BARTHEL_RATIOS = {"B4.3": 4.3, "B7": 7.0}  # clause ratio M/N of each Barthel family
+FAMILIES = (*_BARTHEL_RATIOS, "X")
 
 logger = logging.getLogger(__name__)
 
@@ -67,10 +68,8 @@ def derive_seed(*parts) -> int:
 
 
 def generate_instance(family: str, size: int, seed: int) -> PlantedInstance:
-    if family == "B7":
-        return gen_barthel(BarthelParams(num_vars=size, ratio=7.0, p0=0.08, seed=seed))
-    if family == "B4.3":
-        return gen_barthel(BarthelParams(num_vars=size, ratio=4.3, p0=0.08, seed=seed))
+    if family in _BARTHEL_RATIOS:
+        return gen_barthel(BarthelParams(size, _BARTHEL_RATIOS[family], p0=0.08, seed=seed))
     if family == "X":
         return gen_xorsat_3r(size, seed)
     raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
@@ -170,19 +169,12 @@ class SummaryTable:
         return cls(cells)
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for (size, label, family), cell in sorted(self.cells.items()):
-            rows.append({
-                "size": size,
-                "solver": label,
-                "family": family,
-                "runs": cell.runs,
-                "unsolved": cell.unsolved,
-                "converged_to_zero": cell.converged_to_zero,
-                "aborted": cell.aborted,
-                "median_t_solve": cell.median_time,
-            })
-        return {"cells": rows}
+        return {"cells": [
+            {"size": size, "solver": label, "family": family, "runs": cell.runs,
+             "unsolved": cell.unsolved, "converged_to_zero": cell.converged_to_zero,
+             "aborted": cell.aborted, "median_t_solve": cell.median_time}
+            for (size, label, family), cell in sorted(self.cells.items())
+        ]}
 
     def to_markdown(self) -> str:
         sizes = sorted({size for size, _, _ in self.cells})
@@ -287,13 +279,8 @@ def _series_columns(columns, token: str):
     if ":" not in token:
         raise ValueError(f"unknown selection {token!r}")
     prefix, which = token.split(":", 1)
-    matching = []
-    for name in columns:
-        alpha = name.rstrip("0123456789")
-        if alpha != prefix:
-            continue
-        if which == "*" or name == f"{prefix}{which}":
-            matching.append(name)
+    matching = [name for name in columns if name.rstrip("0123456789") == prefix
+                and which in ("*", name[len(prefix):])]
     if not matching:
         raise ValueError(f"selection {token!r} matches no series")
     return matching
@@ -341,7 +328,7 @@ def verify_run_dir(out_dir) -> int:
         payload = load_run(json_path)
         if payload["outcome"] != SOLVED:
             continue
-        problem = parse_dimacs((out_dir / payload["instance"]).read_text())
+        problem = read_dimacs(out_dir / payload["instance"])
         witness = payload["assignment_array"]
         if count_unsatisfied(problem, witness) != 0:
             raise AssertionError(f"{json_path.name}: recorded assignment does not satisfy")

@@ -117,16 +117,15 @@ def barthel_type_weights(p0: float) -> tuple[float, float, float]:
     return p0, p1, p2
 
 
-# The 8 sign patterns of a clause are indexed by a 3-bit mask whose bit j is
-# set when literal j is satisfied by the plant.  Mask 0 is the forbidden,
-# fully violated pattern.
+# Row b holds the 3 bits of b: a Barthel sign pattern (True where the plant
+# satisfies that literal; row 0, all violated, is forbidden) or an assignment
+# of a parity equation's 3 variables.
+_PATTERNS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
+
+
 def _pattern_probabilities(p0: float) -> np.ndarray:
     w0, w1, w2 = barthel_type_weights(p0)
-    probs = np.empty(8)
-    for mask in range(8):
-        t = bin(mask).count("1")
-        probs[mask] = (0.0, w2, w1, w0)[t]
-    return probs
+    return np.array((0.0, w2, w1, w0))[_PATTERNS.sum(axis=1)]
 
 
 def _draw_distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -160,10 +159,21 @@ def gen_barthel(params: BarthelParams) -> PlantedInstance:
     variables = _draw_distinct_triples(rng, n, m)
     masks = rng.choice(8, size=m, p=_pattern_probabilities(params.p0))
 
-    satisfied = ((masks[:, None] >> np.arange(3)[None, :]) & 1).astype(bool)
+    satisfied = _PATTERNS[masks]
     plant_sign = np.where(plant[variables], 1, -1)
     signs = np.where(satisfied, plant_sign, -plant_sign)
     return PlantedInstance(Problem(n, variables, signs), plant)
+
+
+def _xor_clauses(variables, negations, rhs) -> np.ndarray:
+    """The (4E, 3) int64 DIMACS clauses of E parity equations given as (E, 3)
+    variables, (E, 3) negations and (E,) rhs: per equation in order, one
+    clause forbidding each assignment whose parity differs from rhs, ascending.
+    """
+    parity = (_PATTERNS.sum(axis=1) + np.sum(negations, axis=1)[:, None]) % 2 == 1
+    literals = np.asarray(variables, dtype=np.int64)[:, None, :] + 1
+    # each literal is false exactly at its assignment
+    return np.where(_PATTERNS, -literals, literals)[parity != np.asarray(rhs)[:, None]]
 
 
 def xor_to_cnf(eq: XorEquation) -> np.ndarray:
@@ -172,22 +182,7 @@ def xor_to_cnf(eq: XorEquation) -> np.ndarray:
     DIMACS literals.  An assignment satisfies all 4 clauses iff it
     satisfies the equation.
     """
-    clauses = []
-    for bits in range(8):
-        values = [(bits >> j) & 1 == 1 for j in range(3)]
-        parity = False
-        for value, neg in zip(values, eq.negation_mask):
-            parity ^= value ^ neg
-        if parity == eq.rhs:
-            continue
-        # forbid `values`: each literal is false exactly there
-        clauses.append([
-            (-(var + 1)) if value else (var + 1)
-            for var, value in zip(eq.variable_indices, values)
-        ])
-    if len(clauses) != 4:
-        raise RuntimeError(f"parity expansion gave {len(clauses)} clauses, expected 4")
-    return np.array(clauses, dtype=np.int64)
+    return _xor_clauses([eq.variable_indices], [eq.negation_mask], [eq.rhs])
 
 
 def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
@@ -209,12 +204,8 @@ def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
     for _ in range(XORSAT_RETRY_BUDGET):
         rng.shuffle(stubs)
         triples = stubs.reshape(num_vars, 3)
-        distinct = (
-            (triples[:, 0] != triples[:, 1])
-            & (triples[:, 0] != triples[:, 2])
-            & (triples[:, 1] != triples[:, 2])
-        )
-        if distinct.all():
+        a, b, c = triples.T
+        if ((a != b) & (a != c) & (b != c)).all():
             break
     else:
         raise RuntimeError(
@@ -224,17 +215,10 @@ def gen_xorsat_3r(num_vars: int, seed: int = 0) -> PlantedInstance:
 
     negations = rng.random((num_vars, 3)) < 0.5
     plant = rng.random(num_vars) < 0.5
-
-    equations = []
-    for row in range(num_vars):
-        variables = tuple(int(v) for v in triples[row])
-        mask = tuple(bool(b) for b in negations[row])
-        rhs = False
-        for var, neg in zip(variables, mask):
-            rhs ^= bool(plant[var]) ^ neg
-        eq = XorEquation(variables, mask, rhs)
-        equations.append(eq)
-
-    codes = np.concatenate([xor_to_cnf(eq) for eq in equations])
-    problem = Problem.from_dimacs_clauses(num_vars, codes)
-    return PlantedInstance(problem, plant, tuple(equations))
+    rhs = (plant[triples] ^ negations).sum(axis=1) % 2 == 1
+    problem = Problem.from_dimacs_clauses(num_vars, _xor_clauses(triples, negations, rhs))
+    equations = tuple(
+        XorEquation(tuple(variables), tuple(mask), value)
+        for variables, mask, value in zip(triples.tolist(), negations.tolist(), rhs.tolist())
+    )
+    return PlantedInstance(problem, plant, equations)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, check_fields, parse_dimacs, require_integer
+from .cnf import Problem, check_fields, read_dimacs, require_integer
 from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -230,9 +230,9 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
     resolved relative to the config file, and a node's solver_options are
-    read as its solver's options class.  A file that is not JSON raises
-    ValueError naming the file; unknown keys, unknown drive kinds and values
-    of the wrong JSON type raise ValueError naming the key.
+    read as its solver's options class.  A config that is not JSON, or a
+    malformed node CNF, raises ValueError naming the file; unknown keys and
+    drive kinds, and values of the wrong JSON type, raise ValueError naming the key.
     """
     path = Path(path)
     try:
@@ -250,7 +250,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         where = f"node {i}"
         _check_keys(node_spec, _NODE_KEYS, where)
         cnf = _typed(node_spec, "cnf", str, None, where)
-        problem = parse_dimacs((base / cnf).read_text())
+        problem = read_dimacs(base / cnf)
         solver = node_spec.get("solver", MEM)
         options = resolve_options(solver)
         values = _typed(node_spec, "solver_options", dict, {}, where)

@@ -55,13 +55,8 @@ def solve_exhaustive(problem: Problem) -> OracleResult:
 def _simplify(clauses, var, value):
     """Drop satisfied clauses and falsified literals for var := value."""
     sat_lit = var if value else -var
-    out = []
-    for clause in clauses:
-        if sat_lit in clause:
-            continue
-        reduced = [lit for lit in clause if abs(lit) != var]
-        out.append(reduced)
-    return out
+    return [[lit for lit in clause if abs(lit) != var] for clause in clauses
+            if sat_lit not in clause]
 
 
 def solve_dpll(problem: Problem) -> OracleResult:

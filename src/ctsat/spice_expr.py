@@ -36,7 +36,7 @@ class ExprError(ValueError):
 # spaces inside, V ( a ) and f ( ) come in pieces and take a longer path.
 _TOKEN = re.compile(
     r"\s*([-+*/(),&]|[Vv]\([A-Za-z_][A-Za-z_0-9]*\)|[A-Za-z_][A-Za-z_0-9]*\(\)"
-    r"|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
     r"|[A-Za-z_][A-Za-z_0-9]*|>=|<=|==|!=|\S)"
 )
 _NAME_START = frozenset(string.ascii_letters + "_")

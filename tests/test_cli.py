@@ -254,6 +254,79 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
 
 
+MALFORMED_CNF = "p cnf 3 1\n1 x 3 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "netlist", "oracle"])
+@pytest.mark.parametrize("name, text, message", [
+    ("nope.cnf", None, "cannot read nope.cnf: No such file or directory"),
+    ("bad.cnf", MALFORMED_CNF, "bad.cnf: line 2: non-integer token in clause: '1 x 3 0'"),
+], ids=["missing", "malformed"])
+def test_unreadable_cnf_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
+                                              name, text, message):
+    # a missing file ended in a FileNotFoundError traceback, a malformed one
+    # in a DimacsError traceback
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    extra = ["--out", "d.cir"] if command == "netlist" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--in", name, *extra])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ctsat {command} ")
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
+
+
+def test_malformed_node_cnf_is_named(tmp_path, monkeypatch, capsys):
+    # the usage error named only the line: "line 2: non-integer token ..."
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cnf").write_text(MALFORMED_CNF)
+    (tmp_path / "net.json").write_text(json.dumps({"nodes": [{"cnf": "bad.cnf"}]}))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["network", "--config", "net.json"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ctsat network ")
+    assert "error: bad.cnf: line 2: non-integer token in clause" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cnf", "net.json"]
+
+
+@pytest.mark.parametrize("family", ["barthel", "xorsat"])
+def test_gen_out_without_cnf_suffix_is_a_usage_error(tmp_path, monkeypatch, capsys, family):
+    # --out inst.dimacs printed "wrote inst.dimacs" but wrote inst.cnf and inst.json
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", family, "--n", "10", "--out", "inst.dimacs"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ctsat gen {family} ")
+    assert "argument --out: inst.dimacs does not end in .cnf" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--inputs", "1"], "--inputs needs --subckt"),
+    (["--inputs", "1", "--outputs", "2", "--no-contrd-pin"],
+     "--inputs, --outputs, --no-contrd-pin needs --subckt"),
+    (["--subckt", "S", "--inputs", "1,a"],
+     "argument --inputs: not a comma list of integers: '1,a'"),
+], ids=["inputs", "all-pins", "bad-index"])
+def test_pin_flags_are_checked(tmp_path, monkeypatch, capsys, flags, message):
+    # pin flags without --subckt were ignored (exit 0, a plain deck), and a
+    # bad index ended in a ValueError traceback from int('a')
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["netlist", "--in", "x.cnf", "--out", "d.cir", *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ctsat netlist ")
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cnf", "x.json"]
+
+
 # which of the flags that several subcommands share each one declares;
 # network's --config is its network description
 SHARED = ("--seed", "--out-dir", "--config")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from ctsat.cnf import (
     assignment_to_bits,
     count_unsatisfied,
     parse_dimacs,
+    read_dimacs,
     write_dimacs,
 )
 from ctsat.instances import BarthelParams, gen_barthel
@@ -74,6 +77,20 @@ def test_parse_rejects_malformed(text):
     with pytest.raises(DimacsError):
         parse_dimacs(text)
 
+
+
+def test_read_dimacs_names_the_file(tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 3 1\n1 -2 3 0\n")
+    assert read_dimacs(path) == parse_dimacs(path.read_text())
+    path.write_text("p cnf 3 1\n1 x 3 0\n")
+    with pytest.raises(DimacsError, match=f"^{re.escape(str(path))}: line 2: non-integer token"):
+        read_dimacs(path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DimacsError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        read_dimacs(path)
+    with pytest.raises(FileNotFoundError):
+        read_dimacs(tmp_path / "missing.cnf")
 
 def test_write_minimal():
     p = Problem.from_dimacs_clauses(3, [(1, -2, 3)])

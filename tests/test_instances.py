@@ -224,6 +224,19 @@ def test_xor_to_cnf_exhaustive_equivalence(negations, rhs):
         assert cnf_ok == xor_satisfied(eq, values)
 
 
+def test_xor_to_cnf_gives_each_equations_rows_of_the_instance():
+    # gen_xorsat_3r expands all N equations in one batch; xor_to_cnf is that
+    # expansion on a batch of one, so equation i gives rows 4i..4i+3
+    inst = gen_xorsat_3r(2000, seed=0)
+    codes = inst.problem.dimacs_clauses()
+    assert len(inst.equations) == 2000 and codes.shape == (8000, 3)
+    for i, eq in enumerate(inst.equations):
+        clauses = xor_to_cnf(eq)
+        assert clauses.dtype == np.int64
+        np.testing.assert_array_equal(clauses, codes[4 * i:4 * i + 4])
+        assert eq.holds(inst.plant)
+
+
 # ------------------------------------------------------------ instance stream
 
 def generate(family, num_vars, seed):

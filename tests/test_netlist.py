@@ -561,6 +561,8 @@ def test_name_check_rejects_arguments_to_a_user_function():
 @pytest.mark.parametrize("text", [
     "1 +", "2 $ 3", "1<2<3", "1 >= 2 >= 3", "V(1)", "V(a b)", "V()", "f(,)", "1 = 2", "!1",
     "1 ! 2", "", "''", "1..2", "1.5.3", "(1", "1)", "1 2", "1e+", ".e1", "3 & & 4", "x",
+    # digits other than ASCII 0-9 (these are Arabic-Indic threes)
+    "1\u0663", "1e\u0663", "1.\u0663",
 ])
 def test_expression_parser_rejects(text):
     with pytest.raises(spice_expr.ExprError):
