@@ -4,7 +4,9 @@ Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
 Every flag follows its subcommand and is declared only on the subcommands
 that read it, so argparse rejects it on any other.  solve and netlist
 share one set of solver flags, one per field of AnalogOptions and
-MemOptions; a flag of the solver not chosen is a usage error.
+MemOptions; a flag of the solver not chosen is a usage error.  main turns
+every ValueError a subcommand raises into a usage error of that
+subcommand: a value the library rejects, or an input file it cannot read.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .harness import (
     save_instance,
 )
 from .instances import BarthelParams, gen_barthel, gen_xorsat_3r
-from .integrate import ANALOG, MEM, IntegratorConfig, load_run, run, save_run
+from .integrate import ANALOG, MEM, METHODS, IntegratorConfig, load_run, run, save_run
 from .netlist import (
     NetlistOptions,
     SubcircuitSpec,
@@ -57,12 +59,12 @@ def _add_solver_flags(parser):
 
 
 def _solver_options(args):
-    """args.solver's options from the flags given; another solver's flag is a usage error."""
+    """args.solver's options from the flags given; another solver's flag is a ValueError."""
     options = resolve_options(args.solver)
     given = {kw["dest"]: flag for flag, kw in _SOLVER_FLAGS.items() if hasattr(args, kw["dest"])}
     stray = [flag for name, flag in given.items() if not hasattr(options, name)]
     if stray:
-        args.parser.error(f"--solver {args.solver} does not read {', '.join(stray)}")
+        raise ValueError(f"--solver {args.solver} does not read {', '.join(stray)}")
     return replace(options, **{name: getattr(args, name) for name in given})
 
 
@@ -70,7 +72,7 @@ def _add_integrator_flags(parser):
     """The integrator flags and the JSON file they override, shared by solve and bench."""
     parser.add_argument("--config", type=_config_file, help="JSON file of integrator settings")
     parser.add_argument("--t-ev", type=float, help="evolution time budget (default 300)")
-    parser.add_argument("--method", choices=("rk23", "euler"))
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--error-tol", type=float)
     parser.add_argument("--dt-init", type=float)
     parser.add_argument("--sample-interval", type=float)
@@ -100,14 +102,12 @@ def _integrator_config(args) -> IntegratorConfig:
     return IntegratorConfig(**overrides)
 
 
-def _load(args, load, path):
-    """load(path); an unreadable or malformed file is a usage error naming it."""
+def _read(load, path):
+    """load(path); a file it cannot read raises ValueError naming the file."""
     try:
         return load(path)
     except OSError as exc:
-        args.parser.error(f"cannot read {exc.filename}: {exc.strerror}")
-    except ValueError as exc:
-        args.parser.error(str(exc))
+        raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
 def _cnf_path(text: str) -> Path:
@@ -117,8 +117,8 @@ def _cnf_path(text: str) -> Path:
     return Path(text)
 
 
-def _indices(text: str) -> tuple[int, ...]:
-    """A comma list of 1-based variable indices."""
+def _integers(text: str) -> tuple[int, ...]:
+    """A comma list of integers: variable indices or instance sizes."""
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
@@ -167,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "({flat(1)}) instead of explicit seeded values")
     p_net.add_argument("--subckt", default=None, help="wrap the deck as .subckt NAME")
     # the pin flags shape the .subckt block; each is unset when not given
-    p_net.add_argument("--inputs", type=_indices, default=argparse.SUPPRESS,
+    p_net.add_argument("--inputs", type=_integers, default=argparse.SUPPRESS,
                        help="comma list of input variables (1-based)")
-    p_net.add_argument("--outputs", type=_indices, default=argparse.SUPPRESS,
+    p_net.add_argument("--outputs", type=_integers, default=argparse.SUPPRESS,
                        help="comma list of output variables")
     p_net.add_argument("--no-contrd-pin", action="store_true", default=argparse.SUPPRESS)
     p_net.add_argument("--t-ev", type=float, default=300.0)
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", parents=[seed, out_dir],
                              help="run a benchmark grid and summarize")
     p_bench.add_argument("--families", default="B4.3,B7,X")
-    p_bench.add_argument("--sizes", default="10,20,30,40,50")
+    p_bench.add_argument("--sizes", type=_integers, default="10,20,30,40,50")
     p_bench.add_argument("--instances", type=int, default=10)
     p_bench.add_argument("--solvers", default="analog,mem")
     p_bench.add_argument("--workers", type=int, default=1)
@@ -196,15 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list: contra, contrd, s:*, a:3, v:1, xs:*, xl:2")
     p_plot.add_argument("--out", default=None, help="output CSV (default stdout)")
 
-    for command_parser in sub.choices.values():  # for usage errors found after parsing
+    for command_parser in (*sub.choices.values(), *gen_sub.choices.values()):  # for main
         command_parser.set_defaults(parser=command_parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:  # a value the library rejects, or an unreadable input
+        args.parser.error(str(exc))
 
+
+def _run(args) -> int:
+    """Run args.command; main reports the ValueErrors it raises as usage errors."""
     if args.command == "gen":
         if args.family == "barthel":
             params = BarthelParams(num_vars=args.n, ratio=args.ratio,
@@ -220,7 +226,7 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         solver_options = _solver_options(args)
-        problem = _load(args, read_dimacs, args.infile)
+        problem = _read(read_dimacs, args.infile)
         record = run(problem, args.solver, seed=args.seed, config=_integrator_config(args),
                      solver_options=solver_options)
         record.instance = args.infile
@@ -234,14 +240,14 @@ def main(argv=None) -> int:
     if args.command == "netlist":
         solver_options = _solver_options(args)
         pins = [name for name in ("inputs", "outputs", "no_contrd_pin") if hasattr(args, name)]
-        if pins and not args.subckt:
-            args.parser.error(", ".join("--" + name.replace("_", "-") for name in pins)
-                              + " needs --subckt")
-        problem = _load(args, read_dimacs, args.infile)
         subckt = None
-        if args.subckt:
+        if args.subckt is not None:
             subckt = SubcircuitSpec(args.subckt, getattr(args, "inputs", ()),
                                     getattr(args, "outputs", ()), "no_contrd_pin" not in pins)
+        elif pins:
+            raise ValueError(", ".join("--" + name.replace("_", "-") for name in pins)
+                             + " needs --subckt")
+        problem = _read(read_dimacs, args.infile)
         options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt,
                                  solver_options=solver_options,
                                  ic_seed=None if args.random_ic else args.seed, subcircuit=subckt)
@@ -251,7 +257,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "oracle":
-        problem = _load(args, read_dimacs, args.infile)
+        problem = _read(read_dimacs, args.infile)
         solver = solve_dpll if args.method == "dpll" else solve_exhaustive
         result = solver(problem)
         if result.satisfiable:
@@ -262,8 +268,7 @@ def main(argv=None) -> int:
         return 0 if result.satisfiable else 1
 
     if args.command == "network":
-        nodes, wiring, config, seeds, stop_on_solve = _load(args, load_network_config,
-                                                            args.config)
+        nodes, wiring, config, seeds, stop_on_solve = _read(load_network_config, args.config)
         records = simulate_network(nodes, wiring, config, seeds,
                                    stop_on_solve=stop_on_solve)
         for i, record in enumerate(records):
@@ -275,7 +280,7 @@ def main(argv=None) -> int:
     if args.command == "bench":
         plan = ExperimentPlan(
             families=tuple(args.families.split(",")),
-            sizes=tuple(int(s) for s in args.sizes.split(",")),
+            sizes=args.sizes,
             instances_per_cell=args.instances,
             solvers=tuple(SolverSpec(kind) for kind in args.solvers.split(",")),
             config=_integrator_config(args),
@@ -287,7 +292,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "plotdata":
-        payload = load_run(Path(args.run))
+        payload = _read(load_run, args.run)
         csv_text = emit_plot_data(payload, args.select)
         if args.out:
             Path(args.out).write_text(csv_text)

@@ -28,6 +28,7 @@ __all__ = [
     "count_unsatisfied",
     "check_fields",
     "require_integer",
+    "require_pins",
 ]
 
 # An assignment is a boolean vector of length Problem.num_vars.
@@ -65,6 +66,20 @@ def require_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_pins(inputs, outputs, what: str, num_vars: int | None = None):
+    """(inputs, outputs) as tuples of Python ints; ValueError naming what for
+    a pin that fails require_integer, one given twice (inputs and outputs
+    are disjoint) or, once num_vars is known, one outside 1..num_vars."""
+    inputs, outputs = (tuple(require_integer(i, what) for i in pins) for pins in (inputs, outputs))
+    pins = (*inputs, *outputs)
+    for k, i in enumerate(pins):
+        if i in pins[:k]:
+            raise ValueError(f"{what} {i} is given twice among the inputs and outputs")
+        if num_vars is not None and not 1 <= i <= num_vars:
+            raise ValueError(f"{what} {i} is out of range 1..{num_vars}")
+    return inputs, outputs
 
 
 @dataclass(frozen=True, eq=False)

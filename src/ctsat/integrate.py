@@ -68,6 +68,7 @@ from .dynamics import (
 __all__ = [
     "ANALOG",
     "MEM",
+    "METHODS",
     "SOLVED",
     "CONVERGED_TO_ZERO",
     "TIMEOUT",
@@ -81,6 +82,7 @@ __all__ = [
     "load_run",
 ]
 
+METHODS = ("rk23", "euler")  # IntegratorConfig.method values, also ctsat's --method choices
 SOLVED = "solved"
 CONVERGED_TO_ZERO = "converged_to_zero"
 TIMEOUT = "timeout"
@@ -100,7 +102,7 @@ class IntegratorConfig:
     window_confirm: float = 1.0     # sustain time for contrd == 0
 
     def __post_init__(self):
-        if self.method not in ("rk23", "euler"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_fields(self)
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cnf import Problem, check_fields, require_integer
+from .cnf import Problem, check_fields, require_integer, require_pins
 from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, _blocks, initial_state,
                        make_system, resolve_options)
 from . import spice_expr
@@ -109,13 +109,15 @@ class NetlistDocument:
 class SubcircuitSpec:
     """P input pins and Q output pins over the deck's variable nodes.
 
-    Indices are 1-based integers (variable i <-> node v<i> / s<i>); a bool
-    or float raises ValueError.  Input variables lose their capacitor cell;
-    the node becomes a pin whose voltage the surrounding circuit dictates.
-    Output pins simply alias internal nodes, and expose_contrd adds contrd
-    as the last pin.  emit_analog and emit_mem with options.subcircuit set
-    return the .subckt block; it carries no .ic or .tran cards, which
-    belong to the instantiating deck.
+    name is a SPICE identifier ([A-Za-z_][A-Za-z_0-9]*).  Pins are 1-based
+    variable indices (variable i <-> node v<i> / s<i>) checked by
+    cnf.require_pins: a non-integer or a pin given twice raises ValueError
+    here, a pin outside 1..N at emission.  Input variables lose their
+    capacitor cell; the node becomes a pin whose voltage the surrounding
+    circuit dictates.  Output pins simply alias internal nodes, and
+    expose_contrd adds contrd as the last pin.  emit_analog and emit_mem
+    with options.subcircuit set return the .subckt block; it carries no
+    .ic or .tran cards, which belong to the instantiating deck.
     """
 
     name: str
@@ -125,12 +127,12 @@ class SubcircuitSpec:
 
     def __post_init__(self):
         check_fields(self)
-        for key in ("inputs", "outputs"):
-            object.__setattr__(self, key, tuple(require_integer(i, "subcircuit pin")
-                                                for i in getattr(self, key)))
-        pins = (*self.inputs, *self.outputs)
-        if len(set(pins)) != len(pins):
-            raise ValueError("subcircuit input and output variables must be disjoint")
+        # an ASCII Python identifier is exactly [A-Za-z_][A-Za-z_0-9]*
+        if not (isinstance(self.name, str) and self.name.isascii() and self.name.isidentifier()):
+            raise ValueError(f"subcircuit name must be a SPICE identifier, got {self.name!r}")
+        inputs, outputs = require_pins(self.inputs, self.outputs, "subcircuit pin")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,7 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
         return prefix + name
 
     if sub is not None:
-        bad = [i for i in (*sub.inputs, *sub.outputs) if not 1 <= i <= n]
-        if bad:
-            raise ValueError(f"subcircuit variable indices out of range: {bad}")
+        require_pins(sub.inputs, sub.outputs, "subcircuit pin", n)
     omitted = set(sub.inputs) if sub is not None else set()
 
     opts = resolve_options(solver, options.solver_options)
@@ -439,13 +439,24 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
 
 def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,
                       t_ev: float = 300.0) -> str:
-    """Top-level deck instantiating two one-input/one-output subcircuits in
-    a ring: A's output feeds B's input and vice versa."""
+    """Top-level deck instantiating two subcircuits in a ring: A's output
+    feeds B's input and vice versa.  Each document must be a .subckt block
+    whose pins are one input (a pin node without a capacitor card), one
+    output and optionally contrd, and the two names must differ; anything
+    else raises ValueError."""
     for sub in (sub_a, sub_b):
         if sub.subckt is None:
             raise ValueError("compose_ring_deck needs subcircuit documents")
+        name, pins = sub.subckt
+        cards = {card.name for card in sub.elements}
+        body = pins[:-1] if pins and pins[-1] == "contrd" else pins
+        if [f"C{node}" in cards for node in body] != [False, True]:
+            raise ValueError(f"subcircuit {name} needs one input pin and one output pin, "
+                             f"got pins {' '.join(pins)}")
     name_a, pins_a = sub_a.subckt
     name_b, pins_b = sub_b.subckt
+    if name_a == name_b:
+        raise ValueError(f"both subcircuits are named {name_a}")
     lines = [f"* ring network: {name_a} <-> {name_b}"]
     lines.extend(_fragment_lines(sub_a))
     lines.extend(_fragment_lines(sub_b))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, check_fields, read_dimacs, require_integer
+from .cnf import Problem, check_fields, read_dimacs, require_pins
 from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -90,10 +90,11 @@ class SquareWave:
 class SolverNode:
     """One solver instance in a network.
 
-    input_vars / output_vars are 1-based integer variable indices (disjoint
-    sets; a bool or float raises ValueError); input variables are pinned by
-    the wiring, outputs are readable by other nodes.  solver_options is
-    the solver's options object, its defaults for None.
+    input_vars / output_vars are 1-based variable indices checked by
+    cnf.require_pins, as SubcircuitSpec pins are: a bool or float, an index
+    given twice or one outside 1..N raises ValueError.  Input variables are
+    pinned by the wiring, outputs are readable by other nodes.
+    solver_options is the solver's options object, its defaults for None.
     """
 
     problem: Problem
@@ -106,15 +107,10 @@ class SolverNode:
     def __post_init__(self):
         object.__setattr__(self, "solver_options",
                            resolve_options(self.solver, self.solver_options))
-        for key in ("input_vars", "output_vars"):
-            object.__setattr__(self, key, tuple(require_integer(i, "variable index")
-                                                for i in getattr(self, key)))
-        pins = (*self.input_vars, *self.output_vars)
-        if len(set(pins)) != len(pins):
-            raise ValueError("input and output variable sets must be disjoint")
-        for i in pins:
-            if not 1 <= i <= self.problem.num_vars:
-                raise ValueError(f"variable index {i} out of range")
+        inputs, outputs = require_pins(self.input_vars, self.output_vars, "variable index",
+                                       self.problem.num_vars)
+        object.__setattr__(self, "input_vars", inputs)
+        object.__setattr__(self, "output_vars", outputs)
 
 
 # A signal source is ("drive", drive_index) or ("node", node_index, var_index);
@@ -258,8 +254,8 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         nodes.append(SolverNode(
             problem=problem,
             solver=solver,
-            input_vars=tuple(_typed(node_spec, "inputs", list, [], where)),
-            output_vars=tuple(_typed(node_spec, "outputs", list, [], where)),
+            input_vars=_typed(node_spec, "inputs", list, [], where),
+            output_vars=_typed(node_spec, "outputs", list, [], where),
             solver_options=replace(options, **values),
             label=node_spec.get("label", cnf),
         ))

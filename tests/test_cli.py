@@ -176,13 +176,18 @@ def test_non_finite_config_rejected(tmp_path, config, flags):
         _integrator_config(args)
 
 
-def test_non_finite_mem_parameter_rejected(tmp_path):
-    # a NaN alpha used to start a run that aborted at t=0 as a timeout
+def test_non_finite_mem_parameter_rejected(tmp_path, capsys):
+    # a NaN alpha used to start a run that aborted at t=0 as a timeout; the
+    # library's ValueError is a usage error of the subcommand
     cnf = tmp_path / "inst.cnf"
     assert main(["gen", "xorsat", "--n", "10", "--out", str(cnf)]) == 0
     out_dir = tmp_path / "runs"
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["solve", "--out-dir", str(out_dir), "--in", str(cnf), "--alpha", "nan"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ctsat solve ")
+    assert "alpha must be finite" in err
     assert not out_dir.exists()
 
 
@@ -325,6 +330,61 @@ def test_pin_flags_are_checked(tmp_path, monkeypatch, capsys, flags, message):
     assert err.startswith("usage: ctsat netlist ")
     assert message in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cnf", "x.json"]
+
+
+NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "xorsat", "--n", "2", "--out", "y.cnf"], "3-regular 3-XORSAT generator needs N >= 4"),
+    (["gen", "barthel", "--n", "10", "--ratio", "-1", "--out", "y.cnf"],
+     "clause ratio must be positive"),
+    (["bench", "--families", "Z"], "unknown family 'Z'"),
+    (["bench", "--sizes", "a"], "argument --sizes: not a comma list of integers: 'a'"),
+    (["bench", "--instances", "0"], "instances_per_cell and workers must be at least 1"),
+    (["solve", "--in", "x.cnf", "--t-ev", "-1"],
+     "error_tol, t_ev and sample_interval must be positive"),
+    (["solve", "--in", "x.cnf", "--sample-interval", "nan"],
+     "sample_interval must be finite, got nan"),
+    ([*NETLIST, "--subckt", "S", "--inputs", "1", "--outputs", "1"],
+     "subcircuit pin 1 is given twice among the inputs and outputs"),
+    ([*NETLIST, "--subckt", "S", "--inputs", "99"], "subcircuit pin 99 is out of range 1..10"),
+    ([*NETLIST, "--subckt", "a b"], "subcircuit name must be a SPICE identifier, got 'a b'"),
+    ([*NETLIST, "--subckt", "", "--inputs", "1"],
+     "subcircuit name must be a SPICE identifier, got ''"),
+    (["plotdata", "--run", "nope.json", "--select", "contrd"],
+     "cannot read nope.json: No such file or directory"),
+    (["plotdata", "--run", "r/run.json", "--select", "zz:1"], "selection 'zz:1' matches no series"),
+    (["network", "--config", "net.json"], "cannot read a.cnf: No such file or directory"),
+], ids=["gen-xorsat-n", "gen-barthel-ratio", "bench-families", "bench-sizes", "bench-instances",
+        "solve-t-ev", "solve-sample-interval", "netlist-overlap", "netlist-range", "netlist-name",
+        "netlist-empty-name", "plotdata-run", "plotdata-select", "network-node-cnf"])
+def test_rejected_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # each of these ended in a traceback; "--subckt ''" read as no --subckt
+    # and reported "--inputs needs --subckt"
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
+    assert main(["solve", "--in", "x.cnf", "--t-ev", "1", "--out-dir", "r"]) == 0
+    (tmp_path / "net.json").write_text(json.dumps({"nodes": [{"cnf": "a.cnf"}]}))
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    command = " ".join(argv[:2] if argv[0] == "gen" else argv[:1])
+    assert err.startswith(f"usage: ctsat {command} ")
+    assert err.endswith(f"ctsat {command}: error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+def test_unwritable_output_is_not_reported_as_unreadable(tmp_path, monkeypatch, capsys):
+    # only inputs are read through the "cannot read" path
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
+    with pytest.raises((OSError, SystemExit)):
+        main(["netlist", "--in", "x.cnf", "--out", "missing/d.cir"])
+    assert "cannot read" not in capsys.readouterr().err
 
 
 # which of the flags that several subcommands share each one declares;

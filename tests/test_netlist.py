@@ -1,5 +1,6 @@
 import hashlib
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ctsat.dynamics import (
     mem_rhs,
 )
 from ctsat.instances import BarthelParams, gen_barthel
-from ctsat.integrate import init_analog, init_mem
+from ctsat.integrate import MEM, init_analog, init_mem
 from ctsat.netlist import (
     LINE_WIDTH,
     Card,
@@ -31,6 +32,7 @@ from ctsat.netlist import (
     serialize,
     undeclared_references,
 )
+from ctsat.network import SolverNode
 from ctsat import spice_expr
 
 TINY = Problem.from_dimacs_clauses(3, [(1, -2, 3)])
@@ -478,6 +480,45 @@ def test_subcircuit_pins_must_be_integers(pins):
             SubcircuitSpec(name="x", inputs=inputs, outputs=outputs)
 
 
+@pytest.mark.parametrize("inputs, outputs, message", [
+    ((1.5,), (2,), "{what} must be an integer, got 1.5"),
+    ((2,), (True,), "{what} must be an integer, got True"),
+    (("1",), (), "{what} must be an integer, got '1'"),
+    ((1,), (1,), "{what} 1 is given twice among the inputs and outputs"),
+    ((1, 1), (2,), "{what} 1 is given twice among the inputs and outputs"),
+    ((), (2, 3, 2), "{what} 2 is given twice among the inputs and outputs"),
+    ((7,), (2,), "{what} 7 is out of range 1..6"),
+    ((1,), (0,), "{what} 0 is out of range 1..6"),
+    ((-1,), (), "{what} -1 is out of range 1..6"),
+], ids=["float", "bool", "str", "overlap", "twice-in", "twice-out", "above", "zero", "negative"])
+def test_nodes_and_subcircuits_share_one_pin_check(inputs, outputs, message):
+    # SubcircuitSpec and SolverNode each restated the integer and disjoint
+    # checks with their own messages, and only SolverNode checked the range
+    problem = sample_problem(n=6)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(what='variable index'))}$"):
+        SolverNode(problem, MEM, input_vars=inputs, output_vars=outputs)
+    expected = f"^{re.escape(message.format(what='subcircuit pin'))}$"
+    if "out of range" not in message:
+        with pytest.raises(ValueError, match=expected):
+            SubcircuitSpec("x", inputs, outputs)
+        return
+    # N is known only when the deck is emitted
+    spec = SubcircuitSpec("x", inputs, outputs)
+    for emit in (emit_analog, emit_mem):
+        with pytest.raises(ValueError, match=expected):
+            emit(problem, NetlistOptions(subcircuit=spec))
+
+
+@pytest.mark.parametrize("name", ["a b", "", "1a", "a-b", "a.b", "n\u00e4", 5, None])
+def test_subcircuit_name_must_be_a_spice_identifier(name):
+    # "a b" wrote ".subckt a b v1 v2 contrd": a subcircuit named a with a pin b
+    message = f"subcircuit name must be a SPICE identifier, got {name!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SubcircuitSpec(name, (1,), (2,))
+    for name in ("_", "A", "node_1"):
+        assert SubcircuitSpec(name, (1,), (2,)).name == name
+
+
 @pytest.mark.parametrize("seed", [True, 2.7, "1"])
 def test_ic_seed_must_be_an_integer(seed):
     # ic_seed=True used to emit the seed-1 deck; 2.7 failed at emission
@@ -496,9 +537,10 @@ def test_subcircuit_analog_variant():
 
 def test_ring_deck_instantiates_twice_with_cross_wiring():
     problem = sample_problem(n=6)
-    make = lambda name: emit_mem(
+    make = lambda name, contrd=True: emit_mem(
         problem,
-        NetlistOptions(subcircuit=SubcircuitSpec(name=name, inputs=(1,), outputs=(2,))),
+        NetlistOptions(subcircuit=SubcircuitSpec(name=name, inputs=(1,), outputs=(2,),
+                                                 expose_contrd=contrd)),
     )
     text = compose_ring_deck(make("solva"), make("solvb"), t_ev=300.0)
     lines = text.splitlines()
@@ -506,6 +548,34 @@ def test_ring_deck_instantiates_twice_with_cross_wiring():
     assert "XB net_ab net_ba contrdb solvb" in lines
     assert sum(1 for line in lines if line.startswith(".subckt")) == 2
     assert lines[-1] == ".end"
+    # without contrd pins the instances take two nodes each
+    text = compose_ring_deck(make("solva", False), make("solvb", False))
+    assert "XA net_ba net_ab solva" in text.splitlines()
+    with pytest.raises(ValueError, match="^compose_ring_deck needs subcircuit documents$"):
+        compose_ring_deck(make("solva"), emit_mem(problem))
+
+
+def ring_part(name, inputs=(1,), outputs=(2,), expose_contrd=True):
+    spec = SubcircuitSpec(name, inputs, outputs, expose_contrd)
+    return emit_mem(sample_problem(n=6), NetlistOptions(subcircuit=spec))
+
+
+@pytest.mark.parametrize("part_a, part_b, message", [
+    # each composed a deck wired against pins its subcircuit does not have
+    (("A", (1, 2), (3,)), ("B",), "subcircuit A needs one input pin and one output pin, "
+                                  "got pins v1 v2 v3 contrd"),
+    (("A",), ("B", (), (3, 4), False), "subcircuit B needs one input pin and one output "
+                                       "pin, got pins v3 v4"),
+    (("A", (), (1,)), ("B",), "subcircuit A needs one input pin and one output pin, "
+                              "got pins v1 contrd"),
+    (("A", (2,), ()), ("B",), "subcircuit A needs one input pin and one output pin, "
+                              "got pins v2 contrd"),
+    (("A", (1, 2), (3,)), ("A", (), (3, 4), False), "subcircuit A needs one input pin"),
+    (("A",), ("A",), "both subcircuits are named A"),
+], ids=["two-inputs", "two-outputs", "no-input", "no-output", "issue-pair", "same-name"])
+def test_ring_deck_rejects_subcircuits_it_cannot_wire(part_a, part_b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        compose_ring_deck(ring_part(*part_a), ring_part(*part_b))
 
 
 # -------------------------------------------------------------- expression parser

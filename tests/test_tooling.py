@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ctsat
+from ctsat import cli
 from ctsat.cli import build_parser
 from ctsat.dynamics import AnalogOptions, MemOptions
 from ctsat.harness import ExperimentPlan
@@ -122,6 +124,34 @@ def test_every_exception_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
     assert sorted(defined - raised) == []
+
+
+def test_cli_catches_value_error_only_in_main_and_argument_types():
+    # main turns every ValueError a subcommand raises into that subcommand's
+    # usage error; a try/except of a subcommand's own would bypass it.  An
+    # argparse type= function must catch, so that argparse prints its message.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    types = {node.value.id for node in ast.walk(tree) if isinstance(node, ast.keyword)
+             and node.arg == "type" and isinstance(node.value, ast.Name)}
+    assert {"_config_file", "_integers"} <= types
+
+    def resolve(node):
+        if isinstance(node, ast.Attribute):
+            return getattr(resolve(node.value), node.attr)
+        return getattr(cli, node.id, None) or getattr(builtins, node.id)
+
+    def catches_value_error(handler):
+        if handler.type is None:
+            return True
+        names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(issubclass(ValueError, exc) or issubclass(exc, ValueError)
+                   for exc in map(resolve, names))
+
+    catching = {function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.ExceptHandler) and catches_value_error(node)}
+    assert "main" in catching
+    assert sorted(catching - types - {"main"}) == []
 
 
 def test_project_version_matches_package():
