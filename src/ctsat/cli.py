@@ -4,9 +4,11 @@ Subcommands: gen, solve, netlist, oracle, network, bench, plotdata.
 Every flag follows its subcommand and is declared only on the subcommands
 that read it, so argparse rejects it on any other.  solve and netlist
 share one set of solver flags, one per field of AnalogOptions and
-MemOptions; a flag of the solver not chosen is a usage error.  main turns
+MemOptions; a flag of the solver not chosen is a usage error.  A flag
+for a field with a library default is unset when not given.  main turns
 every ValueError a subcommand raises into a usage error of that
-subcommand: a value the library rejects, or an input file it cannot read.
+subcommand: a value the library rejects, or an input file it cannot read;
+an OSError, from a write, is one "cannot write" error line, exit 1.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ def _solver_options(args):
 def _add_integrator_flags(parser):
     """The integrator flags and the JSON file they override, shared by solve and bench."""
     parser.add_argument("--config", type=_config_file, help="JSON file of integrator settings")
-    parser.add_argument("--t-ev", type=float, help="evolution time budget (default 300)")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--error-tol", type=float)
-    parser.add_argument("--dt-init", type=float)
-    parser.add_argument("--sample-interval", type=float)
+    parser.add_argument("--t-ev", type=float, default=argparse.SUPPRESS,
+                        help=f"evolution time budget (default {IntegratorConfig.t_ev:g})")
+    parser.add_argument("--method", choices=METHODS, default=argparse.SUPPRESS)
+    parser.add_argument("--error-tol", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--dt-init", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--sample-interval", type=float, default=argparse.SUPPRESS)
 
 
 def _config_file(path: str) -> dict:
@@ -95,11 +98,13 @@ def _config_file(path: str) -> dict:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    overrides = dict(args.config or {})
-    for f in fields(IntegratorConfig):
-        if getattr(args, f.name, None) is not None:
-            overrides[f.name] = getattr(args, f.name)
-    return IntegratorConfig(**overrides)
+    given = _given(args, *(f.name for f in fields(IntegratorConfig)))
+    return IntegratorConfig(**{**(args.config or {}), **given})
+
+
+def _given(args, *names) -> dict:
+    """The flags among names (dests) that were given; the others are left to the library."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _read(load, path):
@@ -143,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_barthel.add_argument("--n", type=int, required=True)
     p_barthel.add_argument("--ratio", type=float, default=4.3,
                            help="clause ratio M/N (7 easy, 4.3 difficult)")
-    p_barthel.add_argument("--p0", type=float, default=0.08)
+    p_barthel.add_argument("--p0", type=float, default=argparse.SUPPRESS)
     p_barthel.add_argument("--out", type=_cnf_path, required=True, help="output .cnf path")
     p_xorsat = gen_sub.add_parser("xorsat", parents=[seed], help="3-regular 3-XORSAT instance")
     p_xorsat.add_argument("--n", type=int, required=True)
@@ -160,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--in", dest="infile", required=True)
     p_net.add_argument("--out", required=True, help="output netlist path (.cir/.net)")
     _add_solver_flags(p_net)
-    p_net.add_argument("--shunt", type=float, default=1e9,
-                       help="shunt resistance in ohms (default 1e9)")
+    p_net.add_argument("--shunt", dest="shunt_resistance", type=float,
+                       default=argparse.SUPPRESS, help="shunt resistance in ohms "
+                       f"(default {NetlistOptions.shunt_resistance:g})")
     p_net.add_argument("--random-ic", action="store_true",
                        help="emit simulator-side random initial conditions "
                             "({flat(1)}) instead of explicit seeded values")
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--outputs", type=_integers, default=argparse.SUPPRESS,
                        help="comma list of output variables")
     p_net.add_argument("--no-contrd-pin", action="store_true", default=argparse.SUPPRESS)
-    p_net.add_argument("--t-ev", type=float, default=300.0)
+    p_net.add_argument("--t-ev", type=float, default=argparse.SUPPRESS)
 
     p_oracle = sub.add_parser("oracle", help="decide satisfiability exactly")
     p_oracle.add_argument("--in", dest="infile", required=True)
@@ -183,11 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", parents=[seed, out_dir],
                              help="run a benchmark grid and summarize")
-    p_bench.add_argument("--families", default="B4.3,B7,X")
-    p_bench.add_argument("--sizes", type=_integers, default="10,20,30,40,50")
-    p_bench.add_argument("--instances", type=int, default=10)
-    p_bench.add_argument("--solvers", default="analog,mem")
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--families", default=argparse.SUPPRESS)
+    p_bench.add_argument("--sizes", type=_integers, default=argparse.SUPPRESS)
+    p_bench.add_argument("--instances", dest="instances_per_cell", type=int,
+                         default=argparse.SUPPRESS)
+    p_bench.add_argument("--solvers", default=argparse.SUPPRESS)
+    p_bench.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     _add_integrator_flags(p_bench)
 
     p_plot = sub.add_parser("plotdata", help="tidy CSV from a saved run")
@@ -207,15 +214,17 @@ def main(argv=None) -> int:
         return _run(args)
     except ValueError as exc:  # a value the library rejects, or an unreadable input
         args.parser.error(str(exc))
+    except OSError as exc:  # _read turns read failures into ValueError: this is a write
+        args.parser.exit(1, f"{args.parser.prog}: error: cannot write {exc.filename}: "
+                            f"{exc.strerror}\n")
 
 
 def _run(args) -> int:
-    """Run args.command; main reports the ValueErrors it raises as usage errors."""
+    """Run args.command; main reports the ValueErrors and OSErrors it raises."""
     if args.command == "gen":
         if args.family == "barthel":
-            params = BarthelParams(num_vars=args.n, ratio=args.ratio,
-                                   p0=args.p0, seed=args.seed)
-            inst = gen_barthel(params)
+            inst = gen_barthel(BarthelParams(num_vars=args.n, ratio=args.ratio, seed=args.seed,
+                                             **_given(args, "p0")))
             family = f"B{args.ratio:g}"
         else:
             inst = gen_xorsat_3r(args.n, args.seed)
@@ -248,9 +257,9 @@ def _run(args) -> int:
             raise ValueError(", ".join("--" + name.replace("_", "-") for name in pins)
                              + " needs --subckt")
         problem = _read(read_dimacs, args.infile)
-        options = NetlistOptions(t_ev=args.t_ev, shunt_resistance=args.shunt,
-                                 solver_options=solver_options,
-                                 ic_seed=None if args.random_ic else args.seed, subcircuit=subckt)
+        options = NetlistOptions(solver_options=solver_options,
+                                 ic_seed=None if args.random_ic else args.seed, subcircuit=subckt,
+                                 **_given(args, "t_ev", "shunt_resistance"))
         doc = (emit_analog if args.solver == ANALOG else emit_mem)(problem, options)
         Path(args.out).write_text(serialize(doc))
         print(f"wrote {args.out} ({len(doc.elements)} cards)")
@@ -278,15 +287,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "bench":
-        plan = ExperimentPlan(
-            families=tuple(args.families.split(",")),
-            sizes=args.sizes,
-            instances_per_cell=args.instances,
-            solvers=tuple(SolverSpec(kind) for kind in args.solvers.split(",")),
-            config=_integrator_config(args),
-            seed_base=args.seed,
-            workers=args.workers,
-        )
+        grid = _given(args, "families", "sizes", "instances_per_cell", "solvers", "workers")
+        if "families" in grid:
+            grid["families"] = tuple(grid["families"].split(","))
+        if "solvers" in grid:
+            grid["solvers"] = tuple(SolverSpec(kind) for kind in grid["solvers"].split(","))
+        plan = ExperimentPlan(config=_integrator_config(args), seed_base=args.seed, **grid)
         table, _records = run_experiment(plan, args.out_dir)
         print(table.to_markdown())
         return 0

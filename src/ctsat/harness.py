@@ -67,12 +67,17 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _require_family(family: str):
+    """The one family check, of ExperimentPlan and generate_instance."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+
+
 def generate_instance(family: str, size: int, seed: int) -> PlantedInstance:
-    if family in _BARTHEL_RATIOS:
-        return gen_barthel(BarthelParams(size, _BARTHEL_RATIOS[family], p0=0.08, seed=seed))
+    _require_family(family)
     if family == "X":
         return gen_xorsat_3r(size, seed)
-    raise ValueError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    return gen_barthel(BarthelParams(size, _BARTHEL_RATIOS[family], seed=seed))
 
 
 def save_instance(inst: PlantedInstance, directory, name: str,
@@ -121,9 +126,8 @@ class ExperimentPlan:
         object.__setattr__(self, "sizes", tuple(require_integer(n, "size") for n in self.sizes))
         if not (self.families and self.sizes and self.solvers):
             raise ValueError("plan needs at least one family, size and solver")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown family {fam!r}")
+        for family in self.families:
+            _require_family(family)
         # records and seeds are keyed by family, size and solver label
         for name, keys in (("families", self.families), ("sizes", self.sizes),
                            ("solver labels", [spec.label for spec in self.solvers])):

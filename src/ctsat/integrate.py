@@ -175,26 +175,20 @@ def _stops(config: IntegratorConfig, drives):
 
 class _Member:
     """One run, or one node of a network: its problem, solver, seed and
-    options, its step state (time, next stop, proposed step size, the size
-    of a step being retried, whether the first stage can be reused), its
-    stats, outcome windows and recorded samples.  Its state vector is a row
-    of its batch's (B, D) array.
-
-    pins are 1-based variable indices held fixed by the caller (network
-    inputs); their derivatives are forced to zero.  The seed is a Python or
-    NumPy integer; a bool, float or str raises ValueError.
-    """
+    options, its step state (time, next stop, proposed and retried step
+    sizes, the bytes its last accepted step ended on), its stats, outcome
+    windows and recorded samples.  Its state vector is a row of its batch's
+    (B, D) array; its pins are the 0-based variables its group writes.  Its
+    seed is a Python or NumPy integer; a bool, float or str is a ValueError."""
 
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
-                 solver_options: AnalogOptions | MemOptions | None, pins: tuple[int, ...] = ()):
+                 solver_options: AnalogOptions | MemOptions | None):
         self.solver_options = resolve_options(solver, solver_options)
-        self.options = {solver: asdict(self.solver_options)}
         self.seed = require_integer(seed, "seed")
-        self.y0 = initial_state(problem, solver, self.seed)
         self.problem = problem
         self.solver = solver
         self.config = config
-        self.pins = sorted(v - 1 for v in pins)
+        self.pins: list[int] = []
         # the outcome windows: where contrd == 0 began and the readout there,
         # and where max |s_i| < eps_zero began (None while outside)
         self.solved_enter = self.solved_assignment = self.zero_enter = None
@@ -206,31 +200,19 @@ class _Member:
             "n_rhs_reused": 0,    # first stages taken from the last step's k4 (FSAL)
             "dt_smallest": np.inf,
             "dt_largest": 0.0,
+            "wall_time": 0.0,     # its share of its batch's step time plus its recording time
         }
-        self.wall = 0.0
         self.t = 0.0
         self.t_stop: Optional[float] = None   # None while waiting at a stop
         self.h = config.dt_init               # the next step's proposed size
         self.retry: Optional[float] = None    # the size of a rejected step's next attempt
-        self.fresh_k1 = True                  # the next step evaluates its first stage
-        self.key = b""                        # the state's bytes when it reached its stop
+        self.k4_at = b""                      # the last accepted y_new's bytes (FSAL)
         self.aborted: Optional[tuple[str, bool]] = None  # (message, is_underflow)
-        self.done = False
         self.group = self.batch = self.row = None
 
     @property
     def y(self) -> np.ndarray:
         return self.batch.y[self.row]
-
-    def resume(self, t: float, t_stop: float):
-        """Steps on from t toward t_stop.  FSAL: the RHS is autonomous, so
-        the last step's k4 is the next step's k1 while the state is still
-        the state it was evaluated at, bit for bit; the group may have
-        written into it (network pins) since it stopped, so its bytes are
-        compared, not its identity."""
-        self.t, self.t_stop = t, t_stop
-        if self.y.tobytes() != self.key:
-            self.fresh_k1 = True
 
     def record(self, t: float) -> Optional[str]:
         """Records the sample at t and updates both outcome windows; returns
@@ -248,7 +230,7 @@ class _Member:
             self.solved_enter = self.solved_assignment = None
         elif self.solved_enter is None:
             self.solved_enter = t
-            self.solved_assignment = readout(s).copy()
+            self.solved_assignment = readout(s)
         if self.solver == ANALOG and cfg.eps_zero > 0:
             if float(np.max(np.abs(s))) < cfg.eps_zero:
                 if self.zero_enter is None:
@@ -260,7 +242,7 @@ class _Member:
             hit = SOLVED
         elif self.zero_enter is not None and t - self.zero_enter >= cfg.window_zero - 1e-9:
             hit = CONVERGED_TO_ZERO
-        self.wall += time.perf_counter() - start
+        self.stats["wall_time"] += time.perf_counter() - start
         return hit
 
 
@@ -274,16 +256,20 @@ class _Batch:
     so every member steps exactly as it would alone.  A member waiting at
     its group's stop has h = 0: its row, first stage and stats stay
     untouched, as only accepted rows are clipped onto [lo, hi] and written.
-    stats["n_rhs"] counts the rows that needed their first stage evaluated
-    and stats["n_rhs_reused"] the steps that reused the previous step's
-    last stage (FSAL); each RK step takes one first stage plus three per
+    FSAL: the RHS is autonomous, so an accepted step's last stage k4, taken
+    at y_new, is the next step's first stage while the row holds y_new bit
+    for bit: each accepted step stores y_new's bytes, and a new step reuses
+    k1 only when its row has them (a clip or a group's write that changes
+    the row evaluates it afresh).  stats["n_rhs"] counts the rows that
+    needed their first stage evaluated and stats["n_rhs_reused"] the steps
+    that reused it; each RK step takes one first stage plus three per
     attempt, so n_rhs + n_rhs_reused == n_accepted + 3 (n_accepted +
     n_rejected) for a run that is not aborted."""
 
     def __init__(self, members: list[_Member]):
         self.members = members
         self.config = members[0].config
-        self.y = np.stack([m.y0 for m in members])
+        self.y = np.stack([initial_state(m.problem, m.solver, m.seed) for m in members])
         self.k1 = np.empty_like(self.y)
         self._bind()
 
@@ -310,7 +296,7 @@ class _Batch:
 
     def prune(self) -> bool:
         """Drops the members whose run has ended; False when none is left."""
-        keep = [row for row, m in enumerate(self.members) if not m.done]
+        keep = [row for row, m in enumerate(self.members) if m.group.records is None]
         if len(keep) < len(self.members):
             self.members = [self.members[row] for row in keep]
             if keep:
@@ -348,6 +334,7 @@ class _Batch:
                     m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
             else:
                 m.retry = None
+                m.k4_at = y_new[row].tobytes()
                 m.t += h
                 accepted.append(row)
                 m.stats["n_accepted"] += 1
@@ -359,18 +346,12 @@ class _Batch:
                     m.t_stop = None
                     stopped.append(m)
         if accepted:
-            y_clip = np.clip(y_new, self.lo, self.hi)
-            if last is not None:  # the next step's first stage, unless the step was clipped
-                for row in accepted:
-                    self.members[row].fresh_k1 = y_clip[row].tobytes() != y_new[row].tobytes()
+            if last is not None:
                 self.k1[accepted] = last[accepted]
-            self.y[accepted] = y_clip[accepted]
-        for member in stopped:
-            if member.t_stop is None:
-                member.key = self.y[member.row].tobytes()
+            self.y[accepted] = np.clip(y_new[accepted], self.lo, self.hi)
         share = (time.perf_counter() - start) / len(running)
         for member in running:
-            member.wall += share
+            member.stats["wall_time"] += share
         return stopped
 
     def _euler(self):
@@ -396,12 +377,11 @@ class _Batch:
             h = m.retry
             if h is None:  # a new step
                 h = min(m.h, cfg.dt_max, m.t_stop - m.t)
-                if m.fresh_k1:
+                if y[row].tobytes() == m.k4_at:
+                    m.stats["n_rhs_reused"] += 1
+                else:
                     fresh.append(row)
                     m.stats["n_rhs"] += 1
-                    m.fresh_k1 = False
-                else:
-                    m.stats["n_rhs_reused"] += 1
             hs.append(h)
         if fresh:
             self.k1[fresh] = rhs(0.0, y)[fresh]
@@ -425,12 +405,14 @@ class _Group:
 
     fed maps (member index, 1-based input variable) to its source,
     ("drive", k) or ("node", i, 1-based output variable); drives[k] has
-    value(t) and next_transition(t).  Partner values are copied at every
-    sample; drive values at every sample and drive transition, which also
-    split the sample interval.  The group solves jointly at the first sample
-    where every member reports SOLVED; it stops there (with stop_on_solve),
-    at the first sample where some member converges to zero, at t_ev, or
-    when a member aborts.  The records are then left in self.records.
+    value(t) and next_transition(t); its keys are the members' pins, as a
+    variable is pinned exactly when the group writes it.  Partner values
+    are copied at every sample; drive values at every sample and drive
+    transition, which also split the sample interval.  The group solves
+    jointly at the first sample where every member reports SOLVED; it stops
+    there (with stop_on_solve), at the first sample where some member
+    converges to zero, at t_ev, or when a member aborts.  The records are
+    then left in self.records.
     """
 
     def __init__(self, members: list[_Member], config: IntegratorConfig,
@@ -451,6 +433,8 @@ class _Group:
         self.records: Optional[list[RunRecord]] = None
         for member in members:
             member.group = self
+        for i, var in fed:
+            members[i].pins.append(var - 1)
 
     def advance(self):
         """Acts once every member is at the stop, or one aborted: pins the
@@ -475,18 +459,18 @@ class _Group:
                 break
             if t < self.stop[0] - 1e-12:
                 for member in self.members:
-                    member.resume(t, self.stop[0])
+                    member.t, member.t_stop = t, self.stop[0]
                 return
             t, is_sample = self.stop
         self.finish(None)
 
     def sample(self, t) -> bool:
         """Copies the partners' outputs into the inputs they feed and records
-        every member; True when the group should stop."""
+        every member; True when the group should stop.  A node's inputs and
+        outputs are disjoint, so no variable written here is read as a source."""
         members = self.members
-        values = [members[source[1]].y[source[2] - 1] for _, source in self.from_nodes]
-        for ((i, var), _), value in zip(self.from_nodes, values):
-            members[i].y[var - 1] = value
+        for (i, var), (_, j, out) in self.from_nodes:
+            members[i].y[var - 1] = members[j].y[out - 1]
         hits = [member.record(t) for member in members]
         if self.joint_at is None and all(hit == SOLVED for hit in hits):
             self.joint_at = t
@@ -509,7 +493,6 @@ class _Group:
             stats = dict(m.stats)
             if stats["dt_smallest"] is np.inf:
                 stats["dt_smallest"] = None
-            stats["wall_time"] = m.wall
             stats["dt_underflow"] = False
             if aborted is not None:
                 stats["abort_message"], stats["dt_underflow"] = aborted
@@ -526,10 +509,9 @@ class _Group:
                 contrd=np.asarray(m.contrd, dtype=int),
                 state_columns=m.batch.columns,
                 config=self.config,
-                options=m.options,
+                options={m.solver: asdict(m.solver_options)},
                 stats=stats,
             ))
-            m.done = True
         self.records = records
 
 

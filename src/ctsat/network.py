@@ -174,11 +174,8 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
     if not nodes or len(seeds) != len(nodes):
         raise ValueError("need at least one node and exactly one seed per node")
     fed = _validate(nodes, wiring)
-    runs = [
-        _Member(node.problem, node.solver, seed, config, node.solver_options,
-                pins=node.input_vars)
-        for node, seed in zip(nodes, seeds)
-    ]
+    runs = [_Member(node.problem, node.solver, seed, config, node.solver_options)
+            for node, seed in zip(nodes, seeds)]
     group = _Group(runs, config, fed, wiring.drives, stop_on_solve)
     _integrate([group])
     for i, (node, record) in enumerate(zip(nodes, group.records)):

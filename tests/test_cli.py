@@ -339,7 +339,7 @@ NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
     (["gen", "xorsat", "--n", "2", "--out", "y.cnf"], "3-regular 3-XORSAT generator needs N >= 4"),
     (["gen", "barthel", "--n", "10", "--ratio", "-1", "--out", "y.cnf"],
      "clause ratio must be positive"),
-    (["bench", "--families", "Z"], "unknown family 'Z'"),
+    (["bench", "--families", "Z"], "unknown family 'Z' (expected one of ('B4.3', 'B7', 'X'))"),
     (["bench", "--sizes", "a"], "argument --sizes: not a comma list of integers: 'a'"),
     (["bench", "--instances", "0"], "instances_per_cell and workers must be at least 1"),
     (["solve", "--in", "x.cnf", "--t-ev", "-1"],
@@ -379,12 +379,25 @@ def test_rejected_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv, m
 
 
 def test_unwritable_output_is_not_reported_as_unreadable(tmp_path, monkeypatch, capsys):
-    # only inputs are read through the "cannot read" path
+    # an unwritable output ended in an OSError traceback; it is one error
+    # line with exit status 1, no usage line, and never "cannot read"
     monkeypatch.chdir(tmp_path)
     assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
-    with pytest.raises((OSError, SystemExit)):
-        main(["netlist", "--in", "x.cnf", "--out", "missing/d.cir"])
-    assert "cannot read" not in capsys.readouterr().err
+    assert main(["solve", "--in", "x.cnf", "--t-ev", "1", "--out-dir", "r"]) == 0
+    capsys.readouterr()
+    for argv, message in [
+        (["netlist", "--in", "x.cnf", "--out", "missing/d.cir"],
+         "cannot write missing/d.cir: No such file or directory"),
+        (["plotdata", "--run", "r/run.json", "--select", "contrd", "--out", "missing/p.csv"],
+         "cannot write missing/p.csv: No such file or directory"),
+        (["solve", "--in", "x.cnf", "--t-ev", "1", "--out-dir", "x.cnf"],
+         "cannot write x.cnf: File exists"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == f"ctsat {argv[0]}: error: {message}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 # which of the flags that several subcommands share each one declares;

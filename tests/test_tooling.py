@@ -1,9 +1,10 @@
+import argparse
 import ast
 import builtins
 import importlib
 import math
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,25 @@ def test_solver_flags_declared_once_per_option_field():
                 for path, leaf in leaf_parsers(build_parser())}
     assert declared == {path: sorted(names) if path in ("solve", "netlist") else []
                         for path in declared}
+
+
+def test_cli_flags_leave_library_defaults_to_their_dataclasses():
+    # a CLI default that restates a dataclass default goes stale when the
+    # dataclass changes: a flag whose dest is a defaulted field of an object
+    # its subcommand builds is unset when not given.  The shared --seed and
+    # --config are exempt: the base seed, which gen also writes into the
+    # sidecar, and the file of IntegratorConfig overrides, not a plan field.
+    builds = {"bench": [ExperimentPlan, IntegratorConfig], "gen barthel": [BarthelParams],
+              "netlist": [NetlistOptions, AnalogOptions, MemOptions],
+              "solve": [AnalogOptions, MemOptions, IntegratorConfig]}
+    parsers = dict(leaf_parsers(build_parser()))
+    restated = []
+    for path, classes in builds.items():
+        defaulted = {f.name for cls in classes for f in fields(cls) if f.default is not MISSING}
+        restated += [f"{path} {action.option_strings[0]}" for action in parsers[path]._actions
+                     if action.dest in defaulted - {"seed", "config"}
+                     and action.default is not argparse.SUPPRESS]
+    assert restated == []
 
 
 def test_mistyped_fields_cover_every_typed_option():
