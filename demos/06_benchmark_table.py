@@ -24,9 +24,9 @@ table, records = run_experiment(plan, "demo-out/bench")
 print(table.to_markdown())
 
 for (size, label, family), cell in sorted(table.cells.items()):
-    if cell.median_time is not None:
-        print(f"N={size:>2} {label:>6} {family:>4}: median time to solution "
-              f"{cell.median_time:6.1f}")
+    if cell.median_time is not None:  # a median over the solved runs only
+        print(f"N={size:>2} {label:>6} {family:>4}: median t_solve {cell.median_time:6.1f} "
+              f"over {len(cell.solve_times)}/{cell.runs} solved runs")
 
 checked = verify_run_dir("demo-out/bench")
 print(f"\nre-verified {checked} persisted solved runs against their instances")

@@ -438,7 +438,7 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
 
 
 def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,
-                      t_ev: float = 300.0) -> str:
+                      t_ev: float = NetlistOptions.t_ev) -> str:
     """Top-level deck instantiating two subcircuits in a ring: A's output
     feeds B's input and vice versa.  Each document must be a .subckt block
     whose pins are one input (a pin node without a capacitor card), one

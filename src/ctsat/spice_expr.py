@@ -5,12 +5,15 @@ It exists so the emitted decks can be checked numerically against the
 native dynamics: parse the expression of each behavioral source, evaluate
 it at a test state, and compare with the right-hand-side engine.
 
-Supported syntax: floating point literals (plain or exponent notation, no
-SI suffixes), V(node), zero-argument user functions, the builtins u(x),
-min(a, ...), max(a, ...) and if(cond, a, b), arithmetic + - * /, unary
-minus and plus, comparisons > < >= <= == != (returning 1/0, not chained)
-and the logical &.  Arity is checked at parse time: u takes one argument,
-if three, min and max at least one, and every other (user) function none.
+The dialect is exactly what the emitter writes: floating point literals
+(plain or exponent notation, no SI suffixes), V(node), zero-argument user
+functions name(), the builtins u(x), min(a, ...) and if(cond, a, b),
+arithmetic + - *, unary minus and an unchained <= (returning 1/0), with
+spaces only between tokens.  Any other form (/, max, another comparison,
+&, unary plus, v(node), V ( a ), f ( )) raises ExprError at parse time, as
+does a wrong argument count: u takes one, if three, min at least one and
+every user function none.  Without division no value can fail, so if
+evaluates all three arguments, like every other builtin.
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -31,25 +34,21 @@ class ExprError(ValueError):
     pass
 
 
-# One token per match: one of + - * / ( ) , &, a whole V(node) or name(), a
-# number, a name, a two-character comparison, or any other character.  With
-# spaces inside, V ( a ) and f ( ) come in pieces and take a longer path.
+# One token per match: one of + - * ( ) , <=, a whole V(node), a call name()
+# or name( (no call is named V), a number, or any other character.
 _TOKEN = re.compile(
-    r"\s*([-+*/(),&]|[Vv]\([A-Za-z_][A-Za-z_0-9]*\)|[A-Za-z_][A-Za-z_0-9]*\(\)"
-    r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-    r"|[A-Za-z_][A-Za-z_0-9]*|>=|<=|==|!=|\S)"
+    r"\s*([-+*(),]|<=|V\([A-Za-z_][A-Za-z_0-9]*\)|(?!V\()[A-Za-z_][A-Za-z_0-9]*\(\)?"
+    r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|\S)"
 )
-_NAME_START = frozenset(string.ascii_letters + "_")
 _NUMBER_START = frozenset(string.digits + ".")
-# Binding power of each binary operator; the unary signs bind tighter.
-_POWER = {"&": 1, ">": 2, "<": 2, ">=": 2, "<=": 2, "==": 2, "!=": 2,
-          "+": 3, "-": 3, "*": 4, "/": 4}
+# Binding power of each binary operator.
+_POWER = {"<=": 1, "+": 2, "-": 2, "*": 3}
 _PENDING = {op: (power, op) for op, power in _POWER.items()}  # operator-stack entries
-_SIGNS = {"-": (5, "neg"), "+": (5, None)}
-_OPEN = (-1, None)  # a "(" on the operator stack; a call's "(" is (-1, frame)
-BUILTINS = frozenset(("u", "if", "min", "max"))  # the builtin function names
-_ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, float("inf")), "max": (1, float("inf")),
-          "V": (1, 1), "v": (1, 1)}  # V takes a node name, not an expression
+# Operator-stack entries of an operand's prefixes: unary minus binds tighter
+# than any binary operator, and a "(" waits at -1 (a call's at (-1, [name, commas])).
+_PREFIX = {"-": (4, "neg"), "(": (-1, None)}
+_ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, float("inf"))}
+BUILTINS = frozenset(_ARITY)  # the builtin function names
 
 
 def _call(name, argc, calls):
@@ -65,83 +64,49 @@ def _call(name, argc, calls):
 def parse_expression(text: str, references: tuple[set[str], set[str]] | None = None):
     """Parse expression text, with one loop and no recursion, into a flat
     postfix program: a list of floats, ("V", node), ("call", name) for a
-    user function, ("call", name, argc) for u, min and max, and operators
-    (+ - * /, the comparisons, "neg").  The branches of if and the right
-    operand of & are sub-programs, ("if", then, other) and ("&", right).
+    user function, ("call", name, argc) for u, min and if, and the
+    operators "+", "-", "*", "<=" and "neg".
 
     references, a pair of sets (nodes, calls), receives the node names in
     V(...) terms and the names of all user and builtin functions called.
     """
     nodes, calls = (set(), set()) if references is None else references
-    out = []  # the program being built: a sub-program inside & or an if branch
-    # Pending (power, entry) above a floor of -2: operators, and "(" at -1.  A
-    # call's "(" holds [name, commas seen, and for if: outer program, then].
-    ops = [(-2, None)]
+    out = []
+    ops = [(-2, None)]  # pending (power, entry) above a floor of -2
     operand = True  # an operand comes next, else an operator or the end
-    tokens = iter(_TOKEN.findall(text) + [""])  # "" marks the end
-    for token in tokens:
+    for token in _TOKEN.findall(text) + [""]:  # "" marks the end
         if operand:
-            if token == "(":
-                ops.append(_OPEN)
+            if token in _PREFIX:
+                ops.append(_PREFIX[token])
                 continue
-            if token[-1:] == ")" and len(token) > 1:  # a whole V(node) or name()
-                if token[-2] != "(":
-                    nodes.add(token[2:-1])
-                    out.append(("V", token[2:-1]))
-                else:
-                    out.append(_call(token[:-2], 0, calls))
-            elif token[:1] in _NUMBER_START and token != ".":  # "." alone is no number
+            if token[:1] in _NUMBER_START and token != ".":  # "." alone is no number
                 out.append(float(token))
-            elif token in _SIGNS:
-                ops.append(_SIGNS[token])
+            elif token[:2] == "V(":
+                nodes.add(token[2:-1])
+                out.append(("V", token[2:-1]))
+            elif token[-1:] == "(":  # name( opens a call with arguments
+                ops.append((-1, [token[:-1], 0]))
                 continue
-            elif token[:1] in _NAME_START:
-                if next(tokens) != "(":
-                    raise ExprError(f"expected '(' after {token}")
-                if token not in ("V", "v"):
-                    ops.append((-1, [token, 0]))
-                    continue
-                node = next(tokens)
-                if node[:1] not in _NAME_START or node[-1] == ")" or next(tokens) != ")":
-                    raise ExprError(f"expected V(node name), got V({node}")
-                nodes.add(node)
-                out.append(("V", node))
-            elif token == ")" and ops[-1][0] == -1 and ops[-1][1] and not ops[-1][1][1]:
-                out.append(_call(ops.pop()[1][0], 0, calls))  # name ( )
+            elif token[-2:] == "()":
+                out.append(_call(token[:-2], 0, calls))
             else:
                 raise ExprError(f"unexpected {token or 'end of input'!r}")
             operand = False
             continue
         power = _POWER.get(token, 0)
         while ops[-1][0] >= power:
-            rank, entry = ops.pop()
-            if rank == 1:  # the right operand of & ends here
-                entry.append(("&", out))
-                out = entry
-            elif rank == power == 2:
+            if ops[-1][0] == power == 1:
                 raise ExprError("comparisons do not chain")
-            elif entry:
-                out.append(entry)
-        if power == 1:
-            ops.append((1, out))
-            out = []
-        elif power:
+            out.append(ops.pop()[1])
+        if power:
             ops.append(_PENDING[token])
         elif token == ")" and ops[-1][0] == -1:
             frame = ops.pop()[1]
-            if frame and frame[0] == "if":
-                _call("if", frame[1] + 1, calls)
-                frame[2].append(("if", frame[3], out))
-                out = frame[2]
-            elif frame:
+            if frame:
                 out.append(_call(frame[0], frame[1] + 1, calls))
             continue
         elif token == "," and ops[-1][1]:
-            frame = ops[-1][1]
-            frame[1] += 1
-            if frame[0] == "if":  # the condition stays in the outer program
-                frame.append(out)
-                out = []
+            ops[-1][1][1] += 1
         elif token or ops[-1][0] != -2:
             raise ExprError(f"expected ')', got {token or 'end of input'!r}"
                             if ops[-1][0] == -1 else f"trailing input at {token!r}")
@@ -149,21 +114,20 @@ def parse_expression(text: str, references: tuple[set[str], set[str]] | None = N
     return out
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_BINARY.update((op, lambda a, b, test=test: 1.0 if test(a, b) else 0.0) for op, test in (
-    (">", operator.gt), ("<", operator.lt), (">=", operator.ge), ("<=", operator.le),
-    ("==", operator.eq), ("!=", operator.ne)))
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "<=": lambda a, b: 1.0 if a <= b else 0.0}
 
 
 def evaluate(code, voltages: Mapping[str, float],
              functions: Mapping[str, list] | None = None,
-             values: dict[str, float] | None = None) -> float:
+             values: dict[str, float | None] | None = None) -> float:
     """Run a program given node voltages and zero-argument user functions
     (mapping name -> parsed body).
 
     Each user function is evaluated at most once: its value is kept in
-    `values` (name -> value, a new dict when None).  Callers evaluating
-    several expressions at the same voltages may share one dict.
+    `values` (name -> value, a new dict when None; None while its body
+    runs, so a function that reaches itself raises ExprError).  Callers
+    evaluating several expressions at the same voltages may share one dict.
     """
     functions = functions or {}
     values = {} if values is None else values
@@ -182,22 +146,22 @@ def evaluate(code, voltages: Mapping[str, float],
                 stack.append(float(voltages[op[1]]))
             except KeyError:
                 raise ExprError(f"undefined node {op[1]!r}") from None
-        elif op[0] == "call" and len(op) == 3:
+        elif len(op) == 3:  # a builtin on the top op[2] values
             if op[1] == "u":
                 stack[-1] = 1.0 if stack[-1] >= 0.0 else 0.0
-            else:
+            else:  # min, or if(cond, a, b)
                 args = stack[-op[2]:]
                 del stack[-op[2]:]
-                stack.append(min(args) if op[1] == "min" else max(args))
-        elif op[0] == "call":
-            if op[1] not in functions:
-                raise ExprError(f"unknown function {op[1]!r}")
-            if op[1] not in values:
-                values[op[1]] = evaluate(functions[op[1]], voltages, functions, values)
-            stack.append(values[op[1]])
-        elif op[0] == "if":
-            stack[-1] = evaluate(op[1] if stack[-1] != 0.0 else op[2], voltages, functions, values)
-        else:  # "&"
-            stack[-1] = (1.0 if stack[-1] != 0.0
-                         and evaluate(op[1], voltages, functions, values) != 0.0 else 0.0)
+                stack.append(min(args) if op[1] == "min"
+                             else args[1] if args[0] != 0.0 else args[2])
+        else:  # a user function: its body runs once per state
+            value = values.get(op[1])
+            if value is None:
+                if op[1] not in functions:
+                    raise ExprError(f"unknown function {op[1]!r}")
+                if op[1] in values:
+                    raise ExprError(f"function {op[1]}() calls itself")
+                values[op[1]] = None
+                value = values[op[1]] = evaluate(functions[op[1]], voltages, functions, values)
+            stack.append(value)
     return stack.pop()

@@ -551,6 +551,7 @@ def test_ring_deck_instantiates_twice_with_cross_wiring():
     # without contrd pins the instances take two nodes each
     text = compose_ring_deck(make("solva", False), make("solvb", False))
     assert "XA net_ba net_ab solva" in text.splitlines()
+    assert f".tran 0 {NetlistOptions.t_ev!r} 0 uic" in text.splitlines()  # the one default
     with pytest.raises(ValueError, match="^compose_ring_deck needs subcircuit documents$"):
         compose_ring_deck(make("solva"), emit_mem(problem))
 
@@ -583,7 +584,7 @@ def test_ring_deck_rejects_subcircuits_it_cannot_wire(part_a, part_b, message):
 def test_expression_parser_basics():
     ast = spice_expr.parse_expression("1+2*3")
     assert spice_expr.evaluate(ast, {}) == 7.0
-    ast = spice_expr.parse_expression("if(2>1,min(3,4),9)")
+    ast = spice_expr.parse_expression("if(1<=2,min(3,4),9)")
     assert spice_expr.evaluate(ast, {}) == 3.0
     ast = spice_expr.parse_expression("u(0)*5 + u(-1)*7")
     assert spice_expr.evaluate(ast, {}) == 5.0  # u(0) = 1, u(-1) = 0
@@ -605,12 +606,12 @@ def test_expression_parser_user_functions_and_errors():
 def test_expression_reference_walkers():
     # the parse collects the names as it meets them
     refs = (set(), set())
-    spice_expr.parse_expression("f()*V(s1) + if(V(a2)>0, g(), 0)", refs)
+    spice_expr.parse_expression("f()*V(s1) + if(V(a2)<=0, g(), 0)", refs)
     assert refs == ({"s1", "a2"}, {"f", "if", "g"})
 
 
 @pytest.mark.parametrize("text", [
-    "u()", "u(1,2)", "if(1,2)", "if(1,2,3,4)", "min()", "max()", "f(2)",
+    "u()", "u(1,2)", "if(1,2)", "if(1,2,3,4)", "min()", "f(2)",
 ])
 def test_builtin_arity_is_checked_at_parse_time(text):
     with pytest.raises(spice_expr.ExprError):
@@ -640,8 +641,7 @@ def test_expression_parser_rejects(text):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("2*-3", -6.0), ("--1", 1.0), ("+-+1", -1.0), ("1 != 2", 1.0), ("8/2/2", 2.0),
-    ("1-2-3", -4.0), ("1<2 & 2<3 & 0", 0.0), ("1<2 & 2<3 & 3", 1.0), ("max(1,5,2)", 5.0),
+    ("2*-3", -6.0), ("--1", 1.0), ("-(--1)", -1.0), ("1-2-3", -4.0),
 ])
 def test_expression_parser_values(text, value):
     assert spice_expr.evaluate(spice_expr.parse_expression(text), {}) == value
@@ -672,7 +672,7 @@ def test_long_sum_costs_no_recursion_depth():
     ("(" * 3000 + "1.5" + ")" * 3000, 1.5),
     ("-" * 3000 + "2", 2.0),
     ("-" * 3001 + "2", -2.0),
-    ("+-" * 1500 + "V(a)", -0.25),
+    ("-(" * 1500 + "V(a)" + ")" * 1500, -0.25),
 ], ids=["parentheses", "even-signs", "odd-signs", "mixed-signs"])
 def test_deep_nesting_costs_no_recursion_depth(text, value):
     # each of these raised RecursionError in the recursive-descent parser
@@ -680,24 +680,72 @@ def test_deep_nesting_costs_no_recursion_depth(text, value):
     assert float.hex(got) == float.hex(value)
 
 
-@pytest.mark.parametrize("text, value, reached", [
-    ("if(1, 2, V(zz))", 2.0, "if(0, 2, V(zz))"),
-    ("if(0, V(zz), 3)", 3.0, "if(1, V(zz), 3)"),
-    ("if(V(a), 4, g())", 4.0, "if(V(a)-1, 4, g())"),
-    ("if(0, g(), 5)", 5.0, "if(2, g(), 5)"),
-    ("0 & V(zz)", 0.0, "1 & V(zz)"),
-    ("V(a) & 0 & g()", 0.0, "V(a) & 1 & g()"),
-    ("1 & 2 & if(0, V(zz), 7)", 1.0, "1 & 2 & if(1, V(zz), 7)"),
+@pytest.mark.parametrize("text", [
+    "if(1, 2, V(zz))", "if(0, V(zz), 3)", "if(V(a), 4, g())", "if(0, g(), 5)",
 ])
-def test_untaken_branches_are_not_evaluated(text, value, reached):
-    # the undefined node zz and the unknown function g raise when reached
-    volts = {"a": 1.0}
-    assert spice_expr.evaluate(spice_expr.parse_expression(text), volts, {}) == value
+def test_untaken_branches_are_evaluated(text):
+    # if is an ordinary builtin on the stack: both branches run, so the
+    # undefined node zz or the unknown function g raises either way
     with pytest.raises(spice_expr.ExprError, match="undefined node 'zz'|unknown function 'g'"):
-        spice_expr.evaluate(spice_expr.parse_expression(reached), volts, {})
+        spice_expr.evaluate(spice_expr.parse_expression(text), {"a": 1.0}, {})
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def test_cyclic_deck_functions_raise_an_expression_error():
+    doc = NetlistDocument(
+        title="* hand-built deck",
+        functions=(FuncDef("f", "g()+1"), FuncDef("g", "f()")),
+        elements=(Card("Cs1", ("s1", "0"), "1"), Card("Bs1", ("0", "s1"), "I=f()")),
+        directives=(),
+    )
+    assert undeclared_references(doc) == []
+    with pytest.raises(spice_expr.ExprError, match="^function f\\(\\) calls itself$"):
+        evaluate_deck_rhs(doc, {"s1": 0.0})
+
+
+# Every form the emitter never writes, each rejected at parse time.
+_REMOVED_FORMS = ["8/2", "max(1,2)", "1<2", "1>2", "1>=2", "1==2", "1!=2", "1&2", "+1",
+                  "+-+1", "v(a)", "V ( a )", "f ( )", "V()"]
+
+
+def test_parser_accepts_exactly_the_emitted_dialect():
+    problem = sample_problem(n=12)
+    decks = [emit_analog(problem, _analog_options(aux_mode, eighth))
+             for aux_mode in ("aK2", "aK", "K", "K2") for eighth in (True, False)]
+    decks += [emit_mem(problem, NetlistOptions(solver_options=MemOptions(clamp_v=clamp)))
+              for clamp in (True, False)]
+    sub = NetlistOptions(ic_seed=None, subcircuit=SubcircuitSpec("sx", (1,), (2,)))
+    decks += [emit_analog(problem, sub), emit_mem(problem, sub)]
+    used = set()
+    for doc in decks:
+        functions, sources, _ = doc.parsed
+        for program in [*functions.values(), *sources.values()]:
+            for entry in program:  # flat: no entry holds a sub-program
+                if isinstance(entry, tuple):
+                    assert not any(isinstance(part, list) for part in entry)
+                    if len(entry) == 3:  # ("call", builtin, argc)
+                        used.add(entry[1])
+                elif isinstance(entry, str):
+                    used.add(entry)
+                else:
+                    assert isinstance(entry, float)
+    accepted = {"neg"} | spice_expr.BUILTINS | {
+        op for op in ("+", "-", "*", "/", "<=", "<", ">", ">=", "==", "!=", "&")
+        if _parses(f"1{op}2")}
+    assert used == accepted == {"+", "-", "*", "<=", "neg", "u", "min", "if"}
+    for text in _REMOVED_FORMS:
+        with pytest.raises(spice_expr.ExprError):
+            spice_expr.parse_expression(text)
+
+
+def _parses(text):
+    try:
+        spice_expr.parse_expression(text)
+    except spice_expr.ExprError:
+        return False
+    return True
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _VOLTS = {"a": 0.3, "b": -1.7, "n_1": 2.25, "c0": 0.0}
 _USER = {"f": ("0.125", 0.125), "g": ("2*V(a)-1", 2 * 0.3 - 1), "h": ("u(V(b))", 0.0)}
 
@@ -705,51 +753,43 @@ _USER = {"f": ("0.125", 0.125), "g": ("2*V(a)-1", 2 * 0.3 - 1), "h": ("u(V(b))",
 def _random_expression(rng, depth, refs):
     """(text, binding power at its top level, value) of a random expression.
     The value is computed here the way the evaluator is documented to:
-    a run of + - or of * / left to right, comparisons and & as 1.0/0.0,
-    min/max by Python's min/max over the arguments in order."""
+    a run of + - or of * left to right, <= as 1.0/0.0, min by Python's min
+    over the arguments in order."""
     def operand(need):
         text, power, value = _random_expression(rng, depth + 1, refs)
         return (text if power >= need else f"({text})"), value
 
-    kind = rng.integers(9) if depth < 4 else rng.integers(3)
+    kind = rng.integers(8) if depth < 4 else rng.integers(3)
     if kind == 0:
         value = float(rng.choice([rng.uniform(0, 10), rng.integers(0, 4),
                                   10.0 ** rng.integers(-9, 9)]))
-        return repr(value), 5, value
+        return repr(value), 4, value
     if kind == 1:
         node = rng.choice(list(_VOLTS))
         refs[0].add(node)
-        return f"{rng.choice(['V', 'v'])}({node})", 5, _VOLTS[node]
+        return f"V({node})", 4, _VOLTS[node]
     if kind == 2:
         name = rng.choice(list(_USER))
         refs[1].add(name)
-        return f"{name}()", 5, _USER[name][1]
+        return f"{name}()", 4, _USER[name][1]
     if kind == 3:
-        sign = rng.choice(["-", "+", "--", "+-"])
-        text, value = operand(5)
-        return sign + text, 5, -value if sign.count("-") % 2 else value
-    if kind in (4, 5):  # a run of + - or of * /
-        power, ops = (3, "+-") if kind == 4 else (4, "*/")
+        sign = rng.choice(["-", "--"])
+        text, value = operand(4)
+        return sign + text, 4, -value if len(sign) % 2 else value
+    if kind in (4, 5):  # a run of + - or of *
+        power, ops = (2, "+-") if kind == 4 else (3, "*")
         text, value = operand(power + 1)
         for _ in range(rng.integers(1, 4)):
             op = rng.choice(list(ops))
             term, x = operand(power + 1)
-            if op == "/" and x == 0.0:
-                op = "*"
             space = rng.choice(["", " "])
             text += f"{space}{op}{space}{term}"
             value = _ARITH[op](value, x)
         return text, power, value
     if kind == 6:
-        op = rng.choice([">", "<", ">=", "<=", "==", "!="])
-        (left, x), (right, y) = operand(3), operand(3)
-        test = {">": x > y, "<": x < y, ">=": x >= y, "<=": x <= y, "==": x == y, "!=": x != y}
-        return f"{left}{op}{right}", 2, 1.0 if test[op] else 0.0
-    if kind == 7:
-        parts = [operand(2) for _ in range(rng.integers(2, 4))]
-        value = 1.0 if all(x != 0.0 for _, x in parts) else 0.0
-        return " & ".join(text for text, _ in parts), 1, value
-    name = rng.choice(["u", "min", "max", "if"])
+        (left, x), (right, y) = operand(2), operand(2)
+        return f"{left}<={right}", 1, 1.0 if x <= y else 0.0
+    name = rng.choice(["u", "min", "if"])
     refs[1].add(name)
     count = {"u": 1, "if": 3}.get(name, rng.integers(1, 5))
     args = [operand(1) for _ in range(count)]
@@ -759,8 +799,8 @@ def _random_expression(rng, depth, refs):
     elif name == "if":
         value = values[1] if values[0] != 0.0 else values[2]
     else:
-        value = min(values) if name == "min" else max(values)
-    return f"{name}({', '.join(text for text, _ in args)})", 5, value
+        value = min(values)
+    return f"{name}({', '.join(text for text, _ in args)})", 4, value
 
 
 def test_random_expressions_match_their_python_values():
