@@ -9,15 +9,18 @@ behavioral voltage sources expose the control signals: node "contra" sums
 the clause functions, node "contrd" counts clauses unsatisfied by the sign
 readout (built from unit step functions).
 
+Node names, bounds, starts and cell order come from the solver's block
+table, dynamics._blocks, which also lays out the native flat state.
 Boundary clamping appears in the source expressions as unit-step masks
-that suppress only outward pushes, one factor per finite bound of the
-native dynamics (dynamics.make_system decides the bounds for both):
+that suppress only outward pushes, one factor per finite bound:
 
     f()*(1-u(V(x)-hi)*u(f()))*(1-u(lo-V(x))*u(-f()))
 
 The deck as emitted is self-contained ASCII text with deterministic card
 ordering (variables ascending, then clauses ascending, then directives),
-so emitting twice yields byte-identical output.
+so emitting twice yields byte-identical output.  It reads top to bottom:
+each .func is defined above every function that calls it (km before fs
+and fa, c before fxs and fxl), and sources may call any function.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .cnf import Problem, check_fields, require_integer, require_pins
 from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, _blocks, initial_state,
-                       make_system, resolve_options)
+                       resolve_options)
 from . import spice_expr
 
 __all__ = [
@@ -149,6 +152,9 @@ class NetlistOptions:
 
     def __post_init__(self):
         check_fields(self)  # a NaN shunt would be written into the deck
+        for name in ("t_ev", "shunt_resistance"):  # else a .tran to a negative time, a short
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.ic_seed is not None:  # the integrator's seed rule: True is not seed 1
             object.__setattr__(self, "ic_seed", require_integer(self.ic_seed, "ic_seed"))
 
@@ -156,11 +162,6 @@ class NetlistOptions:
 def _fmt(x: float) -> str:
     """Shortest exact decimal for a float (SPICE-parsable, no SI suffixes)."""
     return repr(float(x))
-
-
-def _factor(node: str, sign: float) -> str:
-    """The literal slack term 1 - q*V(node) with the sign folded in."""
-    return f"(1-V({node}))" if sign > 0 else f"(1+V({node}))"
 
 
 def _masked(d: str, node: str, lo: float, hi: float) -> str:
@@ -174,166 +175,117 @@ def _masked(d: str, node: str, lo: float, hi: float) -> str:
     return expr
 
 
-def _literal_terms(problem: Problem, node: str) -> list[list[str]]:
-    """Slack term 1 - q*V(node<i>) of every clause slot, shape (M, 3)."""
-    return [
-        [_factor(f"{node}{i + 1}", q) for i, q in zip(row, signs)]
-        for row, signs in zip(problem.var_index.tolist(), problem.sign.tolist())
-    ]
-
-
-def _occurrences(problem: Problem) -> list[list[tuple[int, int]]]:
-    """Each variable's (clause, slot) occurrences in ascending (m, j) order."""
-    occ: list[list[tuple[int, int]]] = [[] for _ in range(problem.num_vars)]
-    for m, row in enumerate(problem.var_index.tolist()):
-        for j, i in enumerate(row):
-            occ[i].append((m, j))
-    return occ
-
-
-def _clause_function_defs(problem: Problem, node: str, lits: list[list[str]],
-                          fn) -> list[FuncDef]:
-    """Per-clause defs: c<m>() clause function, d<m>() unsat indicator."""
-    defs = [
-        FuncDef(fn(f"c{m + 1}"), f"0.5*min({t[0]},min({t[1]},{t[2]}))")
-        for m, t in enumerate(lits)
-    ]
-    for m, (row, signs) in enumerate(zip(problem.var_index.tolist(), problem.sign.tolist())):
-        parts = []
-        for i, q in zip(row, signs):
-            v = f"V({node}{i + 1})"
-            # literal unsatisfied by the sign readout: v <= 0 for a positive
-            # literal, v > 0 for a negated one (readout maps 0 to FALSE)
-            parts.append(f"u(-{v})" if q > 0 else f"(1-u(-{v}))")
-        defs.append(FuncDef(fn(f"d{m + 1}"), "*".join(parts)))
-    return defs
-
-
-def _control_cards(problem: Problem, fn) -> list[Card]:
-    contra = " + ".join(fn(f"c{m + 1}") + "()" for m in range(problem.num_clauses))
-    contrd = " + ".join(fn(f"d{m + 1}") + "()" for m in range(problem.num_clauses))
-    return [
-        Card("Bcontra", ("contra", "0"), f"V={contra}"),
-        Card("Bcontrd", ("contrd", "0"), f"V={contrd}"),
-    ]
-
-
 def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDocument:
+    """The deck of one solver, laid out by its one block table (_blocks):
+    node names, bounds, starts and cell order all come from there."""
     n, m = problem.num_vars, problem.num_clauses
     sub = options.subcircuit
     prefix = f"{sub.name}_" if sub is not None else ""
-
-    def fn(name: str) -> str:
-        return prefix + name
-
     if sub is not None:
         require_pins(sub.inputs, sub.outputs, "subcircuit pin", n)
-    omitted = set(sub.inputs) if sub is not None else set()
-
     opts = resolve_options(solver, options.solver_options)
-    system = make_system(problem, solver, opts)
-    y0 = initial_state(problem, solver, options.ic_seed or 0)
-    blocks = _blocks(problem, solver)
-    starts = [start for _, size, _, _, start in blocks for _ in range(size)]
-    var_node = blocks[0][0]  # s or v
-    lits = _literal_terms(problem, var_node)
-    occurrences = _occurrences(problem)
-    signs = problem.sign.tolist()
-    functions: list[FuncDef] = []
-    elements: list[Card] = []
-    ic: list[str] = []
-    shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
+    blocks = _blocks(problem, solver, opts)
+    var, *aux = (name for name, *_ in blocks)  # s, a or v, xs, xl
 
-    def cell(k: int):
-        """Capacitor, shunt, masked source and start of flat state component k."""
-        node = system.columns[k]
-        d = f"{fn('f' + node)}()"
-        elements.append(Card(f"C{node}", (node, "0"), "1"))
-        elements.append(Card(f"R{node}", (node, "0"), shunt))
-        elements.append(Card(f"B{node}", ("0", node),
-                             f"I={_masked(d, node, system.lo[k], system.hi[k])}"))
-        if starts[k] is not None:
-            value = repr(starts[k])
+    def volt(name: str, k: int) -> str:
+        return f"V({name}{k + 1})"
+
+    def call(name: str) -> str:
+        return f"{prefix}{name}()"
+
+    rows = list(zip(problem.var_index.tolist(), problem.sign.tolist()))
+    # the slack term 1 - q*v of every clause slot, and each variable's
+    # (clause, slot) occurrences in ascending order
+    lits = [[f"(1-{volt(var, i)})" if q > 0 else f"(1+{volt(var, i)})" for i, q in zip(*row)]
+            for row in rows]
+    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for mi, (row, _) in enumerate(rows):
+        for j, i in enumerate(row):
+            occurrences[i].append((mi, j))
+    # c<m>() is the clause function, d<m>() 1 when the sign readout leaves
+    # every literal unsatisfied: v <= 0 for a positive literal, v > 0 for a
+    # negated one (the readout maps 0 to FALSE)
+    clause_defs = {f"c{mi + 1}": f"0.5*min({t[0]},min({t[1]},{t[2]}))"
+                   for mi, t in enumerate(lits)}
+    clause_defs |= {f"d{mi + 1}": "*".join(f"u(-{volt(var, i)})" if q > 0
+                                           else f"(1-u(-{volt(var, i)}))" for i, q in zip(*row))
+                    for mi, row in enumerate(rows)}
+    if solver == ANALOG:
+        pref = "0.125*" if opts.one_eighth_factor else ""
+        functions = {f"km{mi + 1}": f"{pref}{t[0]}*{t[1]}*{t[2]}" for mi, t in enumerate(lits)}
+        tail = clause_defs
+
+        def var_term(i: int, mi: int, j: int) -> str:
+            factors = "*".join(lits[mi][k] for k in range(3) if k != j)
+            coeff = "2" if rows[mi][1][j] > 0 else "(-2)"
+            return f"{coeff}*{volt(aux[0], mi)}*({pref}{factors})*{call(f'km{mi + 1}')}"
+
+        def aux_terms(mi: int) -> tuple[str, ...]:
+            a, km = volt(aux[0], mi), call(f"km{mi + 1}")
+            return ({"aK2": f"{a}*{km}*{km}", "aK": f"{a}*{km}", "K": km,
+                     "K2": f"{km}*{km}"}[opts.aux_mode],)
+    else:
+        functions, tail = dict(clause_defs), {}
+        xs, xl = aux
+
+        def var_term(i: int, mi: int, j: int) -> str:
+            other_min = f"min({','.join(lits[mi][k] for k in range(3) if k != j)})"
+            v = volt(var, i)
+            if rows[mi][1][j] > 0:
+                g, r_val = f"0.5*{other_min}", f"0.5*(1-{v})"
+            else:
+                g, r_val = f"(-0.5)*{other_min}", f"0.5*(-1-{v})"
+            r = f"if({lits[mi][j]}<={other_min},{r_val},0)"
+            return (f"{volt(xl, mi)}*{volt(xs, mi)}*{g} + "
+                    f"(1+{_fmt(opts.zeta)}*{volt(xl, mi)})*(1-{volt(xs, mi)})*{r}")
+
+        def aux_terms(mi: int) -> tuple[str, ...]:
+            c = call(f"c{mi + 1}")
+            return (f"{_fmt(opts.beta)}*({volt(xs, mi)}+{_fmt(opts.epsilon)})"
+                    f"*({c}-{_fmt(opts.gamma)})", f"{_fmt(opts.alpha)}*({c}-{_fmt(opts.delta)})")
+
+    # each state component's derivative is f<node>(); variables first, then
+    # clause by clause across the clause blocks (a, or xs then xl)
+    for i in range(n):
+        functions[f"f{var}{i + 1}"] = " + ".join(var_term(i, mi, j)
+                                                 for mi, j in occurrences[i]) or "0"
+    for mi in range(m):
+        functions.update((f"f{name}{mi + 1}", body) for name, body in zip(aux, aux_terms(mi)))
+    functions |= tail
+
+    cells = [(f"{name}{k}", lo, hi, start)
+             for name, size, lo, hi, start in blocks for k in range(1, size + 1)]
+    omitted = set(sub.inputs) if sub is not None else set()
+    order = [i for i in range(n) if i + 1 not in omitted]
+    order += [k for mi in range(m) for k in range(n + mi, len(cells), m)]
+    y0 = initial_state(problem, solver, options.ic_seed or 0)
+    shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
+    elements, ic = [], []
+    for k in order:  # capacitor, shunt, masked source and start of component k
+        node, lo, hi, start = cells[k]
+        d = call(f"f{node}")
+        elements += [Card(f"C{node}", (node, "0"), "1"), Card(f"R{node}", (node, "0"), shunt),
+                     Card(f"B{node}", ("0", node), f"I={_masked(d, node, lo, hi)}")]
+        if start is not None:
+            value = repr(start)
         else:
             value = "{flat(1)}" if options.ic_seed is None else _fmt(y0[k])
         ic.append(f".ic V({node})={value}")
+    for signal, letter in (("contra", "c"), ("contrd", "d")):
+        total = " + ".join(call(f"{letter}{mi + 1}") for mi in range(m))
+        elements.append(Card(f"B{signal}", (signal, "0"), f"V={total}"))
 
-    if solver == ANALOG:
-        pref = "0.125*" if opts.one_eighth_factor else ""
-
-        for m_i, t in enumerate(lits):
-            functions.append(FuncDef(fn(f"km{m_i + 1}"), f"{pref}{t[0]}*{t[1]}*{t[2]}"))
-        for i in range(n):
-            terms = []
-            for m_i, j in occurrences[i]:
-                factors = "*".join(lits[m_i][k] for k in range(3) if k != j)
-                coeff = "2" if signs[m_i][j] > 0 else "(-2)"
-                terms.append(
-                    f"{coeff}*V(a{m_i + 1})*({pref}{factors})*{fn(f'km{m_i + 1}')}()"
-                )
-            functions.append(FuncDef(fn(f"fs{i + 1}"), " + ".join(terms) if terms else "0"))
-        for m_i in range(m):
-            km = f"{fn(f'km{m_i + 1}')}()"
-            body = {
-                "aK2": f"V(a{m_i + 1})*{km}*{km}",
-                "aK": f"V(a{m_i + 1})*{km}",
-                "K": km,
-                "K2": f"{km}*{km}",
-            }[opts.aux_mode]
-            functions.append(FuncDef(fn(f"fa{m_i + 1}"), body))
-        functions.extend(_clause_function_defs(problem, var_node, lits, fn))
-    else:
-        functions.extend(_clause_function_defs(problem, var_node, lits, fn))
-        for i in range(n):
-            node = f"v{i + 1}"
-            terms = []
-            for m_i, j in occurrences[i]:
-                other_min = f"min({','.join(lits[m_i][k] for k in range(3) if k != j)})"
-                q = signs[m_i][j]
-                g = f"0.5*{other_min}" if q > 0 else f"(-0.5)*{other_min}"
-                r_val = f"0.5*(1-V({node}))" if q > 0 else f"0.5*(-1-V({node}))"
-                r = f"if({lits[m_i][j]}<={other_min},{r_val},0)"
-                xl = f"V(xl{m_i + 1})"
-                xs = f"V(xs{m_i + 1})"
-                terms.append(
-                    f"{xl}*{xs}*{g} + (1+{_fmt(opts.zeta)}*{xl})*(1-{xs})*{r}"
-                )
-            functions.append(FuncDef(fn(f"fv{i + 1}"), " + ".join(terms) if terms else "0"))
-        for m_i in range(m):
-            c = f"{fn(f'c{m_i + 1}')}()"
-            functions.append(
-                FuncDef(
-                    fn(f"fxs{m_i + 1}"),
-                    f"{_fmt(opts.beta)}*(V(xs{m_i + 1})+{_fmt(opts.epsilon)})"
-                    f"*({c}-{_fmt(opts.gamma)})",
-                )
-            )
-            functions.append(
-                FuncDef(fn(f"fxl{m_i + 1}"), f"{_fmt(opts.alpha)}*({c}-{_fmt(opts.delta)})")
-            )
-
-    # variables first, then clause by clause: a, or xs then xl
-    for i in range(n):
-        if (i + 1) not in omitted:
-            cell(i)
-    for m_i in range(m):
-        for k in range(n + m_i, len(y0), m):
-            cell(k)
-
-    elements.extend(_control_cards(problem, fn))
-
-    title = (
-        f"* {'analog SAT' if solver == ANALOG else 'digital memcomputing'} solver, "
-        f"N={n} M={m}"
-    )
+    title = f"* {'analog SAT' if solver == ANALOG else 'digital memcomputing'} solver, N={n} M={m}"
     subckt, directives = None, (*ic, f".tran 0 {_fmt(options.t_ev)} 0 uic")
     if sub is not None:  # the instantiating deck holds the .ic and .tran cards
-        pins = tuple(f"{var_node}{i}" for i in (*sub.inputs, *sub.outputs))
+        pins = tuple(f"{var}{i}" for i in (*sub.inputs, *sub.outputs))
         if sub.expose_contrd:
             pins += ("contrd",)
         subckt, directives = (sub.name, pins), ()
-    return NetlistDocument(title=title, functions=tuple(functions), elements=tuple(elements),
-                           directives=directives, subckt=subckt)
+    return NetlistDocument(title=title,
+                           functions=tuple(FuncDef(prefix + name, body)
+                                           for name, body in functions.items()),
+                           elements=tuple(elements), directives=directives, subckt=subckt)
 
 
 def emit_analog(problem: Problem, options: NetlistOptions = NetlistOptions()) -> NetlistDocument:
@@ -402,24 +354,28 @@ def card_histogram(document: NetlistDocument) -> dict[str, int]:
 def undeclared_references(document: NetlistDocument) -> list[str]:
     """Names referenced by expressions but not declared in the deck.
 
-    Checks every behavioral-source expression and function body against the
-    deck's node set and function table; returns a list of problems (empty
-    when the deck is closed).
+    Checks every function body and behavioral-source expression against
+    the deck's node set and the functions declared before it: a deck reads
+    top to bottom, so a function may call only those defined above it,
+    and a source any function.  Returns a list of problems (empty when the
+    deck is closed).
     """
     declared_nodes = {"0"}
     for card in document.elements:
         declared_nodes.update(card.nodes)
     if document.subckt is not None:
         declared_nodes.update(document.subckt[1])
-    functions, _, references = document.parsed
-    known_calls = set(functions) | spice_expr.BUILTINS
+    known_calls = set(spice_expr.BUILTINS)
 
     problems = []
-    for label, (nodes, calls) in references.items():
+    for label, (nodes, calls) in document.parsed[2].items():  # functions first, in deck order
         problems.extend(f"{label}: undeclared node {node}"
                         for node in sorted(nodes - declared_nodes))
         problems.extend(f"{label}: undeclared function {name}"
                         for name in sorted(calls - known_calls))
+        kind, name = label.split(" ", 1)
+        if kind == "func":
+            known_calls.add(name)
     return problems
 
 
@@ -428,12 +384,16 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
 
     Returns {target node: value}; for state nodes this is the would-be
     capacitor charging current, i.e. the netlist's claim about the
-    right-hand side at that state.  Each deck function is evaluated at most
-    once, its value shared by every source that calls it.
+    right-hand side at that state.  The deck is evaluated top to bottom:
+    each deck function once, in deck order, then every source, so a call
+    to a function not defined above its caller raises ExprError.  The
+    voltages must cover every node the deck's functions read.
     """
     functions, sources, _ = document.parsed
     values: dict[str, float] = {}
-    return {target: spice_expr.evaluate(code, voltages, functions, values)
+    for name, code in functions.items():
+        values[name] = spice_expr.evaluate(code, voltages, values)
+    return {target: spice_expr.evaluate(code, voltages, values)
             for target, code in sources.items()}
 
 

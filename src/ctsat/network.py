@@ -244,7 +244,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
         _check_keys(node_spec, _NODE_KEYS, where)
         cnf = _typed(node_spec, "cnf", str, None, where)
         problem = read_dimacs(base / cnf)
-        solver = node_spec.get("solver", MEM)
+        solver = _typed(node_spec, "solver", str, MEM, where)
         options = resolve_options(solver)
         values = _typed(node_spec, "solver_options", dict, {}, where)
         _check_keys(values, {f.name for f in fields(options)}, f"{where} solver_options")
@@ -254,7 +254,7 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
             input_vars=_typed(node_spec, "inputs", list, [], where),
             output_vars=_typed(node_spec, "outputs", list, [], where),
             solver_options=replace(options, **values),
-            label=node_spec.get("label", cnf),
+            label=_typed(node_spec, "label", str, cnf, where),
         ))
         seeds.append(_typed(node_spec, "seed", int, seed + i, where))
 

@@ -15,6 +15,11 @@ does a wrong argument count: u takes one, if three, min at least one and
 every user function none.  Without division no value can fail, so if
 evaluates all three arguments, like every other builtin.
 
+A deck is evaluated top to bottom: a deck function may call only the
+functions defined above it, so each is evaluated once, callee first, and
+evaluate reads a user function's value from `values` (name -> value at
+the same voltages) instead of running its body.  Nothing here recurses.
+
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
 when the variable sits exactly on its bound).
@@ -119,17 +124,10 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def evaluate(code, voltages: Mapping[str, float],
-             functions: Mapping[str, list] | None = None,
-             values: dict[str, float | None] | None = None) -> float:
-    """Run a program given node voltages and zero-argument user functions
-    (mapping name -> parsed body).
-
-    Each user function is evaluated at most once: its value is kept in
-    `values` (name -> value, a new dict when None; None while its body
-    runs, so a function that reaches itself raises ExprError).  Callers
-    evaluating several expressions at the same voltages may share one dict.
-    """
-    functions = functions or {}
+             values: Mapping[str, float] | None = None) -> float:
+    """Run a program given node voltages and the values of the user
+    functions it calls (name -> value); a call missing from values raises
+    ExprError, and no function body runs here."""
     values = {} if values is None else values
     stack = []
     for op in code:
@@ -154,14 +152,9 @@ def evaluate(code, voltages: Mapping[str, float],
                 del stack[-op[2]:]
                 stack.append(min(args) if op[1] == "min"
                              else args[1] if args[0] != 0.0 else args[2])
-        else:  # a user function: its body runs once per state
-            value = values.get(op[1])
-            if value is None:
-                if op[1] not in functions:
-                    raise ExprError(f"unknown function {op[1]!r}")
-                if op[1] in values:
-                    raise ExprError(f"function {op[1]}() calls itself")
-                values[op[1]] = None
-                value = values[op[1]] = evaluate(functions[op[1]], voltages, functions, values)
-            stack.append(value)
+        else:  # a user function, already evaluated
+            try:
+                stack.append(values[op[1]])
+            except KeyError:
+                raise ExprError(f"unknown function {op[1]!r}") from None
     return stack.pop()

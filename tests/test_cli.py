@@ -356,9 +356,13 @@ NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
      "cannot read nope.json: No such file or directory"),
     (["plotdata", "--run", "r/run.json", "--select", "zz:1"], "selection 'zz:1' matches no series"),
     (["network", "--config", "net.json"], "cannot read a.cnf: No such file or directory"),
+    # each wrote a deck: a .tran to -5 s, a short across every capacitor
+    ([*NETLIST, "--t-ev", "-5"], "t_ev must be positive, got -5.0"),
+    ([*NETLIST, "--shunt", "0"], "shunt_resistance must be positive, got 0.0"),
 ], ids=["gen-xorsat-n", "gen-barthel-ratio", "bench-families", "bench-sizes", "bench-instances",
         "solve-t-ev", "solve-sample-interval", "netlist-overlap", "netlist-range", "netlist-name",
-        "netlist-empty-name", "plotdata-run", "plotdata-select", "network-node-cnf"])
+        "netlist-empty-name", "plotdata-run", "plotdata-select", "network-node-cnf",
+        "netlist-t-ev", "netlist-shunt"])
 def test_rejected_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # each of these ended in a traceback; "--subckt ''" read as no --subckt
     # and reported "--inputs needs --subckt"

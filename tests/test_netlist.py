@@ -132,8 +132,10 @@ def test_deck_is_ascii_and_ends_with_end():
 
 
 def test_closed_name_check():
-    assert undeclared_references(emit_analog(sample_problem())) == []
-    assert undeclared_references(emit_mem(sample_problem())) == []
+    # every variant defines each function above its callers (km before fs
+    # and fa, c before fxs and fxl)
+    for doc in [emit_analog(sample_problem()), emit_mem(sample_problem()), *_deck_variants()]:
+        assert undeclared_references(doc) == []
 
 
 def test_undeclared_references_lists_every_problem_in_order():
@@ -594,7 +596,7 @@ def test_expression_parser_basics():
 
 def test_expression_parser_user_functions_and_errors():
     ast = spice_expr.parse_expression("f()+1")
-    assert spice_expr.evaluate(ast, {}, {"f": spice_expr.parse_expression("2*2")}) == 5.0
+    assert spice_expr.evaluate(ast, {}, {"f": 4.0}) == 5.0
     with pytest.raises(spice_expr.ExprError):
         spice_expr.evaluate(spice_expr.parse_expression("g()"), {}, {})
     with pytest.raises(spice_expr.ExprError):
@@ -664,7 +666,7 @@ def test_long_sum_costs_no_recursion_depth():
     expected = terms[0][1]
     for op, (_, x) in zip(ops, terms[1:]):
         expected = expected + x if op == "+" else expected - x
-    got = spice_expr.evaluate(ast, volts, {"f": spice_expr.parse_expression("0.125")})
+    got = spice_expr.evaluate(ast, volts, {"f": 0.125})
     assert float.hex(got) == float.hex(expected)
 
 
@@ -691,15 +693,51 @@ def test_untaken_branches_are_evaluated(text):
 
 
 def test_cyclic_deck_functions_raise_an_expression_error():
+    # a deck reads top to bottom, so one call of a cycle is a forward call
     doc = NetlistDocument(
         title="* hand-built deck",
         functions=(FuncDef("f", "g()+1"), FuncDef("g", "f()")),
         elements=(Card("Cs1", ("s1", "0"), "1"), Card("Bs1", ("0", "s1"), "I=f()")),
         directives=(),
     )
-    assert undeclared_references(doc) == []
-    with pytest.raises(spice_expr.ExprError, match="^function f\\(\\) calls itself$"):
+    assert undeclared_references(doc) == ["func f: undeclared function g"]
+    with pytest.raises(spice_expr.ExprError, match="^unknown function 'g'$"):
         evaluate_deck_rhs(doc, {"s1": 0.0})
+
+
+def _chain_deck(callee_first):
+    """f0() {f1()+1} ... f1199() {f1200()+1}, f1200() {0}, and I=f0()."""
+    functions = [FuncDef(f"f{k}", f"f{k + 1}()+1") for k in range(1200)] + [FuncDef("f1200", "0")]
+    return NetlistDocument(
+        title="* hand-built deck",
+        functions=tuple(functions[::-1] if callee_first else functions),
+        elements=(Card("Cs1", ("s1", "0"), "1"), Card("Bs1", ("0", "s1"), "I=f0()")),
+        directives=(),
+    )
+
+
+def test_long_function_chains_cost_no_recursion_depth():
+    # each order raised RecursionError when a call ran its callee's body
+    doc = _chain_deck(callee_first=True)
+    assert undeclared_references(doc) == []
+    assert evaluate_deck_rhs(doc, {"s1": 0.0}) == {"s1": 1200.0}
+    doc = _chain_deck(callee_first=False)
+    assert undeclared_references(doc) == [
+        f"func f{k}: undeclared function f{k + 1}" for k in range(1200)]
+    with pytest.raises(spice_expr.ExprError, match="^unknown function 'f1'$"):
+        evaluate_deck_rhs(doc, {"s1": 0.0})
+
+
+def _deck_variants():
+    """Decks of every solver option that changes a function body, and a
+    subcircuit of each solver."""
+    problem = sample_problem(n=12)
+    decks = [emit_analog(problem, _analog_options(aux_mode, eighth))
+             for aux_mode in ("aK2", "aK", "K", "K2") for eighth in (True, False)]
+    decks += [emit_mem(problem, NetlistOptions(solver_options=MemOptions(clamp_v=clamp)))
+              for clamp in (True, False)]
+    sub = NetlistOptions(ic_seed=None, subcircuit=SubcircuitSpec("sx", (1,), (2,)))
+    return decks + [emit_analog(problem, sub), emit_mem(problem, sub)]
 
 
 # Every form the emitter never writes, each rejected at parse time.
@@ -708,15 +746,8 @@ _REMOVED_FORMS = ["8/2", "max(1,2)", "1<2", "1>2", "1>=2", "1==2", "1!=2", "1&2"
 
 
 def test_parser_accepts_exactly_the_emitted_dialect():
-    problem = sample_problem(n=12)
-    decks = [emit_analog(problem, _analog_options(aux_mode, eighth))
-             for aux_mode in ("aK2", "aK", "K", "K2") for eighth in (True, False)]
-    decks += [emit_mem(problem, NetlistOptions(solver_options=MemOptions(clamp_v=clamp)))
-              for clamp in (True, False)]
-    sub = NetlistOptions(ic_seed=None, subcircuit=SubcircuitSpec("sx", (1,), (2,)))
-    decks += [emit_analog(problem, sub), emit_mem(problem, sub)]
     used = set()
-    for doc in decks:
+    for doc in _deck_variants():
         functions, sources, _ = doc.parsed
         for program in [*functions.values(), *sources.values()]:
             for entry in program:  # flat: no entry holds a sub-program
@@ -747,7 +778,7 @@ def _parses(text):
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _VOLTS = {"a": 0.3, "b": -1.7, "n_1": 2.25, "c0": 0.0}
-_USER = {"f": ("0.125", 0.125), "g": ("2*V(a)-1", 2 * 0.3 - 1), "h": ("u(V(b))", 0.0)}
+_USER = {"f": 0.125, "g": 2 * 0.3 - 1, "h": 0.0}  # deck-function values at _VOLTS
 
 
 def _random_expression(rng, depth, refs):
@@ -771,7 +802,7 @@ def _random_expression(rng, depth, refs):
     if kind == 2:
         name = rng.choice(list(_USER))
         refs[1].add(name)
-        return f"{name}()", 4, _USER[name][1]
+        return f"{name}()", 4, _USER[name]
     if kind == 3:
         sign = rng.choice(["-", "--"])
         text, value = operand(4)
@@ -805,11 +836,10 @@ def _random_expression(rng, depth, refs):
 
 def test_random_expressions_match_their_python_values():
     rng = np.random.default_rng(18)
-    functions = {name: spice_expr.parse_expression(body) for name, (body, _) in _USER.items()}
     for _ in range(2000):
         refs = (set(), set())
         text, _, value = _random_expression(rng, 0, refs)
         got_refs = (set(), set())
-        got = spice_expr.evaluate(spice_expr.parse_expression(text, got_refs), _VOLTS, functions)
+        got = spice_expr.evaluate(spice_expr.parse_expression(text, got_refs), _VOLTS, _USER)
         assert float.hex(got) == float.hex(value), text
         assert got_refs == refs, text

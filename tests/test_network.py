@@ -508,6 +508,10 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
      "unknown key(s) in node 0: mem_params"),
     ({"nodes": [{"cnf": "a.cnf", "solver": "memm"}]},
      "unknown solver 'memm' (expected 'analog' or 'mem')"),
+    # a list label was written into the record as its instance
+    ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "label": ["x"]}]},
+     "'label' in node 0 must be a JSON string, got ['x']"),
+    ({"nodes": [{"cnf": "a.cnf", "solver": 5}]}, "'solver' in node 0 must be a JSON string, got 5"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

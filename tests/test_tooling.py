@@ -155,6 +155,25 @@ def test_cli_catches_value_error_only_in_main_and_argument_types():
     assert sorted(catching - types - {"main"}) == []
 
 
+def test_deck_toolchain_does_not_recurse():
+    # a deck function chain a thousand calls deep ended in RecursionError
+    # when evaluate ran each callee's body by calling itself; the emitter and
+    # the checker read a deck top to bottom, with loops only
+    found = []
+    for module in ("netlist", "spice_expr"):
+        path = Path(ctsat.__file__).parent / f"{module}.py"
+        for function in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                callee = node.func if isinstance(node, ast.Call) else None
+                if (getattr(callee, "id", None) == function.name
+                        or getattr(callee, "attr", None) == function.name
+                        and getattr(callee.value, "id", None) in ("self", "cls", module)):
+                    found.append(f"{module}.{function.name}:{node.lineno}")
+    assert found == []
+
+
 def test_project_version_matches_package():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
