@@ -86,26 +86,22 @@ class NetlistDocument:
 
     @cached_property
     def parsed(self):
-        """({function name: program}, {target node: program}, {label: (nodes,
-        calls)}): every function body and behavioral-source expression of the
-        deck, parsed once per document into a spice_expr postfix program, and
-        the node and function names each one references, labelled
-        "func <name>" or "source <target node>"."""
-        functions, sources, references = {}, {}, {}
+        """({function name: program}, {target node: program}): every function
+        body and behavioral-source expression of the deck, in deck order,
+        parsed once per document into a spice_expr postfix program."""
+        functions, sources = {}, {}
         for func in self.functions:
             if func.name in functions:
                 raise ValueError(f"function {func.name}() is defined twice")
-            refs = references[f"func {func.name}"] = (set(), set())
-            functions[func.name] = spice_expr.parse_expression(func.body, refs)
+            functions[func.name] = spice_expr.parse_expression(func.body)
         for card in self.elements:
             if card.name.startswith("B"):
                 kind, expr = card.value.split("=", 1)
                 target = card.nodes[1] if kind == "I" else card.nodes[0]
                 if target in sources:
                     raise ValueError(f"node {target} is driven by two behavioral sources")
-                refs = references[f"source {target}"] = (set(), set())
-                sources[target] = spice_expr.parse_expression(expr, refs)
-        return functions, sources, references
+                sources[target] = spice_expr.parse_expression(expr)
+        return functions, sources
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,12 @@ class SubcircuitSpec:
     variable indices (variable i <-> node v<i> / s<i>) checked by
     cnf.require_pins: a non-integer or a pin given twice raises ValueError
     here, a pin outside 1..N at emission.  Input variables lose their
-    capacitor cell; the node becomes a pin whose voltage the surrounding
-    circuit dictates.  Output pins simply alias internal nodes, and
-    expose_contrd adds contrd as the last pin.  emit_analog and emit_mem
-    with options.subcircuit set return the .subckt block; it carries no
-    .ic or .tran cards, which belong to the instantiating deck.
+    capacitor cell and their derivative function; the node becomes a pin
+    whose voltage the surrounding circuit dictates.  Output pins simply
+    alias internal nodes, and expose_contrd adds contrd as the last pin.
+    emit_analog and emit_mem with options.subcircuit set return the
+    .subckt block; it carries no .ic or .tran cards, which belong to the
+    instantiating deck.
     """
 
     name: str
@@ -244,25 +241,20 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
             return (f"{_fmt(opts.beta)}*({volt(xs, mi)}+{_fmt(opts.epsilon)})"
                     f"*({c}-{_fmt(opts.gamma)})", f"{_fmt(opts.alpha)}*({c}-{_fmt(opts.delta)})")
 
-    # each state component's derivative is f<node>(); variables first, then
-    # clause by clause across the clause blocks (a, or xs then xl)
-    for i in range(n):
-        functions[f"f{var}{i + 1}"] = " + ".join(var_term(i, mi, j)
-                                                 for mi, j in occurrences[i]) or "0"
-    for mi in range(m):
-        functions.update((f"f{name}{mi + 1}", body) for name, body in zip(aux, aux_terms(mi)))
-    functions |= tail
-
     cells = [(f"{name}{k}", lo, hi, start)
              for name, size, lo, hi, start in blocks for k in range(1, size + 1)]
     omitted = set(sub.inputs) if sub is not None else set()
+    # the variables with a cell, then clause by clause across the clause
+    # blocks: clause mi's component in block b is n + b*m + mi
     order = [i for i in range(n) if i + 1 not in omitted]
     order += [k for mi in range(m) for k in range(n + mi, len(cells), m)]
     y0 = initial_state(problem, solver, options.ic_seed or 0)
     shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
     elements, ic = [], []
-    for k in order:  # capacitor, shunt, masked source and start of component k
+    for k in order:  # derivative, capacitor, shunt, masked source and start of component k
         node, lo, hi, start = cells[k]
+        functions[f"f{node}"] = (" + ".join(var_term(k, mi, j) for mi, j in occurrences[k]) or "0"
+                                 if k < n else aux_terms((k - n) % m)[(k - n) // m])
         d = call(f"f{node}")
         elements += [Card(f"C{node}", (node, "0"), "1"), Card(f"R{node}", (node, "0"), shunt),
                      Card(f"B{node}", ("0", node), f"I={_masked(d, node, lo, hi)}")]
@@ -271,6 +263,7 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
         else:
             value = "{flat(1)}" if options.ic_seed is None else _fmt(y0[k])
         ic.append(f".ic V({node})={value}")
+    functions |= tail
     for signal, letter in (("contra", "c"), ("contrd", "d")):
         total = " + ".join(call(f"{letter}{mi + 1}") for mi in range(m))
         elements.append(Card(f"B{signal}", (signal, "0"), f"V={total}"))
@@ -354,28 +347,33 @@ def card_histogram(document: NetlistDocument) -> dict[str, int]:
 def undeclared_references(document: NetlistDocument) -> list[str]:
     """Names referenced by expressions but not declared in the deck.
 
-    Checks every function body and behavioral-source expression against
-    the deck's node set and the functions declared before it: a deck reads
-    top to bottom, so a function may call only those defined above it,
-    and a source any function.  Returns a list of problems (empty when the
-    deck is closed).
+    Reads the ("V", node) and ("call", name, ...) entries of every parsed
+    function body and behavioral-source expression, functions first and
+    each in deck order, against the deck's node set and the functions
+    declared before it: a deck reads top to bottom, so a function may call
+    only those defined above it, and a source any function.  Returns a
+    list of problems (empty when the deck is closed), per expression its
+    nodes and then its functions, each sorted by name.
     """
-    declared_nodes = {"0"}
+    nodes = {"0"}
     for card in document.elements:
-        declared_nodes.update(card.nodes)
+        nodes.update(card.nodes)
     if document.subckt is not None:
-        declared_nodes.update(document.subckt[1])
-    known_calls = set(spice_expr.BUILTINS)
-
+        nodes.update(document.subckt[1])
+    declared = {("V", node) for node in nodes}
+    functions, sources = document.parsed
+    kinds = {"V": "node", "call": "function"}
     problems = []
-    for label, (nodes, calls) in document.parsed[2].items():  # functions first, in deck order
-        problems.extend(f"{label}: undeclared node {node}"
-                        for node in sorted(nodes - declared_nodes))
-        problems.extend(f"{label}: undeclared function {name}"
-                        for name in sorted(calls - known_calls))
-        kind, name = label.split(" ", 1)
-        if kind == "func":
-            known_calls.add(name)
+    for label, programs in (("func", functions), ("source", sources)):
+        for name, program in programs.items():
+            # one pass over the program; a builtin's entry carries its argument
+            # count, so the pairs left are undeclared, ("V", ...) sorting first
+            undeclared = sorted(entry for entry in set(program) - declared
+                                if entry.__class__ is tuple and len(entry) == 2)
+            problems.extend(f"{label} {name}: undeclared {kinds[kind]} {ref}"
+                            for kind, ref in undeclared)
+            if label == "func":
+                declared.add(("call", name))
     return problems
 
 
@@ -389,7 +387,7 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
     to a function not defined above its caller raises ExprError.  The
     voltages must cover every node the deck's functions read.
     """
-    functions, sources, _ = document.parsed
+    functions, sources = document.parsed
     values: dict[str, float] = {}
     for name, code in functions.items():
         values[name] = spice_expr.evaluate(code, voltages, values)
@@ -402,34 +400,27 @@ def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,
     """Top-level deck instantiating two subcircuits in a ring: A's output
     feeds B's input and vice versa.  Each document must be a .subckt block
     whose pins are one input (a pin node without a capacitor card), one
-    output and optionally contrd, and the two names must differ; anything
-    else raises ValueError."""
-    for sub in (sub_a, sub_b):
+    output and optionally contrd, the two names must differ, and t_ev
+    obeys NetlistOptions' rule (positive and finite); anything else raises
+    ValueError.  Both pin checks come before the name check."""
+    t_ev = NetlistOptions(t_ev=t_ev).t_ev
+    names, fragments, instances = [], [], []
+    for sub, letter, inbound, outbound in ((sub_a, "A", "net_ba", "net_ab"),
+                                           (sub_b, "B", "net_ab", "net_ba")):
         if sub.subckt is None:
             raise ValueError("compose_ring_deck needs subcircuit documents")
         name, pins = sub.subckt
         cards = {card.name for card in sub.elements}
-        body = pins[:-1] if pins and pins[-1] == "contrd" else pins
-        if [f"C{node}" in cards for node in body] != [False, True]:
+        contrd = "contrd" in pins[-1:]
+        if [f"C{node}" in cards for node in pins[:len(pins) - contrd]] != [False, True]:
             raise ValueError(f"subcircuit {name} needs one input pin and one output pin, "
                              f"got pins {' '.join(pins)}")
-    name_a, pins_a = sub_a.subckt
-    name_b, pins_b = sub_b.subckt
-    if name_a == name_b:
-        raise ValueError(f"both subcircuits are named {name_a}")
-    lines = [f"* ring network: {name_a} <-> {name_b}"]
-    lines.extend(_fragment_lines(sub_a))
-    lines.extend(_fragment_lines(sub_b))
-    net_ab, net_ba = "net_ab", "net_ba"
-
-    def instance_nodes(pins, inbound, outbound, contrd_node):
-        nodes = [inbound, outbound]
-        if pins[-1] == "contrd":
-            nodes.append(contrd_node)
-        return " ".join(nodes)
-
-    lines.append(f"XA {instance_nodes(pins_a, net_ba, net_ab, 'contrda')} {name_a}")
-    lines.append(f"XB {instance_nodes(pins_b, net_ab, net_ba, 'contrdb')} {name_b}")
-    lines.append(f".tran 0 {_fmt(t_ev)} 0 uic")
-    lines.append(".end")
+        names.append(name)
+        fragments += _fragment_lines(sub)
+        instances.append(" ".join((f"X{letter}", inbound, outbound,
+                                   *[f"contrd{letter.lower()}"] * contrd, name)))
+    if names[0] == names[1]:
+        raise ValueError(f"both subcircuits are named {names[0]}")
+    lines = [f"* ring network: {names[0]} <-> {names[1]}", *fragments, *instances,
+             f".tran 0 {_fmt(t_ev)} 0 uic", ".end"]
     return "\n".join(lines) + "\n"

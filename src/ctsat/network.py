@@ -15,7 +15,9 @@ exactly.
 A driven input is overwritten with its drive's value at every stop.
 Drives are piecewise constant, value(t) is the level held until the next
 transition, and steps never straddle a transition, so a driven variable
-tracks its source exactly.
+tracks its source exactly.  Every drive must feed an input: a drive's
+transitions are stops for the whole network, so an unwired one would
+still change the trajectories.
 
 Per-node outcomes: the network counts as solved when every node's contrd
 is simultaneously 0 and stays so for the confirmation window; per-node
@@ -155,6 +157,10 @@ def _validate(nodes: Sequence[SolverNode], wiring: Wiring):
         for var in node.input_vars:
             if (i, var) not in fed:
                 raise ValueError(f"input variable {var} of node {i} is unwired")
+    used = {source[1] for source in fed.values() if source[0] == "drive"}
+    for k in range(len(wiring.drives)):
+        if k not in used:
+            raise ValueError(f"drive {k} feeds no input")
     return fed
 
 

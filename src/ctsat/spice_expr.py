@@ -56,26 +56,23 @@ _ARITY = {"u": (1, 1), "if": (3, 3), "min": (1, float("inf"))}
 BUILTINS = frozenset(_ARITY)  # the builtin function names
 
 
-def _call(name, argc, calls):
+def _call(name, argc):
     """The program entry of a call, once its argument count is checked."""
     low, high = _ARITY.get(name, (0, 0))  # user functions take none
     if not low <= argc <= high:
         raise ExprError(f"{name}() takes {low}{'' if low == high else ' or more'}"
                         f" argument(s), got {argc}")
-    calls.add(name)
     return ("call", name, argc) if argc else ("call", name)
 
 
-def parse_expression(text: str, references: tuple[set[str], set[str]] | None = None):
+def parse_expression(text: str):
     """Parse expression text, with one loop and no recursion, into a flat
     postfix program: a list of floats, ("V", node), ("call", name) for a
     user function, ("call", name, argc) for u, min and if, and the
-    operators "+", "-", "*", "<=" and "neg".
-
-    references, a pair of sets (nodes, calls), receives the node names in
-    V(...) terms and the names of all user and builtin functions called.
+    operators "+", "-", "*", "<=" and "neg".  The program is the whole
+    result: the nodes and functions an expression references are its
+    ("V", node) and ("call", name, ...) entries.
     """
-    nodes, calls = (set(), set()) if references is None else references
     out = []
     ops = [(-2, None)]  # pending (power, entry) above a floor of -2
     operand = True  # an operand comes next, else an operator or the end
@@ -87,13 +84,12 @@ def parse_expression(text: str, references: tuple[set[str], set[str]] | None = N
             if token[:1] in _NUMBER_START and token != ".":  # "." alone is no number
                 out.append(float(token))
             elif token[:2] == "V(":
-                nodes.add(token[2:-1])
                 out.append(("V", token[2:-1]))
             elif token[-1:] == "(":  # name( opens a call with arguments
                 ops.append((-1, [token[:-1], 0]))
                 continue
             elif token[-2:] == "()":
-                out.append(_call(token[:-2], 0, calls))
+                out.append(_call(token[:-2], 0))
             else:
                 raise ExprError(f"unexpected {token or 'end of input'!r}")
             operand = False
@@ -108,7 +104,7 @@ def parse_expression(text: str, references: tuple[set[str], set[str]] | None = N
         elif token == ")" and ops[-1][0] == -1:
             frame = ops.pop()[1]
             if frame:
-                out.append(_call(frame[0], frame[1] + 1, calls))
+                out.append(_call(frame[0], frame[1] + 1))
             continue
         elif token == "," and ops[-1][1]:
             ops[-1][1][1] += 1

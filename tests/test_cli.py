@@ -284,6 +284,24 @@ def test_unreadable_cnf_file_is_a_usage_error(tmp_path, monkeypatch, capsys, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
 
 
+def test_network_drive_that_feeds_no_input_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the unwired drive's transitions became stops of the node's run, which
+    # then differed from the same node without the drive
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "xorsat", "--n", "10", "--out", "x.cnf"]) == 0
+    (tmp_path / "net.json").write_text(json.dumps({
+        "t_ev": 5.0, "nodes": [{"cnf": "x.cnf"}],
+        "drives": [{"kind": "square", "period": 0.37}]}))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["network", "--config", "net.json", "--out-dir", "out"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ctsat network ")
+    assert "error: drive 0 feeds no input" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "x.cnf", "x.json"]
+
+
 def test_malformed_node_cnf_is_named(tmp_path, monkeypatch, capsys):
     # the usage error named only the line: "line 2: non-integer token ..."
     monkeypatch.chdir(tmp_path)

@@ -325,7 +325,7 @@ GOLDEN = Problem.from_dimacs_clauses(7, [
                  id="mem-unclamped"),
     pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(
         subcircuit=SubcircuitSpec(name="nodea", inputs=(1,), outputs=(2, 6)))),
-                 "2f0432aa3ab5b2e82c1abed8a68ccd4b03c0b370cd282ac5d0a6457c92dd0253",
+                 "cbaced27f16b86a19bc09190f3784769062add6352f5f5e096b5b23e6d6f7eb7",
                  id="mem-subckt"),
 ])
 def test_pinned_deck_digests(emit, digest):
@@ -418,7 +418,7 @@ def test_deck_checks_parse_each_document_once(monkeypatch):
     parse = spice_expr.parse_expression
     texts = []
     monkeypatch.setattr(spice_expr, "parse_expression",
-                        lambda text, refs: texts.append(text) or parse(text, refs))
+                        lambda text: texts.append(text) or parse(text))
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
     doc = emit_mem(problem)
@@ -558,6 +558,18 @@ def test_ring_deck_instantiates_twice_with_cross_wiring():
         compose_ring_deck(make("solva"), emit_mem(problem))
 
 
+@pytest.mark.parametrize("t_ev, message", [
+    (-5, "t_ev must be positive, got -5"), (0, "t_ev must be positive, got 0"),
+    (float("nan"), "t_ev must be finite, got nan"), (float("inf"), "t_ev must be finite, got inf"),
+], ids=["negative", "zero", "nan", "inf"])
+def test_ring_deck_checks_t_ev_as_netlist_options_do(t_ev, message):
+    # the ring deck wrote .tran 0 -5.0 0 uic and .tran 0 nan 0 uic unchecked
+    for build in (lambda: NetlistOptions(t_ev=t_ev),
+                  lambda: compose_ring_deck(ring_part("A"), ring_part("B"), t_ev=t_ev)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def ring_part(name, inputs=(1,), outputs=(2,), expose_contrd=True):
     spec = SubcircuitSpec(name, inputs, outputs, expose_contrd)
     return emit_mem(sample_problem(n=6), NetlistOptions(subcircuit=spec))
@@ -605,10 +617,16 @@ def test_expression_parser_user_functions_and_errors():
         spice_expr.evaluate(spice_expr.parse_expression("V(zz)"), {})
 
 
+def _references(program):
+    """(nodes, calls): the names in a program's ("V", node) and ("call",
+    name, ...) entries."""
+    return tuple({entry[1] for entry in program if isinstance(entry, tuple) and entry[0] == kind}
+                 for kind in ("V", "call"))
+
+
 def test_expression_reference_walkers():
-    # the parse collects the names as it meets them
-    refs = (set(), set())
-    spice_expr.parse_expression("f()*V(s1) + if(V(a2)<=0, g(), 0)", refs)
+    # the program holds every name the expression references
+    refs = _references(spice_expr.parse_expression("f()*V(s1) + if(V(a2)<=0, g(), 0)"))
     assert refs == ({"s1", "a2"}, {"f", "if", "g"})
 
 
@@ -660,8 +678,8 @@ def test_long_sum_costs_no_recursion_depth():
         terms[k] = ("f()", 0.125)
     ops = rng.choice(["+", "-"], len(terms) - 1)
     text = terms[0][0] + "".join(op + term for op, (term, _) in zip(ops, terms[1:]))
-    refs = (set(), set())
-    ast = spice_expr.parse_expression(text, refs)
+    ast = spice_expr.parse_expression(text)
+    refs = _references(ast)
     assert refs == ({"a", "b"}, {"f"})
     expected = terms[0][1]
     for op, (_, x) in zip(ops, terms[1:]):
@@ -748,7 +766,7 @@ _REMOVED_FORMS = ["8/2", "max(1,2)", "1<2", "1>2", "1>=2", "1==2", "1!=2", "1&2"
 def test_parser_accepts_exactly_the_emitted_dialect():
     used = set()
     for doc in _deck_variants():
-        functions, sources, _ = doc.parsed
+        functions, sources = doc.parsed
         for program in [*functions.values(), *sources.values()]:
             for entry in program:  # flat: no entry holds a sub-program
                 if isinstance(entry, tuple):
@@ -839,7 +857,8 @@ def test_random_expressions_match_their_python_values():
     for _ in range(2000):
         refs = (set(), set())
         text, _, value = _random_expression(rng, 0, refs)
-        got_refs = (set(), set())
-        got = spice_expr.evaluate(spice_expr.parse_expression(text, got_refs), _VOLTS, _USER)
+        program = spice_expr.parse_expression(text)
+        got = spice_expr.evaluate(program, _VOLTS, _USER)
+        got_refs = _references(program)
         assert float.hex(got) == float.hex(value), text
         assert got_refs == refs, text

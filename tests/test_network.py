@@ -153,6 +153,24 @@ def test_wiring_rejects_bad_edges(edge, message):
         simulate_network([node], wiring, IntegratorConfig(t_ev=1.0), seeds=[0])
 
 
+_WAVES = (SquareWave(period=2.0), SquareWave(period=0.37))
+
+
+@pytest.mark.parametrize("input_vars, edges, drives, message", [
+    ((), (), _WAVES[1:], "drive 0 feeds no input"),
+    ((1,), ((("drive", 0), (0, 1)),), _WAVES, "drive 1 feeds no input"),
+    ((1,), ((("drive", 1), (0, 1)),), _WAVES, "drive 0 feeds no input"),
+], ids=["no-edge", "second-unwired", "first-unwired"])
+def test_every_drive_must_feed_an_input(input_vars, edges, drives, message):
+    # an unwired drive still put its transitions among the stops: with
+    # SquareWave(period=0.37) beside gen_xorsat_3r(10, seed=1) (node seed 3,
+    # t_ev=5) the states moved by up to 0.418 and n_rhs went 1572 -> 1474
+    node = SolverNode(gen_xorsat_3r(10, seed=1).problem, MEM, input_vars=input_vars)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_network([node], Wiring(edges=edges, drives=drives), IntegratorConfig(t_ev=5.0),
+                         seeds=[3])
+
+
 @pytest.mark.parametrize("seed", [2.7, True, "0"])
 def test_network_rejects_non_integer_seeds(seed):
     # int() used to truncate 2.7 to seed 2 and run True as seed 1

@@ -17,7 +17,8 @@ from ctsat.dynamics import AnalogOptions, MemOptions
 from ctsat.harness import ExperimentPlan
 from ctsat.instances import BarthelParams, gen_xorsat_3r
 from ctsat.integrate import IntegratorConfig
-from ctsat.netlist import NetlistOptions, SubcircuitSpec
+from ctsat.netlist import (NetlistOptions, SubcircuitSpec, emit_analog, emit_mem,
+                           undeclared_references)
 from ctsat.network import SquareWave
 from test_cli import leaf_parsers
 
@@ -172,6 +173,32 @@ def test_deck_toolchain_does_not_recurse():
                         and getattr(callee.value, "id", None) in ("self", "cls", module)):
                     found.append(f"{module}.{function.name}:{node.lineno}")
     assert found == []
+
+
+_SOLVER_OPTIONS = [AnalogOptions(aux_mode=mode) for mode in ("aK2", "aK", "K", "K2")]
+_SOLVER_OPTIONS += [MemOptions(clamp_v=clamp) for clamp in (True, False)]
+_SUBCIRCUITS = [None, SubcircuitSpec("sx", (1,), (2,)), SubcircuitSpec("sx", (1,), (2,), False)]
+
+
+@pytest.mark.parametrize("subcircuit", _SUBCIRCUITS, ids=["deck", "subckt", "subckt-no-contrd"])
+@pytest.mark.parametrize("solver_options", _SOLVER_OPTIONS, ids=lambda options: (
+    f"analog-{options.aux_mode}" if isinstance(options, AnalogOptions)
+    else f"mem-clamp-{options.clamp_v}"))
+def test_emitted_decks_are_closed_and_define_only_called_functions(solver_options, subcircuit):
+    # a subcircuit deck defined its input variable's derivative (sx_fv1,
+    # sx_fs1), which no source calls
+    emit = emit_analog if isinstance(solver_options, AnalogOptions) else emit_mem
+    doc = emit(gen_xorsat_3r(10, seed=1).problem,
+               NetlistOptions(solver_options=solver_options, subcircuit=subcircuit))
+    assert undeclared_references(doc) == []
+    functions, sources = doc.parsed
+    calls = lambda program: {entry[1] for entry in program
+                             if isinstance(entry, tuple) and entry[0] == "call"}
+    called = set().union(*map(calls, sources.values()))
+    for name in reversed(functions):  # a function calls only those defined above it
+        if name in called:
+            called |= calls(functions[name])
+    assert sorted(set(functions) - called) == []
 
 
 def test_project_version_matches_package():
