@@ -48,9 +48,9 @@ ds, _ = analog_rhs(problem, AnalogState(s, a))
 err = max(abs(deck_rhs[f"s{i + 1}"] - ds[i]) for i in range(n))
 print(f"max |deck - engine| on spin derivatives: {err:.2e}")
 
-# a two-solver ring: each side's output pin feeds the other's input pin
-sub = lambda name: emit_mem(
-    problem, NetlistOptions(subcircuit=SubcircuitSpec(name, inputs=(1,), outputs=(2,)))
-)
-(out / "ring.cir").write_text(compose_ring_deck(sub("solva"), sub("solvb")))
+# a two-solver ring: each side's output pin feeds the other's input pin, and
+# each side's capacitor cards carry its own seeded start
+sub = lambda name, seed: emit_mem(problem, NetlistOptions(
+    ic_seed=seed, subcircuit=SubcircuitSpec(name, inputs=(1,), outputs=(2,))))
+(out / "ring.cir").write_text(compose_ring_deck(sub("solva", 11), sub("solvb", 12)))
 print("wrote", out / "ring.cir")

@@ -31,7 +31,7 @@ structs.  Each solver has one options object, matched to it by
 resolve_options().  Each solver's state (block names and order, bounds, start
 values) is described once, in _blocks(): the kernel's outward-push mask,
 the integrator's projection, the seeded start of initial_state() and the
-netlist's node names, source masks and .ic cards all read it.
+netlist's node names, source masks and capacitor starts all read it.
 All functions are pure; derivative outputs already include the boundary
 masks that keep bounded variables from being pushed outward.
 """
@@ -203,8 +203,8 @@ def _blocks(problem: Problem, solver: str, options: AnalogOptions | MemOptions |
     block by block: (name, size, lo, hi, start).  Spins and clamped
     voltages lie in [-1, 1], x_s in [0, 1], x_l in [1, 1e4*M]; the weights
     and unclamped voltages are unbounded.  A start of None draws U[-1, 1];
-    a number is every component's start, and the deck's .ic cards write it
-    as given (1, 0.5, 1.0)."""
+    a number is every component's start, and the deck's capacitor cards
+    write it as given (1, 0.5, 1.0)."""
     options = resolve_options(solver, options)
     n, m = problem.num_vars, problem.num_clauses
     if solver == ANALOG:

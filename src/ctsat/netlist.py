@@ -2,7 +2,8 @@
 
 Every dynamical variable becomes the voltage on a 1 F capacitor driven by
 a behavioral current source whose expression is the variable's right-hand
-side; each capacitor is shunted by a high-resistance resistor to provide a
+side; the capacitor card carries the variable's start (IC=, which
+.tran ... uic reads), and a high-resistance shunt gives each capacitor a
 DC path to ground.  Analog decks use N+M capacitors (nodes s1..sN,
 a1..aM), memcomputing decks N+2M (v1..vN, xs1..xsM, xl1..xlM).  Two extra
 behavioral voltage sources expose the control signals: node "contra" sums
@@ -116,8 +117,8 @@ class SubcircuitSpec:
     whose voltage the surrounding circuit dictates.  Output pins simply
     alias internal nodes, and expose_contrd adds contrd as the last pin.
     emit_analog and emit_mem with options.subcircuit set return the
-    .subckt block; it carries no .ic or .tran cards, which belong to the
-    instantiating deck.
+    .subckt block; its capacitor cards carry their cells' starts, and the
+    .tran card belongs to the instantiating deck.
     """
 
     name: str
@@ -140,10 +141,10 @@ class NetlistOptions:
     t_ev: float = 300.0
     shunt_resistance: float = 1e9
     solver_options: AnalogOptions | MemOptions | None = None  # None: the solver's defaults
-    # Seed for explicit .ic values (reproducible decks).  None emits the
-    # simulator-side random form {flat(1)} instead; that variant needs the
-    # "Use the clock to reseed the MC generator" option enabled in LTspice
-    # for run-to-run randomness.
+    # Seed of the capacitor cards' explicit IC= starts (reproducible decks).
+    # None emits the simulator-side random form {flat(1)} instead; that
+    # variant needs "Use the clock to reseed the MC generator" enabled in
+    # LTspice for run-to-run randomness.
     ic_seed: Optional[int] = 0
     subcircuit: Optional[SubcircuitSpec] = None
 
@@ -250,27 +251,25 @@ def _build(problem: Problem, options: NetlistOptions, solver: str) -> NetlistDoc
     order += [k for mi in range(m) for k in range(n + mi, len(cells), m)]
     y0 = initial_state(problem, solver, options.ic_seed or 0)
     shunt = f"{options.shunt_resistance:g}"  # component value, e.g. 1e+09
-    elements, ic = [], []
-    for k in order:  # derivative, capacitor, shunt, masked source and start of component k
+    elements = []
+    for k in order:  # derivative, started capacitor, shunt and masked source of component k
         node, lo, hi, start = cells[k]
         functions[f"f{node}"] = (" + ".join(var_term(k, mi, j) for mi, j in occurrences[k]) or "0"
                                  if k < n else aux_terms((k - n) % m)[(k - n) // m])
         d = call(f"f{node}")
-        elements += [Card(f"C{node}", (node, "0"), "1"), Card(f"R{node}", (node, "0"), shunt),
+        value = (repr(start) if start is not None
+                 else "{flat(1)}" if options.ic_seed is None else _fmt(y0[k]))
+        elements += [Card(f"C{node}", (node, "0"), f"1 IC={value}"),
+                     Card(f"R{node}", (node, "0"), shunt),
                      Card(f"B{node}", ("0", node), f"I={_masked(d, node, lo, hi)}")]
-        if start is not None:
-            value = repr(start)
-        else:
-            value = "{flat(1)}" if options.ic_seed is None else _fmt(y0[k])
-        ic.append(f".ic V({node})={value}")
     functions |= tail
     for signal, letter in (("contra", "c"), ("contrd", "d")):
         total = " + ".join(call(f"{letter}{mi + 1}") for mi in range(m))
         elements.append(Card(f"B{signal}", (signal, "0"), f"V={total}"))
 
     title = f"* {'analog SAT' if solver == ANALOG else 'digital memcomputing'} solver, N={n} M={m}"
-    subckt, directives = None, (*ic, f".tran 0 {_fmt(options.t_ev)} 0 uic")
-    if sub is not None:  # the instantiating deck holds the .ic and .tran cards
+    subckt, directives = None, (f".tran 0 {_fmt(options.t_ev)} 0 uic",)
+    if sub is not None:  # the instantiating deck holds the .tran card
         pins = tuple(f"{var}{i}" for i in (*sub.inputs, *sub.outputs))
         if sub.expose_contrd:
             pins += ("contrd",)
@@ -402,7 +401,8 @@ def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,
     whose pins are one input (a pin node without a capacitor card), one
     output and optionally contrd, the two names must differ, and t_ev
     obeys NetlistOptions' rule (positive and finite); anything else raises
-    ValueError.  Both pin checks come before the name check."""
+    ValueError.  Both pin checks come before the name check.  Each fragment's
+    capacitor cards carry its cells' starts; an input pin has none."""
     t_ev = NetlistOptions(t_ev=t_ev).t_ev
     names, fragments, instances = [], [], []
     for sub, letter, inbound, outbound in ((sub_a, "A", "net_ba", "net_ab"),

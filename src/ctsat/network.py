@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, check_fields, read_dimacs, require_pins
+from .cnf import Problem, check_fields, read_dimacs, require_integer, require_pins
 from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -134,24 +134,26 @@ class Wiring:
 def _validate(nodes: Sequence[SolverNode], wiring: Wiring):
     fed: dict[tuple[int, int], Source] = {}
     for source, target in wiring.edges:
-        t_node, t_var = target
+        what = f"index in edge {source} -> {target}"  # a float or bool is no index
+        t_node, t_var = target = tuple(require_integer(i, what) for i in target)
         if not 0 <= t_node < len(nodes):
             raise ValueError(f"edge targets unknown node {t_node}")
         if t_var not in nodes[t_node].input_vars:
             raise ValueError(f"edge targets non-input variable {t_var} of node {t_node}")
         if target in fed:
             raise ValueError(f"input {target} fed by more than one source")
+        if source[0] not in ("drive", "node"):
+            raise ValueError(f"unknown source kind {source[0]!r}")
+        source = (source[0], *(require_integer(i, what) for i in source[1:]))
         if source[0] == "drive":
             if not 0 <= source[1] < len(wiring.drives):
                 raise ValueError(f"edge references unknown drive {source[1]}")
-        elif source[0] == "node":
+        else:
             s_node, s_var = source[1], source[2]
             if not 0 <= s_node < len(nodes):
                 raise ValueError(f"edge sources unknown node {s_node}")
             if s_var not in nodes[s_node].output_vars:
                 raise ValueError(f"edge sources non-output variable {s_var} of node {s_node}")
-        else:
-            raise ValueError(f"unknown source kind {source[0]!r}")
         fed[target] = source
     for i, node in enumerate(nodes):
         for var in node.input_vars:

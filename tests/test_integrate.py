@@ -60,7 +60,7 @@ def test_init_deterministic_per_seed():
 
 @pytest.mark.parametrize("solver", [ANALOG, MEM])
 def test_init_structs_view_the_flat_start(solver):
-    # the deck's .ic cards, the integrator's first row and the state structs
+    # the deck's IC= starts, the integrator's first row and the state structs
     # all read one seeded start, laid out as the system's columns
     problem = easy_instance().problem
     y0 = initial_state(problem, solver, 7)

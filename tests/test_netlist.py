@@ -15,8 +15,8 @@ from ctsat.dynamics import (
     control_signals,
     mem_rhs,
 )
-from ctsat.instances import BarthelParams, gen_barthel
-from ctsat.integrate import MEM, init_analog, init_mem
+from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
+from ctsat.integrate import MEM, IntegratorConfig, init_analog, init_mem
 from ctsat.netlist import (
     LINE_WIDTH,
     Card,
@@ -32,7 +32,7 @@ from ctsat.netlist import (
     serialize,
     undeclared_references,
 )
-from ctsat.network import SolverNode
+from ctsat.network import SolverNode, Wiring, simulate_network
 from ctsat import spice_expr
 
 TINY = Problem.from_dimacs_clauses(3, [(1, -2, 3)])
@@ -172,29 +172,40 @@ def test_deck_checks_reject_duplicate_definitions(functions, elements, message):
             check(doc)
 
 
+def starts(doc):
+    """{node: start}: the IC= value of each capacitor card, as written."""
+    ics = {}
+    for card in doc.elements:
+        if card.name.startswith("C"):
+            capacitance, ic = card.value.split(" ")
+            assert capacitance == "1" and ic.startswith("IC=")
+            ics[card.nodes[0]] = ic.removeprefix("IC=")
+    return ics
+
+
 def test_ic_cards_match_seeded_initial_conditions():
     problem = sample_problem()
     seed = 77
     doc = emit_analog(problem, NetlistOptions(ic_seed=seed))
     state = init_analog(problem, seed)
-    ics = {d.split("=")[0]: d.split("=")[1] for d in doc.directives if d.startswith(".ic")}
+    ics = starts(doc)
     for i in range(problem.num_vars):
-        assert float(ics[f".ic V(s{i + 1})"]) == state.s[i]
+        assert float(ics[f"s{i + 1}"]) == state.s[i]
     for j in range(problem.num_clauses):
-        assert float(ics[f".ic V(a{j + 1})"]) == 1.0
+        assert float(ics[f"a{j + 1}"]) == 1.0
     mem_doc = emit_mem(problem, NetlistOptions(ic_seed=seed))
     mem_state = init_mem(problem, seed)
-    mem_ics = {d.split("=")[0]: d.split("=")[1] for d in mem_doc.directives if d.startswith(".ic")}
+    mem_ics = starts(mem_doc)
     for i in range(problem.num_vars):
-        assert float(mem_ics[f".ic V(v{i + 1})"]) == mem_state.v[i]
+        assert float(mem_ics[f"v{i + 1}"]) == mem_state.v[i]
 
 
 def test_random_ic_mode_uses_simulator_random():
     doc = emit_analog(TINY, NetlistOptions(ic_seed=None))
-    ic_s = [d for d in doc.directives if d.startswith(".ic V(s")]
-    assert all(d.endswith("={flat(1)}") for d in ic_s)
+    ics = starts(doc)
+    assert all(ics[f"s{i + 1}"] == "{flat(1)}" for i in range(TINY.num_vars))
     # weights still start at 1 exactly
-    assert ".ic V(a1)=1" in doc.directives
+    assert ics["a1"] == "1"
 
 
 def test_tran_directive_uses_uic():
@@ -311,21 +322,21 @@ GOLDEN = Problem.from_dimacs_clauses(7, [
 
 @pytest.mark.parametrize("emit,digest", [
     pytest.param(lambda: emit_analog(GOLDEN),
-                 "9363f88b8c49449b13611aabdb56a52b6697b8bb6686328c393a14222c02e545",
+                 "68487e8ab22cf6a9fb8eecafe4d583ea65fa2ff4f3390bb09cafc84b14d3f1bd",
                  id="analog"),
     pytest.param(lambda: emit_analog(GOLDEN, NetlistOptions(
         solver_options=AnalogOptions(one_eighth_factor=False, aux_mode="K2"))),
-                 "f395eaa428fd9f1d22e199f7479d027f085e16e78247e6dc8df4c0c3edd3244c",
+                 "d53d57baa0af556432943b1e225cd0b1981c63621cdcd23c538aca1a424cb704",
                  id="analog-K2-no-eighth"),
     pytest.param(lambda: emit_mem(GOLDEN),
-                 "83555ca582a8da57a154491bbbd0592e1ce7eadb9ad2ac21515eb09be2b31314",
+                 "ad32fe916ea3839c39fc6d810163a37226fe006c4f63a368eb9dfc8b54716b86",
                  id="mem"),
     pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(solver_options=MemOptions(clamp_v=False))),
-                 "2d6fc01b7b4b138a1914a1c228ebb85190d6e0ca61ded8a8a35ab4afcd738e20",
+                 "d1fb712cd802bbfaa50be216dd0a1cdad6e46c0c2535d1e4e4dd2497d09e6b53",
                  id="mem-unclamped"),
     pytest.param(lambda: emit_mem(GOLDEN, NetlistOptions(
         subcircuit=SubcircuitSpec(name="nodea", inputs=(1,), outputs=(2, 6)))),
-                 "cbaced27f16b86a19bc09190f3784769062add6352f5f5e096b5b23e6d6f7eb7",
+                 "01c9a16cb05e59687af48af2880a69c710b90d9efbdc0b7a7abf03e2fd240dc2",
                  id="mem-subckt"),
 ])
 def test_pinned_deck_digests(emit, digest):
@@ -448,6 +459,9 @@ def test_subcircuit_pins_and_omitted_cells():
     assert text.splitlines()[1].startswith(".subckt solva v1 v2 contrd")
     assert text.rstrip().endswith(".ends solva")
     assert ".tran" not in text and ".ic" not in text
+    # the subcircuit's cells carry their own starts, those of a standalone deck
+    assert starts(doc) == {node: ic for node, ic in starts(emit_mem(problem)).items()
+                           if node != "v1"}
 
 
 def test_subcircuit_without_inputs_equals_plain_deck_cells():
@@ -568,6 +582,27 @@ def test_ring_deck_checks_t_ev_as_netlist_options_do(t_ev, message):
                   lambda: compose_ring_deck(ring_part("A"), ring_part("B"), t_ev=t_ev)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+def test_ring_deck_starts_where_its_network_does():
+    # the ring deck wrote no start for either instance, so under uic every
+    # capacitor began at 0 V: each xl below its lower bound 1, each v unseeded
+    problem, seeds, names = gen_xorsat_3r(10, seed=1).problem, (11, 12), ("solva", "solvb")
+    text = compose_ring_deck(*(
+        emit_mem(problem, NetlistOptions(ic_seed=seed, subcircuit=SubcircuitSpec(name, (1,), (2,))))
+        for name, seed in zip(names, seeds)))
+    nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,)) for _ in seeds]
+    wiring = Wiring(edges=((("node", 1, 2), (0, 1)), (("node", 0, 2), (1, 1))))
+    records = simulate_network(nodes, wiring, IntegratorConfig(t_ev=0.1), seeds=seeds)
+    lines = text.splitlines()
+    for name, record in zip(names, records):
+        fragment = lines[lines.index(f".subckt {name} v1 v2 contrd"):lines.index(f".ends {name}")]
+        ics = {card[1]: card[4] for card in map(str.split, fragment) if card[0].startswith("C")}
+        assert ics == {node: f"IC={x!r}" for node, x in zip(record.state_columns,
+                                                             record.states[0].tolist())
+                       if node != "v1"}  # the input pin has no cell, its partner drives it
+    assert [line for line in lines if line.startswith(".tran")] == [".tran 0 300.0 0 uic"]
+    assert not any(line.startswith(".ic") for line in lines)
 
 
 def ring_part(name, inputs=(1,), outputs=(2,), expose_contrd=True):

@@ -144,11 +144,20 @@ def test_wiring_validation():
     ((("drive", 3), (0, 1)), "edge references unknown drive 3"),
     ((("node", 4, 2), (0, 1)), "edge sources unknown node 4"),
     ((("pin", 0, 2), (0, 1)), "unknown source kind 'pin'"),
+    # each ended in a TypeError inside the integration loop, or was read as drive 1
+    ((("drive", 0.0), (0, 1)),
+     "index in edge ('drive', 0.0) -> (0, 1) must be an integer, got 0.0"),
+    ((("drive", 0), (0.0, 1)),
+     "index in edge ('drive', 0) -> (0.0, 1) must be an integer, got 0.0"),
+    ((("drive", True), (0, 1)),
+     "index in edge ('drive', True) -> (0, 1) must be an integer, got True"),
+    ((("node", 0, 2.0), (0, 1)),
+     "index in edge ('node', 0, 2.0) -> (0, 1) must be an integer, got 2.0"),
 ])
 def test_wiring_rejects_bad_edges(edge, message):
     inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
     node = SolverNode(inst.problem, MEM, input_vars=(1,), output_vars=(2,))
-    wiring = Wiring(edges=(edge,), drives=(SquareWave(period=2.0),))
+    wiring = Wiring(edges=(edge,), drives=(SquareWave(period=2.0), SquareWave(period=3.0)))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate_network([node], wiring, IntegratorConfig(t_ev=1.0), seeds=[0])
 

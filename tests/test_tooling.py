@@ -13,11 +13,11 @@ import pytest
 import ctsat
 from ctsat import cli
 from ctsat.cli import build_parser
-from ctsat.dynamics import AnalogOptions, MemOptions
+from ctsat.dynamics import ANALOG, MEM, AnalogOptions, MemOptions, initial_state, make_system
 from ctsat.harness import ExperimentPlan
 from ctsat.instances import BarthelParams, gen_xorsat_3r
 from ctsat.integrate import IntegratorConfig
-from ctsat.netlist import (NetlistOptions, SubcircuitSpec, emit_analog, emit_mem,
+from ctsat.netlist import (NetlistOptions, SubcircuitSpec, emit_analog, emit_mem, serialize,
                            undeclared_references)
 from ctsat.network import SquareWave
 from test_cli import leaf_parsers
@@ -186,11 +186,20 @@ _SUBCIRCUITS = [None, SubcircuitSpec("sx", (1,), (2,)), SubcircuitSpec("sx", (1,
     else f"mem-clamp-{options.clamp_v}"))
 def test_emitted_decks_are_closed_and_define_only_called_functions(solver_options, subcircuit):
     # a subcircuit deck defined its input variable's derivative (sx_fv1,
-    # sx_fs1), which no source calls
-    emit = emit_analog if isinstance(solver_options, AnalogOptions) else emit_mem
-    doc = emit(gen_xorsat_3r(10, seed=1).problem,
-               NetlistOptions(solver_options=solver_options, subcircuit=subcircuit))
+    # sx_fs1), which no source calls; and a subcircuit deck wrote no start
+    solver, emit = ((ANALOG, emit_analog) if isinstance(solver_options, AnalogOptions)
+                    else (MEM, emit_mem))
+    problem = gen_xorsat_3r(10, seed=1).problem
+    doc = emit(problem, NetlistOptions(solver_options=solver_options, subcircuit=subcircuit))
     assert undeclared_references(doc) == []
+    # each cell's start is on its own capacitor card, the integrator's start
+    start = dict(zip(make_system(problem, solver, solver_options).columns,
+                     initial_state(problem, solver, NetlistOptions.ic_seed).tolist()))
+    for card in doc.elements:
+        if card.name.startswith("C"):
+            capacitance, ic = card.value.split(" IC=")  # ends in exactly one IC=
+            assert capacitance == "1" and float(ic) == start[card.nodes[0]]
+    assert not any(line.startswith(".ic") for line in serialize(doc).splitlines())
     functions, sources = doc.parsed
     calls = lambda program: {entry[1] for entry in program
                              if isinstance(entry, tuple) and entry[0] == "call"}
