@@ -13,16 +13,17 @@ import numpy as np
 
 from ctsat.dynamics import AnalogState, analog_rhs
 from ctsat.instances import BarthelParams, gen_barthel
+from ctsat.integrate import MEM
 from ctsat.netlist import (
     NetlistOptions,
-    SubcircuitSpec,
     card_histogram,
-    compose_ring_deck,
     emit_analog,
     emit_mem,
     evaluate_deck_rhs,
+    network_deck,
     serialize,
 )
+from ctsat.network import SolverNode, Wiring
 
 out = Path("demo-out/netlists")
 out.mkdir(parents=True, exist_ok=True)
@@ -48,9 +49,10 @@ ds, _ = analog_rhs(problem, AnalogState(s, a))
 err = max(abs(deck_rhs[f"s{i + 1}"] - ds[i]) for i in range(n))
 print(f"max |deck - engine| on spin derivatives: {err:.2e}")
 
-# a two-solver ring: each side's output pin feeds the other's input pin, and
-# each side's capacitor cards carry its own seeded start
-sub = lambda name, seed: emit_mem(problem, NetlistOptions(
-    ic_seed=seed, subcircuit=SubcircuitSpec(name, inputs=(1,), outputs=(2,))))
-(out / "ring.cir").write_text(compose_ring_deck(sub("solva", 11), sub("solvb", 12)))
+# a two-solver ring, stated as the network simulate_network integrates: each
+# node's output variable 2 feeds the other's input 1, and each node's
+# capacitor cards carry its own seeded start (seeds 11 and 12)
+nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,)) for _ in range(2)]
+ring = Wiring(edges=((("node", 1, 2), (0, 1)), (("node", 0, 2), (1, 1))))
+(out / "ring.cir").write_text(network_deck(nodes, ring, seeds=(11, 12)))
 print("wrote", out / "ring.cir")

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .cnf import Problem, check_fields, require_integer, require_pins
 from .dynamics import (ANALOG, MEM, AnalogOptions, MemOptions, _blocks, initial_state,
                        resolve_options)
+from .network import SolverNode, Wiring, _validate
 from . import spice_expr
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
     "card_histogram",
     "undeclared_references",
     "evaluate_deck_rhs",
-    "compose_ring_deck",
+    "network_deck",
     "LINE_WIDTH",
 ]
 
@@ -394,33 +395,30 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
             for target, code in sources.items()}
 
 
-def compose_ring_deck(sub_a: NetlistDocument, sub_b: NetlistDocument,
-                      t_ev: float = NetlistOptions.t_ev) -> str:
-    """Top-level deck instantiating two subcircuits in a ring: A's output
-    feeds B's input and vice versa.  Each document must be a .subckt block
-    whose pins are one input (a pin node without a capacitor card), one
-    output and optionally contrd, the two names must differ, and t_ev
-    obeys NetlistOptions' rule (positive and finite); anything else raises
-    ValueError.  Both pin checks come before the name check.  Each fragment's
-    capacitor cards carry its cells' starts; an input pin has none."""
-    t_ev = NetlistOptions(t_ev=t_ev).t_ev
-    names, fragments, instances = [], [], []
-    for sub, letter, inbound, outbound in ((sub_a, "A", "net_ba", "net_ab"),
-                                           (sub_b, "B", "net_ab", "net_ba")):
-        if sub.subckt is None:
-            raise ValueError("compose_ring_deck needs subcircuit documents")
-        name, pins = sub.subckt
-        cards = {card.name for card in sub.elements}
-        contrd = "contrd" in pins[-1:]
-        if [f"C{node}" in cards for node in pins[:len(pins) - contrd]] != [False, True]:
-            raise ValueError(f"subcircuit {name} needs one input pin and one output pin, "
-                             f"got pins {' '.join(pins)}")
-        names.append(name)
-        fragments += _fragment_lines(sub)
-        instances.append(" ".join((f"X{letter}", inbound, outbound,
-                                   *[f"contrd{letter.lower()}"] * contrd, name)))
-    if names[0] == names[1]:
-        raise ValueError(f"both subcircuits are named {names[0]}")
-    lines = [f"* ring network: {names[0]} <-> {names[1]}", *fragments, *instances,
-             f".tran 0 {_fmt(t_ev)} 0 uic", ".end"]
+def network_deck(nodes: Sequence[SolverNode], wiring: Wiring, seeds: Sequence[int],
+                 t_ev: float = NetlistOptions.t_ev) -> str:
+    """Top-level deck of the network simulate_network(nodes, wiring,
+    seeds=seeds) integrates, checked by network._validate with its messages
+    (t_ev by NetlistOptions' rule).  Node i is subcircuit node{i}: its
+    solver, options and pins, seeds[i] as ic_seed, so each cell starts at
+    the network's first record row.  Instance X{i} ties each output v to
+    net n{i}_v, each input to its source's net, contrd to contrd{i}.
+    Drives have no deck form yet (ValueError).  In the deck an input shares
+    one net with its source, so partners couple continuously; in
+    simulate_network each partner value is held for one sample_interval.
+    """
+    fed = _validate(nodes, wiring, seeds)
+    if wiring.drives:
+        raise ValueError("network_deck cannot emit drives yet, got "
+                         + ", ".join(f"drive {k}" for k in range(len(wiring.drives))))
+    lines, instances = [f"* network of {len(nodes)} solver nodes"], []
+    for i, (node, seed) in enumerate(zip(nodes, seeds)):
+        spec = SubcircuitSpec(f"node{i}", node.input_vars, node.output_vars)
+        options = NetlistOptions(t_ev, solver_options=node.solver_options,
+                                 ic_seed=require_integer(seed, "seed"), subcircuit=spec)
+        lines += _fragment_lines(_build(node.problem, options, node.solver))
+        nets = [f"n{fed[i, var][1]}_{fed[i, var][2]}" for var in node.input_vars]
+        nets += [f"n{i}_{var}" for var in node.output_vars]
+        instances += _wrap_line(" ".join((f"X{i}", *nets, f"contrd{i}", spec.name)))
+    lines += [*instances, f".tran 0 {_fmt(t_ev)} 0 uic", ".end"]
     return "\n".join(lines) + "\n"

@@ -131,10 +131,15 @@ class Wiring:
         object.__setattr__(self, "drives", tuple(self.drives))
 
 
-def _validate(nodes: Sequence[SolverNode], wiring: Wiring):
+def _validate(nodes: Sequence[SolverNode], wiring: Wiring, seeds: Sequence[int]):
+    if not nodes or len(seeds) != len(nodes):
+        raise ValueError("need at least one node and exactly one seed per node")
     fed: dict[tuple[int, int], Source] = {}
     for source, target in wiring.edges:
-        what = f"index in edge {source} -> {target}"  # a float or bool is no index
+        edge = f"edge {source} -> {target}"
+        what = f"index in {edge}"  # a float or bool is no index
+        if len(target) != 2:
+            raise ValueError(f"{edge}: a target has 2 fields, got {len(target)}")
         t_node, t_var = target = tuple(require_integer(i, what) for i in target)
         if not 0 <= t_node < len(nodes):
             raise ValueError(f"edge targets unknown node {t_node}")
@@ -142,9 +147,13 @@ def _validate(nodes: Sequence[SolverNode], wiring: Wiring):
             raise ValueError(f"edge targets non-input variable {t_var} of node {t_node}")
         if target in fed:
             raise ValueError(f"input {target} fed by more than one source")
-        if source[0] not in ("drive", "node"):
-            raise ValueError(f"unknown source kind {source[0]!r}")
-        source = (source[0], *(require_integer(i, what) for i in source[1:]))
+        kind = source[0] if source else None
+        if kind not in ("drive", "node"):
+            raise ValueError(f"unknown source kind {kind!r}")
+        size = 2 if kind == "drive" else 3
+        if len(source) != size:
+            raise ValueError(f"{edge}: a {kind} source has {size} fields, got {len(source)}")
+        source = (kind, *(require_integer(i, what) for i in source[1:]))
         if source[0] == "drive":
             if not 0 <= source[1] < len(wiring.drives):
                 raise ValueError(f"edge references unknown drive {source[1]}")
@@ -179,9 +188,7 @@ def simulate_network(nodes: Sequence[SolverNode], wiring: Wiring,
     if not isinstance(stop_on_solve, bool):
         raise ValueError(f"stop_on_solve must be a bool, got {stop_on_solve!r}")
     nodes = list(nodes)
-    if not nodes or len(seeds) != len(nodes):
-        raise ValueError("need at least one node and exactly one seed per node")
-    fed = _validate(nodes, wiring)
+    fed = _validate(nodes, wiring, seeds)
     runs = [_Member(node.problem, node.solver, seed, config, node.solver_options)
             for node, seed in zip(nodes, seeds)]
     group = _Group(runs, config, fed, wiring.drives, stop_on_solve)

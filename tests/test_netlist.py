@@ -7,6 +7,7 @@ import pytest
 
 from ctsat.cnf import Problem
 from ctsat.dynamics import (
+    ANALOG,
     AnalogOptions,
     AnalogState,
     MemOptions,
@@ -25,14 +26,14 @@ from ctsat.netlist import (
     NetlistOptions,
     SubcircuitSpec,
     card_histogram,
-    compose_ring_deck,
     emit_analog,
     emit_mem,
     evaluate_deck_rhs,
+    network_deck,
     serialize,
     undeclared_references,
 )
-from ctsat.network import SolverNode, Wiring, simulate_network
+from ctsat.network import SolverNode, SquareWave, Wiring, simulate_network
 from ctsat import spice_expr
 
 TINY = Problem.from_dimacs_clauses(3, [(1, -2, 3)])
@@ -551,25 +552,25 @@ def test_subcircuit_analog_variant():
     assert "Cs1" not in {c.name for c in doc.elements}
 
 
+def ring_network():
+    """A two-node mem ring on one instance: each node's variable 2 feeds the
+    other's input 1."""
+    problem = gen_xorsat_3r(10, seed=1).problem
+    nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,)) for _ in range(2)]
+    wiring = Wiring(edges=((("node", 1, 2), (0, 1)), (("node", 0, 2), (1, 1))))
+    return nodes, wiring, (11, 12)
+
+
 def test_ring_deck_instantiates_twice_with_cross_wiring():
-    problem = sample_problem(n=6)
-    make = lambda name, contrd=True: emit_mem(
-        problem,
-        NetlistOptions(subcircuit=SubcircuitSpec(name=name, inputs=(1,), outputs=(2,),
-                                                 expose_contrd=contrd)),
-    )
-    text = compose_ring_deck(make("solva"), make("solvb"), t_ev=300.0)
-    lines = text.splitlines()
-    assert "XA net_ba net_ab contrda solva" in lines
-    assert "XB net_ab net_ba contrdb solvb" in lines
-    assert sum(1 for line in lines if line.startswith(".subckt")) == 2
-    assert lines[-1] == ".end"
-    # without contrd pins the instances take two nodes each
-    text = compose_ring_deck(make("solva", False), make("solvb", False))
-    assert "XA net_ba net_ab solva" in text.splitlines()
-    assert f".tran 0 {NetlistOptions.t_ev!r} 0 uic" in text.splitlines()  # the one default
-    with pytest.raises(ValueError, match="^compose_ring_deck needs subcircuit documents$"):
-        compose_ring_deck(make("solva"), emit_mem(problem))
+    lines = network_deck(*ring_network(), t_ev=250.0).splitlines()
+    assert [line for line in lines if line.startswith(".subckt")] == [
+        ".subckt node0 v1 v2 contrd", ".subckt node1 v1 v2 contrd"]
+    # each input pin sits on its partner's output net
+    assert [line for line in lines if line.startswith("X")] == [
+        "X0 n1_2 n0_2 contrd0 node0", "X1 n0_2 n1_2 contrd1 node1"]
+    assert lines[-2:] == [".tran 0 250.0 0 uic", ".end"]
+    default = network_deck(*ring_network()).splitlines()
+    assert default[-2] == f".tran 0 {NetlistOptions.t_ev!r} 0 uic"  # the one default
 
 
 @pytest.mark.parametrize("t_ev, message", [
@@ -579,7 +580,7 @@ def test_ring_deck_instantiates_twice_with_cross_wiring():
 def test_ring_deck_checks_t_ev_as_netlist_options_do(t_ev, message):
     # the ring deck wrote .tran 0 -5.0 0 uic and .tran 0 nan 0 uic unchecked
     for build in (lambda: NetlistOptions(t_ev=t_ev),
-                  lambda: compose_ring_deck(ring_part("A"), ring_part("B"), t_ev=t_ev)):
+                  lambda: network_deck(*ring_network(), t_ev=t_ev)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
@@ -587,16 +588,11 @@ def test_ring_deck_checks_t_ev_as_netlist_options_do(t_ev, message):
 def test_ring_deck_starts_where_its_network_does():
     # the ring deck wrote no start for either instance, so under uic every
     # capacitor began at 0 V: each xl below its lower bound 1, each v unseeded
-    problem, seeds, names = gen_xorsat_3r(10, seed=1).problem, (11, 12), ("solva", "solvb")
-    text = compose_ring_deck(*(
-        emit_mem(problem, NetlistOptions(ic_seed=seed, subcircuit=SubcircuitSpec(name, (1,), (2,))))
-        for name, seed in zip(names, seeds)))
-    nodes = [SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,)) for _ in seeds]
-    wiring = Wiring(edges=((("node", 1, 2), (0, 1)), (("node", 0, 2), (1, 1))))
+    nodes, wiring, seeds = ring_network()
+    lines = network_deck(nodes, wiring, seeds).splitlines()
     records = simulate_network(nodes, wiring, IntegratorConfig(t_ev=0.1), seeds=seeds)
-    lines = text.splitlines()
-    for name, record in zip(names, records):
-        fragment = lines[lines.index(f".subckt {name} v1 v2 contrd"):lines.index(f".ends {name}")]
+    for i, record in enumerate(records):
+        fragment = lines[lines.index(f".subckt node{i} v1 v2 contrd"):lines.index(f".ends node{i}")]
         ics = {card[1]: card[4] for card in map(str.split, fragment) if card[0].startswith("C")}
         assert ics == {node: f"IC={x!r}" for node, x in zip(record.state_columns,
                                                              record.states[0].tolist())
@@ -605,27 +601,78 @@ def test_ring_deck_starts_where_its_network_does():
     assert not any(line.startswith(".ic") for line in lines)
 
 
-def ring_part(name, inputs=(1,), outputs=(2,), expose_contrd=True):
-    spec = SubcircuitSpec(name, inputs, outputs, expose_contrd)
-    return emit_mem(sample_problem(n=6), NetlistOptions(subcircuit=spec))
+def chain_network():
+    """mem -> analog (aux_mode "K") -> mem: node 0's variable 2 fans out to
+    input 1 of both other nodes, node 1's variable 3 feeds node 2's input 2."""
+    problem = gen_xorsat_3r(10, seed=1).problem
+    nodes = [SolverNode(problem, MEM, output_vars=(2,)),
+             SolverNode(sample_problem(n=8), ANALOG, input_vars=(1,), output_vars=(3,),
+                        solver_options=AnalogOptions(aux_mode="K")),
+             SolverNode(problem, MEM, input_vars=(1, 2), output_vars=(4,))]
+    wiring = Wiring(edges=((("node", 0, 2), (1, 1)), (("node", 0, 2), (2, 1)),
+                           (("node", 1, 3), (2, 2))))
+    return nodes, wiring, (3, 4, 5)
 
 
-@pytest.mark.parametrize("part_a, part_b, message", [
-    # each composed a deck wired against pins its subcircuit does not have
-    (("A", (1, 2), (3,)), ("B",), "subcircuit A needs one input pin and one output pin, "
-                                  "got pins v1 v2 v3 contrd"),
-    (("A",), ("B", (), (3, 4), False), "subcircuit B needs one input pin and one output "
-                                       "pin, got pins v3 v4"),
-    (("A", (), (1,)), ("B",), "subcircuit A needs one input pin and one output pin, "
-                              "got pins v1 contrd"),
-    (("A", (2,), ()), ("B",), "subcircuit A needs one input pin and one output pin, "
-                              "got pins v2 contrd"),
-    (("A", (1, 2), (3,)), ("A", (), (3, 4), False), "subcircuit A needs one input pin"),
-    (("A",), ("A",), "both subcircuits are named A"),
-], ids=["two-inputs", "two-outputs", "no-input", "no-output", "issue-pair", "same-name"])
-def test_ring_deck_rejects_subcircuits_it_cannot_wire(part_a, part_b, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        compose_ring_deck(ring_part(*part_a), ring_part(*part_b))
+def test_network_deck_wires_each_input_to_its_source():
+    nodes, wiring, seeds = chain_network()
+    cards = [line.split() for line in network_deck(nodes, wiring, seeds).splitlines()
+             if line.startswith("X")]
+    assert cards == [["X0", "n0_2", "contrd0", "node0"],
+                     ["X1", "n0_2", "n1_3", "contrd1", "node1"],
+                     ["X2", "n0_2", "n1_3", "n2_4", "contrd2", "node2"]]
+    input_nets = {(int(card[0][1:]), var): net for card, node in zip(cards, nodes)
+                  for var, net in zip(node.input_vars, card[1:])}
+    assert input_nets == {target: f"n{source[1]}_{source[2]}" for source, target in wiring.edges}
+
+
+def test_network_deck_fragments_are_the_emitted_subcircuits():
+    # so the deck checks of emit_analog and emit_mem cover every fragment
+    nodes, wiring, seeds = chain_network()
+    text = network_deck(nodes, wiring, seeds)
+    fragments = ""
+    for i, (node, seed) in enumerate(zip(nodes, seeds)):
+        spec = SubcircuitSpec(f"node{i}", node.input_vars, node.output_vars)
+        emit = emit_analog if node.solver == ANALOG else emit_mem
+        doc = emit(node.problem, NetlistOptions(solver_options=node.solver_options,
+                                                ic_seed=seed, subcircuit=spec))
+        assert undeclared_references(doc) == []
+        fragments += serialize(doc).split("\n", 1)[1]  # without its title line
+    title, body = text.split("\n", 1)
+    assert title == "* network of 3 solver nodes"
+    assert body.startswith(fragments)
+    assert [line.split()[0] for line in body[len(fragments):].splitlines()] == [
+        "X0", "X1", "X2", ".tran", ".end"]
+    assert network_deck(*chain_network()) == text  # byte-identical on a second call
+
+
+@pytest.mark.parametrize("network, message", [
+    (lambda nodes, wiring, seeds: (nodes, Wiring(wiring.edges[:2]), seeds),
+     "input variable 2 of node 2 is unwired"),
+    (lambda nodes, wiring, seeds: (nodes, wiring, seeds[:2]),
+     "need at least one node and exactly one seed per node"),
+    (lambda nodes, wiring, seeds: ([], Wiring(), []),
+     "need at least one node and exactly one seed per node"),
+    (lambda nodes, wiring, seeds: (nodes, Wiring(((("node", 0), (1, 1)), *wiring.edges[1:])),
+                                   seeds),
+     "edge ('node', 0) -> (1, 1): a node source has 3 fields, got 2"),
+    (lambda nodes, wiring, seeds: (nodes, wiring, (3, 2.7, 5)), "seed must be an integer, got 2.7"),
+], ids=["unwired", "seed-count", "no-nodes", "short-source", "float-seed"])
+def test_network_deck_rejects_what_simulate_network_rejects(network, message):
+    nodes, wiring, seeds = network(*chain_network())
+    for build in (network_deck,
+                  lambda nodes, wiring, seeds: simulate_network(nodes, wiring, seeds=seeds)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(nodes, wiring, seeds)
+
+
+def test_network_deck_rejects_drives_by_name():
+    nodes, wiring, seeds = chain_network()
+    driven = Wiring(((("drive", 0), (1, 1)), (("drive", 1), (2, 1)), wiring.edges[2]),
+                    drives=(SquareWave(period=2.0), SquareWave(period=3.0)))
+    message = "network_deck cannot emit drives yet, got drive 0, drive 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_deck(nodes, driven, seeds)
 
 
 # -------------------------------------------------------------- expression parser

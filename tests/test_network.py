@@ -153,6 +153,16 @@ def test_wiring_validation():
      "index in edge ('drive', True) -> (0, 1) must be an integer, got True"),
     ((("node", 0, 2.0), (0, 1)),
      "index in edge ('node', 0, 2.0) -> (0, 1) must be an integer, got 2.0"),
+    # the first two ended in an IndexError, the third ran as drive 0
+    ((("node", 0), (0, 1)), "edge ('node', 0) -> (0, 1): a node source has 3 fields, got 2"),
+    ((("drive",), (0, 1)), "edge ('drive',) -> (0, 1): a drive source has 2 fields, got 1"),
+    ((("drive", 0, 5), (0, 1)),
+     "edge ('drive', 0, 5) -> (0, 1): a drive source has 2 fields, got 3"),
+    # an empty source ended in an IndexError, a short or long target in an
+    # unpacking error that did not name the edge
+    (((), (0, 1)), "unknown source kind None"),
+    ((("drive", 0), (0,)), "edge ('drive', 0) -> (0,): a target has 2 fields, got 1"),
+    ((("drive", 0), (0, 1, 7)), "edge ('drive', 0) -> (0, 1, 7): a target has 2 fields, got 3"),
 ])
 def test_wiring_rejects_bad_edges(edge, message):
     inst = gen_barthel(BarthelParams(num_vars=6, ratio=3.0, seed=0))
