@@ -90,19 +90,32 @@ class NetlistDocument:
     def parsed(self):
         """({function name: program}, {target node: program}): every function
         body and behavioral-source expression of the deck, in deck order,
-        parsed once per document into a spice_expr postfix program."""
+        parsed by one spice_expr.parse_expressions call per document into
+        postfix programs.  A duplicate name or target raises after every
+        expression above it has parsed, so the first error in deck order wins."""
         functions, sources = {}, {}
-        for func in self.functions:
-            if func.name in functions:
-                raise ValueError(f"function {func.name}() is defined twice")
-            functions[func.name] = spice_expr.parse_expression(func.body)
-        for card in self.elements:
-            if card.name.startswith("B"):
-                kind, expr = card.value.split("=", 1)
-                target = card.nodes[1] if kind == "I" else card.nodes[0]
-                if target in sources:
-                    raise ValueError(f"node {target} is driven by two behavioral sources")
-                sources[target] = spice_expr.parse_expression(expr)
+        slots = []  # (table, key) of each expression, in deck order
+
+        def expressions():
+            for func in self.functions:
+                if func.name in functions:
+                    raise ValueError(f"function {func.name}() is defined twice")
+                functions[func.name] = None
+                slots.append((functions, func.name))
+                yield func.body
+            for card in self.elements:
+                if card.name.startswith("B"):
+                    kind, expr = card.value.split("=", 1)
+                    target = card.nodes[1] if kind == "I" else card.nodes[0]
+                    if target in sources:
+                        raise ValueError(f"node {target} is driven by two behavioral sources")
+                    sources[target] = None
+                    slots.append((sources, target))
+                    yield expr
+
+        programs = spice_expr.parse_expressions(expressions())
+        for (table, key), program in zip(slots, programs):
+            table[key] = program
         return functions, sources
 
 

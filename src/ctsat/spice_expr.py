@@ -19,6 +19,8 @@ A deck is evaluated top to bottom: a deck function may call only the
 functions defined above it, so each is evaluated once, callee first, and
 evaluate reads a user function's value from `values` (name -> value at
 the same voltages) instead of running its body.  Nothing here recurses.
+parse_expressions parses all of a deck's texts in one call and each
+expression shape in them once, with the same programs as text by text.
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -32,7 +34,7 @@ import re
 import string
 from typing import Mapping
 
-__all__ = ["BUILTINS", "ExprError", "parse_expression", "evaluate"]
+__all__ = ["BUILTINS", "ExprError", "parse_expression", "parse_expressions", "evaluate"]
 
 
 class ExprError(ValueError):
@@ -113,6 +115,70 @@ def parse_expression(text: str):
                             if ops[-1][0] == -1 else f"trailing input at {token!r}")
         operand = True
     return out
+
+
+# A leaf token as _TOKEN cuts it: a whole V(node) or a user call name(),
+# never V( or a builtin.  In a text that parses, the matches are exactly its
+# leaf tokens, and another text with the same pieces between its matches
+# tokenizes the same up to those leaves.
+_LEAF = re.compile(r"(V\([A-Za-z_][A-Za-z_0-9]*\)|(?!(?:V|u|min|if)\()[A-Za-z_][A-Za-z_0-9]*\(\))")
+_SUM_BREAKERS = ("+", "-", "<=")  # a term ending in one regroups a term-wise sum
+
+
+def parse_expressions(texts):
+    """[parse_expression(text) for text in texts], or its first ExprError,
+    with each expression shape parsed once.
+
+    A text the emitter writes as a sum, t1 + t2 + ..., is parsed term by
+    term and joined as t1, t2, "+", t3, "+", ... when every term parses,
+    the first does not end in "<=" and no later one ends in "+", "-" or
+    "<=": exactly the program of the whole text.  Any other text is parsed
+    whole.  Each term (or whole text) is keyed by its text with the leaf
+    tokens cut out; a key seen before in this call reuses that program with
+    this text's leaves in their slots (operands keep their text order), and
+    only a new key reaches parse_expression.  The table lives for this call
+    only.  texts is drawn one at a time, so whatever drawing the next text
+    raises comes after every earlier text is parsed.
+    """
+    shapes = {}  # leaf-free text -> (program, indices of its leaf entries)
+    leaves = {}  # leaf token -> its program entry
+
+    def shaped(text):
+        parts = _LEAF.split(text)
+        key = tuple(parts[::2])
+        hit = shapes.get(key)
+        if hit is None:
+            program = parse_expression(text)
+            shapes[key] = program, [k for k, entry in enumerate(program)
+                                    if entry.__class__ is tuple and len(entry) == 2]
+            return program
+        program, slots = hit
+        program = program.copy()
+        for k, leaf in zip(slots, parts[1::2]):
+            entry = leaves.get(leaf)
+            if entry is None:
+                entry = leaves[leaf] = (("V", leaf[2:-1]) if leaf[:2] == "V("
+                                        else ("call", leaf[:-2]))
+            program[k] = entry
+        return program
+
+    programs = []
+    for text in texts:
+        terms = text.split(" + ")
+        if len(terms) > 1:
+            try:
+                first, *rest = map(shaped, terms)
+            except ExprError:  # some term is no expression alone
+                rest = None
+            if rest and first[-1] != "<=" and all(term[-1] not in _SUM_BREAKERS for term in rest):
+                program = first.copy()
+                for term in rest:
+                    program += term
+                    program.append("+")
+                programs.append(program)
+                continue
+        programs.append(shaped(text))
+    return programs
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,

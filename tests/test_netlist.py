@@ -163,10 +163,15 @@ def test_undeclared_references_lists_every_problem_in_order():
     ((FuncDef("f", "1"), FuncDef("f", "2")), (), "function f\\(\\) is defined twice"),
     ((), (Card("Bs1", ("0", "s1"), "I=1"), Card("Bt1", ("s1", "0"), "V=2")),
      "node s1 is driven by two behavioral sources"),
+    ((FuncDef("f", "1 +"), FuncDef("f", "2")), (), "^unexpected 'end of input'$"),
+    ((FuncDef("f", "1"),), (Card("Bs1", ("0", "s1"), "I=1"), Card("Bt1", ("s1", "0"), "V=2"),
+                            Card("Bs2", ("0", "s2"), "I=1 +")),
+     "node s1 is driven by two behavioral sources"),
 ])
 def test_deck_checks_reject_duplicate_definitions(functions, elements, message):
     # the checks key functions by name and sources by target node, so a
-    # duplicate would otherwise hide one of the two definitions
+    # duplicate would otherwise hide one of the two definitions; whichever
+    # of a parse error and a duplicate comes first in deck order is raised
     doc = NetlistDocument("* duplicates", functions, elements, ())
     for check in (undeclared_references, lambda d: evaluate_deck_rhs(d, {})):
         with pytest.raises(ValueError, match=message):
@@ -426,11 +431,19 @@ def test_deck_checks_scale_past_a_thousand_clauses():
     assert got["contrd"] == contrd
 
 
+def _deck_texts(doc):
+    """Every function body, then every behavioral-source expression, in deck order."""
+    return [func.body for func in doc.functions] + [
+        card.value.split("=", 1)[1] for card in doc.elements if card.name.startswith("B")]
+
+
 def test_deck_checks_parse_each_document_once(monkeypatch):
-    parse = spice_expr.parse_expression
-    texts = []
-    monkeypatch.setattr(spice_expr, "parse_expression",
-                        lambda text: texts.append(text) or parse(text))
+    # one parse_expressions call per document receives each function body
+    # and source text once, in deck order, however many checks read it
+    parse = spice_expr.parse_expressions
+    calls = []
+    monkeypatch.setattr(spice_expr, "parse_expressions",
+                        lambda texts: calls.append(list(texts)) or parse(calls[-1]))
     problem = sample_problem()
     n, m = problem.num_vars, problem.num_clauses
     doc = emit_mem(problem)
@@ -439,8 +452,7 @@ def test_deck_checks_parse_each_document_once(monkeypatch):
     for _ in range(2):
         evaluate_deck_rhs(doc, mem_voltages(problem, rng.uniform(-1, 1, n),
                                             rng.uniform(0, 1, m), rng.uniform(1, 20, m)))
-    sources = sum(card.name.startswith("B") for card in doc.elements)
-    assert len(texts) == len(doc.functions) + sources
+    assert calls == [_deck_texts(doc)]
 
 
 # ------------------------------------------------------------------ subcircuits
@@ -944,3 +956,68 @@ def test_random_expressions_match_their_python_values():
         got_refs = _references(program)
         assert float.hex(got) == float.hex(value), text
         assert got_refs == refs, text
+
+
+# ------------------------------------------------------ one parse per document
+
+def _same_as_each(texts):
+    """parse_expressions(texts) returns the per-text programs, or raises the
+    first per-text ExprError with its message."""
+    try:
+        want = [spice_expr.parse_expression(text) for text in texts]
+    except spice_expr.ExprError as error:
+        with pytest.raises(spice_expr.ExprError, match=f"^{re.escape(str(error))}$"):
+            spice_expr.parse_expressions(texts)
+    else:
+        assert spice_expr.parse_expressions(texts) == want, texts
+
+
+def test_every_deck_variant_parses_as_text_by_text():
+    for doc in _deck_variants():
+        functions, sources = doc.parsed
+        assert [*functions.values(), *sources.values()] == [
+            spice_expr.parse_expression(text) for text in _deck_texts(doc)]
+
+
+# Valid texts whose terms share the leaf-free shapes of the pinned cases
+# ("V()" is no call: once f()+1 is in the table, V()+1 must still raise).
+_PRIMERS = ["1", "2", "3", "g()", "V(b)", "V(b) - g()", "g() - 2", "V(b) <= 1", "V(b) <= 2",
+            "f()+1", "g() + 1", "min(V(b) + 1, 2)", "1 + 2"]
+
+
+@pytest.mark.parametrize("text", [
+    "u() + 1", "V(a) - f() + 2", "V(a) + f() - 2", "V(a) <= 1 + 2", "1 + V(a) <= 2",
+    "1 + 2 <= 3 <= 4", "min(V(a) + 1, 2)", "( 1 + 2 )", "1 * + 2", "V()+1", *_REMOVED_FORMS,
+])
+def test_parse_expressions_pinned_cases(text):
+    # a term-wise sum joins only where it regroups nothing; alone, and after
+    # texts that put its terms' shapes in the table
+    _same_as_each([text])
+    _same_as_each(_PRIMERS + [text])
+
+
+def _relabel(rng, text):
+    """text with each V(node) and user call replaced by a random one: the
+    same leaf-free shape with other leaves."""
+    leaves = [f"V({node})" for node in _VOLTS] + [f"{name}()" for name in _USER]
+    return re.sub(r"V\(\w+\)|\b[fgh]\(\)", lambda _: leaves[rng.integers(len(leaves))], text)
+
+
+def test_parse_expressions_equal_parsing_each_text():
+    rng = np.random.default_rng(19)
+    texts = []
+    for _ in range(400):
+        terms = [_random_expression(rng, 0, (set(), set()))[0] for _ in range(rng.integers(1, 5))]
+        text = terms[0] + "".join(rng.choice([" + ", " - "]) + term for term in terms[1:])
+        texts += [text, _relabel(rng, text)]
+    valid = [text for text in texts if _parses(text)]
+    assert len(valid) < len(texts)  # sums of comparisons chain
+    _same_as_each(valid)
+    # each text cut or widened by one character, after the text itself
+    # has put its shapes in the table
+    for text in valid[:300]:
+        k = rng.integers(len(text) + 1)
+        widened = text[:k] + rng.choice(list("V(u.e1 +-)")) + text[k:]
+        for broken in (text[:k] + text[k + 1:], widened):
+            _same_as_each([text, broken])
+            _same_as_each([_relabel(rng, text), broken])
