@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -168,56 +169,62 @@ def assignment_to_bits(assignment: Assignment) -> str:
     return "".join("1" if v else "0" for v in np.asarray(assignment, dtype=bool))
 
 
-def parse_dimacs(text) -> Problem:
-    """Parse DIMACS CNF text into a Problem.
+_INTEGER = re.compile(r"-?[0-9]+")
+_MAX_DIGITS = 18  # every integer of at most 18 decimal digits fits an int64
 
-    Accepts a string or a file-like object. The format is strict: optional
-    'c' comment lines, a single 'p cnf N M' header, then M clause lines of
-    exactly three distinct literals terminated by 0. Legacy SATLIB '%' / '0'
-    trailer lines after the clauses are tolerated and ignored.
-    """
-    if hasattr(text, "read"):
-        text = text.read()
 
-    num_vars = None
-    declared_clauses = None
-    clauses: list[list[int]] = []
-    in_trailer = False
+def _integers(tokens: list[str]) -> list[int] | None:
+    """tokens as ints, or None when one is not an ASCII -?[0-9]+ (int() alone
+    would also read '+1', '1_0' and non-ASCII digits)."""
+    if all(_INTEGER.fullmatch(tok) for tok in tokens):
+        return [int(tok) for tok in tokens]
+    return None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+class _LineRules:
+    """The format's rules, applied to one line at a time.  parse_dimacs runs
+    them on every line that its array checks do not settle: the lines up to
+    the header, comments, blank lines, the trailer, a lone final 0, a clause
+    line that is not four tokens between spaces and tabs, and the first
+    clause line that fails an array check, whose fault they name."""
+
+    def __init__(self):
+        self.num_vars = None
+        self.declared = None
+        self.in_trailer = False
+
+    def read(self, lineno: int, raw: str, clauses: int) -> list[int] | None:
+        """The three literals of a clause line, None for any other line;
+        clauses counts the clause lines before it."""
         line = raw.strip()
         if not line or line.startswith("c"):
-            continue
+            return None
         if line == "%":
-            in_trailer = True
-            continue
-        if in_trailer:
+            self.in_trailer = True
+            return None
+        if self.in_trailer:
             if line == "0":
-                continue
+                return None
             raise DimacsError(f"line {lineno}: unexpected content after '%' trailer: {line!r}")
         if line.startswith("p"):
-            if num_vars is not None:
+            if self.num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem header")
             parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            sizes = _integers(parts[2:])
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"] or sizes is None:
                 raise DimacsError(f"line {lineno}: malformed header: {line!r}")
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header: {line!r}") from None
-            if num_vars < 1 or declared_clauses < 1:
+            self.num_vars, self.declared = sizes
+            if self.num_vars < 1 or self.declared < 1:
                 raise DimacsError(f"line {lineno}: header declares empty problem: {line!r}")
-            continue
-        if num_vars is None:
+            return None
+        if self.num_vars is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
-        if len(clauses) == declared_clauses and line == "0":
+        if clauses == self.declared and line == "0":
             # some writers emit a lone trailing 0
-            continue
-        try:
-            codes = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise DimacsError(f"line {lineno}: non-integer token in clause: {line!r}") from None
+            return None
+        codes = _integers(line.split())
+        if codes is None:
+            raise DimacsError(f"line {lineno}: non-integer token in clause: {line!r}")
         if not codes or codes[-1] != 0:
             raise DimacsError(f"line {lineno}: clause line must end with 0: {line!r}")
         codes = codes[:-1]
@@ -230,35 +237,121 @@ def parse_dimacs(text) -> Problem:
         if len({abs(c) for c in codes}) != 3:
             raise DimacsError(f"line {lineno}: repeated variable within clause: {line!r}")
         for c in codes:
-            if abs(c) > num_vars:
+            if abs(c) > self.num_vars:
                 raise DimacsError(
-                    f"line {lineno}: variable {abs(c)} out of range (header N={num_vars})"
+                    f"line {lineno}: variable {abs(c)} out of range (header N={self.num_vars})"
                 )
-        clauses.append(codes)
+        return codes
 
-    if num_vars is None:
-        raise DimacsError("missing 'p cnf' header")
-    if len(clauses) != declared_clauses:
+
+def _four_token_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(four, codes): which lines hold exactly four tokens of -?[0-9]+, each
+    of at most 18 digits, with only spaces and tabs around them, and those
+    tokens as a (K, 4) int64 array in line order, read from the lines' bytes
+    in one pass of array operations."""
+    # 'replace' keeps one byte per character: each non-ASCII one becomes '?'
+    data = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"), np.uint8)
+    space = (data == 32) | (data == 9) | (data == 10)
+    first = ~space
+    first[1:] &= space[:-1]
+    last = ~space
+    last[:-1] &= space[1:]
+    start, end = np.flatnonzero(first), np.flatnonzero(last)
+    minus = data[start] == 45
+    width = end - start + 1 - minus  # digits of each token
+    stray = ~space & ((data < 48) | (data > 57))
+    stray[start[minus]] = False  # a token's leading minus
+    ends = np.flatnonzero(data == 10)  # the newline that ends each line
+    line = np.searchsorted(ends, start)
+    four = np.bincount(line, minlength=len(lines)) == 4
+    four[np.searchsorted(ends, np.flatnonzero(stray))] = False
+    four[line[(width < 1) | (width > _MAX_DIGITS)]] = False
+    keep = four[line]
+    first_digit, end, minus = (start + minus)[keep], end[keep], minus[keep]
+    codes = np.zeros(len(end), dtype=np.int64)
+    for k in range(int((end - first_digit).max(initial=-1)) + 1):  # digits right to left
+        at = end - k
+        codes += 10**k * np.where(at >= first_digit, data[at] - 48, 0).astype(np.int64)
+    codes = np.where(minus, -codes, codes)
+    return four, codes.reshape(-1, 4)
+
+
+def parse_dimacs(text) -> Problem:
+    """Parse DIMACS CNF text into a Problem.
+
+    Accepts a string or a file-like object. The format is strict: optional
+    'c' comment lines, a single 'p cnf N M' header, then M clause lines of
+    exactly three distinct literals terminated by 0. Every header field and
+    clause token is an ASCII integer, -?[0-9]+; lines end at the
+    str.splitlines breaks. Legacy SATLIB '%' / '0' trailer lines after the
+    clauses are tolerated and ignored.
+
+    The lines after the header that hold four integer tokens are read and
+    checked as one (K, 4) array; _LineRules reads every other line, and the
+    first one that fails an array check, so each rule and message is stated
+    once.
+    """
+    if hasattr(text, "read"):
+        text = text.read()
+    lines = text.splitlines()
+    rules = _LineRules()
+    head = 0
+    while rules.num_vars is None:
+        if head == len(lines):
+            raise DimacsError("missing 'p cnf' header")
+        rules.read(head + 1, lines[head], 0)
+        head += 1
+    body = lines[head:]
+    four, codes = _four_token_lines(body)
+    rows = np.flatnonzero(four)
+    trailer = next((i for i in np.flatnonzero(~four).tolist() if body[i].strip() == "%"),
+                   len(body))
+    literals = codes[:, :3]
+    var = np.abs(literals)
+    a, b, c = var.T
+    fault = ((codes[:, 3] != 0) | (literals == 0).any(axis=1) | (a == b) | (a == c) | (b == c)
+             | (var > rules.num_vars).any(axis=1) | (rows > trailer))
+    rows, literals = rows[~fault], literals[~fault]
+    settled = np.zeros(len(body), dtype=bool)
+    settled[rows] = True
+    extra = {}  # body index -> literals of a clause line that only the line rules read
+    for k, i in enumerate(np.flatnonzero(~settled).tolist()):
+        # before line i come i - k settled clause lines and every extra one
+        found = rules.read(head + i + 1, body[i], i - k + len(extra))
+        if found is not None:
+            extra[i] = found
+    if extra:
+        order = np.argsort(np.concatenate([rows, list(extra)]))
+        literals = np.concatenate([literals, np.array(list(extra.values()), dtype=np.int64)])
+        literals = literals[order]
+    if len(literals) != rules.declared:
         raise DimacsError(
-            f"header declares {declared_clauses} clauses, file has {len(clauses)}"
+            f"header declares {rules.declared} clauses, file has {len(literals)}"
         )
-    return Problem.from_dimacs_clauses(num_vars, clauses)
+    return Problem.from_dimacs_clauses(rules.num_vars, literals)
 
 
 def read_dimacs(path) -> Problem:
     """Parse the DIMACS file at path; a malformed one raises DimacsError naming it."""
     try:
-        return parse_dimacs(Path(path).read_text())
+        return parse_dimacs(Path(path).read_text(encoding="utf-8"))
     except (DimacsError, UnicodeDecodeError) as exc:
         raise DimacsError(f"{path}: {exc}") from None
 
 
 def write_dimacs(problem: Problem, comments: Sequence[str] = ()) -> str:
-    """Serialize a Problem to canonical DIMACS text (newline line endings)."""
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {problem.num_vars} {problem.num_clauses}")
-    lines.extend(" ".join(map(str, codes)) + " 0" for codes in problem.dimacs_clauses().tolist())
-    return "\n".join(lines) + "\n"
+    """Serialize a Problem to canonical DIMACS text (newline line endings).
+    A comment that holds a line break (any str.splitlines break) raises
+    ValueError, since its text would no longer read as one comment line."""
+    head = []
+    for comment in comments:
+        line = f"c {comment}"
+        if line.splitlines() != [line]:
+            raise ValueError(f"comment {comment!r} holds a line break")
+        head.append(line + "\n")
+    head.append(f"p cnf {problem.num_vars} {problem.num_clauses}\n")
+    codes = tuple(problem.dimacs_clauses().ravel().tolist())
+    return "".join(head) + "%d %d %d 0\n" * problem.num_clauses % codes
 
 
 def count_unsatisfied(problem: Problem, assignment: Assignment) -> int:

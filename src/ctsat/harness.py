@@ -86,7 +86,8 @@ def save_instance(inst: PlantedInstance, directory, name: str,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     cnf_path = directory / f"{name}.cnf"
-    cnf_path.write_text(write_dimacs(inst.problem, comments=[f"{family} instance {name}"]))
+    cnf_path.write_text(write_dimacs(inst.problem, comments=[f"{family} instance {name}"]),
+                        encoding="utf-8")
     sidecar = {
         "family": family,
         "num_vars": inst.problem.num_vars,

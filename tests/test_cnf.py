@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -14,7 +15,85 @@ from ctsat.cnf import (
     read_dimacs,
     write_dimacs,
 )
+from ctsat.harness import generate_instance, save_instance
 from ctsat.instances import BarthelParams, gen_barthel
+
+
+# the breaks that end a line for str.splitlines, so for the DIMACS parser
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def reference_parse_dimacs(text):
+    """The line-by-line parser that parse_dimacs replaced (the oracle for its
+    results and messages); it reads tokens with int(), so it also takes
+    '+1', '1_0' and non-ASCII digits."""
+    if hasattr(text, "read"):
+        text = text.read()
+
+    num_vars = None
+    declared_clauses = None
+    clauses = []
+    in_trailer = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line == "%":
+            in_trailer = True
+            continue
+        if in_trailer:
+            if line == "0":
+                continue
+            raise DimacsError(f"line {lineno}: unexpected content after '%' trailer: {line!r}")
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem header")
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header: {line!r}")
+            try:
+                num_vars = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                raise DimacsError(f"line {lineno}: malformed header: {line!r}") from None
+            if num_vars < 1 or declared_clauses < 1:
+                raise DimacsError(f"line {lineno}: header declares empty problem: {line!r}")
+            continue
+        if num_vars is None:
+            raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
+        if len(clauses) == declared_clauses and line == "0":
+            continue
+        try:
+            codes = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise DimacsError(f"line {lineno}: non-integer token in clause: {line!r}") from None
+        if not codes or codes[-1] != 0:
+            raise DimacsError(f"line {lineno}: clause line must end with 0: {line!r}")
+        codes = codes[:-1]
+        if 0 in codes:
+            raise DimacsError(f"line {lineno}: literal 0 inside clause: {line!r}")
+        if len(codes) != 3:
+            raise DimacsError(
+                f"line {lineno}: clause has {len(codes)} literals, exactly 3 required"
+            )
+        if len({abs(c) for c in codes}) != 3:
+            raise DimacsError(f"line {lineno}: repeated variable within clause: {line!r}")
+        for c in codes:
+            if abs(c) > num_vars:
+                raise DimacsError(
+                    f"line {lineno}: variable {abs(c)} out of range (header N={num_vars})"
+                )
+        clauses.append(codes)
+
+    if num_vars is None:
+        raise DimacsError("missing 'p cnf' header")
+    if len(clauses) != declared_clauses:
+        raise DimacsError(
+            f"header declares {declared_clauses} clauses, file has {len(clauses)}"
+        )
+    return Problem.from_dimacs_clauses(num_vars, clauses)
 
 
 def naive_unsatisfied(problem, assignment):
@@ -72,11 +151,30 @@ def test_parse_accepts_file_object(tmp_path):
     "p 3 1\n1 2 3 0\n",                # malformed header
     "1 2 3 0\n",                       # clause before header
     "p cnf 3 1\np cnf 3 1\n1 2 3 0\n", # duplicate header
+    "p cnf 10 1\n1_0 -2 3 0\n",       # int() reads 1_0 as 10
+    "p cnf 3 1\n1 -2 \u0663 0\n",      # Arabic-Indic three
+    "p cnf 3 1\n\uff11 -2 3 0\n",      # fullwidth one
+    "p cnf 3 1\n+1 -2 3 0\n",         # leading plus
+    "p cnf 1_0 4\n1 2 3 0\n",         # header field 1_0
+    "p cnf 3 1\n1 2 3 -\n",            # a minus without digits
+    "p cnf 3 1\n%\n1 2 3 0\n",         # clause after the trailer
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(DimacsError):
         parse_dimacs(text)
 
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "+1"])
+def test_tokens_are_ascii_integers(token):
+    """A token int() reads but -?[0-9]+ does not match gets the message of
+    any other non-integer token, in a clause or in the header."""
+    line = f"{token} -2 3 0"
+    with pytest.raises(DimacsError, match=f"^line 2: non-integer token in clause: {re.escape(repr(line))}$"):
+        parse_dimacs(f"p cnf 10 1\n{line}\n")
+    header = f"p cnf {token} 1"
+    with pytest.raises(DimacsError, match=f"^line 1: malformed header: {re.escape(repr(header))}$"):
+        parse_dimacs(f"{header}\n1 2 3 0\n")
 
 
 def test_read_dimacs_names_the_file(tmp_path):
@@ -101,6 +199,27 @@ def test_write_with_comments():
     p = Problem.from_dimacs_clauses(3, [(1, -2, 3)])
     text = write_dimacs(p, comments=["hello"])
     assert text.startswith("c hello\np cnf 3 1\n")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_write_rejects_comments_with_line_breaks(brk):
+    p = Problem.from_dimacs_clauses(3, [(1, -2, 3)])
+    for comment in (f"two{brk}1 2 3 0", f"trailing{brk}"):
+        with pytest.raises(ValueError, match=f"^comment {re.escape(repr(comment))} holds a line break$"):
+            write_dimacs(p, comments=["fine", comment])
+    assert write_dimacs(p, comments=["", "tab\tand\x1fspace"]).startswith("c \nc tab")
+
+
+def test_dimacs_files_are_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    # a Latin-1 locale for every read and write that names no encoding
+    monkeypatch.setattr(io, "text_encoding", lambda encoding, stacklevel=2: encoding or "latin-1")
+    inst = generate_instance("B4.3", 10, 1)
+    path = save_instance(inst, tmp_path, "caf\u00e9", "B4.3", 1)
+    assert path.read_bytes().startswith("c B4.3 instance caf\u00e9\n".encode("utf-8"))
+    assert read_dimacs(path) == inst.problem
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DimacsError, match="'utf-8' codec"):
+        read_dimacs(path)
 
 
 def test_empty_clause_list_rejected_at_construction():
@@ -143,6 +262,110 @@ def test_roundtrip_on_generated_problems(seed):
     text = write_dimacs(inst.problem)
     assert parse_dimacs(text) == inst.problem
     # write . parse is the identity on canonical text
+    assert write_dimacs(parse_dimacs(text)) == text
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_GAP = st.sampled_from([" ", "\t", "  ", " \t", "\x1f", "\xa0"])
+_COMMENT = st.sampled_from(["", "c", "c hello", "c 1 2 3 0", "cnf", "c\t%", "c p cnf 3 1"])
+
+
+@st.composite
+def dimacs_texts(draw):
+    """Valid DIMACS texts: comments before and between the clauses, blank
+    lines, any line break, tabs and trailing spaces, and a '%' / '0'
+    trailer or a lone final 0."""
+    num_vars = draw(st.integers(3, 9))
+    clauses = draw(st.lists(st.permutations(range(1, num_vars + 1)).map(lambda v: v[:3]),
+                            min_size=1, max_size=6))
+
+    def line(*fields):
+        gaps = [draw(_GAP) for _ in fields[1:]]
+        inner = fields[0] + "".join(gap + f for gap, f in zip(gaps, fields[1:]))
+        return draw(_PAD) + inner + draw(_PAD)
+
+    lines = draw(st.lists(_COMMENT, max_size=2))
+    lines.append(line("p", "cnf", str(num_vars), str(len(clauses))))
+    for variables in clauses:
+        lines += draw(st.lists(_COMMENT, max_size=1))
+        lines.append(line(*(str(v * draw(st.sampled_from([1, -1]))) for v in variables), "0"))
+    lines += draw(st.sampled_from([[], ["%"], ["%", "0"], ["%", "0", ""], ["0"], [" 0 ", "c"]]))
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in lines]
+    if not draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(text + brk for text, brk in zip(lines, breaks))
+
+
+_TOKENS = ["0", "-0", "00", "1", "-1", "2", "-3", "9", "10", "-10", "x", "-", "--1", "1-",
+           "p", "cnf", "c", "%", "", "99999999999999999999", "1.0",
+           "+1", "1_0", "\u0663", "\uff11"]  # the last four only int() reads
+_CHARS = ["0", "1", "9", "-", "+", "_", " ", "\t", "c", "p", "%", "x", "\xa0", "\x1f", "\x00",
+          "\u0663", "\uff11", *LINE_BREAKS]
+
+
+@st.composite
+def corrupted(draw, texts):
+    """A text from texts, as it is, with one token or one character
+    replaced, inserted or deleted, or with one line moved."""
+    text = draw(texts)
+    kind = draw(st.sampled_from(["none", "token", "insert", "delete", "replace", "line"]))
+    if kind == "line":
+        lines = text.splitlines(keepends=True)
+        lines.insert(draw(st.integers(0, len(lines) - 1)),
+                     lines.pop(draw(st.integers(0, len(lines) - 1))))
+        return "".join(lines)
+    if kind == "token":
+        parts = re.split(r"(\s+)", text)
+        k = draw(st.integers(0, len(parts) - 1))
+        parts[k] = draw(st.sampled_from(_TOKENS))
+        return "".join(parts)
+    if kind == "none" or not text:
+        return text
+    k = draw(st.integers(0, len(text) - 1))
+    char = "" if kind == "delete" else draw(st.sampled_from(_CHARS))
+    return text[:k] + char + text[k + (kind != "insert"):]
+
+
+def _only_int_reads(token):
+    """Whether int() reads token although -?[0-9]+ does not match it."""
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return not re.fullmatch(r"-?[0-9]+", token)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(corrupted(dimacs_texts()))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_line_by_line_reference(text):
+    """parse_dimacs gives the reference's Problem or its exact error, except
+    on a line holding a token that only int() reads, where it names that
+    token as malformed."""
+    got, want = _outcome(parse_dimacs, text), _outcome(reference_parse_dimacs, text)
+    if isinstance(want, Problem) and isinstance(got, Problem):
+        assert got == want
+        return
+    if got == want:
+        return
+    assert not isinstance(got, Problem) and got[0] is DimacsError, (got, want)
+    named = re.match(r"line (\d+): (?:non-integer token in clause|malformed header): ", got[1])
+    assert named, (got, want)
+    assert any(map(_only_int_reads, text.splitlines()[int(named.group(1)) - 1].split()))
+
+
+@pytest.mark.parametrize("num_vars", [10, 50, 2000, 10_000])
+@pytest.mark.parametrize("family", ["B4.3", "B7", "X"])
+def test_roundtrip_on_instance_streams(family, num_vars):
+    problem = generate_instance(family, num_vars, 1).problem
+    text = write_dimacs(problem)
+    assert parse_dimacs(text) == problem
     assert write_dimacs(parse_dimacs(text)) == text
 
 
