@@ -84,10 +84,10 @@ def _add_integrator_flags(parser):
 def _config_file(path: str) -> dict:
     """The --config file's JSON object of IntegratorConfig fields; else a usage error."""
     try:
-        overrides = json.loads(Path(path).read_text())
+        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise argparse.ArgumentTypeError(f"{path} is not JSON: {exc}") from None
     if type(overrides) is not dict:
         raise argparse.ArgumentTypeError(f"{path} must hold a JSON object, got {overrides!r}")

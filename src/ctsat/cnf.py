@@ -171,6 +171,7 @@ def assignment_to_bits(assignment: Assignment) -> str:
 
 _INTEGER = re.compile(r"-?[0-9]+")
 _MAX_DIGITS = 18  # every integer of at most 18 decimal digits fits an int64
+_INT64_MAX = 2**63 - 1
 
 
 def _integers(tokens: list[str]) -> list[int] | None:
@@ -216,6 +217,8 @@ class _LineRules:
             self.num_vars, self.declared = sizes
             if self.num_vars < 1 or self.declared < 1:
                 raise DimacsError(f"line {lineno}: header declares empty problem: {line!r}")
+            if max(sizes) > _INT64_MAX:  # then a literal up to N might not fit either
+                raise DimacsError(f"line {lineno}: header sizes must fit in int64: {line!r}")
             return None
         if self.num_vars is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "Card",
     "FuncDef",
     "NetlistDocument",
+    "ParsedDeck",
     "SubcircuitSpec",
     "NetlistOptions",
     "emit_analog",
@@ -87,21 +89,19 @@ class NetlistDocument:
     subckt: Optional[tuple[str, tuple[str, ...]]] = None  # (name, pins)
 
     @cached_property
-    def parsed(self):
-        """({function name: program}, {target node: program}): every function
-        body and behavioral-source expression of the deck, in deck order,
-        parsed by one spice_expr.parse_expressions call per document into
-        postfix programs.  A duplicate name or target raises after every
-        expression above it has parsed, so the first error in deck order wins."""
+    def parsed(self) -> "ParsedDeck":
+        """Every function body and behavioral-source expression of the deck,
+        in deck order, parsed by one spice_expr.parse_expressions call per
+        document and compiled by shape (ParsedDeck).  A duplicate name or
+        target raises after every expression above it has parsed, so the
+        first error in deck order wins."""
         functions, sources = {}, {}
-        slots = []  # (table, key) of each expression, in deck order
 
         def expressions():
             for func in self.functions:
                 if func.name in functions:
                     raise ValueError(f"function {func.name}() is defined twice")
                 functions[func.name] = None
-                slots.append((functions, func.name))
                 yield func.body
             for card in self.elements:
                 if card.name.startswith("B"):
@@ -110,13 +110,104 @@ class NetlistDocument:
                     if target in sources:
                         raise ValueError(f"node {target} is driven by two behavioral sources")
                     sources[target] = None
-                    slots.append((sources, target))
                     yield expr
 
-        programs = spice_expr.parse_expressions(expressions())
-        for (table, key), program in zip(slots, programs):
-            table[key] = program
-        return functions, sources
+        templates, terms = spice_expr.parse_expressions(expressions())
+        return ParsedDeck.compile((*functions, *sources), len(functions), templates, terms)
+
+
+@dataclass(frozen=True, eq=False)
+class ParsedDeck:
+    """A deck's expressions compiled by shape, functions first and then
+    sources, each in deck order: expression e is the function names[e] for
+    e < num_functions, else the source driving node names[e].
+
+    templates and terms are spice_expr.parse_expressions' result for the
+    deck's texts.  Every leaf, numbered in deck order and then program
+    order, has one id in leaf_id: node nodes[k] is k, a call of expression
+    e's function is len(nodes) + e, and a call of a function the deck does
+    not define is an id past every expression.  forward marks each call of
+    a function not defined above its caller: a deck reads top to bottom,
+    so a function may call only those above it, and a source any function.
+
+    An expression's depth is 1 + the deepest depth among the functions it
+    calls.  levels holds, per depth, (groups, start, stop, starts, ids).
+    A group is (template, positions, leaf ids) for the terms of one shape:
+    the leaf ids a (slots, count) array, the positions those of its terms
+    in a buffer of every term's value laid out by depth and then in deck
+    order.  The level's terms are start:stop there, its expressions' first
+    terms at starts from start, and ids are those expressions' ids.
+    """
+
+    names: tuple[str, ...]
+    num_functions: int
+    templates: list
+    terms: list
+    nodes: list[str]
+    tokens: list[str]  # every leaf token, V(node) or name()
+    leaf_expr: np.ndarray
+    leaf_id: np.ndarray
+    forward: np.ndarray
+    levels: list
+
+    @classmethod
+    def compile(cls, names, num_functions, templates, terms) -> "ParsedDeck":
+        count = len(names)
+        flat = [term for expression in terms for term in expression]
+        leaves = [term_leaves for _, term_leaves in flat]
+        tokens = list(chain.from_iterable(leaves))
+        unique = dict.fromkeys(tokens)
+        nodes = [token[2:-1] for token in unique if token[:2] == "V("]
+        base = len(nodes)
+        ids = {f"V({node})": k for k, node in enumerate(nodes)}
+        ids |= {f"{name}()": base + e for e, name in enumerate(names[:num_functions])}
+        unknown = [token for token in unique if token not in ids]  # calls of undefined functions
+        ids |= zip(unknown, range(base + count, base + count + len(unknown)))
+        sizes = np.array([len(expression) for expression in terms], dtype=np.intp)
+        term_expr = np.repeat(np.arange(count), sizes)
+        width = np.array([len(term) for term in leaves], dtype=np.intp)
+        leaf_expr = np.repeat(term_expr, width)
+        leaf_id = np.fromiter(map(ids.__getitem__, tokens), np.intp, len(tokens))
+        limit = base + np.minimum(np.arange(count), num_functions)
+        forward = leaf_id >= limit[leaf_expr]
+        # depth by relaxation: a call reaches only expressions above it
+        call = ~forward & (leaf_id >= base)
+        caller, callee = leaf_expr[call], leaf_id[call] - base
+        depth = np.ones(count, dtype=np.intp)
+        while len(caller):
+            deeper = np.ones(count, dtype=np.intp)
+            np.maximum.at(deeper, caller, depth[callee] + 1)
+            if np.array_equal(deeper, depth):
+                break
+            depth = deeper
+        term_depth = depth[term_expr]
+        shape = np.array([term_shape for term_shape, _ in flat], dtype=np.intp)
+        first_leaf = np.cumsum(width) - width
+        position = np.empty(len(flat), dtype=np.intp)
+        position[np.argsort(term_depth, kind="stable")] = np.arange(len(flat))
+        order = np.lexsort((shape, term_depth))
+        cut = np.flatnonzero(np.diff(term_depth[order]) | np.diff(shape[order])) + 1
+        groups = {}
+        for run in np.split(order, cut) if len(order) else ():
+            first = run[0]
+            idx = leaf_id[first_leaf[run] + np.arange(width[first])[:, None]]
+            groups.setdefault(term_depth[first], []).append(
+                (templates[shape[first]], position[run], idx))
+        levels, stop = [], 0
+        for level, level_groups in sorted(groups.items()):
+            exprs = np.flatnonzero(depth == level)
+            start, stop = stop, stop + int(sizes[exprs].sum())
+            levels.append((level_groups, start, stop, np.cumsum(sizes[exprs]) - sizes[exprs],
+                           base + exprs))
+        return cls(names, num_functions, templates, terms, nodes, tokens, leaf_expr,
+                   leaf_id, forward, levels)
+
+    def faults(self, node_fault) -> np.ndarray:
+        """The indices of the leaves that fail, in order: each forward call
+        and each node leaf whose node node_fault marks (one flag per node)."""
+        fault = np.zeros(self.leaf_id.max(initial=-1) + 1, dtype=bool)  # nodes come first
+        fault[:len(self.nodes)] = node_fault
+        return np.flatnonzero(self.forward | fault[self.leaf_id])
 
 
 @dataclass(frozen=True)
@@ -360,34 +451,29 @@ def card_histogram(document: NetlistDocument) -> dict[str, int]:
 def undeclared_references(document: NetlistDocument) -> list[str]:
     """Names referenced by expressions but not declared in the deck.
 
-    Reads the ("V", node) and ("call", name, ...) entries of every parsed
-    function body and behavioral-source expression, functions first and
-    each in deck order, against the deck's node set and the functions
-    declared before it: a deck reads top to bottom, so a function may call
-    only those defined above it, and a source any function.  Returns a
-    list of problems (empty when the deck is closed), per expression its
-    nodes and then its functions, each sorted by name.
+    Reads the leaves of every parsed function body and behavioral-source
+    expression, functions first and each in deck order, against the deck's
+    node set and the functions declared before it: a deck reads top to
+    bottom, so a function may call only those defined above it, and a
+    source any function.  Returns a list of problems (empty when the deck
+    is closed), per expression its nodes and then its functions, each
+    sorted by name.
     """
     nodes = {"0"}
     for card in document.elements:
         nodes.update(card.nodes)
     if document.subckt is not None:
         nodes.update(document.subckt[1])
-    declared = {("V", node) for node in nodes}
-    functions, sources = document.parsed
+    deck = document.parsed
+    refs = {}  # expression -> its undeclared (kind, name) pairs, in deck order
+    for k in deck.faults([node not in nodes for node in deck.nodes]).tolist():
+        token = deck.tokens[k]
+        ref = ("V", token[2:-1]) if token[:2] == "V(" else ("call", token[:-2])
+        refs.setdefault(int(deck.leaf_expr[k]), set()).add(ref)
     kinds = {"V": "node", "call": "function"}
-    problems = []
-    for label, programs in (("func", functions), ("source", sources)):
-        for name, program in programs.items():
-            # one pass over the program; a builtin's entry carries its argument
-            # count, so the pairs left are undeclared, ("V", ...) sorting first
-            undeclared = sorted(entry for entry in set(program) - declared
-                                if entry.__class__ is tuple and len(entry) == 2)
-            problems.extend(f"{label} {name}: undeclared {kinds[kind]} {ref}"
-                            for kind, ref in undeclared)
-            if label == "func":
-                declared.add(("call", name))
-    return problems
+    return [f"{'func' if e < deck.num_functions else 'source'} {deck.names[e]}: "
+            f"undeclared {kinds[kind]} {name}"
+            for e, found in refs.items() for kind, name in sorted(found)]
 
 
 def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> dict[str, float]:
@@ -395,17 +481,35 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
 
     Returns {target node: value}; for state nodes this is the would-be
     capacitor charging current, i.e. the netlist's claim about the
-    right-hand side at that state.  The deck is evaluated top to bottom:
-    each deck function once, in deck order, then every source, so a call
-    to a function not defined above its caller raises ExprError.  The
-    voltages must cover every node the deck's functions read.
+    right-hand side at that state.  The deck is evaluated top to bottom,
+    one depth level at a time: each shape's template runs once on the
+    leaf values of all its terms, the terms of a sum are added left to
+    right and the function values are written back for the next level, so
+    every value equals that of running each expression's program in deck
+    order.  A node missing from voltages, or a call of a function not
+    defined above its caller, raises the ExprError of the first such leaf
+    in deck order, then program order.
     """
-    functions, sources = document.parsed
-    values: dict[str, float] = {}
-    for name, code in functions.items():
-        values[name] = spice_expr.evaluate(code, voltages, values)
-    return {target: spice_expr.evaluate(code, voltages, values)
-            for target, code in sources.items()}
+    deck = document.parsed
+    base = len(deck.nodes)
+    vec = np.empty(base + len(deck.names))
+    try:
+        vec[:base] = np.fromiter(map(voltages.__getitem__, deck.nodes), float, base)
+    except KeyError:
+        missing = [node not in voltages for node in deck.nodes]
+    else:
+        missing = False
+    if missing or deck.forward.any():
+        token = deck.tokens[deck.faults(missing)[0]]
+        raise spice_expr.ExprError(f"undefined node {token[2:-1]!r}" if token[:2] == "V("
+                                   else f"unknown function {token[:-2]!r}")
+    values = np.empty(deck.levels[-1][2] if deck.levels else 0)  # every term's, level by level
+    for groups, start, stop, starts, targets in deck.levels:
+        for template, positions, idx in groups:
+            values[positions] = spice_expr.evaluate(template, vec[idx])
+        with np.errstate(all="ignore"):  # object addition: left to right, as Python adds
+            vec[targets] = np.add.reduceat(values[start:stop].astype(object), starts)
+    return dict(zip(deck.names[deck.num_functions:], vec[base + deck.num_functions:].tolist()))
 
 
 def network_deck(nodes: Sequence[SolverNode], wiring: Wiring, seeds: Sequence[int],

@@ -238,14 +238,15 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
 
     Returns (nodes, wiring, config, seeds, stop_on_solve).  CNF paths are
     resolved relative to the config file, and a node's solver_options are
-    read as its solver's options class.  A config that is not JSON, or a
+    read as its solver's options class.  The file is read as UTF-8, whatever
+    the locale.  A config that is not JSON, or a
     malformed node CNF, raises ValueError naming the file; unknown keys and
     drive kinds, and values of the wrong JSON type, raise ValueError naming the key.
     """
     path = Path(path)
     try:
-        spec = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ValueError(f"{path} is not JSON: {exc}") from None
     base = path.parent
     _check_keys(spec, _TOP_KEYS, "network config")

@@ -19,8 +19,14 @@ A deck is evaluated top to bottom: a deck function may call only the
 functions defined above it, so each is evaluated once, callee first, and
 evaluate reads a user function's value from `values` (name -> value at
 the same voltages) instead of running its body.  Nothing here recurses.
-parse_expressions parses all of a deck's texts in one call and each
-expression shape in them once, with the same programs as text by text.
+
+parse_expressions parses all of a deck's texts in one call, each into
+terms, and each expression shape once: it returns one template per shape
+(a program whose k-th leaf reads slot k) and, per text, its terms as
+(shape id, leaf tokens).  evaluate is the one stack loop; it runs on
+floats or on NumPy arrays with the same IEEE results, so a template runs
+once on the leaf values of every term of its shape (netlist compiles a
+deck this way).
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -33,6 +39,8 @@ import operator
 import re
 import string
 from typing import Mapping
+
+import numpy as np
 
 __all__ = ["BUILTINS", "ExprError", "parse_expression", "parse_expressions", "evaluate"]
 
@@ -120,103 +128,120 @@ def parse_expression(text: str):
 # A leaf token as _TOKEN cuts it: a whole V(node) or a user call name(),
 # never V( or a builtin.  In a text that parses, the matches are exactly its
 # leaf tokens, and another text with the same pieces between its matches
-# tokenizes the same up to those leaves.
-_LEAF = re.compile(r"(V\([A-Za-z_][A-Za-z_0-9]*\)|(?!(?:V|u|min|if)\()[A-Za-z_][A-Za-z_0-9]*\(\))")
+# tokenizes the same up to those leaves.  (The leading lookahead only lets
+# the scan skip positions where neither alternative can start.)
+_LEAF = re.compile(r"(?=[A-Za-z_])(V\([A-Za-z_][A-Za-z_0-9]*\)"
+                   r"|(?!(?:V|u|min|if)\()[A-Za-z_][A-Za-z_0-9]*\(\))")
 _SUM_BREAKERS = ("+", "-", "<=")  # a term ending in one regroups a term-wise sum
 
 
 def parse_expressions(texts):
-    """[parse_expression(text) for text in texts], or its first ExprError,
-    with each expression shape parsed once.
+    """(templates, terms): every text parsed as parse_expression parses it,
+    or the first text's ExprError, with each expression shape parsed once.
 
-    A text the emitter writes as a sum, t1 + t2 + ..., is parsed term by
-    term and joined as t1, t2, "+", t3, "+", ... when every term parses,
-    the first does not end in "<=" and no later one ends in "+", "-" or
-    "<=": exactly the program of the whole text.  Any other text is parsed
-    whole.  Each term (or whole text) is keyed by its text with the leaf
-    tokens cut out; a key seen before in this call reuses that program with
-    this text's leaves in their slots (operands keep their text order), and
-    only a new key reaches parse_expression.  The table lives for this call
-    only.  texts is drawn one at a time, so whatever drawing the next text
-    raises comes after every earlier text is parsed.
+    A template is the program of one shape with its k-th leaf entry,
+    ("V", node) or ("call", name), replaced by ("V", k); terms[i] lists
+    text i's terms as (shape id, leaf tokens), the tokens being V(node) and
+    name() in text order.  A term's program is templates[shape id] with
+    ("V", k) replaced by the entry of leaf token k, and text i's program is
+    its terms' programs joined as t1, t2, "+", t3, "+", ...
+
+    A text the emitter writes as a sum, t1 + t2 + ..., is split into terms
+    when every term parses, the first does not end in "<=" and no later one
+    ends in "+", "-" or "<=": exactly the grouping of the whole text.  Any
+    other text is one term.  Each term is keyed by its text with the leaf
+    tokens cut out; only a key not seen before in this call reaches
+    parse_expression.  texts is drawn one at a time, so whatever drawing
+    the next text raises comes after every earlier text is parsed.
     """
-    shapes = {}  # leaf-free text -> (program, indices of its leaf entries)
-    leaves = {}  # leaf token -> its program entry
+    shapes = {}  # leaf-free text -> shape id
+    templates = []
 
     def shaped(text):
         parts = _LEAF.split(text)
         key = tuple(parts[::2])
-        hit = shapes.get(key)
-        if hit is None:
+        shape = shapes.get(key)
+        if shape is None:
             program = parse_expression(text)
-            shapes[key] = program, [k for k, entry in enumerate(program)
-                                    if entry.__class__ is tuple and len(entry) == 2]
-            return program
-        program, slots = hit
-        program = program.copy()
-        for k, leaf in zip(slots, parts[1::2]):
-            entry = leaves.get(leaf)
-            if entry is None:
-                entry = leaves[leaf] = (("V", leaf[2:-1]) if leaf[:2] == "V("
-                                        else ("call", leaf[:-2]))
-            program[k] = entry
-        return program
+            at = [k for k, entry in enumerate(program)
+                  if entry.__class__ is tuple and len(entry) == 2]
+            for slot, k in enumerate(at):
+                program[k] = ("V", slot)
+            shape = shapes[key] = len(templates)
+            templates.append(program)
+        return shape, parts[1::2]
 
-    programs = []
+    terms = []
     for text in texts:
-        terms = text.split(" + ")
-        if len(terms) > 1:
+        pieces = text.split(" + ")
+        if len(pieces) > 1:
             try:
-                first, *rest = map(shaped, terms)
+                split = [shaped(piece) for piece in pieces]
             except ExprError:  # some term is no expression alone
-                rest = None
-            if rest and first[-1] != "<=" and all(term[-1] not in _SUM_BREAKERS for term in rest):
-                program = first.copy()
-                for term in rest:
-                    program += term
-                    program.append("+")
-                programs.append(program)
+                split = None
+            if (split and templates[split[0][0]][-1] != "<="
+                    and all(templates[shape][-1] not in _SUM_BREAKERS for shape, _ in split[1:])):
+                terms.append(split)
                 continue
-        programs.append(shaped(text))
-    return programs
+        terms.append([shaped(text)])
+    return templates, terms
+
+
+def _where(condition, a, b):
+    """a where condition holds, else b, elementwise; a scalar for scalars."""
+    return np.where(condition, a, b)[()]
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "<=": lambda a, b: 1.0 if a <= b else 0.0}
+           "<=": lambda a, b: _where(a <= b, 1.0, 0.0)}
 
 
 def evaluate(code, voltages: Mapping[str, float],
-             values: Mapping[str, float] | None = None) -> float:
+             values: Mapping[str, float] | None = None):
     """Run a program given node voltages and the values of the user
     functions it calls (name -> value); a call missing from values raises
-    ExprError, and no function body runs here."""
+    ExprError, and no function body runs here.
+
+    The values may be floats or NumPy arrays of one shape: each operation
+    is elementwise and gives the IEEE result Python floats give (u, <=
+    and if select with np.where, min keeps the first of equal values, as
+    Python's min does), so an array of states evaluates to the values the
+    states give one at a time, bit for bit.  A template runs with its leaf
+    values as voltages: leaf k, ("V", k), reads voltages[k].
+    """
     values = {} if values is None else values
     stack = []
-    for op in code:
-        if op.__class__ is str:
-            if op == "neg":
-                stack[-1] = -stack[-1]
-            else:
-                right = stack.pop()
-                stack[-1] = _BINARY[op](stack[-1], right)
-        elif op.__class__ is float:
-            stack.append(op)
-        elif op[0] == "V":
-            try:
-                stack.append(float(voltages[op[1]]))
-            except KeyError:
-                raise ExprError(f"undefined node {op[1]!r}") from None
-        elif len(op) == 3:  # a builtin on the top op[2] values
-            if op[1] == "u":
-                stack[-1] = 1.0 if stack[-1] >= 0.0 else 0.0
-            else:  # min, or if(cond, a, b)
+    with np.errstate(all="ignore"):  # inf and nan arise as with Python floats
+        for op in code:
+            if op.__class__ is str:
+                if op == "neg":
+                    stack[-1] = -stack[-1]
+                else:
+                    right = stack.pop()
+                    stack[-1] = _BINARY[op](stack[-1], right)
+            elif op.__class__ is float:
+                stack.append(op)
+            elif op[0] == "V":
+                try:
+                    stack.append(voltages[op[1]])
+                except KeyError:
+                    raise ExprError(f"undefined node {op[1]!r}") from None
+            elif len(op) == 3:  # a builtin on the top op[2] values
+                if op[1] == "u":
+                    stack[-1] = _where(stack[-1] >= 0.0, 1.0, 0.0)
+                    continue
                 args = stack[-op[2]:]
                 del stack[-op[2]:]
-                stack.append(min(args) if op[1] == "min"
-                             else args[1] if args[0] != 0.0 else args[2])
-        else:  # a user function, already evaluated
-            try:
-                stack.append(values[op[1]])
-            except KeyError:
-                raise ExprError(f"unknown function {op[1]!r}") from None
+                if op[1] == "min":
+                    low = args[0]
+                    for arg in args[1:]:
+                        low = _where(arg < low, arg, low)
+                    stack.append(low)
+                else:  # if(cond, a, b)
+                    stack.append(_where(args[0] != 0.0, args[1], args[2]))
+            else:  # a user function, already evaluated
+                try:
+                    stack.append(values[op[1]])
+                except KeyError:
+                    raise ExprError(f"unknown function {op[1]!r}") from None
     return stack.pop()

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -259,6 +260,21 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else [name])
 
 
+def test_config_files_are_utf8_whatever_the_locale(tmp_path, monkeypatch, capsys):
+    # a Latin-1 locale for every read that names no encoding: the key
+    # caf\u00e9 read as 'caf\u00c3\u00a9'
+    monkeypatch.setattr(io, "text_encoding", lambda encoding, stacklevel=2: encoding or "latin-1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"caf\u00e9": 1}', encoding="utf-8")
+    with pytest.raises(SystemExit):
+        main(["bench", "--config", "cfg.json"])
+    assert "unknown config keys in cfg.json: ['caf\u00e9']" in capsys.readouterr().err
+    (tmp_path / "cfg.json").write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit):
+        main(["bench", "--config", "cfg.json"])
+    assert "cfg.json is not JSON: 'utf-8' codec" in capsys.readouterr().err
+
+
 MALFORMED_CNF = "p cnf 3 1\n1 x 3 0\n"
 
 
@@ -266,7 +282,9 @@ MALFORMED_CNF = "p cnf 3 1\n1 x 3 0\n"
 @pytest.mark.parametrize("name, text, message", [
     ("nope.cnf", None, "cannot read nope.cnf: No such file or directory"),
     ("bad.cnf", MALFORMED_CNF, "bad.cnf: line 2: non-integer token in clause: '1 x 3 0'"),
-], ids=["missing", "malformed"])
+    ("big.cnf", "p cnf 99999999999999999999 1\n99999999999999999998 2 3 0\n",
+     "big.cnf: line 1: header sizes must fit in int64: 'p cnf 99999999999999999999 1'"),
+], ids=["missing", "malformed", "beyond-int64"])
 def test_unreadable_cnf_file_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
                                               name, text, message):
     # a missing file ended in a FileNotFoundError traceback, a malformed one

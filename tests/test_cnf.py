@@ -60,6 +60,8 @@ def reference_parse_dimacs(text):
                 raise DimacsError(f"line {lineno}: malformed header: {line!r}") from None
             if num_vars < 1 or declared_clauses < 1:
                 raise DimacsError(f"line {lineno}: header declares empty problem: {line!r}")
+            if max(num_vars, declared_clauses) > 2**63 - 1:  # the one rule added since
+                raise DimacsError(f"line {lineno}: header sizes must fit in int64: {line!r}")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before 'p cnf' header")
@@ -158,9 +160,30 @@ def test_parse_accepts_file_object(tmp_path):
     "p cnf 1_0 4\n1 2 3 0\n",         # header field 1_0
     "p cnf 3 1\n1 2 3 -\n",            # a minus without digits
     "p cnf 3 1\n%\n1 2 3 0\n",         # clause after the trailer
+    "p cnf 99999999999999999999 1\n1 2 3 0\n",                     # N beyond int64
+    "p cnf 99999999999999999999 1\n99999999999999999998 2 3 0\n",  # and a literal below it
+    "p cnf 3 99999999999999999999\n1 2 3 0\n",                     # M beyond int64
+    "p cnf 9223372036854775807 1\n-9223372036854775808 2 3 0\n",   # a literal beyond int64
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(DimacsError):
+        parse_dimacs(text)
+
+
+_BIG_HEADER = "p cnf 99999999999999999999 1"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{_BIG_HEADER}\n1 2 3 0\n", f"line 1: header sizes must fit in int64: {_BIG_HEADER!r}"),
+    (f"{_BIG_HEADER}\n99999999999999999998 2 3 0\n",
+     f"line 1: header sizes must fit in int64: {_BIG_HEADER!r}"),
+    ("p cnf 9223372036854775807 1\n-9223372036854775808 2 3 0\n",
+     "line 2: variable 9223372036854775808 out of range (header N=9223372036854775807)"),
+])
+def test_numbers_beyond_int64_are_named_by_line(text, message):
+    # a header N beyond int64 was accepted, and a literal below it then
+    # ended in a bare OverflowError
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
         parse_dimacs(text)
 
 

@@ -860,7 +860,7 @@ _REMOVED_FORMS = ["8/2", "max(1,2)", "1<2", "1>2", "1>=2", "1==2", "1!=2", "1&2"
 def test_parser_accepts_exactly_the_emitted_dialect():
     used = set()
     for doc in _deck_variants():
-        functions, sources = doc.parsed
+        functions, sources = deck_programs(doc)
         for program in [*functions.values(), *sources.values()]:
             for entry in program:  # flat: no entry holds a sub-program
                 if isinstance(entry, tuple):
@@ -960,6 +960,38 @@ def test_random_expressions_match_their_python_values():
 
 # ------------------------------------------------------ one parse per document
 
+def _leaf_entry(token):
+    """The program entry of a leaf token: ("V", node) or ("call", name)."""
+    return ("V", token[2:-1]) if token.startswith("V(") else ("call", token[:-2])
+
+
+def rebuilt_programs(templates, terms):
+    """parse_expressions' (templates, terms) as one flat program per text:
+    each term's template with its leaf k, ("V", k), replaced by the entry of
+    its k-th leaf token, and the terms joined t1, t2, "+", t3, "+", ..."""
+    programs = []
+    for text_terms in terms:
+        program = []
+        for k, (shape, leaves) in enumerate(text_terms):
+            program += [_leaf_entry(leaves[entry[1]])
+                        if isinstance(entry, tuple) and len(entry) == 2 else entry
+                        for entry in templates[shape]]
+            if k:
+                program.append("+")
+        programs.append(program)
+    return programs
+
+
+def deck_programs(doc):
+    """({function name: program}, {target node: program}) of a document,
+    rebuilt from doc.parsed."""
+    deck = doc.parsed
+    programs = rebuilt_programs(deck.templates, deck.terms)
+    split = deck.num_functions
+    return (dict(zip(deck.names[:split], programs[:split])),
+            dict(zip(deck.names[split:], programs[split:])))
+
+
 def _same_as_each(texts):
     """parse_expressions(texts) returns the per-text programs, or raises the
     first per-text ExprError with its message."""
@@ -969,12 +1001,12 @@ def _same_as_each(texts):
         with pytest.raises(spice_expr.ExprError, match=f"^{re.escape(str(error))}$"):
             spice_expr.parse_expressions(texts)
     else:
-        assert spice_expr.parse_expressions(texts) == want, texts
+        assert rebuilt_programs(*spice_expr.parse_expressions(texts)) == want, texts
 
 
 def test_every_deck_variant_parses_as_text_by_text():
     for doc in _deck_variants():
-        functions, sources = doc.parsed
+        functions, sources = deck_programs(doc)
         assert [*functions.values(), *sources.values()] == [
             spice_expr.parse_expression(text) for text in _deck_texts(doc)]
 
@@ -1021,3 +1053,192 @@ def test_parse_expressions_equal_parsing_each_text():
         for broken in (text[:k] + text[k + 1:], widened):
             _same_as_each([text, broken])
             _same_as_each([_relabel(rng, text), broken])
+
+
+# ------------------------------------------------------ one pass per shape
+
+_REFERENCE_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                     "<=": lambda a, b: 1.0 if a <= b else 0.0}
+
+
+def reference_evaluate(code, voltages, values):
+    """The Python-float stack loop that spice_expr.evaluate ran before it
+    took arrays."""
+    stack = []
+    for op in code:
+        if op.__class__ is str:
+            if op == "neg":
+                stack[-1] = -stack[-1]
+            else:
+                right = stack.pop()
+                stack[-1] = _REFERENCE_BINARY[op](stack[-1], right)
+        elif op.__class__ is float:
+            stack.append(op)
+        elif op[0] == "V":
+            try:
+                stack.append(float(voltages[op[1]]))
+            except KeyError:
+                raise spice_expr.ExprError(f"undefined node {op[1]!r}") from None
+        elif len(op) == 3:
+            if op[1] == "u":
+                stack[-1] = 1.0 if stack[-1] >= 0.0 else 0.0
+            else:
+                args = stack[-op[2]:]
+                del stack[-op[2]:]
+                stack.append(min(args) if op[1] == "min"
+                             else args[1] if args[0] != 0.0 else args[2])
+        else:
+            try:
+                stack.append(values[op[1]])
+            except KeyError:
+                raise spice_expr.ExprError(f"unknown function {op[1]!r}") from None
+    return stack.pop()
+
+
+def reference_evaluate_deck_rhs(document, voltages):
+    """The per-expression loop that evaluate_deck_rhs replaced (the oracle
+    for its values and errors): each text parsed alone, each function run
+    once in deck order, then every source."""
+    functions, sources = {}, {}
+    for func in document.functions:
+        if func.name in functions:
+            raise ValueError(f"function {func.name}() is defined twice")
+        functions[func.name] = spice_expr.parse_expression(func.body)
+    for card in document.elements:
+        if card.name.startswith("B"):
+            kind, expr = card.value.split("=", 1)
+            target = card.nodes[1] if kind == "I" else card.nodes[0]
+            if target in sources:
+                raise ValueError(f"node {target} is driven by two behavioral sources")
+            sources[target] = spice_expr.parse_expression(expr)
+    values = {}
+    for name, code in functions.items():
+        values[name] = reference_evaluate(code, voltages, values)
+    return {target: reference_evaluate(code, voltages, values)
+            for target, code in sources.items()}
+
+
+def _same_as_reference(doc, volts):
+    """evaluate_deck_rhs(doc, volts) equals the reference bit for bit, in
+    the same order, or raises its first ExprError."""
+    try:
+        want = reference_evaluate_deck_rhs(doc, volts)
+    except spice_expr.ExprError as error:
+        with pytest.raises(spice_expr.ExprError, match=f"^{re.escape(str(error))}$"):
+            evaluate_deck_rhs(doc, volts)
+        return str(error)
+    got = evaluate_deck_rhs(doc, volts)
+    assert [(node, float.hex(x)) for node, x in got.items()] == [
+        (node, float.hex(x)) for node, x in want.items()]
+    return None
+
+
+def _deck_nodes(doc):
+    """The nodes of a document's cards and subcircuit pins, but ground."""
+    pins = doc.subckt[1] if doc.subckt else ()
+    return sorted({node for card in doc.elements for node in card.nodes}.union(pins) - {"0"})
+
+
+def test_shape_evaluator_matches_the_reference_on_every_variant():
+    # random states, states with every component on 0 or a bound (signed
+    # zeros included), and states missing one node
+    rng = np.random.default_rng(29)
+    # every bound of the variants' cells (x_l's upper one is 1e4*M), signed zeros, others
+    marks = np.array([-1.0, -0.0, 0.0, 1.0, 1e4 * sample_problem(n=12).num_clauses, -2.0, 0.5])
+    for doc in _deck_variants():
+        nodes = _deck_nodes(doc)
+        for _ in range(3):
+            states = [rng.uniform(-2, 2, len(nodes)), rng.choice(marks, len(nodes)),
+                      np.where(rng.random(len(nodes)) < 0.5, rng.uniform(-1, 1, len(nodes)),
+                               rng.choice(marks, len(nodes)))]
+            for state in states:
+                assert _same_as_reference(doc, dict(zip(nodes, state.tolist()))) is None
+        volts = dict(zip(nodes, rng.uniform(-1, 1, len(nodes)).tolist()))
+        read = [node for node in nodes if not node.startswith("contr")]  # no source reads these
+        for node in rng.choice(read, 3, replace=False):
+            assert _same_as_reference(doc, {k: x for k, x in volts.items() if k != node})
+
+
+def _hand_deck(functions, *sources):
+    """A deck of the given (name, body) functions and V= sources t0, t1, ..."""
+    return NetlistDocument("* hand-built deck", tuple(FuncDef(*f) for f in functions),
+                           tuple(Card(f"Bt{k}", (f"t{k}", "0"), f"V={text}")
+                                 for k, text in enumerate(sources)), ())
+
+
+@pytest.mark.parametrize("doc, volts, error", [
+    pytest.param(_hand_deck([("f", "V(a) + V(b) - V(c)"), ("g", "f() + V(a) - f() + V(b)"),
+                             ("h", "1 + V(a) <= 2 + f()")],
+                            "V(a) + V(b) - V(c)", "g() + h() + -V(c) + -f()",
+                            "-V(a) + V(b)", "V(b) + -V(b) + -0.0", "V(a)*V(b) + V(c)"),
+                 {"a": 0.0, "b": -0.0, "c": 0.5}, None, id="regrouped-sums"),
+    pytest.param(_hand_deck([("f", "min(V(a), V(b), V(c)) + min(V(b), V(a))"),
+                             ("g", "if(V(a) <= V(b), u(V(c)), u(-V(c))) + f()*f()")],
+                            "g() + f()", "min(-0.0, 0.0) + min(0.0, -0.0)", "u(-0.0) + u(V(b))"),
+                 {"a": 0.0, "b": -0.0, "c": -0.0}, None, id="signed-zeros"),
+    pytest.param(_hand_deck([("f", "g() + V(a)"), ("g", "1")], "f()"), {"a": 1.0},
+                 "unknown function 'g'", id="forward-call"),
+    pytest.param(_hand_deck([("f", "V(a) + V(zz)*g()"), ("g", "1")], "f()"), {"a": 1.0},
+                 "undefined node 'zz'", id="missing-node-first"),
+    pytest.param(_hand_deck([("f", "V(a)*g() + V(zz)"), ("g", "1")], "f()"), {"a": 1.0},
+                 "unknown function 'g'", id="forward-call-first"),
+    pytest.param(_hand_deck([("f", "V(a)")], "f() + V(b)", "nope()"), {"a": 1.0},
+                 "undefined node 'b'", id="source-node"),
+    pytest.param(_hand_deck([("f", "f() + 1")], "f()"), {}, "unknown function 'f'",
+                 id="self-call"),
+    pytest.param(_hand_deck([], "V(a) + -V(a)", "2.5"), {"a": float("inf")}, None, id="inf"),
+    pytest.param(_chain_deck(callee_first=True), {"s1": 0.0}, None, id="chain"),
+    pytest.param(_chain_deck(callee_first=False), {"s1": 0.0}, "unknown function 'f1'",
+                 id="forward-chain"),
+])
+def test_shape_evaluator_matches_the_reference_on_hand_built_decks(doc, volts, error):
+    assert _same_as_reference(doc, volts) == error
+
+
+def test_undeclared_references_order_is_pinned():
+    # faults in several shapes, in function bodies and in sources: per
+    # expression its nodes, then its functions, each sorted, as the
+    # per-program check listed them
+    doc = NetlistDocument(
+        title="* faults in several shapes",
+        functions=(FuncDef("f", "V(s1)*nope() + V(qq)*V(s1) + V(aa)*nope()"),
+                   FuncDef("g", "min(V(zz), h(), V(s1)) + f()"),
+                   FuncDef("h", "g() + h() + V(s1) - V(yy)"),
+                   FuncDef("k", "1 + V(s1) <= f()")),
+        elements=(Card("Cs1", ("s1", "0"), "1"),
+                  Card("Bs1", ("0", "s1"), "I=f()*V(zz) + missing()*V(xx) + k()"),
+                  Card("Bprobe", ("probe", "0"), "V=h()+V(probe)+V(bb)+V(aa)"),
+                  Card("Bq", ("q", "0"), "V=if(V(s1) <= 0, V(cc), g()) + -V(bb)")),
+        directives=())
+    assert undeclared_references(doc) == [
+        "func f: undeclared node aa",
+        "func f: undeclared node qq",
+        "func f: undeclared function nope",
+        "func g: undeclared node zz",
+        "func g: undeclared function h",
+        "func h: undeclared node yy",
+        "func h: undeclared function h",
+        "source s1: undeclared node xx",
+        "source s1: undeclared node zz",
+        "source s1: undeclared function missing",
+        "source probe: undeclared node aa",
+        "source probe: undeclared node bb",
+        "source q: undeclared node bb",
+        "source q: undeclared node cc",
+    ]
+    assert _same_as_reference(doc, {"s1": 0.0}) == "unknown function 'nope'"
+    assert _same_as_reference(doc, {}) == "undefined node 's1'"
+
+
+def test_templates_run_on_arrays_as_on_each_state():
+    # one template over a column of states gives each state's value
+    rng = np.random.default_rng(30)
+    text = "min(V(a), V(b))*if(V(c) <= 0, u(V(a)), -V(b)) - V(c)"
+    (template,), [[(_, leaves)]] = spice_expr.parse_expressions([text])
+    states = np.concatenate([rng.uniform(-1, 1, (3, 40)),
+                             rng.choice([-0.0, 0.0, 1.0, -1.0], (3, 40))], axis=1)
+    got = spice_expr.evaluate(template, states[["abc".index(leaf[2]) for leaf in leaves]])
+    program = spice_expr.parse_expression(text)
+    want = [reference_evaluate(program, dict(zip("abc", column)), {})
+            for column in states.T.tolist()]
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))

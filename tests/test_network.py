@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -438,6 +439,22 @@ def test_load_network_config_with_drive(tmp_path):
     wave = wiring.drives[0]
     r = records[0]
     assert np.array_equal(r.states[:, 0], [wave.value(t) for t in r.times])
+
+
+def test_network_configs_are_utf8_whatever_the_locale(tmp_path, monkeypatch):
+    # a Latin-1 locale for every read and write that names no encoding: the
+    # config read the node CNF caf\u00e9.cnf as 'caf\u00c3\u00a9.cnf'
+    monkeypatch.setattr(io, "text_encoding", lambda encoding, stacklevel=2: encoding or "latin-1")
+    problem = gen_barthel(BarthelParams(num_vars=8, ratio=7.0, seed=3)).problem
+    (tmp_path / "caf\u00e9.cnf").write_text(write_dimacs(problem), encoding="utf-8")
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"t_ev": 5.0, "nodes": [{"cnf": "caf\u00e9.cnf"}]},
+                               ensure_ascii=False), encoding="utf-8")
+    nodes, *_ = load_network_config(path)
+    assert nodes[0].problem == problem
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not JSON: 'utf-8' codec"):
+        load_network_config(path)
 
 
 def write_config(tmp_path, **changes):

@@ -21,6 +21,7 @@ from ctsat.netlist import (NetlistOptions, SubcircuitSpec, emit_analog, emit_mem
                            undeclared_references)
 from ctsat.network import SquareWave
 from test_cli import leaf_parsers
+from test_netlist import deck_programs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -200,7 +201,7 @@ def test_emitted_decks_are_closed_and_define_only_called_functions(solver_option
             capacitance, ic = card.value.split(" IC=")  # ends in exactly one IC=
             assert capacitance == "1" and float(ic) == start[card.nodes[0]]
     assert not any(line.startswith(".ic") for line in serialize(doc).splitlines())
-    functions, sources = doc.parsed
+    functions, sources = deck_programs(doc)
     calls = lambda program: {entry[1] for entry in program
                              if isinstance(entry, tuple) and entry[0] == "call"}
     called = set().union(*map(calls, sources.values()))
