@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .cnf import assignment_to_bits, read_dimacs
+from .cnf import _integers as _ascii_integers, assignment_to_bits, read_dimacs
 from .dynamics import AUX_MODES, MemOptions, resolve_options
 from .harness import (
     ExperimentPlan,
@@ -123,11 +123,12 @@ def _cnf_path(text: str) -> Path:
 
 
 def _integers(text: str) -> tuple[int, ...]:
-    """A comma list of integers: variable indices or instance sizes."""
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    """A comma list of integers: variable indices or instance sizes, each
+    ASCII -?[0-9]+ as in DIMACS (int() alone would also read 1_0 and +1)."""
+    numbers = _ascii_integers([x.strip() for x in text.split(",") if x.strip()])
+    if numbers is None:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+    return tuple(numbers)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,16 +45,17 @@ def check_fields(params) -> None:
     params whose value does not fit its declared type: a float field
     holding a bool, a str or another non-number (an int is valid), an int
     field holding a bool, a float or another non-integer (a NumPy integer is
-    valid), a bool field holding anything but a bool, or any field holding
-    a NaN or infinite number.  Parameter, option and configuration classes
-    call it first thing, so a bad value fails where it is given instead of
-    being read by truthiness or failing inside a run."""
+    valid, and stored back as a Python int), a bool field holding anything
+    but a bool, or any field holding a NaN or infinite number.  Parameter,
+    option and configuration classes call it first thing, so a bad value
+    fails where it is given instead of being read by truthiness or failing
+    inside a run."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        if f.type == "int":
-            require_integer(value, f.name)
+        if f.type == "int":  # a Python int, so repr (seeds) and JSON read it as one
+            object.__setattr__(params, f.name, require_integer(value, f.name))
         if f.type == "bool" and not isinstance(value, bool):
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
         if isinstance(value, numbers.Real) and not math.isfinite(value):

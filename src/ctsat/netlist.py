@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -112,8 +111,8 @@ class NetlistDocument:
                     sources[target] = None
                     yield expr
 
-        templates, terms = spice_expr.parse_expressions(expressions())
-        return ParsedDeck.compile((*functions, *sources), len(functions), templates, terms)
+        parsed = spice_expr.parse_expressions(expressions())  # fills functions and sources
+        return ParsedDeck.compile((*functions, *sources), len(functions), *parsed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +121,13 @@ class ParsedDeck:
     sources, each in deck order: expression e is the function names[e] for
     e < num_functions, else the source driving node names[e].
 
-    templates and terms are spice_expr.parse_expressions' result for the
-    deck's texts.  Every leaf, numbered in deck order and then program
-    order, has one id in leaf_id: node nodes[k] is k, a call of expression
-    e's function is len(nodes) + e, and a call of a function the deck does
-    not define is an id past every expression.  forward marks each call of
-    a function not defined above its caller: a deck reads top to bottom,
-    so a function may call only those above it, and a source any function.
+    compile reads spice_expr.parse_expressions' flat lists.  Leaf k, in
+    deck order and then program order, is tokens[k] (V(node) or name()) in
+    expression leaf_expr[k], with id leaf_id[k]: node nodes[j] is j, a call
+    of expression e's function len(nodes) + e, and a call of a function the
+    deck does not define an id past every expression.  forward marks each
+    call of a function not defined above its caller: a deck reads top to
+    bottom, so a function may call only those above it, a source any.
 
     An expression's depth is 1 + the deepest depth among the functions it
     calls.  levels holds, per depth, (groups, start, stop, starts, ids).
@@ -141,21 +140,16 @@ class ParsedDeck:
 
     names: tuple[str, ...]
     num_functions: int
-    templates: list
-    terms: list
     nodes: list[str]
-    tokens: list[str]  # every leaf token, V(node) or name()
+    tokens: list[str]
     leaf_expr: np.ndarray
     leaf_id: np.ndarray
     forward: np.ndarray
     levels: list
 
     @classmethod
-    def compile(cls, names, num_functions, templates, terms) -> "ParsedDeck":
+    def compile(cls, names, num_functions, templates, shapes, counts, tokens) -> "ParsedDeck":
         count = len(names)
-        flat = [term for expression in terms for term in expression]
-        leaves = [term_leaves for _, term_leaves in flat]
-        tokens = list(chain.from_iterable(leaves))
         unique = dict.fromkeys(tokens)
         nodes = [token[2:-1] for token in unique if token[:2] == "V("]
         base = len(nodes)
@@ -163,9 +157,11 @@ class ParsedDeck:
         ids |= {f"{name}()": base + e for e, name in enumerate(names[:num_functions])}
         unknown = [token for token in unique if token not in ids]  # calls of undefined functions
         ids |= zip(unknown, range(base + count, base + count + len(unknown)))
-        sizes = np.array([len(expression) for expression in terms], dtype=np.intp)
+        sizes = np.array(counts, dtype=np.intp)
         term_expr = np.repeat(np.arange(count), sizes)
-        width = np.array([len(term) for term in leaves], dtype=np.intp)
+        shape = np.array(shapes, dtype=np.intp)
+        width = np.array([sum(entry.__class__ is tuple and entry[0] == "V" for entry in template)
+                          for template in templates], dtype=np.intp)[shape]  # slots per term
         leaf_expr = np.repeat(term_expr, width)
         leaf_id = np.fromiter(map(ids.__getitem__, tokens), np.intp, len(tokens))
         limit = base + np.minimum(np.arange(count), num_functions)
@@ -181,10 +177,9 @@ class ParsedDeck:
                 break
             depth = deeper
         term_depth = depth[term_expr]
-        shape = np.array([term_shape for term_shape, _ in flat], dtype=np.intp)
         first_leaf = np.cumsum(width) - width
-        position = np.empty(len(flat), dtype=np.intp)
-        position[np.argsort(term_depth, kind="stable")] = np.arange(len(flat))
+        position = np.empty(len(shape), dtype=np.intp)
+        position[np.argsort(term_depth, kind="stable")] = np.arange(len(shape))
         order = np.lexsort((shape, term_depth))
         cut = np.flatnonzero(np.diff(term_depth[order]) | np.diff(shape[order])) + 1
         groups = {}
@@ -199,15 +194,18 @@ class ParsedDeck:
             start, stop = stop, stop + int(sizes[exprs].sum())
             levels.append((level_groups, start, stop, np.cumsum(sizes[exprs]) - sizes[exprs],
                            base + exprs))
-        return cls(names, num_functions, templates, terms, nodes, tokens, leaf_expr,
-                   leaf_id, forward, levels)
+        return cls(names, num_functions, nodes, tokens, leaf_expr, leaf_id, forward, levels)
 
-    def faults(self, node_fault) -> np.ndarray:
-        """The indices of the leaves that fail, in order: each forward call
-        and each node leaf whose node node_fault marks (one flag per node)."""
+    def faults(self, node_fault):
+        """(expression, "V", node) or (expression, "call", function) for each
+        leaf that fails, in order: each forward call and each node leaf whose
+        node node_fault marks (one flag per node)."""
         fault = np.zeros(self.leaf_id.max(initial=-1) + 1, dtype=bool)  # nodes come first
         fault[:len(self.nodes)] = node_fault
-        return np.flatnonzero(self.forward | fault[self.leaf_id])
+        for k in np.flatnonzero(self.forward | fault[self.leaf_id]).tolist():
+            token = self.tokens[k]
+            kind, name = ("V", token[2:-1]) if token[:2] == "V(" else ("call", token[:-2])
+            yield int(self.leaf_expr[k]), kind, name
 
 
 @dataclass(frozen=True)
@@ -466,13 +464,10 @@ def undeclared_references(document: NetlistDocument) -> list[str]:
         nodes.update(document.subckt[1])
     deck = document.parsed
     refs = {}  # expression -> its undeclared (kind, name) pairs, in deck order
-    for k in deck.faults([node not in nodes for node in deck.nodes]).tolist():
-        token = deck.tokens[k]
-        ref = ("V", token[2:-1]) if token[:2] == "V(" else ("call", token[:-2])
-        refs.setdefault(int(deck.leaf_expr[k]), set()).add(ref)
-    kinds = {"V": "node", "call": "function"}
+    for e, kind, name in deck.faults([node not in nodes for node in deck.nodes]):
+        refs.setdefault(e, set()).add((kind, name))
     return [f"{'func' if e < deck.num_functions else 'source'} {deck.names[e]}: "
-            f"undeclared {kinds[kind]} {name}"
+            f"undeclared {'node' if kind == 'V' else 'function'} {name}"
             for e, found in refs.items() for kind, name in sorted(found)]
 
 
@@ -500,9 +495,9 @@ def evaluate_deck_rhs(document: NetlistDocument, voltages: dict[str, float]) -> 
     else:
         missing = False
     if missing or deck.forward.any():
-        token = deck.tokens[deck.faults(missing)[0]]
-        raise spice_expr.ExprError(f"undefined node {token[2:-1]!r}" if token[:2] == "V("
-                                   else f"unknown function {token[:-2]!r}")
+        _, kind, name = next(deck.faults(missing))
+        raise spice_expr.ExprError(f"undefined node {name!r}" if kind == "V"
+                                   else f"unknown function {name!r}")
     values = np.empty(deck.levels[-1][2] if deck.levels else 0)  # every term's, level by level
     for groups, start, stop, starts, targets in deck.levels:
         for template, positions, idx in groups:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence, Union
 
-from .cnf import Problem, check_fields, read_dimacs, require_integer, require_pins
+from .cnf import Problem, _integers, check_fields, read_dimacs, require_integer, require_pins
 from .dynamics import AnalogOptions, MemOptions, resolve_options
 from .integrate import MEM, IntegratorConfig, RunRecord, _Group, _integrate, _Member
 
@@ -284,14 +284,13 @@ def load_network_config(path) -> tuple[list[SolverNode], Wiring, IntegratorConfi
                                     if key != "kind"}))
 
     def parse_ref(edge: dict, key: str, where: str):
-        """Parse drive:<k> into ("drive", k) and node:<i>:<var> into ("node", i, var)."""
+        """Parse drive:<k> into ("drive", k) and node:<i>:<var> into ("node", i, var),
+        each index ASCII -?[0-9]+ as in DIMACS."""
         ref = _typed(edge, key, str, None, where)
         kind, *indices = ref.split(":")
-        try:
-            if len(indices) == {"drive": 1, "node": 2}[kind]:
-                return (kind, *map(int, indices))
-        except (KeyError, ValueError):
-            pass
+        numbers = _integers(indices)
+        if numbers is not None and len(numbers) == {"drive": 1, "node": 2}.get(kind):
+            return (kind, *numbers)
         raise ValueError(f"bad signal reference {ref!r} in {where}")
 
     edges = []

@@ -22,11 +22,11 @@ the same voltages) instead of running its body.  Nothing here recurses.
 
 parse_expressions parses all of a deck's texts in one call, each into
 terms, and each expression shape once: it returns one template per shape
-(a program whose k-th leaf reads slot k) and, per text, its terms as
-(shape id, leaf tokens).  evaluate is the one stack loop; it runs on
-floats or on NumPy arrays with the same IEEE results, so a template runs
-once on the leaf values of every term of its shape (netlist compiles a
-deck this way).
+(a program whose k-th leaf reads slot k) and, as flat lists, every term's
+shape id, each text's term count and every leaf token.  evaluate is the
+one stack loop; it runs on floats or on NumPy arrays with the same IEEE
+results, so a template runs once on the leaf values of every term of its
+shape (netlist compiles a deck this way).
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -136,15 +136,17 @@ _SUM_BREAKERS = ("+", "-", "<=")  # a term ending in one regroups a term-wise su
 
 
 def parse_expressions(texts):
-    """(templates, terms): every text parsed as parse_expression parses it,
-    or the first text's ExprError, with each expression shape parsed once.
+    """(templates, shapes, counts, leaves): every text parsed as
+    parse_expression parses it, or the first text's ExprError, with each
+    expression shape parsed once, as four flat lists.
 
     A template is the program of one shape with its k-th leaf entry,
-    ("V", node) or ("call", name), replaced by ("V", k); terms[i] lists
-    text i's terms as (shape id, leaf tokens), the tokens being V(node) and
-    name() in text order.  A term's program is templates[shape id] with
-    ("V", k) replaced by the entry of leaf token k, and text i's program is
-    its terms' programs joined as t1, t2, "+", t3, "+", ...
+    ("V", node) or ("call", name), replaced by ("V", k).  shapes holds the
+    shape id of every term, text by text, counts each text's number of
+    terms and leaves every leaf token, V(node) or name(), in text order.  A
+    term takes as many tokens as its template has slots, and its program is
+    the template with ("V", k) read from its k-th token; a text's program
+    is its terms' programs joined as t1, t2, "+", t3, "+", ...
 
     A text the emitter writes as a sum, t1 + t2 + ..., is split into terms
     when every term parses, the first does not end in "<=" and no later one
@@ -154,37 +156,40 @@ def parse_expressions(texts):
     parse_expression.  texts is drawn one at a time, so whatever drawing
     the next text raises comes after every earlier text is parsed.
     """
-    shapes = {}  # leaf-free text -> shape id
-    templates = []
+    ids = {}  # leaf-free text -> shape id
+    templates, shapes, counts, leaves = [], [], [], []
 
     def shaped(text):
         parts = _LEAF.split(text)
         key = tuple(parts[::2])
-        shape = shapes.get(key)
+        shape = ids.get(key)
         if shape is None:
             program = parse_expression(text)
             at = [k for k, entry in enumerate(program)
                   if entry.__class__ is tuple and len(entry) == 2]
             for slot, k in enumerate(at):
                 program[k] = ("V", slot)
-            shape = shapes[key] = len(templates)
+            shape = ids[key] = len(templates)
             templates.append(program)
-        return shape, parts[1::2]
+        shapes.append(shape)
+        leaves.extend(parts[1::2])
+        return templates[shape][-1]  # the entry the sum-splitting rule reads
 
-    terms = []
     for text in texts:
         pieces = text.split(" + ")
         if len(pieces) > 1:
+            terms, mark = len(shapes), len(leaves)
             try:
-                split = [shaped(piece) for piece in pieces]
+                ends = [shaped(piece) for piece in pieces]
             except ExprError:  # some term is no expression alone
-                split = None
-            if (split and templates[split[0][0]][-1] != "<="
-                    and all(templates[shape][-1] not in _SUM_BREAKERS for shape, _ in split[1:])):
-                terms.append(split)
+                ends = None
+            if ends and ends[0] != "<=" and all(end not in _SUM_BREAKERS for end in ends[1:]):
+                counts.append(len(ends))
                 continue
-        terms.append([shaped(text)])
-    return templates, terms
+            del shapes[terms:], leaves[mark:]  # the sum falls back to one term
+        shaped(text)
+        counts.append(1)
+    return templates, shapes, counts, leaves
 
 
 def _where(condition, a, b):

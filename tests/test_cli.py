@@ -353,7 +353,14 @@ def test_gen_out_without_cnf_suffix_is_a_usage_error(tmp_path, monkeypatch, caps
      "--inputs, --outputs, --no-contrd-pin needs --subckt"),
     (["--subckt", "S", "--inputs", "1,a"],
      "argument --inputs: not a comma list of integers: '1,a'"),
-], ids=["inputs", "all-pins", "bad-index"])
+    # int() reads 1_0 as 10 and +1 as 1; an index is ASCII -?[0-9]+, as in DIMACS
+    (["--subckt", "S", "--inputs", "1_0"],
+     "argument --inputs: not a comma list of integers: '1_0'"),
+    (["--subckt", "S", "--inputs", "1", "--outputs", "+2"],
+     "argument --outputs: not a comma list of integers: '+2'"),
+    (["--subckt", "S", "--inputs", "\u0661"],
+     "argument --inputs: not a comma list of integers: '\u0661'"),
+], ids=["inputs", "all-pins", "bad-index", "underscore", "plus", "non-ascii"])
 def test_pin_flags_are_checked(tmp_path, monkeypatch, capsys, flags, message):
     # pin flags without --subckt were ignored (exit 0, a plain deck), and a
     # bad index ended in a ValueError traceback from int('a')
@@ -377,6 +384,7 @@ NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
      "clause ratio must be positive"),
     (["bench", "--families", "Z"], "unknown family 'Z' (expected one of ('B4.3', 'B7', 'X'))"),
     (["bench", "--sizes", "a"], "argument --sizes: not a comma list of integers: 'a'"),
+    (["bench", "--sizes", "1_0"], "argument --sizes: not a comma list of integers: '1_0'"),
     (["bench", "--instances", "0"], "instances_per_cell and workers must be at least 1"),
     (["solve", "--in", "x.cnf", "--t-ev", "-1"],
      "error_tol, t_ev and sample_interval must be positive"),
@@ -395,7 +403,8 @@ NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
     # each wrote a deck: a .tran to -5 s, a short across every capacitor
     ([*NETLIST, "--t-ev", "-5"], "t_ev must be positive, got -5.0"),
     ([*NETLIST, "--shunt", "0"], "shunt_resistance must be positive, got 0.0"),
-], ids=["gen-xorsat-n", "gen-barthel-ratio", "bench-families", "bench-sizes", "bench-instances",
+], ids=["gen-xorsat-n", "gen-barthel-ratio", "bench-families", "bench-sizes",
+        "bench-sizes-underscore", "bench-instances",
         "solve-t-ev", "solve-sample-interval", "netlist-overlap", "netlist-range", "netlist-name",
         "netlist-empty-name", "plotdata-run", "plotdata-select", "network-node-cnf",
         "netlist-t-ev", "netlist-shunt"])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def test_derive_seed_stable_and_distinct():
     assert a == b
     assert a != c
     assert 0 <= a < 2 ** 63
+
+
+def test_numpy_integer_seed_base_gives_the_same_plan():
+    # seed_base kept the NumPy integer, so derive_seed hashed "np.int64(0)"
+    # into another grid and summary.json could not be written as JSON
+    plan = ExperimentPlan(seed_base=np.int64(0), workers=np.int64(1))
+    assert plan == ExperimentPlan() and type(plan.seed_base) is int
+    assert derive_seed(plan.seed_base, "instance", "X", 10, 0) == derive_seed(
+        0, "instance", "X", 10, 0) == 7036492850819990905
+    assert json.dumps(asdict(plan)) == json.dumps(asdict(ExperimentPlan()))
 
 
 def test_generate_instance_families():

@@ -965,31 +965,54 @@ def _leaf_entry(token):
     return ("V", token[2:-1]) if token.startswith("V(") else ("call", token[:-2])
 
 
-def rebuilt_programs(templates, terms):
-    """parse_expressions' (templates, terms) as one flat program per text:
-    each term's template with its leaf k, ("V", k), replaced by the entry of
-    its k-th leaf token, and the terms joined t1, t2, "+", t3, "+", ..."""
-    programs = []
-    for text_terms in terms:
+def _slots(template):
+    """The leaf entries ("V", k) of a template, in program order."""
+    return [entry for entry in template if isinstance(entry, tuple) and len(entry) == 2]
+
+
+def rebuilt_programs(templates, shapes, counts, leaves):
+    """parse_expressions' flat lists as one flat program per text: each
+    term's template with its leaf k, ("V", k), replaced by the entry of its
+    k-th leaf token, and the terms joined t1, t2, "+", t3, "+", ...  Every
+    shape and leaf token is read exactly once."""
+    programs, shape_ids, tokens = [], iter(shapes), iter(leaves)
+    for count in counts:
         program = []
-        for k, (shape, leaves) in enumerate(text_terms):
-            program += [_leaf_entry(leaves[entry[1]])
+        for k in range(count):
+            template = templates[next(shape_ids)]
+            term_leaves = [next(tokens) for _ in _slots(template)]
+            program += [_leaf_entry(term_leaves[entry[1]])
                         if isinstance(entry, tuple) and len(entry) == 2 else entry
-                        for entry in templates[shape]]
+                        for entry in template]
             if k:
                 program.append("+")
         programs.append(program)
+    assert next(shape_ids, None) is None and next(tokens, None) is None
     return programs
 
 
 def deck_programs(doc):
     """({function name: program}, {target node: program}) of a document,
-    rebuilt from doc.parsed."""
+    rebuilt from parse_expressions on its texts and keyed by doc.parsed."""
     deck = doc.parsed
-    programs = rebuilt_programs(deck.templates, deck.terms)
+    programs = rebuilt_programs(*spice_expr.parse_expressions(_deck_texts(doc)))
     split = deck.num_functions
     return (dict(zip(deck.names[:split], programs[:split])),
             dict(zip(deck.names[split:], programs[split:])))
+
+
+def test_parse_expressions_returns_flat_lists():
+    # one shape id per term, one count per text, one token per template slot
+    for doc in _deck_variants():
+        texts = _deck_texts(doc)
+        templates, shapes, counts, leaves = spice_expr.parse_expressions(texts)
+        assert len(counts) == len(texts) and len(shapes) == sum(counts)
+        assert len(leaves) == sum(len(_slots(templates[shape])) for shape in shapes)
+        assert all(type(shape) is int for shape in shapes)
+        assert all(type(count) is int and count >= 1 for count in counts)
+        assert all(type(leaf) is str for leaf in leaves)
+        assert [_slots(template) for template in templates] == [
+            [("V", k) for k in range(len(_slots(template)))] for template in templates]
 
 
 def _same_as_each(texts):
@@ -1234,7 +1257,8 @@ def test_templates_run_on_arrays_as_on_each_state():
     # one template over a column of states gives each state's value
     rng = np.random.default_rng(30)
     text = "min(V(a), V(b))*if(V(c) <= 0, u(V(a)), -V(b)) - V(c)"
-    (template,), [[(_, leaves)]] = spice_expr.parse_expressions([text])
+    (template,), shapes, counts, leaves = spice_expr.parse_expressions([text])
+    assert shapes == [0] and counts == [1]
     states = np.concatenate([rng.uniform(-1, 1, (3, 40)),
                              rng.choice([-0.0, 0.0, 1.0, -1.0], (3, 40))], axis=1)
     got = spice_expr.evaluate(template, states[["abc".index(leaf[2]) for leaf in leaves]])

@@ -566,6 +566,11 @@ def test_load_network_config_rejects_unknown_keys(tmp_path, changes, where):
     ({"nodes": [{"cnf": "a.cnf", "inputs": [1], "outputs": [2], "label": ["x"]}]},
      "'label' in node 0 must be a JSON string, got ['x']"),
     ({"nodes": [{"cnf": "a.cnf", "solver": 5}]}, "'solver' in node 0 must be a JSON string, got 5"),
+    # int() reads each of these as 0; an index is ASCII -?[0-9]+, as in DIMACS
+    *[({"edges": [{"from": "drive:0", "to": ref}]}, f"bad signal reference {ref!r} in edge 0")
+      for ref in ("node:+0:1", "node: 0:1", "node:0_0:1", "node:\u0660:1", "node:0:1 ")],
+    ({"edges": [{"from": "drive:+0", "to": "node:0:1"}]},
+     "bad signal reference 'drive:+0' in edge 0"),
 ])
 def test_load_network_config_rejects_malformed_references(tmp_path, changes, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

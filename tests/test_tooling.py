@@ -318,6 +318,31 @@ def test_integer_arguments_rejected_by_name(build, message):
         build()
 
 
+@pytest.mark.parametrize("cls", [cls for cls in _VALID_ARGS
+                                 if any(f.type == "int" for f in fields(cls))],
+                         ids=lambda cls: cls.__name__)
+def test_int_fields_store_python_ints(cls):
+    # a NumPy integer was kept as given, so its repr ("np.int64(0)") fed
+    # derive_seed and json.dumps of the plan failed
+    names = [f.name for f in fields(cls) if f.type == "int"]
+    valid = cls(**_VALID_ARGS[cls])
+    built = cls(**{**_VALID_ARGS[cls], **{name: np.int64(getattr(valid, name)) for name in names}})
+    assert [type(getattr(built, name)) for name in names] == [int] * len(names)
+    assert built == valid
+
+
+def test_valid_args_cover_every_checked_dataclass():
+    # every package class that calls check_fields is built by the cases
+    # above; of those, two have int fields
+    checked = {(path.stem, node.name) for path in Path(ctsat.__file__).parent.glob("*.py")
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
+               and any(isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                       == "check_fields" for call in ast.walk(node))}
+    assert checked == {(cls.__module__.rpartition(".")[2], cls.__name__) for cls in _VALID_ARGS}
+    assert [cls for cls in _VALID_ARGS if any(f.type == "int" for f in fields(cls))] == [
+        BarthelParams, ExperimentPlan]
+
+
 def test_integer_parameters_stay_valid():
     assert MemOptions(alpha=5, beta=20).alpha == 5
     assert IntegratorConfig(t_ev=10, dt_max=1).t_ev == 10
