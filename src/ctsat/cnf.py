@@ -43,17 +43,19 @@ class DimacsError(ValueError):
 def check_fields(params) -> None:
     """Raise ValueError naming the first field of the dataclass instance
     params whose value does not fit its declared type: a float field
-    holding a bool, a str or another non-number (an int is valid), an int
-    field holding a bool, a float or another non-integer (a NumPy integer is
-    valid, and stored back as a Python int), a bool field holding anything
-    but a bool, or any field holding a NaN or infinite number.  Parameter,
-    option and configuration classes call it first thing, so a bad value
-    fails where it is given instead of being read by truthiness or failing
-    inside a run."""
+    holding a bool, a str or another non-number (an int is valid, any other
+    number is stored back as a Python float), an int field holding a bool, a
+    float or another non-integer (a NumPy integer is valid, and stored back
+    as a Python int), a bool field holding anything but a bool, or any
+    field holding a NaN or infinite number.  Parameter, option and
+    configuration classes call it first thing, so a bad value fails where it
+    is given instead of being read by truthiness or failing inside a run."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if f.type == "float" and type(value) is not int:  # a Python float, which JSON writes
+            object.__setattr__(params, f.name, float(value))
         if f.type == "int":  # a Python int, so repr (seeds) and JSON read it as one
             object.__setattr__(params, f.name, require_integer(value, f.name))
         if f.type == "bool" and not isinstance(value, bool):

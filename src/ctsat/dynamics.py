@@ -196,6 +196,7 @@ class System(NamedTuple):
     lo: np.ndarray                  # per-component lower bound, -inf if unbounded
     hi: np.ndarray                  # per-component upper bound, +inf if unbounded
     columns: tuple[str, ...]        # component names, equal to the deck's node names
+    error_columns: int | None = None  # the leading columns the step error reads; None: all
 
 
 def _blocks(problem: Problem, solver: str, options: AnalogOptions | MemOptions | None = None):

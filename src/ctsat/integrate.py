@@ -179,7 +179,8 @@ class _Member:
     sizes, the bytes its last accepted step ended on), its stats, outcome
     windows and recorded samples.  Its state vector is a row of its batch's
     (B, D) array; its pins are the 0-based variables its group writes.  Its
-    seed is a Python or NumPy integer; a bool, float or str is a ValueError."""
+    seed is a Python or NumPy integer; a bool, float or str is a ValueError.
+    Its batch reads the solver only from system, its kernel factory, and start."""
 
     def __init__(self, problem: Problem, solver: str, seed: int, config: IntegratorConfig,
                  solver_options: AnalogOptions | MemOptions | None):
@@ -188,6 +189,7 @@ class _Member:
         self.problem = problem
         self.solver = solver
         self.config = config
+        self.system, self.start = make_batch_system, initial_state(problem, solver, self.seed)
         self.pins: list[int] = []
         # the outcome windows: where contrd == 0 began and the readout there,
         # and where max |s_i| < eps_zero began (None while outside)
@@ -247,8 +249,8 @@ class _Member:
 
 
 class _Batch:
-    """Members of one solver, options, config, N and M whose states are the
-    rows of one (B, D) array, integrated by one batched RHS call per stage.
+    """Members of one kernel factory, solver, options, config, N and M whose
+    states are the rows of one (B, D) array, stepped by one batched RHS call per stage.
 
     attempt() runs the method's stages on all rows at once, then each
     member's own accept/reject decision and step-size control in Python
@@ -269,17 +271,16 @@ class _Batch:
     def __init__(self, members: list[_Member]):
         self.members = members
         self.config = members[0].config
-        self.y = np.stack([initial_state(m.problem, m.solver, m.seed) for m in members])
+        self.y = np.stack([m.start for m in members])
         self.k1 = np.empty_like(self.y)
         self._bind()
 
     def _bind(self):
         """Builds the kernel for the current members and numbers their rows."""
         first = self.members[0]
-        system = make_batch_system([m.problem for m in self.members], first.solver,
-                                   first.solver_options)
-        self.lo, self.hi, self.columns = system.lo, system.hi, system.columns
-        self.rhs = system.rhs
+        system = first.system([m.problem for m in self.members], first.solver,
+                              first.solver_options)
+        self.system, self.rhs = system, system.rhs
         width = self.y.shape[1]
         pinned = []  # flat indices into the (B, D) rows
         for row, member in enumerate(self.members):
@@ -348,7 +349,7 @@ class _Batch:
         if accepted:
             if last is not None:
                 self.k1[accepted] = last[accepted]
-            self.y[accepted] = np.clip(y_new[accepted], self.lo, self.hi)
+            self.y[accepted] = np.clip(y_new[accepted], self.system.lo, self.system.hi)
         share = (time.perf_counter() - start) / len(running)
         for member in running:
             member.stats["wall_time"] += share
@@ -394,6 +395,7 @@ class _Batch:
         k4 = rhs(0.0, y_new)
         err_vec = h * ((-5.0 / 72.0) * k1 + (1.0 / 12.0) * k2 + (1.0 / 9.0) * k3 - 0.125 * k4)
         e = err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        e = e[:, slice(self.system.error_columns)]
         width = e.shape[1]  # RMS, as np.mean computes it
         errs = [math.sqrt(sum_sq / width) for sum_sq in np.add.reduce(e * e, axis=1).tolist()]
         return hs, y_new, errs, k4, 3
@@ -507,7 +509,7 @@ class _Group:
                 states=np.asarray(m.states),
                 contra=np.asarray(m.contra),
                 contrd=np.asarray(m.contrd, dtype=int),
-                state_columns=m.batch.columns,
+                state_columns=m.batch.system.columns,
                 config=self.config,
                 options={m.solver: asdict(m.solver_options)},
                 stats=stats,
@@ -518,8 +520,8 @@ class _Group:
 def _integrate(groups: list[_Group]):
     """The one integration loop behind run(), run_batch() and simulate_network().
 
-    The members of one solver, options, config, N and M share a batch,
-    whatever their group.  Each group then records t = 0, and each
+    The members of one kernel factory, solver, options, config, N and M
+    share a batch, whatever their group.  Each group then records t = 0, and each
     iteration makes one step attempt for every running member of every
     batch; each group whose members all reached their stop acts on it
     (pins, samples, outcome windows) and sends them on, or finishes, and
@@ -530,7 +532,8 @@ def _integrate(groups: list[_Group]):
     shapes: dict = {}
     for group in groups:
         for m in group.members:
-            key = (m.solver, m.solver_options, m.config, m.problem.num_vars, m.problem.num_clauses)
+            key = (m.system, m.solver, m.solver_options, m.config,
+                   m.problem.num_vars, m.problem.num_clauses)
             shapes.setdefault(key, []).append(m)
     batches = [_Batch(members) for members in shapes.values()]
     for group in groups:

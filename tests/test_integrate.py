@@ -8,7 +8,7 @@ from scipy import stats
 
 from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
-from ctsat.dynamics import AnalogOptions, MemOptions, initial_state, make_system
+from ctsat.dynamics import AnalogOptions, MemOptions, initial_state, make_batch_system, make_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -26,6 +26,7 @@ from ctsat.integrate import (
 )
 from ctsat.network import SolverNode, Wiring, simulate_network
 from ctsat.oracle import solve_dpll
+from shared_step import run_with
 
 
 def easy_instance(seed=1, n=10):
@@ -301,18 +302,17 @@ def test_detect_convergence_on_recorded_run_with_growth_regression():
 
 # ------------------------------------------------- stepper: FSAL and aborts
 
-def nan_system(problem):
-    system = make_system(problem, MEM)
+def nan_system(problems, solver, solver_options=None):
+    """A kernel factory whose every derivative is NaN."""
+    system = make_batch_system(problems, solver, solver_options)
     return system._replace(rhs=lambda t, y: np.full_like(y, np.nan))
 
 
-def patch_nan_kernel(monkeypatch):
-    monkeypatch.setattr(integrate, "make_batch_system", lambda ps, *args: nan_system(ps[0]))
-
-
-def stepper(problem, solver, seed, config):
-    """A member in a batch of its own: the row stepper on one row."""
+def stepper(problem, solver, seed, config, system=make_batch_system):
+    """A member in a batch of its own, whose kernel factory is system: the
+    row stepper on one row."""
     member = integrate._Member(problem, solver, seed, config, None)
+    member.system = system
     integrate._Batch([member])
     return member
 
@@ -330,10 +330,9 @@ NON_FINITE_CASES = pytest.mark.parametrize("method,n_rhs", [("rk23", 4), ("euler
 
 
 @NON_FINITE_CASES
-def test_non_finite_rhs_aborts_on_first_attempt(monkeypatch, method, n_rhs):
+def test_non_finite_rhs_aborts_on_first_attempt(method, n_rhs):
     problem = easy_instance(seed=1).problem
-    patch_nan_kernel(monkeypatch)
-    member = stepper(problem, MEM, 0, IntegratorConfig(method=method))
+    member = stepper(problem, MEM, 0, IntegratorConfig(method=method), nan_system)
     member.y[:] = np.concatenate([np.zeros(problem.num_vars),
                                   np.full(2 * problem.num_clauses, 0.5)])
     advance(member, 0.0, 0.1)
@@ -345,10 +344,9 @@ def test_non_finite_rhs_aborts_on_first_attempt(monkeypatch, method, n_rhs):
 
 
 @NON_FINITE_CASES
-def test_non_finite_state_is_reported_as_abort(monkeypatch, method, n_rhs):
+def test_non_finite_state_is_reported_as_abort(method, n_rhs):
     problem = easy_instance(seed=1).problem
-    patch_nan_kernel(monkeypatch)
-    record = run(problem, MEM, seed=2, config=IntegratorConfig(method=method))
+    record = run_with(nan_system, problem, MEM, 2, IntegratorConfig(method=method))
     assert record.outcome == TIMEOUT
     assert record.times[-1] == 0.0
     assert not record.stats["dt_underflow"]
@@ -412,7 +410,7 @@ def test_bad_witness_raises(monkeypatch):
 
 # ------------------------------------------------------------------ persistence
 
-def solved_mem_record(monkeypatch):
+def solved_mem_record():
     problem = easy_instance(seed=1).problem
     record = run(problem, MEM, seed=2, config=IntegratorConfig(t_ev=30.0))
     record.instance = "easy.cnf"
@@ -420,23 +418,22 @@ def solved_mem_record(monkeypatch):
     return problem, record
 
 
-def converged_analog_record(monkeypatch):
+def converged_analog_record():
     problem = gen_xorsat_3r(20, seed=3).problem
     record = run(problem, ANALOG, seed=5, config=IntegratorConfig(t_ev=150.0))
     assert record.outcome == CONVERGED_TO_ZERO
     return problem, record
 
 
-def non_finite_record(monkeypatch):
+def non_finite_record():
     problem = easy_instance(seed=1).problem
-    patch_nan_kernel(monkeypatch)
-    record = run(problem, MEM, seed=2)
+    record = run_with(nan_system, problem, MEM, 2, IntegratorConfig())
     assert "non-finite" in record.stats["abort_message"]
     assert record.stats["dt_smallest"] is None
     return problem, record
 
 
-def ring_node_record(monkeypatch):
+def ring_node_record():
     problem = easy_instance(seed=1).problem
     node = lambda: SolverNode(problem, MEM, input_vars=(1,), output_vars=(2,))
     wiring = Wiring(edges=((("node", 0, 2), (1, 1)), (("node", 1, 2), (0, 1))))
@@ -449,8 +446,8 @@ def ring_node_record(monkeypatch):
 @pytest.mark.parametrize("make_record", [
     solved_mem_record, converged_analog_record, non_finite_record, ring_node_record,
 ], ids=["solved-mem", "converged-analog", "non-finite-abort", "ring-node"])
-def test_save_and_load_run(tmp_path, monkeypatch, make_record):
-    problem, record = make_record(monkeypatch)
+def test_save_and_load_run(tmp_path, make_record):
+    problem, record = make_record()
     json_path, npz_path = save_run(record, tmp_path, "demo")
     assert (json_path.name, npz_path.name) == ("demo.json", "demo.npz")
     payload = load_run(json_path)
@@ -478,6 +475,22 @@ def test_save_and_load_run(tmp_path, monkeypatch, make_record):
         "readout_rule", "options", "config", "stats", "samples", "state_columns",
         "trajectory", "times", "contra", "contrd", "states",
     } | ({"assignment_array"} if record.assignment is not None else set())
+
+
+def test_numpy_float_fields_save_and_load_as_json_numbers(tmp_path):
+    # a np.float32 field was kept as given, so save_run's json.dumps (and
+    # run_experiment's summary.json) failed after the run had finished
+    config = IntegratorConfig(t_ev=np.float32(3), error_tol=np.float32(1e-4))
+    options = MemOptions(alpha=np.float32(5))
+    record = run(easy_instance(seed=1).problem, MEM, seed=2, config=config,
+                 solver_options=options)
+    payload = load_run(save_run(record, tmp_path, "float32")[0])
+    assert (type(config.t_ev), type(config.error_tol), type(options.alpha)) == (float,) * 3
+    assert payload["config"] == asdict(config)
+    assert payload["config"]["t_ev"] == 3.0
+    assert payload["config"]["error_tol"] == float(np.float32(1e-4))
+    assert payload["options"] == {MEM: asdict(options)}
+    assert payload["times"].tobytes() == record.times.tobytes()
 
 
 def test_load_run_without_trajectory_raises(tmp_path):

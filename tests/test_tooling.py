@@ -2,16 +2,17 @@ import argparse
 import ast
 import builtins
 import importlib
+import json
 import math
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ctsat
-from ctsat import cli
+from ctsat import cli, integrate
 from ctsat.cli import build_parser
 from ctsat.dynamics import ANALOG, MEM, AnalogOptions, MemOptions, initial_state, make_system
 from ctsat.harness import ExperimentPlan
@@ -329,6 +330,42 @@ def test_int_fields_store_python_ints(cls):
     built = cls(**{**_VALID_ARGS[cls], **{name: np.int64(getattr(valid, name)) for name in names}})
     assert [type(getattr(built, name)) for name in names] == [int] * len(names)
     assert built == valid
+
+
+@pytest.mark.parametrize("cls", [cls for cls in _VALID_ARGS
+                                 if any(f.type == "float" for f in fields(cls))],
+                         ids=lambda cls: cls.__name__)
+def test_float_fields_store_python_floats(cls):
+    # a NumPy float was kept as given, so json.dumps of a plan or a saved
+    # run failed; a Python int stays as given
+    names = [f.name for f in fields(cls) if f.type == "float"]
+    valid = cls(**_VALID_ARGS[cls])
+    built = cls(**{**_VALID_ARGS[cls], **{name: np.float32(getattr(valid, name))
+                                          for name in names}})
+    assert [type(getattr(built, name)) for name in names] == [float] * len(names)
+    json.dumps(asdict(built))
+
+
+def test_integrator_meets_its_kernel_at_one_seam():
+    # a batch takes its System and start rows from its members' system and
+    # start, so a test kernel or a later one plugs in there, not by patching
+    # a module global; the import binds both names, and init_analog and
+    # init_mem, which perfbench reads, stay views of initial_state
+    seam = ("make_batch_system", "initial_state")
+    named = {name: [] for name in seam}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in seam:
+                named[name].append(where)
+            visit(child, where)
+    visit(ast.parse(Path(integrate.__file__).read_text()), "")
+    assert named == {"make_batch_system": ["_Member.__init__"],
+                     "initial_state": ["init_analog", "init_mem", "_Member.__init__"]}
 
 
 def test_valid_args_cover_every_checked_dataclass():
