@@ -122,10 +122,15 @@ def _cnf_path(text: str) -> Path:
     return Path(text)
 
 
+def _items(text: str) -> tuple[str, ...]:
+    """A comma list: each item stripped, empty items dropped."""
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
 def _integers(text: str) -> tuple[int, ...]:
     """A comma list of integers: variable indices or instance sizes, each
     ASCII -?[0-9]+ as in DIMACS (int() alone would also read 1_0 and +1)."""
-    numbers = _ascii_integers([x.strip() for x in text.split(",") if x.strip()])
+    numbers = _ascii_integers(list(_items(text)))
     if numbers is None:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
     return tuple(numbers)
@@ -190,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", parents=[seed, out_dir],
                              help="run a benchmark grid and summarize")
-    p_bench.add_argument("--families", default=argparse.SUPPRESS)
+    p_bench.add_argument("--families", type=_items, default=argparse.SUPPRESS)
     p_bench.add_argument("--sizes", type=_integers, default=argparse.SUPPRESS)
     p_bench.add_argument("--instances", dest="instances_per_cell", type=int,
                          default=argparse.SUPPRESS)
-    p_bench.add_argument("--solvers", default=argparse.SUPPRESS)
+    p_bench.add_argument("--solvers", type=_items, default=argparse.SUPPRESS)
     p_bench.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     _add_integrator_flags(p_bench)
 
@@ -289,10 +294,8 @@ def _run(args) -> int:
 
     if args.command == "bench":
         grid = _given(args, "families", "sizes", "instances_per_cell", "solvers", "workers")
-        if "families" in grid:
-            grid["families"] = tuple(grid["families"].split(","))
         if "solvers" in grid:
-            grid["solvers"] = tuple(SolverSpec(kind) for kind in grid["solvers"].split(","))
+            grid["solvers"] = tuple(map(SolverSpec, grid["solvers"]))
         plan = ExperimentPlan(config=_integrator_config(args), seed_base=args.seed, **grid)
         table, _records = run_experiment(plan, args.out_dir)
         print(table.to_markdown())

@@ -173,8 +173,13 @@ def assignment_to_bits(assignment: Assignment) -> str:
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
-_MAX_DIGITS = 18  # every integer of at most 18 decimal digits fits an int64
 _INT64_MAX = 2**63 - 1
+# The break before a line that is not four ASCII integers of at most 18
+# digits (so each fits an int64) between spaces and tabs.  (Anchoring on a
+# literal "\n" rather than on "^" lets the search skip to each line start.)
+_NOT_FOUR_INTEGERS = re.compile(
+    r"\n(?![ \t]*-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}[ \t]*$)",
+    re.M)
 
 
 def _integers(tokens: list[str]) -> list[int] | None:
@@ -186,11 +191,11 @@ def _integers(tokens: list[str]) -> list[int] | None:
 
 
 class _LineRules:
-    """The format's rules, applied to one line at a time.  parse_dimacs runs
-    them on every line that its array checks do not settle: the lines up to
-    the header, comments, blank lines, the trailer, a lone final 0, a clause
-    line that is not four tokens between spaces and tabs, and the first
-    clause line that fails an array check, whose fault they name."""
+    """The format's rules, applied to one line at a time: the one statement
+    of each accepted line form and each message.  parse_dimacs runs them on
+    the lines up to the header, on the lines after a bulk-read clause
+    block, and on every line after the header when the block is not read
+    in bulk."""
 
     def __init__(self):
         self.num_vars = None
@@ -250,38 +255,6 @@ class _LineRules:
         return codes
 
 
-def _four_token_lines(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(four, codes): which lines hold exactly four tokens of -?[0-9]+, each
-    of at most 18 digits, with only spaces and tabs around them, and those
-    tokens as a (K, 4) int64 array in line order, read from the lines' bytes
-    in one pass of array operations."""
-    # 'replace' keeps one byte per character: each non-ASCII one becomes '?'
-    data = np.frombuffer(("\n".join(lines) + "\n").encode("ascii", "replace"), np.uint8)
-    space = (data == 32) | (data == 9) | (data == 10)
-    first = ~space
-    first[1:] &= space[:-1]
-    last = ~space
-    last[:-1] &= space[1:]
-    start, end = np.flatnonzero(first), np.flatnonzero(last)
-    minus = data[start] == 45
-    width = end - start + 1 - minus  # digits of each token
-    stray = ~space & ((data < 48) | (data > 57))
-    stray[start[minus]] = False  # a token's leading minus
-    ends = np.flatnonzero(data == 10)  # the newline that ends each line
-    line = np.searchsorted(ends, start)
-    four = np.bincount(line, minlength=len(lines)) == 4
-    four[np.searchsorted(ends, np.flatnonzero(stray))] = False
-    four[line[(width < 1) | (width > _MAX_DIGITS)]] = False
-    keep = four[line]
-    first_digit, end, minus = (start + minus)[keep], end[keep], minus[keep]
-    codes = np.zeros(len(end), dtype=np.int64)
-    for k in range(int((end - first_digit).max(initial=-1)) + 1):  # digits right to left
-        at = end - k
-        codes += 10**k * np.where(at >= first_digit, data[at] - 48, 0).astype(np.int64)
-    codes = np.where(minus, -codes, codes)
-    return four, codes.reshape(-1, 4)
-
-
 def parse_dimacs(text) -> Problem:
     """Parse DIMACS CNF text into a Problem.
 
@@ -292,10 +265,11 @@ def parse_dimacs(text) -> Problem:
     str.splitlines breaks. Legacy SATLIB '%' / '0' trailer lines after the
     clauses are tolerated and ignored.
 
-    The lines after the header that hold four integer tokens are read and
-    checked as one (K, 4) array; _LineRules reads every other line, and the
-    first one that fails an array check, so each rule and message is stated
-    once.
+    When the M lines after the header each hold four integers of at most 18
+    digits between spaces and tabs, end in 0 and make a valid Problem, they
+    are read as one (M, 4) array and _LineRules reads only the lines after
+    them.  Any other text is read line by line by _LineRules, so an error
+    always names the first faulty line in line order.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -307,34 +281,26 @@ def parse_dimacs(text) -> Problem:
             raise DimacsError("missing 'p cnf' header")
         rules.read(head + 1, lines[head], 0)
         head += 1
-    body = lines[head:]
-    four, codes = _four_token_lines(body)
-    rows = np.flatnonzero(four)
-    trailer = next((i for i in np.flatnonzero(~four).tolist() if body[i].strip() == "%"),
-                   len(body))
-    literals = codes[:, :3]
-    var = np.abs(literals)
-    a, b, c = var.T
-    fault = ((codes[:, 3] != 0) | (literals == 0).any(axis=1) | (a == b) | (a == c) | (b == c)
-             | (var > rules.num_vars).any(axis=1) | (rows > trailer))
-    rows, literals = rows[~fault], literals[~fault]
-    settled = np.zeros(len(body), dtype=bool)
-    settled[rows] = True
-    extra = {}  # body index -> literals of a clause line that only the line rules read
-    for k, i in enumerate(np.flatnonzero(~settled).tolist()):
-        # before line i come i - k settled clause lines and every extra one
-        found = rules.read(head + i + 1, body[i], i - k + len(extra))
+    bulk, problem = 0, None
+    block = "\n" + "\n".join(lines[head:head + rules.declared])  # each line after a break
+    if head + rules.declared <= len(lines) and not _NOT_FOUR_INTEGERS.search(block):
+        codes = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 4)
+        if not codes[:, 3].any():
+            try:
+                problem = Problem.from_dimacs_clauses(rules.num_vars, codes[:, :3])
+                bulk = rules.declared
+            except ValueError:  # a literal 0, a repeated variable or one out of range
+                pass
+    clauses = []
+    for i in range(head + bulk, len(lines)):
+        found = rules.read(i + 1, lines[i], bulk + len(clauses))
         if found is not None:
-            extra[i] = found
-    if extra:
-        order = np.argsort(np.concatenate([rows, list(extra)]))
-        literals = np.concatenate([literals, np.array(list(extra.values()), dtype=np.int64)])
-        literals = literals[order]
-    if len(literals) != rules.declared:
+            clauses.append(found)
+    if bulk + len(clauses) != rules.declared:
         raise DimacsError(
-            f"header declares {rules.declared} clauses, file has {len(literals)}"
+            f"header declares {rules.declared} clauses, file has {bulk + len(clauses)}"
         )
-    return Problem.from_dimacs_clauses(rules.num_vars, literals)
+    return problem if bulk else Problem.from_dimacs_clauses(rules.num_vars, clauses)
 
 
 def read_dimacs(path) -> Problem:

@@ -298,6 +298,7 @@ def emit_plot_data(record, selection: str) -> str:
     Selections are comma-separated tokens: 'contra', 'contrd', or
     '<prefix>:<index or *>' over the state columns (e.g. 's:*', 'a:3',
     'v:1', 'xs:*', 'xl:2'); indices are 1-based as in the column names.
+    A selection that names no series raises ValueError.
     """
     fields = vars(record) if isinstance(record, RunRecord) else record
     columns, times, states = fields["state_columns"], fields["times"], fields["states"]
@@ -308,6 +309,8 @@ def emit_plot_data(record, selection: str) -> str:
         token = token.strip()
         if token:
             selected.extend(_series_columns(columns, token))
+    if not selected:
+        raise ValueError(f"selection {selection!r} names no series")
 
     lines = ["t,series,value"]
     col_index = {name: i for i, name in enumerate(columns)}

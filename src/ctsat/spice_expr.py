@@ -15,18 +15,17 @@ does a wrong argument count: u takes one, if three, min at least one and
 every user function none.  Without division no value can fail, so if
 evaluates all three arguments, like every other builtin.
 
-A deck is evaluated top to bottom: a deck function may call only the
-functions defined above it, so each is evaluated once, callee first, and
-evaluate reads a user function's value from `values` (name -> value at
-the same voltages) instead of running its body.  Nothing here recurses.
-
 parse_expressions parses all of a deck's texts in one call, each into
 terms, and each expression shape once: it returns one template per shape
-(a program whose k-th leaf reads slot k) and, as flat lists, every term's
-shape id, each text's term count and every leaf token.  evaluate is the
-one stack loop; it runs on floats or on NumPy arrays with the same IEEE
+(a program whose k-th leaf, a node voltage or a user function's value,
+reads slot k) and, as flat lists, every term's shape id, each text's term
+count and every leaf token.  evaluate is the one stack loop, and it runs
+templates only: it reads each leaf from the values it is given and never
+looks a name up, so a user function is a leaf whose value the caller has
+already computed.  It runs on floats or on NumPy arrays with the same IEEE
 results, so a template runs once on the leaf values of every term of its
-shape (netlist compiles a deck this way).
+shape; netlist evaluates a deck this way, top to bottom, a function's
+value before any caller reads it.  Nothing here recurses.
 
 The step function uses u(x) = 1 for x >= 0 and 0 otherwise, matching the
 boundary-mask convention of the dynamics module (a derivative is blocked
@@ -38,7 +37,6 @@ from __future__ import annotations
 import operator
 import re
 import string
-from typing import Mapping
 
 import numpy as np
 
@@ -201,23 +199,18 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "<=": lambda a, b: _where(a <= b, 1.0, 0.0)}
 
 
-def evaluate(code, voltages: Mapping[str, float],
-             values: Mapping[str, float] | None = None):
-    """Run a program given node voltages and the values of the user
-    functions it calls (name -> value); a call missing from values raises
-    ExprError, and no function body runs here.
+def evaluate(template, leaves):
+    """Run a template on its leaf values: leaf k, ("V", k), reads leaves[k].
 
-    The values may be floats or NumPy arrays of one shape: each operation
-    is elementwise and gives the IEEE result Python floats give (u, <=
-    and if select with np.where, min keeps the first of equal values, as
-    Python's min does), so an array of states evaluates to the values the
-    states give one at a time, bit for bit.  A template runs with its leaf
-    values as voltages: leaf k, ("V", k), reads voltages[k].
+    The leaf values may be floats or NumPy arrays of one shape: each
+    operation is elementwise and gives the IEEE result Python floats give
+    (u, <= and if select with np.where, min keeps the first of equal
+    values, as Python's min does), so an array of states evaluates to the
+    values the states give one at a time, bit for bit.
     """
-    values = {} if values is None else values
     stack = []
     with np.errstate(all="ignore"):  # inf and nan arise as with Python floats
-        for op in code:
+        for op in template:
             if op.__class__ is str:
                 if op == "neg":
                     stack[-1] = -stack[-1]
@@ -227,14 +220,10 @@ def evaluate(code, voltages: Mapping[str, float],
             elif op.__class__ is float:
                 stack.append(op)
             elif op[0] == "V":
-                try:
-                    stack.append(voltages[op[1]])
-                except KeyError:
-                    raise ExprError(f"undefined node {op[1]!r}") from None
-            elif len(op) == 3:  # a builtin on the top op[2] values
-                if op[1] == "u":
-                    stack[-1] = _where(stack[-1] >= 0.0, 1.0, 0.0)
-                    continue
+                stack.append(leaves[op[1]])
+            elif op[1] == "u":
+                stack[-1] = _where(stack[-1] >= 0.0, 1.0, 0.0)
+            else:  # min or if on the top op[2] values
                 args = stack[-op[2]:]
                 del stack[-op[2]:]
                 if op[1] == "min":
@@ -244,9 +233,4 @@ def evaluate(code, voltages: Mapping[str, float],
                     stack.append(low)
                 else:  # if(cond, a, b)
                     stack.append(_where(args[0] != 0.0, args[1], args[2]))
-            else:  # a user function, already evaluated
-                try:
-                    stack.append(values[op[1]])
-                except KeyError:
-                    raise ExprError(f"unknown function {op[1]!r}") from None
     return stack.pop()

@@ -113,6 +113,23 @@ def test_bench_command(tmp_path, capsys):
     assert "| 10 | mem |" in capsys.readouterr().out
 
 
+def test_bench_lists_are_comma_lists(tmp_path, monkeypatch):
+    # --families "X, B7" failed with unknown family ' B7', while --sizes
+    # "10, 20" worked: every bench list strips its items and drops empty ones
+    plans = []
+
+    def run_experiment(plan, out_dir):  # records the plan, runs nothing
+        plans.append(plan)
+        return argparse.Namespace(to_markdown=lambda: ""), []
+
+    monkeypatch.setattr("ctsat.cli.run_experiment", run_experiment)
+    for families, solvers in (("X,B7", "mem,analog"), (" X , B7", " mem, , analog ")):
+        assert main(["bench", "--out-dir", str(tmp_path), "--families", families,
+                     "--solvers", solvers]) == 0
+    assert plans[0].families == ("X", "B7")
+    assert plans[0] == plans[1]
+
+
 def test_network_command(tmp_path, capsys):
     cnf = tmp_path / "a.cnf"
     main(["gen", "barthel", "--seed", "3", "--n", "8", "--ratio", "7",
@@ -403,11 +420,13 @@ NETLIST = ["netlist", "--in", "x.cnf", "--out", "d.cir"]
     # each wrote a deck: a .tran to -5 s, a short across every capacitor
     ([*NETLIST, "--t-ev", "-5"], "t_ev must be positive, got -5.0"),
     ([*NETLIST, "--shunt", "0"], "shunt_resistance must be positive, got 0.0"),
+    # wrote a CSV of the header alone and exited 0
+    (["plotdata", "--run", "r/run.json", "--select", ""], "selection '' names no series"),
 ], ids=["gen-xorsat-n", "gen-barthel-ratio", "bench-families", "bench-sizes",
         "bench-sizes-underscore", "bench-instances",
         "solve-t-ev", "solve-sample-interval", "netlist-overlap", "netlist-range", "netlist-name",
         "netlist-empty-name", "plotdata-run", "plotdata-select", "network-node-cnf",
-        "netlist-t-ev", "netlist-shunt"])
+        "netlist-t-ev", "netlist-shunt", "plotdata-empty-select"])
 def test_rejected_values_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     # each of these ended in a traceback; "--subckt ''" read as no --subckt
     # and reported "--inputs needs --subckt"

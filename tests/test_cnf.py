@@ -187,6 +187,13 @@ def test_numbers_beyond_int64_are_named_by_line(text, message):
         parse_dimacs(text)
 
 
+def test_first_fault_in_line_order_is_named():
+    # the clause block is checked before the trailer's lines are read, so
+    # its repeated variable is named, not the trailer's stray 5 on line 5
+    message = "line 3: repeated variable within clause: '1 1 2 0'"
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+        parse_dimacs("p cnf 3 2\n1 2 3 0\n1 1 2 0\n%\n5\n")
+
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "+1"])
 def test_tokens_are_ascii_integers(token):
@@ -390,6 +397,11 @@ def test_roundtrip_on_instance_streams(family, num_vars):
     text = write_dimacs(problem)
     assert parse_dimacs(text) == problem
     assert write_dimacs(parse_dimacs(text)) == text
+    # a trailer after the clause block, and a comment line that sends every
+    # line after the header to the line rules
+    header, clauses = text.split("\n", 1)
+    for variant in (text + "%\n0\n", f"{header}\nc after the header\n{clauses}"):
+        assert parse_dimacs(variant) == problem
 
 
 def test_count_unsatisfied_first_clause_example():

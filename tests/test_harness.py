@@ -324,6 +324,10 @@ def test_emit_plot_data_unknown_selection():
         emit_plot_data(record, "bogus")
     with pytest.raises(ValueError):
         emit_plot_data(record, "s:999")
+    # an empty selection wrote only the CSV header
+    for selection in ("", " , "):
+        with pytest.raises(ValueError, match=f"^selection {selection!r} names no series$"):
+            emit_plot_data(record, selection)
 
 
 def test_emit_plot_data_from_loaded_payload(tmp_path):

@@ -701,14 +701,16 @@ def test_expression_parser_basics():
 
 
 def test_expression_parser_user_functions_and_errors():
-    ast = spice_expr.parse_expression("f()+1")
-    assert spice_expr.evaluate(ast, {}, {"f": 4.0}) == 5.0
-    with pytest.raises(spice_expr.ExprError):
-        spice_expr.evaluate(spice_expr.parse_expression("g()"), {}, {})
+    # a user function is a template leaf whose value the caller supplies
+    (template,), _, _, leaves = spice_expr.parse_expressions(["f()+1"])
+    assert leaves == ["f()"]
+    assert spice_expr.evaluate(template, [4.0]) == 5.0
+    with pytest.raises(spice_expr.ExprError, match="^unknown function 'g'$"):
+        evaluate_deck_rhs(_hand_deck([], "g()"), {})
     with pytest.raises(spice_expr.ExprError):
         spice_expr.parse_expression("1 +")
-    with pytest.raises(spice_expr.ExprError):
-        spice_expr.evaluate(spice_expr.parse_expression("V(zz)"), {})
+    with pytest.raises(spice_expr.ExprError, match="^undefined node 'zz'$"):
+        evaluate_deck_rhs(_hand_deck([], "V(zz)"), {})
 
 
 def _references(program):
@@ -772,13 +774,13 @@ def test_long_sum_costs_no_recursion_depth():
         terms[k] = ("f()", 0.125)
     ops = rng.choice(["+", "-"], len(terms) - 1)
     text = terms[0][0] + "".join(op + term for op, (term, _) in zip(ops, terms[1:]))
-    ast = spice_expr.parse_expression(text)
-    refs = _references(ast)
-    assert refs == ({"a", "b"}, {"f"})
+    (template,), _, counts, leaves = spice_expr.parse_expressions([text])
+    assert counts == [1] and set(leaves) == {"V(a)", "V(b)", "f()"}
     expected = terms[0][1]
     for op, (_, x) in zip(ops, terms[1:]):
         expected = expected + x if op == "+" else expected - x
-    got = spice_expr.evaluate(ast, volts, {"f": 0.125})
+    values = {"V(a)": volts["a"], "V(b)": volts["b"], "f()": 0.125}
+    got = spice_expr.evaluate(template, [values[leaf] for leaf in leaves])
     assert float.hex(got) == float.hex(expected)
 
 
@@ -798,10 +800,11 @@ def test_deep_nesting_costs_no_recursion_depth(text, value):
     "if(1, 2, V(zz))", "if(0, V(zz), 3)", "if(V(a), 4, g())", "if(0, g(), 5)",
 ])
 def test_untaken_branches_are_evaluated(text):
-    # if is an ordinary builtin on the stack: both branches run, so the
-    # undefined node zz or the unknown function g raises either way
+    # if is an ordinary builtin on the stack: the leaves of both branches
+    # are read, so the undefined node zz or the unknown function g raises
+    # either way
     with pytest.raises(spice_expr.ExprError, match="undefined node 'zz'|unknown function 'g'"):
-        spice_expr.evaluate(spice_expr.parse_expression(text), {"a": 1.0}, {})
+        evaluate_deck_rhs(_hand_deck([], text), {"a": 1.0})
 
 
 def test_cyclic_deck_functions_raise_an_expression_error():
@@ -891,6 +894,8 @@ def _parses(text):
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _VOLTS = {"a": 0.3, "b": -1.7, "n_1": 2.25, "c0": 0.0}
 _USER = {"f": 0.125, "g": 2 * 0.3 - 1, "h": 0.0}  # deck-function values at _VOLTS
+_LEAF_VALUES = {**{f"V({node})": x for node, x in _VOLTS.items()},
+                **{f"{name}()": x for name, x in _USER.items()}}
 
 
 def _random_expression(rng, depth, refs):
@@ -951,9 +956,13 @@ def test_random_expressions_match_their_python_values():
     for _ in range(2000):
         refs = (set(), set())
         text, _, value = _random_expression(rng, 0, refs)
-        program = spice_expr.parse_expression(text)
-        got = spice_expr.evaluate(program, _VOLTS, _USER)
-        got_refs = _references(program)
+        templates, shapes, _, leaves = spice_expr.parse_expressions([text])
+        tokens, got = iter(leaves), None
+        for shape in shapes:  # the terms of a sum, added left to right
+            args = [_LEAF_VALUES[next(tokens)] for _ in _slots(templates[shape])]
+            term = spice_expr.evaluate(templates[shape], args)
+            got = term if got is None else got + term
+        got_refs = _references(spice_expr.parse_expression(text))
         assert float.hex(got) == float.hex(value), text
         assert got_refs == refs, text
 
