@@ -115,6 +115,12 @@ def _read(load, path):
         raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
+def _outcome(record) -> str:
+    """The record's outcome, with the abort message of an aborted run."""
+    message = record.stats.get("abort_message")
+    return record.outcome if message is None else f"{record.outcome} (aborted: {message})"
+
+
 def _cnf_path(text: str) -> Path:
     """A gen --out path; it must end in .cnf, since the JSON sidecar takes its stem."""
     if Path(text).suffix != ".cnf":
@@ -247,7 +253,7 @@ def _run(args) -> int:
         record.instance = args.infile
         save_run(record, args.out_dir, args.name)
         t = record.t_solve if record.t_solve is not None else record.t_detect
-        print(f"{record.outcome}" + (f" at t={t:g}" if t is not None else ""))
+        print(_outcome(record) + (f" at t={t:g}" if t is not None else ""))
         if record.assignment is not None:
             print(assignment_to_bits(record.assignment))
         return 0
@@ -289,7 +295,7 @@ def _run(args) -> int:
         for i, record in enumerate(records):
             save_run(record, args.out_dir, f"node{i}")
             t = f" t_solve={record.t_solve:g}" if record.t_solve is not None else ""
-            print(f"node {i}: {record.outcome}{t}")
+            print(f"node {i}: {_outcome(record)}{t}")
         return 0
 
     if args.command == "bench":

@@ -25,13 +25,13 @@ and the rigidity term R_nm = (1/2)(q_nm - v_n) for every literal achieving
 the clause minimum (zero otherwise).
 
 One kernel per solver evaluates a batch of flat state vectors of problems
-with equal N and M (make_batch_system); make_system() is that kernel on a
-batch of one, and analog_rhs() and mem_rhs() are views of it on the state
-structs.  Each solver has one options object, matched to it by
-resolve_options().  Each solver's state (block names and order, bounds, start
-values) is described once, in _blocks(): the kernel's outward-push mask,
-the integrator's projection, the seeded start of initial_state() and the
-netlist's node names, source masks and capacitor starts all read it.
+with equal N and M (make_batch_system); analog_rhs() and mem_rhs() are
+views of it on the state structs, as a batch of one.  Each solver has one
+options object, matched to it by resolve_options().  Each solver's state
+(block names and order, bounds, start values) is described once, in
+_blocks(): the kernel's outward-push mask, the integrator's projection, the
+seeded start of initial_state() and the netlist's node names, source masks
+and capacitor starts all read it.
 All functions are pure; derivative outputs already include the boundary
 masks that keep bounded variables from being pushed outward.
 """
@@ -61,7 +61,6 @@ __all__ = [
     "mem_clause_quantities",
     "mem_rhs",
     "System",
-    "make_system",
     "make_batch_system",
     "initial_state",
     "control_signals",
@@ -308,22 +307,12 @@ def make_batch_system(problems: Sequence[Problem], solver: str,
     return System(rhs, lo, hi, columns)
 
 
-def make_system(problem: Problem, solver: str,
-                solver_options: AnalogOptions | MemOptions | None = None) -> System:
-    """The flat-vector dynamics of one solver on one problem: the RHS, the
-    bounds that its mask, the integrator's projection and the deck's
-    source masks all read, and the component names.  The RHS is the batch
-    kernel of make_batch_system on a batch of one."""
-    system = make_batch_system([problem], solver, solver_options)
-    return system._replace(rhs=lambda t, y: system.rhs(t, np.asarray(y)[None])[0])
-
-
 def analog_rhs(problem: Problem, state: AnalogState,
                options: AnalogOptions = AnalogOptions()):
     """Time derivatives (ds, da) of the analog SAT system, with the spin
     derivatives boundary-masked at s = +-1."""
     y = np.concatenate((state.s, state.a), dtype=float)
-    d = make_system(problem, ANALOG, options).rhs(0.0, y)
+    d = make_batch_system([problem], ANALOG, options).rhs(0.0, y[None])[0]
     return d[:problem.num_vars], d[problem.num_vars:]
 
 
@@ -334,7 +323,7 @@ def mem_rhs(problem: Problem, state: MemState, options: MemOptions = MemOptions(
     options.clamp_v is False (the unconstrained-voltage variant).
     """
     y = np.concatenate((state.v, state.x_s, state.x_l), dtype=float)
-    d = make_system(problem, MEM, options).rhs(0.0, y)
+    d = make_batch_system([problem], MEM, options).rhs(0.0, y[None])[0]
     n, m = problem.num_vars, problem.num_clauses
     return d[:n], d[n:n + m], d[n + m:]
 

@@ -150,6 +150,16 @@ class CellSummary:
     def median_time(self) -> Optional[float]:
         return median(self.solve_times) if self.solve_times else None
 
+    def count(self, record):
+        """Counts one run into the cell."""
+        self.runs += 1
+        if record.outcome == SOLVED:
+            self.solve_times.append(record.t_solve)
+        else:
+            self.unsolved += 1
+            self.converged_to_zero += record.outcome == CONVERGED_TO_ZERO
+        self.aborted += "abort_message" in record.stats
+
 
 @dataclass
 class SummaryTable:
@@ -161,16 +171,7 @@ class SummaryTable:
     def from_records(cls, records: dict) -> "SummaryTable":
         cells: dict = {}
         for (family, size, _index, label), record in sorted(records.items()):
-            cell = cells.setdefault((size, label, family), CellSummary())
-            cell.runs += 1
-            if record.outcome == SOLVED:
-                cell.solve_times.append(record.t_solve)
-            else:
-                cell.unsolved += 1
-                if record.outcome == CONVERGED_TO_ZERO:
-                    cell.converged_to_zero += 1
-            if "abort_message" in record.stats:
-                cell.aborted += 1
+            cells.setdefault((size, label, family), CellSummary()).count(record)
         return cls(cells)
 
     def to_json_dict(self) -> dict:
@@ -257,16 +258,16 @@ def run_experiment(plan: ExperimentPlan, out_dir=None):
 
     records: dict = {}
     for (family, size, label), (cell_records, wall) in _finished_cells(cells, plan.workers):
+        cell = CellSummary()
         for index, record in enumerate(cell_records):
             name = f"{family}_N{size}_{index:02d}"
             record.instance = f"instances/{name}.cnf"
             records[(family, size, index, label)] = record
             if out_dir is not None:
                 save_run(record, out_dir / "runs", f"{name}_{label}")
+            cell.count(record)
         logger.info("cell %s N=%d %s: %d runs, %d solved, %d aborted, %.2f s wall",
-                    family, size, label, len(cell_records),
-                    sum(r.outcome == SOLVED for r in cell_records),
-                    sum("abort_message" in r.stats for r in cell_records), wall)
+                    family, size, label, cell.runs, len(cell.solve_times), cell.aborted, wall)
 
     records = dict(sorted(records.items()))  # the same order however cells finish
     table = SummaryTable.from_records(records)

@@ -315,7 +315,7 @@ class _Batch:
         start = time.perf_counter()
         cfg = self.config
         hs, y_new, errs, last, calls = (self._euler if cfg.method == "euler" else self._rk23)()
-        accepted, stopped = [], []
+        accepted = []
         for row, m in enumerate(self.members):
             if m.t_stop is None:
                 continue
@@ -324,15 +324,15 @@ class _Batch:
             if not math.isfinite(err):
                 # some stage derivative or state is no longer finite
                 m.aborted = (f"non-finite state at t={m.t:.6g} (error ratio {err})", False)
-                stopped.append(m)
-            elif err > 1.0:
+                continue
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+            if err > 1.0:
                 m.stats["n_rejected"] += 1
                 if h <= cfg.dt_min * (1 + 1e-12):
                     m.aborted = (f"step size underflow at t={m.t:.6g} "
                                  f"(error ratio {err:.3g})", True)
-                    stopped.append(m)
                 else:
-                    m.retry = max(cfg.dt_min, h * max(0.2, 0.9 * err ** (-1.0 / 3.0)))
+                    m.retry = max(cfg.dt_min, h * factor)
             else:
                 m.retry = None
                 m.k4_at = y_new[row].tobytes()
@@ -341,11 +341,9 @@ class _Batch:
                 m.stats["n_accepted"] += 1
                 m.stats["dt_smallest"] = min(m.stats["dt_smallest"], h)
                 m.stats["dt_largest"] = max(m.stats["dt_largest"], h)
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0)))
                 m.h = min(cfg.dt_max, max(cfg.dt_min, h * factor))
                 if m.t >= m.t_stop - 1e-12:
                     m.t_stop = None
-                    stopped.append(m)
         if accepted:
             if last is not None:
                 self.k1[accepted] = last[accepted]
@@ -353,7 +351,7 @@ class _Batch:
         share = (time.perf_counter() - start) / len(running)
         for member in running:
             member.stats["wall_time"] += share
-        return stopped
+        return [m for m in running if m.t_stop is None or m.aborted is not None]
 
     def _euler(self):
         """Forward Euler: (h per row, new rows, error ratios, no last stage,
@@ -386,9 +384,7 @@ class _Batch:
             hs.append(h)
         if fresh:
             self.k1[fresh] = rhs(0.0, y)[fresh]
-        k1 = self.k1
-        # one row steps with its h as a scalar, which broadcasts faster
-        h = hs[0] if len(hs) == 1 else np.array(hs)[:, None]
+        k1, h = self.k1, np.array(hs)[:, None]
         k2 = rhs(0.0, y + (0.5 * h) * k1)
         k3 = rhs(0.0, y + (0.75 * h) * k2)
         y_new = y + h * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
@@ -444,9 +440,8 @@ class _Group:
         shorter than 1e-12, and sends the members on to the next stop; or
         finishes.  Drive and partner inputs are distinct variables, so the
         order of the two writes does not matter."""
-        aborted = next((m.aborted for m in self.members if m.aborted is not None), None)
-        if aborted is not None:
-            self.finish(aborted)
+        if any(m.aborted is not None for m in self.members):
+            self.finish()
             return
         if any(m.t_stop is not None for m in self.members):
             return
@@ -464,7 +459,7 @@ class _Group:
                     member.t, member.t_stop = t, self.stop[0]
                 return
             t, is_sample = self.stop
-        self.finish(None)
+        self.finish()
 
     def sample(self, t) -> bool:
         """Copies the partners' outputs into the inputs they feed and records
@@ -480,7 +475,14 @@ class _Group:
         self.zero = [i for i, hit in enumerate(hits) if hit == CONVERGED_TO_ZERO]
         return bool(self.zero) or (self.joint_at is not None and self.stop_on_solve)
 
-    def finish(self, aborted: Optional[tuple[str, bool]]):
+    def finish(self):
+        """Leaves one record per member in self.records, each with the first
+        aborted member's message, prefixed "node <i>: " in a larger group."""
+        aborted = [(i, m.aborted) for i, m in enumerate(self.members) if m.aborted is not None]
+        abort = {"dt_underflow": False}
+        if aborted:
+            i, (message, abort["dt_underflow"]) = aborted[0]
+            abort["abort_message"] = (f"node {i}: " if len(self.members) > 1 else "") + message
         records = []
         for i, m in enumerate(self.members):
             outcome, t_solve, t_detect, assignment = TIMEOUT, None, None, None
@@ -495,9 +497,7 @@ class _Group:
             stats = dict(m.stats)
             if stats["dt_smallest"] is np.inf:
                 stats["dt_smallest"] = None
-            stats["dt_underflow"] = False
-            if aborted is not None:
-                stats["abort_message"], stats["dt_underflow"] = aborted
+            stats.update(abort)
             records.append(RunRecord(
                 solver=m.solver,
                 seed=m.seed,

@@ -19,14 +19,15 @@ tracks its source exactly.  Every drive must feed an input: a drive's
 transitions are stops for the whole network, so an unwired one would
 still change the trajectories.
 
-Per-node outcomes: the network counts as solved when every node's contrd
-is simultaneously 0 and stays so for the confirmation window; per-node
-records then carry the node's own entry time into that window and its
-own readout.  An analog node whose spins converge to zero stops the
-network: that node reports converged_to_zero, the others timeout (or
-solved, if the network had already solved jointly).  stats["wall_time"]
-is that node's share of its batch's step attempts while it was not
-waiting, plus its own recording time.
+Per-node outcomes: the network counts as solved when every node's contrd is
+simultaneously 0 and stays so for the confirmation window; per-node records
+then carry the node's own entry time into that window and its own readout.
+An analog node whose spins converge to zero stops the network: that node
+reports converged_to_zero, the others timeout (or solved, if the network
+had already solved jointly).  The first aborting node stops the network,
+and every record's abort_message is its message prefixed "node <i>: ".
+stats["wall_time"] is a node's share of its batch's step attempts while it
+was not waiting, plus its own recording time.
 """
 
 from __future__ import annotations

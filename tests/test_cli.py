@@ -153,6 +153,27 @@ def test_network_command(tmp_path, capsys):
     assert "node 0" in capsys.readouterr().out
 
 
+def test_aborted_runs_print_their_abort_message(tmp_path, monkeypatch, capsys):
+    # solve and network printed an aborted run as a plain "timeout"
+    monkeypatch.chdir(tmp_path)
+    main(["gen", "xorsat", "--seed", "1", "--n", "10", "--out", "x.cnf"])
+    config = {"error_tol": 1e-13, "dt_min": 0.05, "dt_init": 0.05, "dt_max": 0.1, "t_ev": 5.0}
+    Path("cfg.json").write_text(json.dumps(config))
+    Path("net.json").write_text(json.dumps({**config, "nodes": [{"cnf": "x.cnf"}] * 2}))
+    capsys.readouterr()
+    assert main(["solve", "--in", "x.cnf", "--out-dir", "run", "--config", "cfg.json"]) == 0
+    assert main(["network", "--config", "net.json", "--out-dir", "net"]) == 0
+    messages = [json.loads(Path(path).read_text())["stats"]["abort_message"]
+                for path in ("run/run.json", "net/node0.json")]
+    assert capsys.readouterr().out.splitlines() == [
+        f"timeout (aborted: {messages[0]})",
+        f"node 0: timeout (aborted: {messages[1]})",
+        f"node 1: timeout (aborted: {messages[1]})",
+    ]
+    assert messages[0] == "step size underflow at t=0 (error ratio 1.32e+09)"
+    assert messages[1] == "node 0: " + messages[0]
+
+
 def test_config_file_overrides(tmp_path, capsys):
     cnf = tmp_path / "inst.cnf"
     main(["gen", "barthel", "--seed", "1", "--n", "8", "--ratio", "7",

@@ -15,7 +15,6 @@ from ctsat.dynamics import (
     energy,
     mem_clause_quantities,
     make_batch_system,
-    make_system,
     mem_rhs,
     readout,
     resolve_options,
@@ -341,10 +340,10 @@ def test_mem_kernel_matches_clause_reference(kind, clamp_v):
     params = MemOptions(clamp_v=clamp_v, alpha=3.0, beta=11.0, gamma=0.3, delta=0.07,
                         epsilon=0.002, zeta=0.02)
     for problem in (random_problem(2, n=12), gen_xorsat_3r(10, seed=4).problem):
-        system = make_system(problem, "mem", params)
+        system = make_batch_system([problem], "mem", params)
         for _ in range(40):
             y = _mem_states(rng, problem.num_vars, problem.num_clauses, kind)
-            got = system.rhs(0.0, y)
+            got = system.rhs(0.0, y[None])[0]
             want = mem_reference_rhs(problem, y, params, system.lo, system.hi)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -358,11 +357,16 @@ def test_mem_kernel_matches_clause_reference(kind, clamp_v):
 ])
 def test_batch_rows_equal_single_systems(solver, options):
     # four problems of equal N and M; each row of the batched RHS equals
-    # the RHS of its problem alone, bit for bit
+    # the RHS of its problem alone and its state-struct view, bit for bit
     problems = [gen_xorsat_3r(10, seed=seed).problem for seed in range(4)]
     n, m = problems[0].num_vars, problems[0].num_clauses
     batch = make_batch_system(problems, solver, **options)
-    singles = [make_system(problem, solver, **options) for problem in problems]
+    singles = [make_batch_system([problem], solver, **options) for problem in problems]
+    view_options = resolve_options(solver, options.get("solver_options"))
+    if solver == "mem":
+        view = lambda p, y: mem_rhs(p, MemState(y[:n], y[n:n + m], y[n + m:]), view_options)
+    else:
+        view = lambda p, y: analog_rhs(p, AnalogState(y[:n], y[n:]), view_options)
     assert batch.columns == singles[0].columns
     rng = np.random.default_rng(29)
     for kind in ("random", "pole", "tie", "bound", "stage", "unclamped"):
@@ -373,8 +377,9 @@ def test_batch_rows_equal_single_systems(solver, options):
                 rng.uniform(-1.0, 1.0, (4, n)))
             y = np.hstack((spins, rng.uniform(-2.0, 5.0, (4, m))))
         d = batch.rhs(0.0, y)
-        for row, single in enumerate(singles):
-            assert d[row].tobytes() == single.rhs(0.0, y[row]).tobytes()
+        for row, (problem, single) in enumerate(zip(problems, singles)):
+            assert d[row].tobytes() == single.rhs(0.0, y[row:row + 1])[0].tobytes()
+            assert d[row].tobytes() == np.concatenate(view(problem, y[row])).tobytes()
     with pytest.raises(ValueError, match="equal N and M"):
         make_batch_system([problems[0], gen_xorsat_3r(12, seed=1).problem], solver)
 
@@ -390,8 +395,8 @@ UNKNOWN_SOLVER = "^unknown solver 'memm' \\(expected 'analog' or 'mem'\\)$"
     (lambda p: run(p, "memm"), UNKNOWN_SOLVER),
     (lambda p: run_batch([p], "analog", [0], solver_options=MemOptions()), WRONG_OPTIONS),
     (lambda p: run_batch([p], "memm", [0]), UNKNOWN_SOLVER),
-    (lambda p: make_system(p, "analog", MemOptions()), WRONG_OPTIONS),
-    (lambda p: make_system(p, "memm"), UNKNOWN_SOLVER),
+    (lambda p: make_batch_system([p], "analog", MemOptions()), WRONG_OPTIONS),
+    (lambda p: make_batch_system([p], "memm"), UNKNOWN_SOLVER),
     (lambda p: SolverSpec("analog", solver_options=MemOptions()), WRONG_OPTIONS),
     (lambda p: SolverSpec("memm"), UNKNOWN_SOLVER),
     (lambda p: SolverNode(p, "analog", solver_options=MemOptions()), WRONG_OPTIONS),
@@ -400,8 +405,9 @@ UNKNOWN_SOLVER = "^unknown solver 'memm' \\(expected 'analog' or 'mem'\\)$"
     (lambda p: emit_mem(p, NetlistOptions(solver_options=AnalogOptions())),
      "^solver 'mem' takes MemOptions, got AnalogOptions$"),
 ], ids=["run-options", "run-solver", "run_batch-options", "run_batch-solver",
-        "make_system-options", "make_system-solver", "SolverSpec-options", "SolverSpec-solver",
-        "SolverNode-options", "SolverNode-solver", "emit_analog-options", "emit_mem-options"])
+        "make_batch_system-options", "make_batch_system-solver", "SolverSpec-options",
+        "SolverSpec-solver", "SolverNode-options", "SolverNode-solver", "emit_analog-options",
+        "emit_mem-options"])
 def test_other_solvers_options_and_unknown_solvers_rejected(build, message):
     # each layer used to take both solvers' options and read only its
     # solver's: run(p, "analog", mem_params=MemParams(alpha=0)) ran the

@@ -231,13 +231,18 @@ def test_plan_validation():
     assert len(records) == 4
 
 
-def test_summary_counts_aborted_runs(tmp_path):
+def test_summary_counts_aborted_runs(tmp_path, caplog):
     # the step-size underflow configuration of test_integrate
     config = IntegratorConfig(error_tol=1e-13, dt_min=0.05, dt_init=0.05, dt_max=0.1)
-    table, records = run_experiment(tiny_plan(config=config), tmp_path)
+    with caplog.at_level(logging.INFO, logger="ctsat.harness"):
+        table, records = run_experiment(tiny_plan(config=config), tmp_path)
     assert all("underflow" in r.stats["abort_message"] for r in records.values())
     cell = table.cells[(10, "mem", "B7")]
     assert cell.aborted == cell.runs == cell.unsolved == 2
+    # the cell's log line counts as its summary does
+    [line] = [r.getMessage() for r in caplog.records if r.name == "ctsat.harness"]
+    assert line.startswith(f"cell B7 N=10 mem: {cell.runs} runs, {len(cell.solve_times)} solved, "
+                           f"{cell.aborted} aborted, ")
     rows = json.loads((tmp_path / "summary.json").read_text())["cells"]
     assert [(row["runs"], row["aborted"]) for row in rows] == [(2, 2)]
 

@@ -8,7 +8,7 @@ from scipy import stats
 
 from ctsat.cnf import assignment_to_bits, count_unsatisfied
 import ctsat.integrate as integrate
-from ctsat.dynamics import AnalogOptions, MemOptions, initial_state, make_batch_system, make_system
+from ctsat.dynamics import AnalogOptions, MemOptions, initial_state, make_batch_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -67,7 +67,7 @@ def test_init_structs_view_the_flat_start(solver):
     y0 = initial_state(problem, solver, 7)
     state = (init_analog if solver == ANALOG else init_mem)(problem, 7)
     assert np.array_equal(np.concatenate(list(vars(state).values())), y0)
-    assert y0.shape == (len(make_system(problem, solver).columns),)
+    assert y0.shape == (len(make_batch_system([problem], solver).columns),)
     assert np.array_equal(run(problem, solver, seed=7,
                               config=IntegratorConfig(t_ev=0.1)).states[0], y0)
 
@@ -144,7 +144,7 @@ def test_bound_preservation_along_trajectories():
 def test_samples_lie_within_system_bounds(solver, options):
     problem = gen_barthel(BarthelParams(num_vars=20, ratio=4.3, seed=3)).problem
     record = run(problem, solver, seed=1, config=IntegratorConfig(t_ev=20.0), **options)
-    system = make_system(problem, solver, **options)
+    system = make_batch_system([problem], solver, **options)
     assert record.state_columns == system.columns
     assert np.all((record.states >= system.lo) & (record.states <= system.hi))
     # the bounds are reached: some later sample sits exactly on one
@@ -463,7 +463,7 @@ def test_save_and_load_run(tmp_path, make_record):
     assert payload["trajectory"] == npz_path.name
     # the column order of the state vector: s1.. then a1..aM, or v, xs, xl
     assert payload["state_columns"] == record.state_columns
-    assert payload["state_columns"] == make_system(problem, record.solver).columns
+    assert payload["state_columns"] == make_batch_system([problem], record.solver).columns
     if record.assignment is None:
         assert payload["assignment"] is None and "assignment_array" not in payload
     else:

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
+import ctsat.integrate as integrate
 from ctsat.cnf import Problem, write_dimacs
-from ctsat.dynamics import MemOptions, make_system
+from ctsat.dynamics import MemOptions, make_batch_system
 from ctsat.instances import BarthelParams, gen_barthel, gen_xorsat_3r
 from ctsat.integrate import (
     ANALOG,
@@ -293,6 +294,41 @@ def test_wall_time_is_per_node():
     assert sum(walls) <= elapsed
 
 
+def test_aborting_node_is_named_on_every_record(monkeypatch):
+    # the first aborting node's message went on every node's record without
+    # naming that node; node 1's derivative turns non-finite once a long
+    # memory passes 3, in the network and alone alike
+    problems = [gen_xorsat_3r(12, seed=seed).problem for seed in (40, 41, 42)]
+    n, m = problems[1].num_vars, problems[1].num_clauses
+    batch_system = integrate.make_batch_system
+
+    def poisoned(batch, *args):
+        system = batch_system(batch, *args)
+        rows = [i for i, p in enumerate(batch) if p is problems[1]]
+
+        def rhs(t, y):
+            d = system.rhs(t, y)
+            for i in rows:
+                if y[i, n + m:].max() > 3.0:
+                    d[i] = np.nan
+            return d
+        return system._replace(rhs=rhs)
+
+    monkeypatch.setattr(integrate, "make_batch_system", poisoned)
+    config = IntegratorConfig(t_ev=20.0)
+    records = simulate_network([SolverNode(p, MEM) for p in problems], Wiring(), config,
+                               seeds=[7, 8, 9])
+    alone = run(problems[1], MEM, seed=8, config=config)
+    message = alone.stats["abort_message"]  # a run's message names no node
+    assert re.fullmatch(r"non-finite state at t=[0-9.]+ \(error ratio nan\)", message)
+    assert 0.0 < alone.times[-1] < 20.0
+    for record in records:
+        assert record.outcome == TIMEOUT and not record.stats["dt_underflow"]
+        assert record.stats["abort_message"] == "node 1: " + message
+        assert record.times[-1] == alone.times[-1]
+    assert_same_trajectory(records[1], alone)
+
+
 # -------------------------------------------------------------------- coupling
 
 def ring_nodes(inst, p_in, q_out):
@@ -384,7 +420,7 @@ def test_network_states_respect_bounds():
     nodes, wiring = ring_nodes(inst, 1, 2)
     records = simulate_network(nodes, wiring, IntegratorConfig(t_ev=10.0), seeds=[0, 1])
     n, m = inst.problem.num_vars, inst.problem.num_clauses
-    system = make_system(inst.problem, MEM)
+    system = make_batch_system([inst.problem], MEM)
     for r in records:
         assert np.all(np.abs(r.states[:, :n]) <= 1.0)
         assert np.all((r.states[:, n:n + m] >= 0.0) & (r.states[:, n:n + m] <= 1.0))

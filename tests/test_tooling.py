@@ -14,7 +14,7 @@ import pytest
 import ctsat
 from ctsat import cli, integrate
 from ctsat.cli import build_parser
-from ctsat.dynamics import ANALOG, MEM, AnalogOptions, MemOptions, initial_state, make_system
+from ctsat.dynamics import ANALOG, MEM, AnalogOptions, MemOptions, initial_state, make_batch_system
 from ctsat.harness import ExperimentPlan
 from ctsat.instances import BarthelParams, gen_xorsat_3r
 from ctsat.integrate import IntegratorConfig
@@ -195,7 +195,7 @@ def test_emitted_decks_are_closed_and_define_only_called_functions(solver_option
     doc = emit(problem, NetlistOptions(solver_options=solver_options, subcircuit=subcircuit))
     assert undeclared_references(doc) == []
     # each cell's start is on its own capacitor card, the integrator's start
-    start = dict(zip(make_system(problem, solver, solver_options).columns,
+    start = dict(zip(make_batch_system([problem], solver, solver_options).columns,
                      initial_state(problem, solver, NetlistOptions.ic_seed).tolist()))
     for card in doc.elements:
         if card.name.startswith("C"):
